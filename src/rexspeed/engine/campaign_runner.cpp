@@ -1,58 +1,34 @@
 #include "rexspeed/engine/campaign_runner.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
-#include "rexspeed/engine/backend_registry.hpp"
+#include "rexspeed/engine/panel_job.hpp"
 #include "rexspeed/store/result_store.hpp"
-#include "rexspeed/store/serialize.hpp"
-#include "rexspeed/store/store_key.hpp"
 
 namespace rexspeed::engine {
 
 namespace {
 
-/// A kSolve scenario's single task. The backend is built (cheap,
-/// validating) at plan time; its heavyweight cache — the dominant cost of
-/// the exact and interleaved modes — is paid by prepare() in the pooled
-/// phase-1.5 barrier alongside the panels'. Inputs are validated in
-/// phase 1, so the task cannot throw. `key`/`info` are set when a result
-/// cache is wired and this solve missed it (the put happens after the
-/// stream drains).
-struct SolvePlan {
-  std::unique_ptr<core::SolverBackend> backend;
-  ScenarioResult* result = nullptr;
-  std::string key;
-  store::EntryInfo info;
-};
-
-/// One planned (cache-missed) panel: where its finished series lands,
-/// plus the store bookkeeping for the put after the stream drains.
+/// One cache-missed panel of the stream: its job and where its finished
+/// series lands once the stream drains.
 struct PanelOutput {
-  sweep::PanelSweep* plan = nullptr;
+  PanelJob job;
   sweep::PanelSeries* series = nullptr;
-  std::string key;       ///< content address ("" when uncached)
-  std::string cost_key;  ///< coarse measured-cost table key
-  store::EntryInfo info;
   double seconds_per_point = 0.0;  ///< measured or persisted
 };
 
-store::EntryInfo provenance(const ScenarioSpec& spec,
-                            const core::SolverBackend& backend) {
-  store::EntryInfo info;
-  info.scenario = spec.name;
-  info.configuration = spec.configuration;
-  info.backend = backend.name();
-  info.backend_version = backend.capabilities().version;
-  return info;
-}
+/// A kSolve scenario's single task. The backend is built (cheap,
+/// validating) at plan time; its heavyweight cache — the dominant cost of
+/// the exact and interleaved modes — is paid by prepare() in the pooled
+/// phase-1.5 barrier alongside the panels'.
+struct SolveOutput {
+  SolveJob job;
+  core::Solution* solution = nullptr;
+};
 
 }  // namespace
 
@@ -61,111 +37,37 @@ CampaignRunner::CampaignRunner(CampaignRunnerOptions options)
 
 std::vector<ScenarioResult> CampaignRunner::run(
     const std::vector<ScenarioSpec>& specs) const {
-  // Phase 1 (serial, cheap): resolve every scenario's backend through the
-  // registry and prepare every panel through the same sweep::PanelSweep
-  // that run_panel_sweep drives — identical setup and per-point kernel,
-  // so campaign results are bit-identical to per-scenario runs by
-  // construction. All validation errors surface here, before any task is
-  // submitted; tasks themselves are pure solver math on validated inputs
-  // and cannot throw. Plans live in deques so task lambdas hold stable
-  // pointers while plans for later scenarios are still being appended.
+  // Phase 1 (serial, cheap): plan every scenario through the engine's one
+  // plan-and-cache path (panel_job.hpp) — the same backends, grids, keys
+  // and sweep::PanelSweep setup as every other driver, so campaign results
+  // are bit-identical to per-scenario runs by construction. Verified store
+  // hits fill their result slot here and plan nothing. All validation
+  // errors surface here, before any task is submitted; tasks themselves
+  // are pure solver math on validated inputs and cannot throw. Jobs live
+  // in deques so task lambdas hold stable pointers.
   std::vector<ScenarioResult> results(specs.size());
-  std::deque<sweep::PanelSweep> panel_plans;
-  std::deque<SolvePlan> solve_plans;
-  /// Where each finished panel is moved once the stream drains, plus its
-  /// store bookkeeping (cache-hit panels never appear here — their result
-  /// slot was filled at plan time).
-  std::vector<PanelOutput> outputs;
+  std::deque<PanelOutput> panels;
+  std::deque<SolveOutput> solves;
 
   for (std::size_t s = 0; s < specs.size(); ++s) {
-    const ScenarioSpec& spec = specs[s];
     ScenarioResult& result = results[s];
-    result.spec = spec;
-    spec.validate();
-    core::ModelParams base = spec.resolve_params();
-    // Panels validate their bound in the PanelSweep constructor; the
-    // solve task calls the backend directly, so its bound is checked here
-    // (tasks must not throw — the pool has no exception barrier).
-    if (!(spec.rho > 0.0) || !std::isfinite(spec.rho)) {
-      throw std::invalid_argument("CampaignRunner: scenario '" + spec.name +
-                                  "': rho must be positive and finite");
-    }
-
-    if (spec.kind() == ScenarioKind::kSolve) {
-      std::unique_ptr<core::SolverBackend> backend =
-          make_backend(spec, std::move(base));
-      std::string key;
-      if (store_ != nullptr && spec.cache) {
-        key = store::solve_key(*backend, spec.rho, spec.policy,
-                               spec.min_rho_fallback,
-                               spec.verification_recall);
-        if (const std::optional<std::string> blob = store_->fetch(key)) {
-          // Verified hit: the solve — and, decisively, the backend's
-          // heavyweight prepare — is skipped entirely. A blob of the
-          // wrong payload kind falls through to a recompute.
-          try {
-            result.solution = store::deserialize_solution(*blob);
-            continue;
-          } catch (const store::SerializeError&) {
-          }
-        }
+    result.spec = specs[s];
+    ScenarioJob job = plan_scenario(specs[s], store_);
+    if (job.solve) {
+      if (job.solve->hit) {
+        result.solution = *job.solve->hit;
+      } else {
+        solves.push_back({std::move(*job.solve), &result.solution});
       }
-      SolvePlan& plan = solve_plans.emplace_back();
-      plan.result = &result;
-      plan.key = std::move(key);
-      plan.info = provenance(spec, *backend);
-      plan.info.kind = "solution";
-      plan.info.axis = "-";
-      plan.info.points = 1;
-      plan.backend = std::move(backend);
       continue;
     }
-
-    // Same axes, grids, options and per-point kernel as
-    // SweepEngine::run_axis — bit-identical by construction.
-    const std::vector<sweep::SweepParameter> axes =
-        scenario_panel_axes(spec);
-    const sweep::SweepOptions options = spec.sweep_options(nullptr);
-    result.panels.resize(axes.size());
-    for (std::size_t p = 0; p < axes.size(); ++p) {
-      std::unique_ptr<core::SolverBackend> backend = make_backend(spec, base);
-      std::vector<double> grid =
-          sweep::panel_grid(axes[p], spec.points, spec.segment_limit());
-      PanelOutput output;
-      if (store_ != nullptr && spec.cache) {
-        output.key = store::panel_key(*backend, spec.configuration, axes[p],
-                                      grid, options,
-                                      spec.verification_recall);
-        output.cost_key = store::cost_key(*backend, axes[p]);
-        if (const std::optional<std::string> blob =
-                store_->fetch(output.key)) {
-          // Verified hit — but only trusted when the payload's shape
-          // matches what this panel would compute (a mismatch means a
-          // collision or a store bug, and recompute is always safe).
-          bool usable = false;
-          try {
-            sweep::PanelSeries cached =
-                store::deserialize_panel_series(*blob);
-            if (cached.parameter == axes[p] &&
-                cached.points.size() == grid.size()) {
-              result.panels[p] = std::move(cached);
-              usable = true;
-            }
-          } catch (const store::SerializeError&) {
-          }
-          if (usable) continue;
-        }
-        output.info = provenance(spec, *backend);
-        output.info.kind = "panel";
-        output.info.axis = core::to_string(axes[p]);
-        output.info.points = grid.size();
+    result.panels.resize(job.panels.size());
+    for (std::size_t p = 0; p < job.panels.size(); ++p) {
+      if (job.panels[p].hit) {
+        result.panels[p] = std::move(*job.panels[p].hit);
+      } else {
+        panels.push_back({std::move(job.panels[p]), &result.panels[p]});
       }
-      sweep::PanelSweep& plan = panel_plans.emplace_back(
-          std::move(backend), spec.configuration, axes[p], std::move(grid),
-          options);
-      output.plan = &plan;
-      output.series = &result.panels[p];
-      outputs.push_back(std::move(output));
     }
   }
 
@@ -181,14 +83,16 @@ std::vector<ScenarioResult> CampaignRunner::run(
   // was fully validated above so prepare() cannot throw. One extra
   // barrier, paid only by campaigns that actually carry such backends.
   std::vector<std::function<void()>> prepare_tasks;
-  for (sweep::PanelSweep& plan : panel_plans) {
+  for (PanelOutput& output : panels) {
+    sweep::PanelSweep& plan = *output.job.sweep;
     if (plan.needs_prepare()) {
       prepare_tasks.push_back([&plan] { plan.prepare(); });
     }
   }
-  for (SolvePlan& plan : solve_plans) {
-    if (plan.backend->needs_prepare()) {
-      prepare_tasks.push_back([&plan] { plan.backend->prepare(); });
+  for (SolveOutput& output : solves) {
+    core::SolverBackend& backend = *output.job.backend;
+    if (backend.needs_prepare()) {
+      prepare_tasks.push_back([&backend] { backend.prepare(); });
     }
   }
   if (!prepare_tasks.empty()) {
@@ -208,25 +112,22 @@ std::vector<ScenarioResult> CampaignRunner::run(
   struct TaskGroup {
     double cost = 0.0;
     sweep::PanelSweep* panel = nullptr;  ///< null for solve groups
-    SolvePlan* solve = nullptr;
+    SolveOutput* solve = nullptr;
   };
   std::vector<TaskGroup> groups;
-  groups.reserve(panel_plans.size() + solve_plans.size());
-  for (PanelOutput& output : outputs) {
-    sweep::PanelSweep& plan = *output.plan;
+  groups.reserve(panels.size() + solves.size());
+  for (PanelOutput& output : panels) {
+    sweep::PanelSweep& plan = *output.job.sweep;
     // A persisted measured cost (recorded by an earlier run of this
     // backend + axis on this machine) replaces the probe outright: the
     // ordering is seeded before any timing runs, and the stream covers
     // the whole grid (no probe point was consumed).
-    if (store_ != nullptr && !output.cost_key.empty()) {
-      if (const std::optional<double> persisted =
-              store_->lookup_cost(output.cost_key)) {
-        output.seconds_per_point = *persisted;
-        groups.push_back(
-            {*persisted * static_cast<double>(plan.point_count()), &plan,
-             nullptr});
-        continue;
-      }
+    if (const std::optional<double> persisted = output.job.persisted_cost()) {
+      output.seconds_per_point = *persisted;
+      groups.push_back(
+          {*persisted * static_cast<double>(plan.point_count()), &plan,
+           nullptr});
+      continue;
     }
     const double remaining_cost = plan.measure_cost();
     const auto remaining =
@@ -235,11 +136,11 @@ std::vector<ScenarioResult> CampaignRunner::run(
         remaining > 0.0 ? remaining_cost / remaining : 0.0;
     groups.push_back({remaining_cost, &plan, nullptr});
   }
-  for (SolvePlan& plan : solve_plans) {
+  for (SolveOutput& output : solves) {
     // Solves are single post-prepare feasibility lookups — cheapest of
     // all; rank them below any measured panel.
-    groups.push_back({-plan.backend->capabilities().cost_weight, nullptr,
-                      &plan});
+    groups.push_back({-output.job.backend->capabilities().cost_weight,
+                      nullptr, &output});
   }
   // Stable: equal-cost groups keep scenario order, so the stream itself
   // stays deterministic for a given set of timings (not that results
@@ -255,9 +156,9 @@ std::vector<ScenarioResult> CampaignRunner::run(
   // plans (batched ρ grids, warm-start chains) are one task each: their
   // points are one backend call or one ordered chain by nature.
   std::vector<std::function<void()>> tasks;
-  std::size_t task_count = solve_plans.size();
-  for (const sweep::PanelSweep& plan : panel_plans) {
-    task_count += plan.point_count();
+  std::size_t task_count = solves.size();
+  for (const PanelOutput& output : panels) {
+    task_count += output.job.points;
   }
   tasks.reserve(task_count);
   for (const TaskGroup& group : groups) {
@@ -274,22 +175,16 @@ std::vector<ScenarioResult> CampaignRunner::run(
       }
       continue;
     }
-    SolvePlan* plan = group.solve;
-    tasks.push_back([plan] {
-      const ScenarioSpec& spec = plan->result->spec;
-      // Same backend + solve call as solve_scenario (one shared rule —
-      // the registry), so campaign and standalone solves stay
-      // bit-identical; the cache was prepared in phase 1.5.
-      plan->result->solution =
-          plan->backend->solve(spec.rho, spec.policy, spec.min_rho_fallback);
-    });
+    SolveOutput* output = group.solve;
+    // The cache was prepared in phase 1.5.
+    tasks.push_back([output] { *output->solution = output->job.solve(); });
   }
 
   sweep::parallel_for(pool(), tasks.size(),
                       [&tasks](std::size_t i) { tasks[i](); });
 
-  for (PanelOutput& output : outputs) {
-    *output.series = output.plan->take();
+  for (PanelOutput& output : panels) {
+    *output.series = output.job.sweep->take();
   }
 
   // Store every missed result (healing any corrupt entry under the same
@@ -297,19 +192,11 @@ std::vector<ScenarioResult> CampaignRunner::run(
   // Serial and after the barrier on purpose: puts touch the filesystem,
   // not solver state, and a crashed put can only lose cache warmth.
   if (store_ != nullptr) {
-    for (PanelOutput& output : outputs) {
-      if (output.key.empty()) continue;  // cache=0 scenario
-      output.info.cost_seconds_per_point = output.seconds_per_point;
-      store_->put(output.key, store::serialize_panel_series(*output.series),
-                  output.info);
-      if (output.seconds_per_point > 0.0) {
-        store_->record_cost(output.cost_key, output.seconds_per_point);
-      }
+    for (const PanelOutput& output : panels) {
+      output.job.put(*output.series, output.seconds_per_point);
     }
-    for (SolvePlan& plan : solve_plans) {
-      if (plan.key.empty()) continue;
-      store_->put(plan.key, store::serialize_solution(plan.result->solution),
-                  plan.info);
+    for (const SolveOutput& output : solves) {
+      output.job.put(*output.solution);
     }
     store_->flush();
   }

@@ -30,9 +30,9 @@ struct CampaignRunnerOptions {
   /// Worker threads: 0 uses hardware concurrency, 1 forces a serial run.
   unsigned threads = 0;
   /// Persistent result cache (store::make_store); null runs uncached.
-  /// Before a panel or solve is planned, its content address
-  /// (store::panel_key / solve_key) is looked up: a verified hit fills
-  /// the result slot outright — skipping planning, prepare and every
+  /// Before a panel or solve is planned, its content address is looked
+  /// up (engine/panel_job.hpp, shared by every driver): a verified hit
+  /// fills the result slot outright — skipping planning, prepare and every
   /// point task — and a corrupt or missing entry falls through to a
   /// normal recompute whose result is stored (and heals the entry) once
   /// the stream drains. Persisted per-point costs also seed the

@@ -1,0 +1,126 @@
+#pragma once
+
+#include <cstddef>
+#include <memory>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include "rexspeed/core/solver_backend.hpp"
+#include "rexspeed/engine/scenario.hpp"
+#include "rexspeed/store/result_store.hpp"
+#include "rexspeed/sweep/panel_sweep.hpp"
+#include "rexspeed/sweep/thread_pool.hpp"
+
+// The one plan-and-cache path of every engine driver. CampaignRunner, the
+// shard coordinator and its workers, and SweepEngine all validate, resolve,
+// key, fetch, shape-check and store each panel or solve through the jobs
+// below, so a result is the same bits whichever driver produced it — by
+// construction, not by mirroring. Drivers differ only in how they execute
+// a missed job (the campaign's flattened stream, a worker's serial run,
+// the sweep engine's pool).
+
+namespace rexspeed::engine {
+
+/// One panel of a scenario, planned against an optional result store.
+/// Exactly one of `hit` and `sweep` is set: a verified store hit of the
+/// right shape fills `hit` and builds no PanelSweep (nor, decisively, its
+/// prepare); anything else — uncached, miss, corruption, wrong payload,
+/// wrong shape — leaves a validated `sweep` to compute.
+struct PanelJob {
+  sweep::SweepParameter axis = sweep::SweepParameter::kCheckpointTime;
+  std::size_t points = 0;  ///< grid size: the shape any result must have
+  std::optional<sweep::PanelSeries> hit;
+  std::optional<sweep::PanelSweep> sweep;
+
+  /// Null when uncached (no store wired, or the spec opted out).
+  store::ResultStore* cache = nullptr;
+  std::string key;       ///< content address (store::panel_key)
+  std::string cost_key;  ///< measured-cost table key (store::cost_key)
+  store::EntryInfo info;  ///< provenance stored with the result
+
+  /// Decodes `blob` — a store entry or a shard worker's reply — when it
+  /// is a verified panel of this job's axis and point count; nullopt
+  /// otherwise, and the caller recomputes.
+  [[nodiscard]] std::optional<sweep::PanelSeries> accept(
+      std::string_view blob) const;
+
+  /// The per-point cost an earlier run recorded for this backend + axis
+  /// (nullopt when uncached or unrecorded).
+  [[nodiscard]] std::optional<double> persisted_cost() const;
+
+  /// Stores a computed series with its measured per-point cost and feeds
+  /// the cost table. No-op when uncached.
+  void put(const sweep::PanelSeries& series, double seconds_per_point) const;
+
+  /// Computes the planned sweep in one call (across the pool it was
+  /// planned with, serially without one), puts it with its measured
+  /// wall-clock cost per point, and returns it. `seconds_per_point`, when
+  /// non-null, receives that cost.
+  [[nodiscard]] sweep::PanelSeries run(double* seconds_per_point = nullptr);
+};
+
+/// A kSolve scenario's bound solve, planned like a PanelJob: `hit` on a
+/// verified store hit (no backend kept), else an unprepared `backend`.
+struct SolveJob {
+  std::optional<core::Solution> hit;
+  std::unique_ptr<core::SolverBackend> backend;
+  double rho = 0.0;
+  core::SpeedPolicy policy = core::SpeedPolicy::kTwoSpeed;
+  bool min_rho_fallback = false;
+
+  store::ResultStore* cache = nullptr;
+  std::string key;  ///< content address (store::solve_key)
+  store::EntryInfo info;
+
+  /// Decodes `blob` when it is a verified solution; nullopt otherwise.
+  [[nodiscard]] std::optional<core::Solution> accept(
+      std::string_view blob) const;
+
+  /// The solve off the already-prepared backend (cannot throw: the bound
+  /// was validated at plan time).
+  [[nodiscard]] core::Solution solve() const;
+
+  /// Stores a computed solution. No-op when uncached.
+  void put(const core::Solution& solution) const;
+
+  /// Prepares the backend, solves, puts and returns the solution.
+  [[nodiscard]] core::Solution run();
+};
+
+/// Every job of one scenario: one PanelJob per scenario_panel_axes entry
+/// for the sweep kinds, or the SolveJob of a kSolve.
+struct ScenarioJob {
+  std::vector<PanelJob> panels;
+  std::optional<SolveJob> solve;
+};
+
+/// Validates a scenario the way every driver must before planning:
+/// ScenarioSpec::validate plus a positive, finite bound (solve tasks call
+/// the backend directly, and pool tasks must not throw). Returns its
+/// resolved model parameters.
+[[nodiscard]] core::ModelParams resolve_scenario(const ScenarioSpec& spec);
+
+/// Plans one panel of `spec` over already-resolved `params`: builds the
+/// backend and grid, looks the panel up in `cache` (when non-null and the
+/// spec opts in), and on anything but a usable hit constructs the
+/// PanelSweep — whose constructor rejects every input a later prepare or
+/// solve would trip over. `pool` is only the pool the sweep will run on;
+/// it never reaches the key.
+[[nodiscard]] PanelJob plan_panel(const ScenarioSpec& spec,
+                                  core::ModelParams params,
+                                  sweep::SweepParameter axis,
+                                  store::ResultStore* cache,
+                                  sweep::ThreadPool* pool = nullptr);
+
+/// Plans a kSolve scenario's solve over already-resolved `params`.
+[[nodiscard]] SolveJob plan_solve(const ScenarioSpec& spec,
+                                  core::ModelParams params,
+                                  store::ResultStore* cache);
+
+/// resolve_scenario, then every panel (planned pool-free) or the solve.
+[[nodiscard]] ScenarioJob plan_scenario(const ScenarioSpec& spec,
+                                        store::ResultStore* cache);
+
+}  // namespace rexspeed::engine

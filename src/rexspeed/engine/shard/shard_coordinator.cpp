@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <deque>
@@ -18,29 +17,24 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "rexspeed/engine/backend_registry.hpp"
+#include "rexspeed/engine/panel_job.hpp"
 #include "rexspeed/engine/scenario_file.hpp"
 #include "rexspeed/engine/shard/frame.hpp"
-#include "rexspeed/engine/shard/task_exec.hpp"
 #include "rexspeed/store/result_store.hpp"
-#include "rexspeed/store/serialize.hpp"
-#include "rexspeed/store/store_key.hpp"
 
 namespace rexspeed::engine::shard {
 
 namespace {
 
 /// One distributable unit: a whole panel (scenario × axis) or a solve.
-/// The expected shape is recorded at plan time so a worker's returned
-/// blob is verified against what the coordinator would have computed.
+/// Its planned job stays with the coordinator: a worker's returned blob is
+/// accepted against it, and any in-process fallback runs it.
 struct Task {
   std::size_t scenario = 0;
   std::uint32_t panel = kSolveTask;
   double cost = 0.0;        ///< longest-first ordering key
   bool local_only = false;  ///< spec has no text form; never distributed
   bool done = false;
-  sweep::SweepParameter axis = sweep::SweepParameter::kCheckpointTime;
-  std::size_t points = 0;
 };
 
 struct WorkerProc {
@@ -129,26 +123,22 @@ std::vector<ScenarioResult> ShardCoordinator::run(
     store = store::make_store(options_.cache_spec);
   }
 
-  // Phase 1 (serial, pre-fork): mirror CampaignRunner's plan phase —
-  // validate every scenario, resolve every backend, serve verified
-  // cache hits outright, and construct a throwaway PanelSweep per
-  // missed panel so every input a worker-side plan would reject throws
-  // HERE, before any process exists. Tasks shipped to workers cannot
-  // fail validation.
+  // Phase 1 (serial, pre-fork): plan every scenario through the engine's
+  // plan-and-cache path (panel_job.hpp) — the same validation, backends,
+  // keys and PanelSweep construction as CampaignRunner — so every input a
+  // worker would reject throws HERE, before any process exists, and
+  // verified cache hits are served outright.
   std::vector<ScenarioResult> results(specs.size());
+  std::vector<ScenarioJob> jobs(specs.size());
   std::vector<std::string> spec_texts(specs.size());
   std::vector<Task> tasks;
 
   for (std::size_t s = 0; s < specs.size(); ++s) {
     const ScenarioSpec& spec = specs[s];
     ScenarioResult& result = results[s];
+    ScenarioJob& job = jobs[s];
     result.spec = spec;
-    spec.validate();
-    core::ModelParams base = spec.resolve_params();
-    if (!(spec.rho > 0.0) || !std::isfinite(spec.rho)) {
-      throw std::invalid_argument("ShardCoordinator: scenario '" + spec.name +
-                                  "': rho must be positive and finite");
-    }
+    job = plan_scenario(spec, store.get());
     bool local_only = false;
     try {
       spec_texts[s] = write_scenario(spec);
@@ -159,80 +149,40 @@ std::vector<ScenarioResult> ShardCoordinator::run(
       local_only = true;
     }
 
-    if (spec.kind() == ScenarioKind::kSolve) {
-      std::unique_ptr<core::SolverBackend> backend =
-          make_backend(spec, std::move(base));
-      if (store != nullptr && spec.cache) {
-        const std::string key =
-            store::solve_key(*backend, spec.rho, spec.policy,
-                             spec.min_rho_fallback, spec.verification_recall);
-        if (const std::optional<std::string> blob = store->fetch(key)) {
-          try {
-            result.solution = store::deserialize_solution(*blob);
-            ++report_.cache_hits;
-            continue;
-          } catch (const store::SerializeError&) {
-          }
-        }
+    if (job.solve) {
+      if (job.solve->hit) {
+        result.solution = *job.solve->hit;
+        ++report_.cache_hits;
+        continue;
       }
       Task task;
       task.scenario = s;
       task.panel = kSolveTask;
       // Solves are single post-prepare lookups — rank below any panel,
       // exactly as CampaignRunner orders its stream.
-      task.cost = -backend->capabilities().cost_weight;
+      task.cost = -job.solve->backend->capabilities().cost_weight;
       task.local_only = local_only;
       tasks.push_back(task);
       continue;
     }
 
-    const std::vector<sweep::SweepParameter> axes = scenario_panel_axes(spec);
-    const sweep::SweepOptions options = spec.sweep_options(nullptr);
-    result.panels.resize(axes.size());
-    for (std::size_t p = 0; p < axes.size(); ++p) {
-      std::unique_ptr<core::SolverBackend> backend = make_backend(spec, base);
-      std::vector<double> grid =
-          sweep::panel_grid(axes[p], spec.points, spec.segment_limit());
-      double per_point = backend->capabilities().cost_weight;
-      if (store != nullptr && spec.cache) {
-        const std::string key =
-            store::panel_key(*backend, spec.configuration, axes[p], grid,
-                             options, spec.verification_recall);
-        bool usable = false;
-        if (const std::optional<std::string> blob = store->fetch(key)) {
-          try {
-            sweep::PanelSeries cached = store::deserialize_panel_series(*blob);
-            if (cached.parameter == axes[p] &&
-                cached.points.size() == grid.size()) {
-              result.panels[p] = std::move(cached);
-              usable = true;
-            }
-          } catch (const store::SerializeError&) {
-          }
-        }
-        if (usable) {
-          ++report_.cache_hits;
-          continue;
-        }
-        // PR 8's persisted measured cost seeds the longest-first order
-        // across processes; the static prior covers cold stores.
-        if (const std::optional<double> persisted =
-                store->lookup_cost(store::cost_key(*backend, axes[p]))) {
-          per_point = *persisted;
-        }
+    result.panels.resize(job.panels.size());
+    for (std::size_t p = 0; p < job.panels.size(); ++p) {
+      PanelJob& panel = job.panels[p];
+      if (panel.hit) {
+        result.panels[p] = std::move(*panel.hit);
+        ++report_.cache_hits;
+        continue;
       }
+      // The persisted measured cost seeds the longest-first order across
+      // processes; the static prior covers cold stores.
+      const double per_point = panel.persisted_cost().value_or(
+          panel.sweep->cost_weight());
       Task task;
       task.scenario = s;
       task.panel = static_cast<std::uint32_t>(p);
-      task.cost = per_point * static_cast<double>(grid.size());
+      task.cost = per_point * static_cast<double>(panel.points);
       task.local_only = local_only;
-      task.axis = axes[p];
-      task.points = grid.size();
-      // Deep pre-fork validation: the same constructor a worker's
-      // execute_panel runs must accept these inputs.
-      sweep::PanelSweep probe(std::move(backend), spec.configuration, axes[p],
-                              std::move(grid), options);
-      (void)probe;
       tasks.push_back(task);
     }
   }
@@ -241,13 +191,15 @@ std::vector<ScenarioResult> ShardCoordinator::run(
   }
   report_.tasks = tasks.size();
 
+  // Runs a task's planned job in-process (each task at most once: it is
+  // done afterwards), storing it like a worker would.
   auto execute_local = [&](const Task& task) {
     ScenarioResult& result = results[task.scenario];
+    ScenarioJob& job = jobs[task.scenario];
     if (task.panel == kSolveTask) {
-      result.solution = execute_solve(result.spec, store.get());
+      result.solution = job.solve->run();
     } else {
-      result.panels[task.panel] =
-          execute_panel(result.spec, task.panel, store.get(), nullptr);
+      result.panels[task.panel] = job.panels[task.panel].run();
     }
   };
 
@@ -405,22 +357,18 @@ std::vector<ScenarioResult> ShardCoordinator::run(
         }
         worker.busy = false;
         Task& task = tasks[result.task];
+        const ScenarioJob& job = jobs[task.scenario];
         bool merged = false;
-        try {
-          if (task.panel == kSolveTask) {
-            results[task.scenario].solution =
-                store::deserialize_solution(result.blob);
+        if (task.panel == kSolveTask) {
+          if (std::optional<core::Solution> solution =
+                  job.solve->accept(result.blob)) {
+            results[task.scenario].solution = *solution;
             merged = true;
-          } else {
-            sweep::PanelSeries series =
-                store::deserialize_panel_series(result.blob);
-            if (series.parameter == task.axis &&
-                series.points.size() == task.points) {
-              results[task.scenario].panels[task.panel] = std::move(series);
-              merged = true;
-            }
           }
-        } catch (const store::SerializeError&) {
+        } else if (std::optional<sweep::PanelSeries> series =
+                       job.panels[task.panel].accept(result.blob)) {
+          results[task.scenario].panels[task.panel] = std::move(*series);
+          merged = true;
         }
         if (merged) {
           mark_done(result.task);

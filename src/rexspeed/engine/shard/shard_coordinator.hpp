@@ -67,12 +67,13 @@ struct ShardReport {
 /// coordinator computes the remainder in-process. The campaign always
 /// completes with byte-identical output.
 ///
-/// Bit-identity contract (tested): every task runs the same
-/// backend-resolution + sweep::PanelSweep per-point kernel as the
-/// in-process CampaignRunner (task_exec.hpp), and result blobs
-/// round-trip bit-exactly (store/serialize.hpp), so the merged campaign
-/// equals a serial CampaignRunner::run byte for byte — any worker count,
-/// any schedule, with or without worker deaths.
+/// Bit-identity contract (tested): the coordinator, its workers and the
+/// in-process CampaignRunner plan every task through the same
+/// plan-and-cache step (engine/panel_job.hpp) and run the same
+/// sweep::PanelSweep per-point kernel, and result blobs round-trip
+/// bit-exactly (store/serialize.hpp), so the merged campaign equals a
+/// serial CampaignRunner::run byte for byte — any worker count, any
+/// schedule, with or without worker deaths.
 ///
 /// The transport is deliberately two fds + a frame codec: swapping the
 /// forked pipe pair for a connected socket is the rexspeedd daemon seam

@@ -4,12 +4,16 @@
 #include <exception>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 #include <unistd.h>
 
+#include "rexspeed/engine/backend_registry.hpp"
+#include "rexspeed/engine/panel_job.hpp"
 #include "rexspeed/engine/scenario.hpp"
 #include "rexspeed/engine/shard/frame.hpp"
-#include "rexspeed/engine/shard/task_exec.hpp"
 #include "rexspeed/store/result_store.hpp"
 #include "rexspeed/store/serialize.hpp"
 
@@ -17,19 +21,34 @@ namespace rexspeed::engine::shard {
 
 namespace {
 
-/// Computes one assignment into a result frame. Specs were validated by
-/// the coordinator before any fork, so a throw here is exceptional — it
+/// Computes one assignment into a result frame: the one panel or solve is
+/// planned through the engine's plan-and-cache step (a verified hit skips
+/// the solve), run serially, and stored. Specs were validated by the
+/// coordinator before any fork, so a throw here is exceptional — it
 /// becomes a kFailure frame, not a dead worker.
 ResultFrame compute(const AssignFrame& assign, store::ResultStore* cache) {
   const ScenarioSpec spec = parse_scenario(assign.spec_text);
+  core::ModelParams params = resolve_scenario(spec);
   ResultFrame result;
   result.task = assign.task;
   if (assign.panel == kSolveTask) {
-    result.blob = store::serialize_solution(execute_solve(spec, cache));
+    SolveJob job = plan_solve(spec, std::move(params), cache);
+    result.blob =
+        store::serialize_solution(job.hit ? std::move(*job.hit) : job.run());
   } else {
+    const std::vector<sweep::SweepParameter> axes = scenario_panel_axes(spec);
+    if (assign.panel >= axes.size()) {
+      throw std::invalid_argument("shard: scenario '" + spec.name +
+                                  "' has no panel " +
+                                  std::to_string(assign.panel));
+    }
+    PanelJob job =
+        plan_panel(spec, std::move(params), axes[assign.panel], cache);
     result.blob = store::serialize_panel_series(
-        execute_panel(spec, assign.panel, cache, &result.seconds_per_point));
+        job.hit ? std::move(*job.hit) : job.run(&result.seconds_per_point));
   }
+  // Workers exit via _exit (skipping destructors), so persist eagerly.
+  if (cache != nullptr) cache->flush();
   return result;
 }
 

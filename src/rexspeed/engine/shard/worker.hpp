@@ -43,9 +43,9 @@ struct WorkerConfig {
   WorkerFault fault;  ///< kNone unless this worker is the victim
 };
 
-/// The worker main loop: hello, then serve kAssign frames (compute via
-/// task_exec, reply kResult / kFailure) until kShutdown, EOF or a corrupt
-/// command stream. Never returns; exits the process via _exit so the
+/// The worker main loop: hello, then serve kAssign frames (plan and run
+/// through engine/panel_job.hpp, reply kResult / kFailure) until
+/// kShutdown, EOF or a corrupt command stream. Never returns; exits the process via _exit so the
 /// forked child cannot run the parent's atexit machinery.
 [[noreturn]] void run_worker(int command_fd, int result_fd,
                              const WorkerConfig& config);

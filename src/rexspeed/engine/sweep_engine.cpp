@@ -1,15 +1,13 @@
 #include "rexspeed/engine/sweep_engine.hpp"
 
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "rexspeed/engine/backend_registry.hpp"
+#include "rexspeed/engine/panel_job.hpp"
 #include "rexspeed/engine/solver_context.hpp"
 #include "rexspeed/store/result_store.hpp"
-#include "rexspeed/store/serialize.hpp"
-#include "rexspeed/store/store_key.hpp"
 
 namespace rexspeed::engine {
 
@@ -18,46 +16,14 @@ SweepEngine::SweepEngine(SweepEngineOptions options)
 
 sweep::PanelSeries SweepEngine::run_axis(const ScenarioSpec& spec,
                                          sweep::SweepParameter axis) const {
-  const sweep::SweepOptions options = spec.sweep_options(pool());
-  std::unique_ptr<core::SolverBackend> backend = make_backend(spec);
-  std::vector<double> grid =
-      sweep::panel_grid(axis, options.points, spec.segment_limit());
-
-  if (store_ == nullptr || !spec.cache) {
-    return sweep::run_panel_sweep(std::move(backend), spec.configuration,
-                                  axis, std::move(grid), options);
-  }
-
-  // Same key derivation and hit discipline as CampaignRunner: a verified
-  // hit whose shape matches this panel replaces the whole sweep
-  // (decisively, the backend's heavyweight prepare); anything else — miss,
-  // corruption, wrong payload kind, shape mismatch — recomputes, and the
-  // recompute is stored under the same key.
-  const std::string key =
-      store::panel_key(*backend, spec.configuration, axis, grid, options,
-                       spec.verification_recall);
-  if (const std::optional<std::string> blob = store_->fetch(key)) {
-    try {
-      sweep::PanelSeries cached = store::deserialize_panel_series(*blob);
-      if (cached.parameter == axis && cached.points.size() == grid.size()) {
-        return cached;
-      }
-    } catch (const store::SerializeError&) {
-    }
-  }
-
-  store::EntryInfo info;
-  info.kind = "panel";
-  info.scenario = spec.name;
-  info.configuration = spec.configuration;
-  info.backend = backend->name();
-  info.backend_version = backend->capabilities().version;
-  info.axis = core::to_string(axis);
-  info.points = grid.size();
-  sweep::PanelSeries series = sweep::run_panel_sweep(
-      std::move(backend), spec.configuration, axis, std::move(grid), options);
-  store_->put(key, store::serialize_panel_series(series), std::move(info));
-  store_->flush();
+  // The campaign's plan-and-cache step (panel_job.hpp), planned onto this
+  // engine's pool: a verified hit replaces the whole sweep, anything else
+  // runs it across the pool and stores it under the same key.
+  PanelJob job =
+      plan_panel(spec, resolve_scenario(spec), axis, store_, pool());
+  if (job.hit) return std::move(*job.hit);
+  sweep::PanelSeries series = job.run();
+  if (store_ != nullptr) store_->flush();
   return series;
 }
 

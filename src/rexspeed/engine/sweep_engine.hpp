@@ -20,10 +20,10 @@ struct SweepEngineOptions {
   /// are parallel unless asked otherwise), 1 forces a serial engine.
   unsigned threads = 0;
   /// Persistent result cache (store::make_store); null runs uncached.
-  /// run_axis looks its panel up by content address before solving, and
-  /// stores a verified-miss recompute afterwards — the same key
-  /// derivation as CampaignRunner, so sweeps and campaigns share entries
-  /// (bit-identical results by tested contract).
+  /// run_axis plans its panel through the same plan-and-cache step as
+  /// CampaignRunner (panel_job.hpp): a verified hit replaces the sweep, a
+  /// recompute is stored with its measured cost — so sweeps and campaigns
+  /// share entries.
   store::ResultStore* store = nullptr;
 };
 

@@ -17,7 +17,11 @@ std::uint64_t replication_seed(std::uint64_t base, std::size_t index) {
   return splitmix64(state);
 }
 
-struct ThreadAccumulators {
+/// Replications per chunk: the unit threads claim, and the unit of the
+/// ordered merge.
+constexpr std::size_t kChunk = 16;
+
+struct ChunkAccumulators {
   stats::Welford time_overhead;
   stats::Welford energy_overhead;
   stats::Welford silent_errors;
@@ -36,48 +40,57 @@ MonteCarloResult run_monte_carlo(const Simulator& simulator,
     throw std::invalid_argument(
         "run_monte_carlo: need at least one replication");
   }
+  // Threads claim fixed chunks of consecutive replications, each chunk
+  // accumulates its replications in index order, and the chunks merge in
+  // chunk order — so the floating-point result depends only on the
+  // options, never on the thread count or on which thread ran what.
+  const std::size_t chunk_count =
+      (options.replications + kChunk - 1) / kChunk;
   unsigned threads = options.threads;
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  threads = static_cast<unsigned>(
-      std::min<std::size_t>(threads, options.replications));
+  threads = static_cast<unsigned>(std::min<std::size_t>(threads, chunk_count));
 
-  std::vector<ThreadAccumulators> partials(threads);
+  std::vector<ChunkAccumulators> chunks(chunk_count);
   std::atomic<std::size_t> next{0};
 
-  const auto worker = [&](unsigned tid) {
-    ThreadAccumulators& acc = partials[tid];
+  const auto worker = [&] {
     Xoshiro256 rng;
     for (;;) {
-      const std::size_t rep = next.fetch_add(1, std::memory_order_relaxed);
-      if (rep >= options.replications) break;
-      rng.reseed(replication_seed(options.base_seed, rep));
-      const SimResult run =
-          simulator.run(policy, options.total_work, rng, nullptr);
-      acc.time_overhead.add(run.time_overhead());
-      acc.energy_overhead.add(run.energy_overhead());
-      acc.silent_errors.add(static_cast<double>(run.silent_errors));
-      acc.failstop_errors.add(static_cast<double>(run.failstop_errors));
-      acc.attempts_per_pattern.add(static_cast<double>(run.attempts) /
-                                   static_cast<double>(run.patterns));
-      acc.corrupted_runs.add(run.result_corrupted() ? 1.0 : 0.0);
-      acc.corrupted_checkpoints.add(
-          static_cast<double>(run.corrupted_checkpoints));
+      const std::size_t chunk = next.fetch_add(1, std::memory_order_relaxed);
+      if (chunk >= chunk_count) break;
+      ChunkAccumulators& acc = chunks[chunk];
+      const std::size_t end =
+          std::min(options.replications, (chunk + 1) * kChunk);
+      for (std::size_t rep = chunk * kChunk; rep < end; ++rep) {
+        rng.reseed(replication_seed(options.base_seed, rep));
+        const SimResult run =
+            simulator.run(policy, options.total_work, rng, nullptr);
+        acc.time_overhead.add(run.time_overhead());
+        acc.energy_overhead.add(run.energy_overhead());
+        acc.silent_errors.add(static_cast<double>(run.silent_errors));
+        acc.failstop_errors.add(static_cast<double>(run.failstop_errors));
+        acc.attempts_per_pattern.add(static_cast<double>(run.attempts) /
+                                     static_cast<double>(run.patterns));
+        acc.corrupted_runs.add(run.result_corrupted() ? 1.0 : 0.0);
+        acc.corrupted_checkpoints.add(
+            static_cast<double>(run.corrupted_checkpoints));
+      }
     }
   };
 
   if (threads == 1) {
-    worker(0);
+    worker();
   } else {
     std::vector<std::thread> pool;
     pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker, t);
+    for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
     for (auto& th : pool) th.join();
   }
 
   MonteCarloResult result;
-  for (const auto& acc : partials) {
+  for (const ChunkAccumulators& acc : chunks) {
     result.time_overhead.merge(acc.time_overhead);
     result.energy_overhead.merge(acc.energy_overhead);
     result.silent_errors.merge(acc.silent_errors);

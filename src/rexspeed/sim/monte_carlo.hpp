@@ -43,8 +43,9 @@ struct MonteCarloResult {
 /// Runs `options.replications` independent simulations of `policy` and
 /// aggregates the observed time/energy overheads. Replications are
 /// distributed over a thread pool; replication `i` always uses the seed
-/// derived from (base_seed, i), so results are independent of the thread
-/// count — a property the determinism tests assert.
+/// derived from (base_seed, i) and the statistics merge in replication
+/// order, so results are bit-identical at any thread count — a property
+/// the determinism tests assert.
 [[nodiscard]] MonteCarloResult run_monte_carlo(
     const Simulator& simulator, const ExecutionPolicy& policy,
     const MonteCarloOptions& options = {});

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <system_error>
+
+#include <unistd.h>
 
 #include "rexspeed/store/hash.hpp"
 #include "rexspeed/store/serialize.hpp"
@@ -44,9 +47,14 @@ std::optional<std::string> read_file(const fs::path& path) {
 
 /// Atomic write: temp file in the same directory + rename, so readers
 /// never observe a half-written entry and a killed run leaves at most a
-/// stray .tmp for gc() to sweep.
+/// stray .tmp for gc() to sweep. The temp name is unique per write (pid +
+/// a per-process counter): processes sharing a cache directory write the
+/// same files, and a shared temp name lets one writer rename another's
+/// temp away under it.
 void write_file_atomic(const fs::path& path, std::string_view bytes) {
-  const fs::path tmp = path.string() + ".tmp";
+  static std::atomic<std::uint64_t> writes{0};
+  const fs::path tmp = path.string() + "." + std::to_string(::getpid()) +
+                       "." + std::to_string(writes.fetch_add(1)) + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out) {
@@ -60,6 +68,8 @@ void write_file_atomic(const fs::path& path, std::string_view bytes) {
   std::error_code ec;
   fs::rename(tmp, path, ec);
   if (ec) {
+    std::error_code ignored;
+    fs::remove(tmp, ignored);  // unique names would otherwise pile up
     throw StoreError("store: cannot rename " + tmp.string() + " -> " +
                      path.string() + ": " + ec.message());
   }
@@ -357,35 +367,6 @@ void LocalResultStore::flush() {
   session_ = StoreStats{};
 }
 
-// ---- RemoteResultStore ---------------------------------------------------
-
-void RemoteResultStore::unimplemented(const char* operation) const {
-  throw StoreError(std::string("remote store (") + url_ + "): " + operation +
-                   " not implemented yet — use a local --cache-dir "
-                   "(the remote tier is the cross-host sharding hook)");
-}
-
-std::optional<std::string> RemoteResultStore::fetch(const std::string&) {
-  unimplemented("fetch");
-}
-void RemoteResultStore::put(const std::string&, std::string_view, EntryInfo) {
-  unimplemented("put");
-}
-std::optional<EntryInfo> RemoteResultStore::info(const std::string&) {
-  unimplemented("info");
-}
-std::optional<double> RemoteResultStore::lookup_cost(const std::string&) {
-  unimplemented("cost lookup");
-}
-void RemoteResultStore::record_cost(const std::string&, double) {
-  unimplemented("cost record");
-}
-StoreStats RemoteResultStore::stats() { unimplemented("stats"); }
-std::vector<std::string> RemoteResultStore::verify() {
-  unimplemented("verify");
-}
-std::size_t RemoteResultStore::gc() { unimplemented("gc"); }
-
 // ---- factory -------------------------------------------------------------
 
 std::unique_ptr<ResultStore> make_store(const std::string& spec) {
@@ -394,7 +375,8 @@ std::unique_ptr<ResultStore> make_store(const std::string& spec) {
   }
   if (spec.rfind("http://", 0) == 0 || spec.rfind("https://", 0) == 0 ||
       spec.rfind("s3://", 0) == 0) {
-    return std::make_unique<RemoteResultStore>(spec);
+    throw StoreError("store: remote cache '" + spec +
+                     "' is not supported — use a local --cache-dir");
   }
   std::string path = spec;
   if (path.rfind("file://", 0) == 0) {

@@ -12,8 +12,8 @@
 namespace rexspeed::store {
 
 /// Thrown on store-level failures the caller must hear about: an
-/// unwritable cache directory, a malformed store spec, an unimplemented
-/// tier. Entry-level corruption is NOT a StoreError — fetch() reports it
+/// unwritable cache directory, a malformed or remote store spec.
+/// Entry-level corruption is NOT a StoreError — fetch() reports it
 /// as a miss (counted in StoreStats::corrupt) so solvers transparently
 /// recompute.
 class StoreError : public std::runtime_error {
@@ -179,42 +179,10 @@ class LocalResultStore final : public ResultStore {
   StoreStats session_;  ///< this process's counters, merged on flush()
 };
 
-/// The remote tier: registered so `--cache-dir=https://...` resolves and
-/// fails with a clear "not implemented" instead of an unknown-spec error
-/// — the cross-host half of the sharding roadmap item plugs in here.
-/// Construction succeeds (the spec is valid); fetch/put throw StoreError.
-class RemoteResultStore final : public ResultStore {
- public:
-  explicit RemoteResultStore(std::string url) : url_(std::move(url)) {}
-
-  [[nodiscard]] const char* tier_name() const noexcept override {
-    return "remote";
-  }
-  [[nodiscard]] std::optional<std::string> fetch(
-      const std::string& key) override;
-  void put(const std::string& key, std::string_view blob,
-           EntryInfo info) override;
-  [[nodiscard]] std::optional<EntryInfo> info(const std::string& key) override;
-  [[nodiscard]] std::optional<double> lookup_cost(
-      const std::string& cost_key) override;
-  void record_cost(const std::string& cost_key,
-                   double seconds_per_point) override;
-  [[nodiscard]] StoreStats stats() override;
-  [[nodiscard]] std::vector<std::string> verify() override;
-  std::size_t gc() override;
-
-  [[nodiscard]] const std::string& url() const noexcept { return url_; }
-
- private:
-  [[noreturn]] void unimplemented(const char* operation) const;
-
-  std::string url_;
-};
-
 /// Store factory over the `--cache-dir=` / `cache=` vocabulary:
 ///   "", "none", "null"          → NullResultStore
 ///   "http://…", "https://…",
-///   "s3://…"                    → RemoteResultStore (stub)
+///   "s3://…"                    → StoreError (no remote tier)
 ///   anything else, "file://…"   → LocalResultStore at that path
 [[nodiscard]] std::unique_ptr<ResultStore> make_store(const std::string& spec);
 

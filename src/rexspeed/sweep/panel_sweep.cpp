@@ -234,24 +234,25 @@ double PanelSweep::measure_cost() {
   return seconds * remaining;
 }
 
+PanelSeries PanelSweep::run() {
+  prepare();
+  if (granularity() == Granularity::kWholePanel) {
+    solve_all();
+  } else {
+    parallel_for(options_.pool, point_count(),
+                 [this](std::size_t i) { solve_point(i); });
+  }
+  return take();
+}
+
 PanelSeries run_panel_sweep(std::unique_ptr<core::SolverBackend> backend,
                             std::string configuration,
                             SweepParameter parameter,
                             std::vector<double> grid,
                             const SweepOptions& options) {
-  PanelSweep panel(std::move(backend), std::move(configuration), parameter,
-                   std::move(grid), options);
-  panel.prepare();
-  if (panel.granularity() == PanelSweep::Granularity::kWholePanel) {
-    // Batched and chained panels are one unit by nature; the campaign
-    // stream schedules them the same way, so both drivers stay
-    // bit-identical.
-    panel.solve_all();
-  } else {
-    parallel_for(options.pool, panel.point_count(),
-                 [&panel](std::size_t i) { panel.solve_point(i); });
-  }
-  return panel.take();
+  return PanelSweep(std::move(backend), std::move(configuration), parameter,
+                    std::move(grid), options)
+      .run();
 }
 
 FigurePoint solve_figure_point(const core::SolverBackend& backend,

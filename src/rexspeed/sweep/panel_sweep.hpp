@@ -146,6 +146,12 @@ class PanelSweep {
   /// Moves the finished panel out (call once every point is solved).
   [[nodiscard]] PanelSeries take() { return std::move(series_); }
 
+  /// The whole panel in one call: prepare(), then solve_all() for
+  /// whole-panel plans or every point across options.pool (inline without
+  /// one), then take(). Batched and chained panels are one unit here as
+  /// in the campaign stream, so both drivers stay bit-identical.
+  [[nodiscard]] PanelSeries run();
+
  private:
   std::unique_ptr<core::SolverBackend> backend_;
   bool shared_ = false;

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "support/crossval.hpp"
 #include "rexspeed/core/exact_expectations.hpp"
 #include "rexspeed/engine/scenario.hpp"
@@ -107,7 +109,9 @@ TEST(InterleavedCrossVal, SolverModePolicyCrossValidates) {
 
 TEST(InterleavedCrossVal, SeededRunsAreReproducible) {
   // The suite is CI-stable because every replication's seed is a pure
-  // function of (base_seed, index): identical options → identical stats.
+  // function of (base_seed, index) and replications merge in index order:
+  // identical options → identical stats, bit for bit, across runs and
+  // across thread counts.
   core::ModelParams p = test::toy_params();
   p.lambda_silent = 8e-4;
   const sim::Simulator simulator(p);
@@ -117,12 +121,20 @@ TEST(InterleavedCrossVal, SeededRunsAreReproducible) {
   options.replications = 50;
   options.total_work = 20.0 * 1200.0;
   options.base_seed = 0xC805505;
-  const auto a = sim::run_monte_carlo(simulator, policy, options);
-  const auto b = sim::run_monte_carlo(simulator, policy, options);
-  EXPECT_EQ(a.time_overhead.mean(), b.time_overhead.mean());
-  EXPECT_EQ(a.energy_overhead.mean(), b.energy_overhead.mean());
-  EXPECT_EQ(a.time_overhead.standard_error(),
-            b.time_overhead.standard_error());
+  options.threads = 1;
+  const auto reference = sim::run_monte_carlo(simulator, policy, options);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    options.threads = threads;
+    for (int run = 0; run < 2; ++run) {
+      const auto result = sim::run_monte_carlo(simulator, policy, options);
+      EXPECT_EQ(result.time_overhead.mean(), reference.time_overhead.mean());
+      EXPECT_EQ(result.energy_overhead.mean(),
+                reference.energy_overhead.mean());
+      EXPECT_EQ(result.time_overhead.standard_error(),
+                reference.time_overhead.standard_error());
+    }
+  }
 }
 
 }  // namespace

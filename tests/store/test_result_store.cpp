@@ -1,7 +1,7 @@
 // The persistent result store: hashing primitives against published test
 // vectors, content-address derivation (stability + sensitivity), the
 // local tier's disk contract (roundtrip, sidecars, verify/gc, persisted
-// counters, cost table), and the null/remote tiers.
+// counters, cost table), the null tier and the factory's spec vocabulary.
 
 #include "rexspeed/store/result_store.hpp"
 
@@ -363,9 +363,6 @@ TEST(StoreSidecar, FormatParseRoundTrips) {
 TEST(StoreFactory, DispatchesOnSpecVocabulary) {
   EXPECT_STREQ(make_store("")->tier_name(), "null");
   EXPECT_STREQ(make_store("none")->tier_name(), "null");
-  EXPECT_STREQ(make_store("https://cache.example.org")->tier_name(),
-               "remote");
-  EXPECT_STREQ(make_store("s3://bucket/prefix")->tier_name(), "remote");
   const fs::path dir =
       fs::temp_directory_path() / "rexspeed_store_factory_local";
   fs::remove_all(dir);
@@ -382,12 +379,20 @@ TEST(StoreTiers, NullStoreMissesAndSwallowsPuts) {
   EXPECT_EQ(store.stats().stores, 0u);
 }
 
-TEST(StoreTiers, RemoteStoreConstructsButThrowsOnUse) {
-  const auto store = make_store("https://cache.example.org/rexspeed");
-  EXPECT_THROW((void)store->fetch(std::string(64, 'a')), StoreError);
-  EXPECT_THROW(store->put(std::string(64, 'a'), "x", EntryInfo{}),
-               StoreError);
-  EXPECT_THROW((void)store->stats(), StoreError);
+TEST(StoreFactory, RejectsRemoteSpecsByName) {
+  // There is no remote tier: a URL must fail naming the spec, not turn
+  // into a local directory such as "s3:/bucket".
+  for (const std::string spec :
+       {"http://cache.example.org", "https://cache.example.org/rexspeed",
+        "s3://bucket/prefix"}) {
+    SCOPED_TRACE(spec);
+    try {
+      (void)make_store(spec);
+      ADD_FAILURE() << "make_store accepted " << spec;
+    } catch (const StoreError& error) {
+      EXPECT_NE(std::string(error.what()).find(spec), std::string::npos);
+    }
+  }
 }
 
 }  // namespace

@@ -1,0 +1,107 @@
+// The local store under concurrent writers: forked processes putting,
+// recording costs and flushing counters into ONE cache directory — the
+// shape of several campaigns (or shard workers) sharing a --cache-dir —
+// must never fail a write, and must leave a directory verify() passes.
+
+#include "rexspeed/store/result_store.hpp"
+
+#include <gtest/gtest.h>
+
+#include <cerrno>
+#include <cstdint>
+#include <exception>
+#include <filesystem>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include <sys/types.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include "rexspeed/store/hash.hpp"
+#include "rexspeed/store/serialize.hpp"
+
+namespace rexspeed::store {
+namespace {
+
+namespace fs = std::filesystem;
+
+constexpr int kProcesses = 4;
+constexpr int kRounds = 60;
+constexpr int kKeys = 8;
+
+/// Every process writes the same bytes under the same key, as content
+/// addressing guarantees in real use.
+std::string key_of(int k) {
+  return to_hex(fnv1a64("rexspeed-concurrency-" + std::to_string(k)));
+}
+
+std::string blob_of(int k) {
+  core::Solution solution;
+  solution.pair.feasible = true;
+  solution.pair.w_opt = 1000.0 + k;
+  return serialize_solution(solution);
+}
+
+/// One writer process's workload; returns normally only if no store call
+/// threw.
+void hammer(const fs::path& dir) {
+  LocalResultStore store(dir);
+  for (int round = 0; round < kRounds; ++round) {
+    const int k = round % kKeys;
+    (void)store.fetch(key_of(k));
+    EntryInfo info;
+    info.kind = "solution";
+    store.put(key_of(k), blob_of(k), info);
+    store.record_cost(key_of(k), 1e-3 * (k + 1));
+    store.flush();
+  }
+}
+
+TEST(StoreConcurrency, ForkedWritersShareOneDirectoryCleanly) {
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("rexspeed_store_concurrency_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  { LocalResultStore create(dir); }
+
+  std::vector<pid_t> children;
+  for (int p = 0; p < kProcesses; ++p) {
+    const pid_t pid = fork();
+    ASSERT_GE(pid, 0) << "fork failed";
+    if (pid == 0) {
+      int code = 0;
+      try {
+        hammer(dir);
+      } catch (const std::exception&) {
+        code = 1;
+      }
+      _exit(code);  // never return into the test runner from a child
+    }
+    children.push_back(pid);
+  }
+  for (const pid_t pid : children) {
+    int status = 0;
+    pid_t got = 0;
+    do {
+      got = waitpid(pid, &status, 0);
+    } while (got < 0 && errno == EINTR);
+    ASSERT_EQ(got, pid);
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << "a writer process threw (status " << status << ")";
+  }
+
+  LocalResultStore store(dir);
+  EXPECT_TRUE(store.verify().empty());
+  for (int k = 0; k < kKeys; ++k) {
+    const std::optional<std::string> blob = store.fetch(key_of(k));
+    ASSERT_TRUE(blob.has_value());
+    EXPECT_EQ(*blob, blob_of(k));
+  }
+  EXPECT_EQ(store.stats().entries, static_cast<std::uint64_t>(kKeys));
+  fs::remove_all(dir);
+}
+
+}  // namespace
+}  // namespace rexspeed::store

@@ -158,8 +158,8 @@ void require_known_options(const io::ArgParser& args,
 }
 
 /// `--cache-dir=` → a persistent result store; null (uncached) without
-/// the flag. Remote URLs and "none" resolve through the same
-/// store::make_store vocabulary.
+/// the flag. "none" and "file://" resolve through the
+/// store::make_store vocabulary; remote URLs are rejected there.
 std::unique_ptr<store::ResultStore> open_store(const io::ArgParser& args) {
   const std::string spec = args.get_or("cache-dir", "");
   if (spec.empty()) return nullptr;
