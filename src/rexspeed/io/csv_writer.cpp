@@ -1,13 +1,8 @@
 #include "rexspeed/io/csv_writer.hpp"
 
-#include <cstdio>
-#include <fstream>
 #include <ostream>
 
-#include "rexspeed/io/gnuplot_writer.hpp"
-#include "rexspeed/sweep/figure_sweeps.hpp"
-#include "rexspeed/sweep/interleaved_sweeps.hpp"
-#include "rexspeed/sweep/panel_sweep.hpp"
+#include "rexspeed/io/figure_export.hpp"
 
 namespace rexspeed::io {
 
@@ -33,61 +28,19 @@ void CsvWriter::write_row(const std::vector<std::string>& cells) {
 }
 
 void CsvWriter::write_row(const std::vector<double>& values) {
-  char buffer[64];
+  std::string line;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) os_ << ',';
-    std::snprintf(buffer, sizeof buffer, "%.10g", values[i]);
-    os_ << buffer;
+    if (i != 0) line += ',';
+    append_number(line, values[i]);
   }
-  os_ << '\n';
+  line += '\n';
+  os_ << line;
 }
 
 void write_csv_series(std::ostream& os, const sweep::Series& series) {
-  CsvWriter csv(os);
-  std::vector<std::string> header{series.x_name()};
-  header.insert(header.end(), series.column_names().begin(),
-                series.column_names().end());
-  csv.write_row(header);
-  std::vector<double> row(series.column_names().size() + 1);
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    row[0] = series.x()[i];
-    for (std::size_t c = 0; c < series.column_names().size(); ++c) {
-      row[c + 1] = series.column(c)[i];
-    }
-    csv.write_row(row);
-  }
-}
-
-namespace {
-
-std::optional<std::string> export_csv(const std::string& stem,
-                                      const sweep::Series& flat,
-                                      const std::string& out_dir) {
-  std::ofstream out(out_dir + "/" + stem + ".csv");
-  write_csv_series(out, flat);
-  out.flush();  // surface late write errors (e.g. disk full) in the check
-  if (!out) return std::nullopt;
-  return stem;
-}
-
-}  // namespace
-
-std::optional<std::string> export_csv_figure(
-    const sweep::FigureSeries& series, const std::string& out_dir) {
-  return export_csv(figure_file_stem(series), to_series(series), out_dir);
-}
-
-std::optional<std::string> export_csv_figure(
-    const sweep::InterleavedSeries& series, const std::string& out_dir) {
-  return export_csv(figure_file_stem(series), to_series(series), out_dir);
-}
-
-std::optional<std::string> export_csv_figure(
-    const sweep::PanelSeries& series, const std::string& out_dir) {
-  return series.kind == core::SolutionKind::kPair
-             ? export_csv_figure(sweep::to_figure_series(series), out_dir)
-             : export_csv_figure(sweep::to_interleaved_series(series),
-                                 out_dir);
+  std::string text;
+  format_series_text(series, nullptr, &text);
+  os << text;
 }
 
 }  // namespace rexspeed::io

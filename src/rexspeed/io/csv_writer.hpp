@@ -22,6 +22,7 @@ class CsvWriter {
   explicit CsvWriter(std::ostream& os) : os_(os) {}
 
   void write_row(const std::vector<std::string>& cells);
+  /// Numbers as io::append_number prints them.
   void write_row(const std::vector<double>& values);
 
   [[nodiscard]] static std::string escape(const std::string& cell);
@@ -36,7 +37,8 @@ void write_csv_series(std::ostream& os, const sweep::Series& series);
 
 /// Exports a figure panel as <out_dir>/<config>_<param>.csv (same stem as
 /// the gnuplot export, see io::figure_file_stem). Returns the stem on
-/// success, nullopt when out_dir is not writable.
+/// success, nullopt when out_dir is not writable. Defined with the other
+/// export steps in figure_export.cpp.
 std::optional<std::string> export_csv_figure(
     const sweep::FigureSeries& series, const std::string& out_dir);
 

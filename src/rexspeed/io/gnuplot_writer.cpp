@@ -1,38 +1,15 @@
 #include "rexspeed/io/gnuplot_writer.hpp"
 
-#include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <ostream>
+
+#include "rexspeed/io/figure_export.hpp"
 
 namespace rexspeed::io {
 
-namespace {
-
-void emit_value(std::ostream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << '?';
-    return;
-  }
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.10g", value);
-  os << buffer;
-}
-
-}  // namespace
-
 void write_gnuplot_dat(std::ostream& os, const sweep::Series& series) {
-  os << "# " << series.x_name();
-  for (const auto& name : series.column_names()) os << ' ' << name;
-  os << '\n';
-  for (std::size_t row = 0; row < series.size(); ++row) {
-    emit_value(os, series.x()[row]);
-    for (std::size_t col = 0; col < series.column_names().size(); ++col) {
-      os << ' ';
-      emit_value(os, series.column(col)[row]);
-    }
-    os << '\n';
-  }
+  std::string text;
+  format_series_text(series, &text, nullptr);
+  os << text;
 }
 
 void write_gnuplot_script(std::ostream& os, const sweep::Series& series,
@@ -53,70 +30,33 @@ void write_gnuplot_script(std::ostream& os, const sweep::Series& series,
 
 namespace {
 
-std::string flatten_configuration(const std::string& configuration) {
+/// The configuration with "/" flattened to "_", then `infix`, then the
+/// axis name.
+std::string file_stem(const std::string& configuration, const char* infix,
+                      sweep::SweepParameter parameter) {
   std::string stem = configuration;
   for (auto& ch : stem) {
     if (ch == '/') ch = '_';
   }
-  return stem;
+  return stem + infix + sweep::to_string(parameter);
 }
 
 }  // namespace
 
 std::string figure_file_stem(const sweep::FigureSeries& series) {
-  return flatten_configuration(series.configuration) + "_" +
-         sweep::to_string(series.parameter);
+  return file_stem(series.configuration, "_", series.parameter);
 }
 
 std::string figure_file_stem(const sweep::InterleavedSeries& series) {
-  return flatten_configuration(series.configuration) + "_interleaved_" +
-         sweep::to_string(series.parameter);
-}
-
-namespace {
-
-std::optional<std::string> export_gnuplot_files(const std::string& stem,
-                                                const sweep::Series& flat,
-                                                const std::string& out_dir,
-                                                bool logscale_x) {
-  std::ofstream dat(out_dir + "/" + stem + ".dat");
-  write_gnuplot_dat(dat, flat);
-  std::ofstream script(out_dir + "/" + stem + ".gp");
-  write_gnuplot_script(script, flat, stem + ".dat", logscale_x);
-  dat.flush();  // surface late write errors (e.g. disk full) in the check
-  script.flush();
-  if (!dat || !script) return std::nullopt;
-  return stem;
-}
-
-}  // namespace
-
-std::optional<std::string> export_gnuplot_figure(
-    const sweep::FigureSeries& series, const std::string& out_dir) {
-  return export_gnuplot_files(
-      figure_file_stem(series), to_series(series), out_dir,
-      series.parameter == sweep::SweepParameter::kErrorRate);
-}
-
-std::optional<std::string> export_gnuplot_figure(
-    const sweep::InterleavedSeries& series, const std::string& out_dir) {
-  return export_gnuplot_files(figure_file_stem(series), to_series(series),
-                              out_dir, /*logscale_x=*/false);
+  return file_stem(series.configuration, "_interleaved_", series.parameter);
 }
 
 std::string figure_file_stem(const sweep::PanelSeries& series) {
-  return series.kind == core::SolutionKind::kPair
-             ? figure_file_stem(sweep::to_figure_series(series))
-             : figure_file_stem(sweep::to_interleaved_series(series));
-}
-
-std::optional<std::string> export_gnuplot_figure(
-    const sweep::PanelSeries& series, const std::string& out_dir) {
-  return series.kind == core::SolutionKind::kPair
-             ? export_gnuplot_figure(sweep::to_figure_series(series),
-                                     out_dir)
-             : export_gnuplot_figure(sweep::to_interleaved_series(series),
-                                     out_dir);
+  return file_stem(series.configuration,
+                   series.kind == core::SolutionKind::kPair
+                       ? "_"
+                       : "_interleaved_",
+                   series.parameter);
 }
 
 }  // namespace rexspeed::io

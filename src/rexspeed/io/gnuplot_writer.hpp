@@ -43,8 +43,10 @@ void write_gnuplot_script(std::ostream& os, const sweep::Series& series,
 /// Exports a figure panel as <out_dir>/<config>_<param>.dat plus a
 /// matching .gp script ("/" in the configuration name becomes "_"), so
 /// the paper's plots can be regenerated with a stock gnuplot. Returns the
-/// file stem on success, nullopt when out_dir is not writable. Shared by
-/// the CLI and the figure benches.
+/// file stem on success, nullopt when out_dir is not writable. Used by
+/// `rexspeed sweep` and the figure benches; `rexspeed campaign` writes
+/// all three files of a panel through io::export_figure (figure_export.hpp,
+/// which also defines these overloads).
 std::optional<std::string> export_gnuplot_figure(
     const sweep::FigureSeries& series, const std::string& out_dir);
 

@@ -23,16 +23,22 @@ void ByteWriter::u8(std::uint8_t value) {
   bytes_.push_back(static_cast<char>(value));
 }
 
+// Little-endian into a local buffer, appended once: one capacity check
+// per field instead of one per byte.
 void ByteWriter::u32(std::uint32_t value) {
+  char buffer[4];
   for (int i = 0; i < 4; ++i) {
-    bytes_.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+    buffer[i] = static_cast<char>((value >> (8 * i)) & 0xff);
   }
+  bytes_.append(buffer, sizeof buffer);
 }
 
 void ByteWriter::u64(std::uint64_t value) {
+  char buffer[8];
   for (int i = 0; i < 8; ++i) {
-    bytes_.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
+    buffer[i] = static_cast<char>((value >> (8 * i)) & 0xff);
   }
+  bytes_.append(buffer, sizeof buffer);
 }
 
 void ByteWriter::i32(std::int32_t value) {
@@ -55,6 +61,10 @@ void ByteWriter::str(std::string_view value) {
 
 void ByteWriter::raw(const void* data, std::size_t size) {
   bytes_.append(static_cast<const char*>(data), size);
+}
+
+void ByteWriter::reserve(std::size_t extra) {
+  bytes_.reserve(bytes_.size() + extra);
 }
 
 // ---- ByteReader ----------------------------------------------------------
@@ -206,7 +216,18 @@ core::Solution read_solution(ByteReader& in) {
   return solution;
 }
 
+// Encoded sizes, matching the writers above: a Solution is its kind tag,
+// the pair (9 f64, 2 i32, 2 booleans), the interleaved solution (boolean,
+// u32, 5 f64) and the fallback flag; a point is x plus two solutions.
+constexpr std::size_t kSolutionBytes = 1 + (9 * 8 + 2 * 4 + 2) +
+                                       (1 + 4 + 5 * 8) + 1;
+constexpr std::size_t kPointBytes = 8 + 2 * kSolutionBytes;
+
 void write_panel_series(ByteWriter& out, const sweep::PanelSeries& series) {
+  // The header fields, the points and finish_blob's trailer, so encoding
+  // a panel never regrows the buffer.
+  out.reserve(4 + 4 + series.configuration.size() + 8 + 1 + 4 + 4 +
+              series.points.size() * kPointBytes + kTrailerSize);
   out.u32(static_cast<std::uint32_t>(series.parameter));
   out.str(series.configuration);
   out.f64(series.rho);
@@ -257,12 +278,8 @@ sweep::PanelSeries read_panel_series(ByteReader& in) {
 }
 
 std::string finish_blob(ByteWriter&& out) {
-  std::string bytes = out.take();
-  const std::uint64_t checksum = fnv1a64(bytes.data(), bytes.size());
-  ByteWriter trailer;
-  trailer.u64(checksum);
-  bytes += trailer.take();
-  return bytes;
+  out.u64(fnv1a64(out.bytes().data(), out.bytes().size()));
+  return out.take();
 }
 
 /// Validates magic/version/checksum and returns a reader positioned at the

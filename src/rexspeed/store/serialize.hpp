@@ -37,6 +37,9 @@ class ByteWriter {
   void boolean(bool value);
   void str(std::string_view value);  ///< u32 length + raw bytes
   void raw(const void* data, std::size_t size);
+  /// Room for `extra` more bytes (an encoder that knows its size up
+  /// front appends without regrowing).
+  void reserve(std::size_t extra);
 
   [[nodiscard]] const std::string& bytes() const noexcept { return bytes_; }
   [[nodiscard]] std::string take() { return std::move(bytes_); }

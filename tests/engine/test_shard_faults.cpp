@@ -130,15 +130,24 @@ TEST(ShardFaults, SingleWorkerDeathStillCompletesTheCampaign) {
 TEST(ShardFaults, LaterVictimDiesAfterServingEarlierTasks) {
   const std::vector<ScenarioSpec> specs = fault_batch();
   const std::vector<ScenarioResult> expected = test::serial_reference(specs);
+  // Each worker completes its first assignment normally and dies on its
+  // second — mixing served results and lost work in one worker. Arming
+  // both workers makes that certain: the first round hands out two of the
+  // batch's tasks, so whichever worker reports first takes a second one
+  // and dies, and the survivor then takes the requeued task (or another)
+  // as its second and dies too. Work stealing decides only the order.
   ShardCoordinator coordinator(
-      shard_options(2, {fault(WorkerFault::Kind::kKillMidPanel, 1, 2)}));
-  // The victim completes its first assignment normally and dies on its
-  // second — mixing served results and lost work in one worker.
+      shard_options(2, {fault(WorkerFault::Kind::kKillMidPanel, 0, 2),
+                        fault(WorkerFault::Kind::kKillMidPanel, 1, 2)}));
   test::expect_identical_results(coordinator.run(specs), expected);
   const ShardReport& report = coordinator.report();
-  EXPECT_GE(report.worker_deaths, 1u);
-  EXPECT_EQ(report.completed_by_workers + report.completed_in_process,
-            report.tasks);
+  ASSERT_GE(report.tasks, 3u);
+  EXPECT_EQ(report.worker_deaths, 2u);
+  EXPECT_EQ(report.completed_by_workers, 2u)
+      << "each victim's first result must be served before it dies";
+  EXPECT_EQ(report.requeued, 2u);
+  EXPECT_TRUE(any_incident_contains(report, "killed by signal 9"));
+  EXPECT_EQ(report.completed_in_process, report.tasks - 2);
 }
 
 }  // namespace

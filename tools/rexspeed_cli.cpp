@@ -60,7 +60,7 @@
 #include "rexspeed/engine/shard/shard_coordinator.hpp"
 #include "rexspeed/engine/sweep_engine.hpp"
 #include "rexspeed/io/cli.hpp"
-#include "rexspeed/io/csv_writer.hpp"
+#include "rexspeed/io/figure_export.hpp"
 #include "rexspeed/io/gnuplot_writer.hpp"
 #include "rexspeed/io/table_writer.hpp"
 #include "rexspeed/platform/configuration.hpp"
@@ -727,15 +727,14 @@ int cmd_campaign(const io::ArgParser& args) {
       std::error_code ec;
       std::filesystem::create_directories(scenario_dir, ec);
       for (const auto& panel : result.panels) {
-        const auto gp = io::export_gnuplot_figure(panel, scenario_dir);
-        const auto csv = io::export_csv_figure(panel, scenario_dir);
-        if (!gp || !csv) {
+        const auto stem = io::export_figure(panel, scenario_dir);
+        if (!stem) {
           std::fprintf(stderr, "error: cannot write to %s\n",
                        scenario_dir.c_str());
           return 1;
         }
         std::printf("wrote %s/%s.{dat,gp,csv}\n", scenario_dir.c_str(),
-                    gp->c_str());
+                    stem->c_str());
       }
     }
   }
