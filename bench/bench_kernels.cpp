@@ -1,28 +1,24 @@
-// Batched vs pointwise ρ-grid evaluation through the SIMD expansion
-// kernels: one first-order ρ panel (both speed policies at every bound)
-// run twice off identical prepared backends —
+// Batched vs pointwise ρ-grid evaluation: one ρ panel (both speed
+// policies at every bound) answered twice off ONE prepared backend —
 //
-//   pointwise — the historical per-point path: every grid point walks
-//     the K² cached expansions through solve_panel_point;
-//   batched   — PanelSweep's whole-panel path: eval_pairs streams the
-//     SoA cache once per bound through the active kernel tier
-//     (core::SolverBackend::solve_rho_batch), winners reconstructed
-//     per point.
+//   pointwise — a loop of backend.solve_panel_point, one grid point at a
+//     time, every point walking the K² cached expansions;
+//   batched   — one backend.solve_rho_batch call for the whole grid:
+//     kernels::eval_pairs streams the SoA cache once per bound (first
+//     order), kernels::classify_pairs triages the cached exact curves
+//     (exact-opt), winners reconstructed per point.
 //
-// The two runs must agree bit for bit (the scalar-reference contract);
-// the bench fails on any mismatch. Emits BENCH_kernels.json with the
-// speedup next to the ≥2× acceptance target. The exact-opt classify
-// path (cached curves + vectorized classification) is reported as a
-// secondary series.
+// The two runs must agree bit for bit; the bench fails on any mismatch.
+// Emits BENCH_kernels.json with both timings and the speedup next to the
+// ≥2× target. The cache build (prepare) is excluded from the timings.
 //
 // Usage: bench_kernels [--points=2001] [--exact-points=201] [--repeats=5]
 //                      [--json=BENCH_kernels.json]
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <exception>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,7 +27,7 @@
 #include "rexspeed/core/solver_backend.hpp"
 #include "rexspeed/io/cli.hpp"
 #include "rexspeed/platform/configuration.hpp"
-#include "rexspeed/sweep/panel_sweep.hpp"
+#include "rexspeed/sweep/figure_sweeps.hpp"
 
 using namespace rexspeed;
 
@@ -39,50 +35,48 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr bool kFallback = true;  // the paper figures' min-ρ fallback
+
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// One timed ρ panel in the given batch mode off a fresh backend of the
-/// given mode; repeats keep the minimum (the least-noise estimate).
-struct TimedPanel {
-  sweep::PanelSeries series;
-  double seconds = 0.0;
+/// Both answers for one grid, each timed as the minimum over `repeats`
+/// (the least-noise estimate).
+struct Timed {
+  std::vector<core::PanelPoint> pointwise;
+  std::vector<core::PanelPoint> batched;
+  double pointwise_s = 1e300;
+  double batched_s = 1e300;
 };
 
-TimedPanel run_timed(const core::ModelParams& params, core::EvalMode mode,
-                     const std::vector<double>& grid, sweep::BatchMode batch,
-                     std::size_t repeats) {
-  TimedPanel result;
-  result.seconds = 1e300;
-  sweep::SweepOptions options;
-  options.mode = mode;
-  options.batch = batch;
+Timed run_timed(const core::SolverBackend& backend,
+                const std::vector<double>& grid, std::size_t repeats) {
+  Timed result;
+  result.pointwise.resize(grid.size());
+  result.batched.resize(grid.size());
   for (std::size_t r = 0; r < repeats; ++r) {
-    std::unique_ptr<core::SolverBackend> backend =
-        mode == core::EvalMode::kExactOptimize
-            ? std::unique_ptr<core::SolverBackend>(
-                  std::make_unique<core::ExactOptBackend>(params))
-            : std::make_unique<core::ClosedFormBackend>(params, mode);
-    backend->prepare();  // cache build excluded: the kernels are the story
-    const auto start = Clock::now();
-    sweep::PanelSeries series = sweep::run_panel_sweep(
-        std::move(backend), "bench",
-        sweep::SweepParameter::kPerformanceBound, grid, options);
-    result.seconds = std::min(result.seconds, seconds_since(start));
-    result.series = std::move(series);
+    auto start = Clock::now();
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      result.pointwise[i] = backend.solve_panel_point(
+          core::SweepAxis::kPerformanceBound, grid[i], grid[i], kFallback);
+    }
+    result.pointwise_s = std::min(result.pointwise_s, seconds_since(start));
+    start = Clock::now();
+    backend.solve_rho_batch(grid.data(), grid.size(), kFallback,
+                            result.batched.data());
+    result.batched_s = std::min(result.batched_s, seconds_since(start));
   }
   return result;
 }
 
-/// Bit-identity between the two runs — any difference is a kernel bug,
+/// Bit-identity between the two answers — any difference is a kernel bug,
 /// not noise, so the bench hard-fails.
-bool panels_identical(const sweep::PanelSeries& a,
-                      const sweep::PanelSeries& b) {
-  if (a.points.size() != b.points.size()) return false;
-  for (std::size_t i = 0; i < a.points.size(); ++i) {
-    const core::PanelPoint& p = a.points[i];
-    const core::PanelPoint& q = b.points[i];
+bool identical(const std::vector<core::PanelPoint>& a,
+               const std::vector<core::PanelPoint>& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const core::PanelPoint& p = a[i];
+    const core::PanelPoint& q = b[i];
     if (p.x != q.x ||
         p.primary.pair.energy_overhead != q.primary.pair.energy_overhead ||
         p.primary.pair.w_opt != q.primary.pair.w_opt ||
@@ -114,54 +108,44 @@ int main(int argc, char** argv) try {
       platform::configuration_by_name("Hera/XScale"));
   const char* tier =
       core::kernels::to_string(core::kernels::active_tier());
-  std::printf("kernel tier: %s\n", tier);
+  std::printf("build tier: %s\n", tier);
 
   const std::vector<double> grid = sweep::default_grid(
       sweep::SweepParameter::kPerformanceBound, points);
   std::printf("first-order rho sweep: %zu points, %zu pairs/point\n",
               grid.size(), params.speeds.size() * params.speeds.size());
-  const TimedPanel pointwise =
-      run_timed(params, core::EvalMode::kFirstOrder, grid,
-                sweep::BatchMode::kOff, repeats);
-  const TimedPanel batched =
-      run_timed(params, core::EvalMode::kFirstOrder, grid,
-                sweep::BatchMode::kOn, repeats);
-  if (!panels_identical(batched.series, pointwise.series)) return 1;
-  const double speedup = pointwise.seconds / batched.seconds;
-  std::printf("  pointwise: %9.5f s  (%9.0f points/s)\n", pointwise.seconds,
-              grid.size() / pointwise.seconds);
+  core::ClosedFormBackend first_order(params, core::EvalMode::kFirstOrder);
+  first_order.prepare();
+  const Timed fo = run_timed(first_order, grid, repeats);
+  if (!identical(fo.batched, fo.pointwise)) return 1;
+  const double speedup = fo.pointwise_s / fo.batched_s;
+  std::printf("  pointwise: %9.5f s  (%9.0f points/s)\n", fo.pointwise_s,
+              grid.size() / fo.pointwise_s);
   std::printf("  batched:   %9.5f s  (%9.0f points/s)  %.2fx\n",
-              batched.seconds, grid.size() / batched.seconds, speedup);
+              fo.batched_s, grid.size() / fo.batched_s, speedup);
 
   const std::vector<double> exact_grid = sweep::default_grid(
       sweep::SweepParameter::kPerformanceBound, exact_points);
   std::printf("exact-opt rho sweep: %zu points (classify kernel)\n",
               exact_grid.size());
-  const TimedPanel exact_pointwise =
-      run_timed(params, core::EvalMode::kExactOptimize, exact_grid,
-                sweep::BatchMode::kOff, repeats);
-  const TimedPanel exact_batched =
-      run_timed(params, core::EvalMode::kExactOptimize, exact_grid,
-                sweep::BatchMode::kOn, repeats);
-  if (!panels_identical(exact_batched.series, exact_pointwise.series)) {
-    return 1;
-  }
-  const double exact_speedup =
-      exact_pointwise.seconds / exact_batched.seconds;
-  std::printf("  pointwise: %9.5f s\n", exact_pointwise.seconds);
-  std::printf("  batched:   %9.5f s  %.2fx\n", exact_batched.seconds,
-              exact_speedup);
+  core::ExactOptBackend exact(params);
+  exact.prepare();
+  const Timed ex = run_timed(exact, exact_grid, repeats);
+  if (!identical(ex.batched, ex.pointwise)) return 1;
+  const double exact_speedup = ex.pointwise_s / ex.batched_s;
+  std::printf("  pointwise: %9.5f s\n", ex.pointwise_s);
+  std::printf("  batched:   %9.5f s  %.2fx\n", ex.batched_s, exact_speedup);
 
   bench::BenchReport report("bench_kernels", "Hera/XScale");
   report.metric("kernel_tier", std::string(tier))
       .metric("points", grid.size())
       .metric("speed_pairs", params.speeds.size() * params.speeds.size())
-      .metric("pointwise_s", pointwise.seconds)
-      .metric("batched_s", batched.seconds)
+      .metric("pointwise_s", fo.pointwise_s)
+      .metric("batched_s", fo.batched_s)
       .metric("batched_speedup", speedup)
       .metric("exact_points", exact_grid.size())
-      .metric("exact_pointwise_s", exact_pointwise.seconds)
-      .metric("exact_batched_s", exact_batched.seconds)
+      .metric("exact_pointwise_s", ex.pointwise_s)
+      .metric("exact_batched_s", ex.batched_s)
       .metric("exact_batched_speedup", exact_speedup)
       .metric("speedup_target", 2.0)
       .metric("bit_identical", true);
@@ -169,7 +153,7 @@ int main(int argc, char** argv) try {
   if (speedup < 2.0) {
     std::fprintf(stderr,
                  "WARNING: batched speedup %.2fx below the 2x target "
-                 "(tier %s)\n",
+                 "(build tier %s)\n",
                  speedup, tier);
   }
   return 0;

@@ -1,9 +1,7 @@
 #pragma once
 
-// Shared printing helpers for the figure-reproduction benches: each bench
-// prints the exact series the corresponding paper figure plots (three
-// panels: speeds, optimal pattern size, energy overhead; two-speed optimum
-// vs single-speed baseline) in one aligned table per sweep.
+// The one BENCH_*.json report every perf-trajectory bench writes, and
+// where it lands (the repository root, stamped with the commit measured).
 
 #include <cstdio>
 #include <filesystem>
@@ -12,132 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "rexspeed/engine/scenario.hpp"
-#include "rexspeed/engine/sweep_engine.hpp"
-#include "rexspeed/io/cli.hpp"
-#include "rexspeed/io/gnuplot_writer.hpp"
-#include "rexspeed/io/table_writer.hpp"
-#include "rexspeed/platform/configuration.hpp"
-#include "rexspeed/sweep/figure_sweeps.hpp"
-
 namespace rexspeed::bench {
-
-/// One engine shared by every bench in the process: sweeps run through its
-/// pool, parallel by default (results are bit-identical to a serial run).
-inline const engine::SweepEngine& shared_engine() {
-  static const engine::SweepEngine kEngine;
-  return kEngine;
-}
-
-/// Dumps a figure panel as <out_dir>/<config>_<param>.dat plus a matching
-/// gnuplot script, so the paper's plots can be regenerated externally.
-inline void export_figure_series(const sweep::FigureSeries& series,
-                                 const std::string& out_dir) {
-  const auto stem = io::export_gnuplot_figure(series, out_dir);
-  if (!stem) {
-    std::fprintf(stderr, "error: cannot write to out-dir %s\n",
-                 out_dir.c_str());
-    return;
-  }
-  std::printf("wrote %s/%s.dat and %s/%s.gp\n", out_dir.c_str(),
-              stem->c_str(), out_dir.c_str(), stem->c_str());
-}
-
-/// Prints one figure panel as an aligned table, sampling every `stride`-th
-/// grid point to keep the output readable.
-inline void print_figure_series(const sweep::FigureSeries& series,
-                                std::size_t stride = 5) {
-  std::printf("--- %s sweep on %s (rho = %g)%s ---\n",
-              sweep::to_string(series.parameter),
-              series.configuration.c_str(), series.rho,
-              series.parameter == sweep::SweepParameter::kPerformanceBound
-                  ? " [x is rho]"
-                  : "");
-  io::TableWriter table({sweep::to_string(series.parameter), "sigma1",
-                         "sigma2", "Wopt(s1,s2)", "E/W(s1,s2)", "sigma",
-                         "Wopt(s,s)", "E/W(s,s)", "saving %", "note"});
-  for (std::size_t i = 0; i < series.points.size();
-       i += (i + stride < series.points.size() ? stride : 1)) {
-    const auto& point = series.points[i];
-    const auto& two = point.two_speed;
-    const auto& one = point.single_speed;
-    std::string note;
-    if (point.two_speed_fallback) note = "min-rho fallback";
-    if (!two.feasible) {
-      table.add_row({io::TableWriter::cell(point.x, 6), "-", "-", "-", "-",
-                     "-", "-", "-", "-", "infeasible"});
-      continue;
-    }
-    table.add_row(
-        {io::TableWriter::cell(point.x, 6),
-         io::TableWriter::cell(two.sigma1, 2),
-         io::TableWriter::cell(two.sigma2, 2),
-         io::TableWriter::cell(two.w_opt, 0),
-         io::TableWriter::cell(two.energy_overhead, 1),
-         one.feasible ? io::TableWriter::cell(one.sigma1, 2) : "-",
-         one.feasible ? io::TableWriter::cell(one.w_opt, 0) : "-",
-         one.feasible ? io::TableWriter::cell(one.energy_overhead, 1) : "-",
-         io::TableWriter::cell(100.0 * point.energy_saving(), 1),
-         note});
-  }
-  std::printf("%s", table.str().c_str());
-  std::printf("max two-speed energy saving in this sweep: %.1f%%\n\n",
-              100.0 * series.max_energy_saving());
-}
-
-/// Runs one sweep on a named configuration through the shared engine and
-/// prints it; when `out_dir` is non-empty the series is also exported for
-/// gnuplot.
-inline void run_and_print(const std::string& config_name,
-                          sweep::SweepParameter parameter,
-                          const std::string& out_dir = {},
-                          std::size_t points = 51, std::size_t stride = 5) {
-  sweep::SweepOptions options;
-  options.points = points;
-  const auto series = shared_engine().run_panel(
-      platform::configuration_by_name(config_name), parameter, options);
-  print_figure_series(series, stride);
-  if (!out_dir.empty()) export_figure_series(series, out_dir);
-}
-
-/// Runs all six sweeps of a Figure-8..14-style composite.
-inline void run_and_print_all(const std::string& config_name,
-                              const std::string& out_dir = {},
-                              std::size_t points = 51,
-                              std::size_t stride = 10) {
-  std::printf("==== All six parameter sweeps on %s ====\n\n",
-              config_name.c_str());
-  engine::ScenarioSpec spec;
-  spec.configuration = config_name;
-  spec.points = points;
-  for (const auto& panel : shared_engine().run_all(spec)) {
-    print_figure_series(panel, stride);
-    if (!out_dir.empty()) export_figure_series(panel, out_dir);
-  }
-}
-
-/// Runs a registered scenario (see engine::scenario_registry) and prints
-/// every panel it produces — the figure benches are one-liners over this.
-inline void run_registered(const std::string& scenario_name,
-                           const std::string& out_dir = {}) {
-  const engine::ScenarioSpec& spec =
-      engine::scenario_by_name(scenario_name);
-  const bool composite = spec.kind() == engine::ScenarioKind::kAllSweeps;
-  if (composite) {
-    std::printf("==== %s: %s ====\n\n", spec.name.c_str(),
-                spec.description.c_str());
-  }
-  for (const auto& panel : shared_engine().run_scenario(spec)) {
-    const sweep::FigureSeries figure = sweep::to_figure_series(panel);
-    print_figure_series(figure, composite ? 10 : 5);
-    if (!out_dir.empty()) export_figure_series(figure, out_dir);
-  }
-}
-
-/// Common bench argv handling: `--out-dir=DIR` enables artifact export.
-inline std::string out_dir_from_args(int argc, const char* const* argv) {
-  return io::ArgParser(argc, argv).get_or("out-dir", "");
-}
 
 /// The repository root, found by walking up from the working directory
 /// until a .git + ROADMAP.md pair appears. Benches run from build/ (or

@@ -67,7 +67,6 @@ PairSolution BiCritSolution::best_for_sigma1(double sigma1) const {
 BiCritSolver::BiCritSolver(ModelParams params) : params_(std::move(params)) {
   params_.validate();
   soa_ = ExpansionSoA::build(params_);
-  materialize_cache();
 }
 
 BiCritSolver::BiCritSolver(ModelParams params, ExpansionSoA table)
@@ -77,32 +76,22 @@ BiCritSolver::BiCritSolver(ModelParams params, ExpansionSoA table)
     throw std::invalid_argument(
         "BiCritSolver: expansion table speed count mismatch");
   }
-  materialize_cache();
 }
 
-void BiCritSolver::materialize_cache() {
-  // The SoA table is the single expansion pass; the per-pair cache is a
-  // pure view materialization of it (bit-identical to building each
-  // PairExpansion directly, since the scalar kernel calls the same
-  // expansion functions and the SIMD tiers are bit-comparable to it).
-  const std::size_t k = soa_.k;
-  cache_.clear();
-  cache_.reserve(k * k);
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = 0; j < k; ++j) {
-      const std::size_t s = soa_.slot(i, j);
-      PairExpansion pair;
-      pair.sigma1 = soa_.sigma1[s];
-      pair.sigma2 = soa_.sigma2[s];
-      pair.index1 = static_cast<int>(i);
-      pair.index2 = static_cast<int>(j);
-      pair.time_exp = soa_.time_expansion(s);
-      pair.energy_exp = soa_.energy_expansion(s);
-      pair.first_order_valid = soa_.valid[s] != 0;
-      pair.rho_min = soa_.rho_min[s];
-      cache_.push_back(pair);
-    }
-  }
+PairExpansion BiCritSolver::pair_at(std::size_t i, std::size_t j) const {
+  // Bit-identical to PairExpansion::make: the scalar build calls the same
+  // expansion functions and the AVX2 build is bit-comparable to it.
+  const std::size_t s = soa_.slot(i, j);
+  PairExpansion pair;
+  pair.sigma1 = soa_.sigma1[s];
+  pair.sigma2 = soa_.sigma2[s];
+  pair.index1 = static_cast<int>(i);
+  pair.index2 = static_cast<int>(j);
+  pair.time_exp = soa_.time_expansion(s);
+  pair.energy_exp = soa_.energy_expansion(s);
+  pair.first_order_valid = soa_.valid[s] != 0;
+  pair.rho_min = soa_.rho_min[s];
+  return pair;
 }
 
 PairSolution BiCritSolver::solve_cached_pair(double rho,
@@ -188,7 +177,7 @@ PairSolution BiCritSolver::solve_pair_by_index(double rho, std::size_t i,
   if (i >= k || j >= k) {
     throw std::out_of_range("BiCritSolver: speed index out of range");
   }
-  return solve_cached_pair(rho, cache_[i * k + j], mode);
+  return solve_cached_pair(rho, pair_at(i, j), mode);
 }
 
 PairSolution BiCritSolver::solve_pair(double rho, double sigma1,
@@ -211,26 +200,27 @@ PairSolution BiCritSolver::min_rho_solution(SpeedPolicy policy) const {
   PairSolution best;
   best.feasible = false;
   double best_rho = std::numeric_limits<double>::infinity();
-  for (const PairExpansion& pair : cache_) {
-    if (policy == SpeedPolicy::kSingleSpeed && pair.index1 != pair.index2) {
-      continue;
+  for (std::size_t i = 0; i < soa_.k; ++i) {
+    for (std::size_t j = 0; j < soa_.k; ++j) {
+      if (policy == SpeedPolicy::kSingleSpeed && i != j) continue;
+      const PairExpansion pair = pair_at(i, j);
+      if (!pair.first_order_valid) continue;
+      if (pair.rho_min >= best_rho) continue;
+      best_rho = pair.rho_min;
+      best.feasible = true;
+      best.first_order_valid = true;
+      best.sigma1 = pair.sigma1;
+      best.sigma2 = pair.sigma2;
+      best.sigma1_index = pair.index1;
+      best.sigma2_index = pair.index2;
+      best.rho_min = pair.rho_min;
+      best.w_opt = pair.time_exp.argmin();  // tangency pattern size
+      best.w_energy = pair.energy_exp.argmin();
+      best.w_min = best.w_opt;
+      best.w_max = best.w_opt;
+      best.time_overhead = pair.time_exp.evaluate(best.w_opt);
+      best.energy_overhead = pair.energy_exp.evaluate(best.w_opt);
     }
-    if (!pair.first_order_valid) continue;
-    if (pair.rho_min >= best_rho) continue;
-    best_rho = pair.rho_min;
-    best.feasible = true;
-    best.first_order_valid = true;
-    best.sigma1 = pair.sigma1;
-    best.sigma2 = pair.sigma2;
-    best.sigma1_index = pair.index1;
-    best.sigma2_index = pair.index2;
-    best.rho_min = pair.rho_min;
-    best.w_opt = pair.time_exp.argmin();  // tangency pattern size
-    best.w_energy = pair.energy_exp.argmin();
-    best.w_min = best.w_opt;
-    best.w_max = best.w_opt;
-    best.time_overhead = pair.time_exp.evaluate(best.w_opt);
-    best.energy_overhead = pair.energy_exp.evaluate(best.w_opt);
   }
   return best;
 }
@@ -239,23 +229,24 @@ BiCritSolution BiCritSolver::solve(double rho, SpeedPolicy policy,
                                    EvalMode mode,
                                    const PairSeedTable* seeds) const {
   BiCritSolution solution;
-  solution.pairs.reserve(cache_.size());
+  solution.pairs.reserve(soa_.count);
   double best_energy = std::numeric_limits<double>::infinity();
-  for (const PairExpansion& cached : cache_) {
-    if (policy == SpeedPolicy::kSingleSpeed &&
-        cached.index1 != cached.index2) {
-      continue;
+  for (std::size_t i = 0; i < soa_.k; ++i) {
+    for (std::size_t j = 0; j < soa_.k; ++j) {
+      if (policy == SpeedPolicy::kSingleSpeed && i != j) continue;
+      const PairExpansion cached = pair_at(i, j);
+      const double w_seed =
+          (seeds != nullptr && mode == EvalMode::kExactOptimize)
+              ? seeds->seed(cached.index1, cached.index2)
+              : 0.0;
+      PairSolution pair = solve_cached_pair(rho, cached, mode, w_seed);
+      if (pair.feasible && pair.energy_overhead < best_energy) {
+        best_energy = pair.energy_overhead;
+        solution.best = pair;
+        solution.feasible = true;
+      }
+      solution.pairs.push_back(std::move(pair));
     }
-    const double w_seed = (seeds != nullptr && mode == EvalMode::kExactOptimize)
-                              ? seeds->seed(cached.index1, cached.index2)
-                              : 0.0;
-    PairSolution pair = solve_cached_pair(rho, cached, mode, w_seed);
-    if (pair.feasible && pair.energy_overhead < best_energy) {
-      best_energy = pair.energy_overhead;
-      solution.best = pair;
-      solution.feasible = true;
-    }
-    solution.pairs.push_back(std::move(pair));
   }
   return solution;
 }

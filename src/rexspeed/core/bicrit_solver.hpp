@@ -187,14 +187,8 @@ class BiCritSolver {
 
   [[nodiscard]] const ModelParams& params() const noexcept { return params_; }
 
-  /// The cached pair-invariant data, row-major over the K×K speed grid.
-  [[nodiscard]] const std::vector<PairExpansion>& pair_expansions()
-      const noexcept {
-    return cache_;
-  }
-
-  /// The structure-of-arrays expansion table the cache was materialized
-  /// from — what the batched ρ-grid kernels stream over.
+  /// The structure-of-arrays expansion table every solve reads — what the
+  /// batched ρ-grid kernels stream over.
   [[nodiscard]] const ExpansionSoA& expansion_table() const noexcept {
     return soa_;
   }
@@ -208,14 +202,13 @@ class BiCritSolver {
                                                const PairExpansion& pair,
                                                EvalMode mode,
                                                double w_seed = 0.0) const;
-  void materialize_cache();
+  /// The cached pair (i, j), read out of its SoA slot.
+  [[nodiscard]] PairExpansion pair_at(std::size_t i, std::size_t j) const;
 
   ModelParams params_;
   NumericOptions numeric_options_;
-  /// One kernel pass over the K×K speed grid; source of `cache_`.
+  /// One kernel pass over the K×K speed grid, pair (i, j) at slot i·K + j.
   ExpansionSoA soa_;
-  /// K² PairExpansions, entry (i, j) at i * K + j.
-  std::vector<PairExpansion> cache_;
 };
 
 }  // namespace rexspeed::core

@@ -45,16 +45,16 @@ using AlignedDoubles = std::vector<double, AlignedAllocator<double>>;
 /// Structure-of-arrays cache of all K² first-order pair expansions for one
 /// ModelParams: contiguous coefficient arrays (time x/y/z, energy x/y/z),
 /// ρ_min, the speed values, and validity flags, indexed row-major — the
-/// pair (i, j) lives at slot i·K + j. This is the layout the SIMD kernels
-/// stream over; the per-pair caches of BiCritSolver / ExactSolver /
+/// pair (i, j) lives at slot i·K + j. This is the layout the kernels
+/// (core/kernels/) stream over; the per-pair caches of BiCritSolver / ExactSolver /
 /// InterleavedSolver are materialized *from* one build of this table, so
 /// the expansion math runs once per ModelParams, not once per consumer.
 ///
 /// Arrays are padded to a lane multiple (kLane) with inert slots
 /// (valid = 0, benign coefficients) so kernels never need a scalar tail.
 struct ExpansionSoA {
-  /// Pad to 8 doubles: a multiple of every shipped lane width (AVX2 = 4,
-  /// NEON = 2) with headroom for 8-wide tiers.
+  /// Pad to 8 doubles: one 64-byte cache line, a multiple of the AVX2
+  /// lane width (4).
   static constexpr std::size_t kLane = 8;
 
   std::size_t k = 0;       ///< speed count; count = k²
@@ -79,7 +79,7 @@ struct ExpansionSoA {
   [[nodiscard]] static ExpansionSoA build(const ModelParams& params);
 
   /// Builds through a specific tier's ops — the bit-comparability tests
-  /// drive this with scalar and SIMD side by side.
+  /// drive this with the scalar and AVX2 tiers side by side.
   [[nodiscard]] static ExpansionSoA build_with(const ModelParams& params,
                                                const kernels::KernelOps& ops);
 

@@ -4,29 +4,15 @@
 
 namespace rexspeed::core::kernels {
 
-// Defined in kernels_avx2.cpp / kernels_neon.cpp. On targets the build
-// cannot serve they return scalar_ops().
+// Defined in kernels_avx2.cpp. Off x86 it returns scalar_ops().
 [[nodiscard]] const KernelOps& avx2_ops() noexcept;
-[[nodiscard]] const KernelOps& neon_ops() noexcept;
 
 const char* to_string(KernelTier tier) noexcept {
-  switch (tier) {
-    case KernelTier::kAVX2:
-      return "avx2";
-    case KernelTier::kNEON:
-      return "neon";
-    case KernelTier::kScalar:
-      break;
-  }
-  return "scalar";
+  return tier == KernelTier::kAVX2 ? "avx2" : "scalar";
 }
 
-KernelTier choose_tier(bool force_scalar, bool has_avx2,
-                       bool has_neon) noexcept {
-  if (force_scalar) return KernelTier::kScalar;
-  if (has_neon) return KernelTier::kNEON;
-  if (has_avx2) return KernelTier::kAVX2;
-  return KernelTier::kScalar;
+KernelTier choose_tier(bool force_scalar, bool has_avx2) noexcept {
+  return !force_scalar && has_avx2 ? KernelTier::kAVX2 : KernelTier::kScalar;
 }
 
 namespace {
@@ -44,33 +30,16 @@ bool cpu_has_avx2() noexcept {
 #endif
 }
 
-bool cpu_has_neon() noexcept {
-#if defined(__aarch64__)
-  // Advanced SIMD is architecturally mandatory on AArch64.
-  return true;
-#else
-  return false;
-#endif
-}
-
 }  // namespace
 
 KernelTier active_tier() noexcept {
   static const KernelTier tier =
-      choose_tier(env_forces_scalar(), cpu_has_avx2(), cpu_has_neon());
+      choose_tier(env_forces_scalar(), cpu_has_avx2());
   return tier;
 }
 
 const KernelOps& ops_for_tier(KernelTier tier) noexcept {
-  switch (tier) {
-    case KernelTier::kAVX2:
-      return avx2_ops();
-    case KernelTier::kNEON:
-      return neon_ops();
-    case KernelTier::kScalar:
-      break;
-  }
-  return scalar_ops();
+  return tier == KernelTier::kAVX2 ? avx2_ops() : scalar_ops();
 }
 
 const KernelOps& active_ops() noexcept { return ops_for_tier(active_tier()); }
@@ -78,7 +47,6 @@ const KernelOps& active_ops() noexcept { return ops_for_tier(active_tier()); }
 std::vector<KernelTier> available_tiers() {
   std::vector<KernelTier> tiers{KernelTier::kScalar};
   if (cpu_has_avx2()) tiers.push_back(KernelTier::kAVX2);
-  if (cpu_has_neon()) tiers.push_back(KernelTier::kNEON);
   return tiers;
 }
 

@@ -1,16 +1,13 @@
-// AVX2 tier: 4-wide double lanes, bit-identical to the scalar reference.
+// AVX2 build_pair_table: 4-wide double lanes, bit-identical to the scalar
+// reference.
 //
 // Bit-identity tactics (see docs/ARCHITECTURE.md):
 //  * only IEEE correctly-rounded lane ops (add/sub/mul/div/sqrt) in the
 //    scalar code's exact parse order — no reassociation, no FMA (the
 //    library builds with -ffp-contract=off and this TU never enables FMA);
 //  * every scalar branch becomes a compare + blend with the scalar
-//    comparison's NaN semantics spelled out (ordered vs unordered
-//    predicates chosen to match `<`, `<=`, `!(x <= y)` exactly);
-//  * std::min/std::max are emulated as (b<a)?b:a / (a<b)?b:a — NOT
-//    _mm256_min_pd/_mm256_max_pd, whose ±0/NaN behavior differs;
-//  * infeasible lanes are canonicalized (w=0, energy=+inf, feasible=0)
-//    identically to the scalar tier so whole arrays compare bytewise.
+//    comparison's NaN semantics spelled out (ordered predicates, false on
+//    NaN, to match `<=` and `>`).
 //
 // The intrinsics are gated per-function with __attribute__((target))
 // instead of a TU-wide -mavx2 so no inline/template code in shared
@@ -24,7 +21,6 @@
 #include <immintrin.h>
 
 #include <cstddef>
-#include <cstdint>
 #include <limits>
 
 #include "rexspeed/core/expansion_soa.hpp"
@@ -37,32 +33,6 @@ namespace {
 
 REXSPEED_AVX2 __m256d blend(__m256d a, __m256d b, __m256d mask) {
   return _mm256_blendv_pd(a, b, mask);  // mask ? b : a
-}
-// std::max(a, b) is (a < b) ? b : a; std::min(a, b) is (b < a) ? b : a.
-// The LT_OQ predicate is false on NaN, matching scalar operator<.
-REXSPEED_AVX2 __m256d std_max(__m256d a, __m256d b) {
-  return blend(a, b, _mm256_cmp_pd(a, b, _CMP_LT_OQ));
-}
-REXSPEED_AVX2 __m256d std_min(__m256d a, __m256d b) {
-  return blend(a, b, _mm256_cmp_pd(b, a, _CMP_LT_OQ));
-}
-REXSPEED_AVX2 __m256d negate(__m256d a) {
-  return _mm256_xor_pd(a, _mm256_set1_pd(-0.0));
-}
-REXSPEED_AVX2 __m256d copysign_pd(__m256d mag, __m256d sgn) {
-  const __m256d smask = _mm256_set1_pd(-0.0);
-  return _mm256_or_pd(_mm256_andnot_pd(smask, mag),
-                      _mm256_and_pd(smask, sgn));
-}
-// std::isfinite(x) as |x| < inf (false on NaN and ±inf, like the scalar).
-REXSPEED_AVX2 __m256d is_finite(__m256d a) {
-  const __m256d abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), a);
-  return _mm256_cmp_pd(
-      abs, _mm256_set1_pd(std::numeric_limits<double>::infinity()),
-      _CMP_LT_OQ);
-}
-REXSPEED_AVX2 __m256d not_mask(__m256d m) {
-  return _mm256_xor_pd(m, _mm256_castsi256_pd(_mm256_set1_epi64x(-1)));
 }
 
 __attribute__((target("avx2"))) void build_pair_table_avx2(
@@ -166,173 +136,12 @@ __attribute__((target("avx2"))) void build_pair_table_avx2(
   }
 }
 
-__attribute__((target("avx2"))) void eval_pairs_avx2(
-    const ExpansionSoA& table, double rho, double w_cap, double* w_opt,
-    double* w_min_out, double* w_max_out, double* energy,
-    unsigned char* feasible) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d two = _mm256_set1_pd(2.0);
-  const __m256d four = _mm256_set1_pd(4.0);
-  const __m256d neg_half = _mm256_set1_pd(-0.5);
-  const __m256d inf =
-      _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  const __m256d dbl_max =
-      _mm256_set1_pd(std::numeric_limits<double>::max());
-  const __m256d rho_v = _mm256_set1_pd(rho);
-  const __m256d cap_v = _mm256_set1_pd(w_cap);
-
-  for (std::size_t s = 0; s < table.padded; s += 4) {
-    const __m256d a = _mm256_loadu_pd(table.ty.data() + s);
-    const __m256d b =
-        _mm256_sub_pd(_mm256_loadu_pd(table.tx.data() + s), rho_v);
-    const __m256d c = _mm256_loadu_pd(table.tz.data() + s);
-
-    // solve_quadratic for the a ≠ 0 lanes (a == 0 lanes never read these
-    // results — they are routed to the linear branch below).
-    const __m256d disc = _mm256_sub_pd(
-        _mm256_mul_pd(b, b), _mm256_mul_pd(_mm256_mul_pd(four, a), c));
-    const __m256d sqrt_disc = _mm256_sqrt_pd(disc);
-    const __m256d q = _mm256_mul_pd(
-        neg_half, _mm256_add_pd(b, copysign_pd(sqrt_disc, b)));
-    const __m256d r1 = _mm256_div_pd(q, a);
-    const __m256d r2_from_q = _mm256_div_pd(c, q);
-    // q != 0.0 is true on NaN (scalar !=) → NEQ_UQ. The q == 0 rescue
-    // division only runs when some lane actually needs it — on typical
-    // panels every lane has q ≠ 0 and the divider stays idle. Lanes that
-    // keep r2_from_q get the identical blend result either way.
-    const __m256d q_nonzero = _mm256_cmp_pd(q, zero, _CMP_NEQ_UQ);
-    __m256d r2 = r2_from_q;
-    if (_mm256_movemask_pd(q_nonzero) != 0xF) {
-      const __m256d r2_alt =
-          _mm256_sub_pd(_mm256_div_pd(negate(b), a), r1);
-      r2 = blend(r2_alt, r2_from_q, q_nonzero);
-    }
-    const __m256d swap = _mm256_cmp_pd(r1, r2, _CMP_GT_OQ);
-    const __m256d lower_two = blend(r1, r2, swap);
-    const __m256d upper_two = blend(r2, r1, swap);
-    // Scalar control flow: disc < 0 → no roots; disc == 0 → one root;
-    // anything else (including NaN disc) falls through to the two-root
-    // path. NLT_UQ/NEQ_UQ are true on NaN, reproducing that routing.
-    const __m256d has_roots = _mm256_cmp_pd(disc, zero, _CMP_NLT_UQ);
-    const __m256d two_roots = _mm256_and_pd(
-        has_roots, _mm256_cmp_pd(disc, zero, _CMP_NEQ_UQ));
-    // The repeated-root division is needed only when some rooted lane has
-    // disc == 0. Rootless lanes are infeasible on every consuming branch,
-    // so their lower/upper values are dead and the skip cannot change any
-    // stored bit.
-    __m256d lower = lower_two;
-    __m256d upper = upper_two;
-    if (_mm256_movemask_pd(two_roots) != _mm256_movemask_pd(has_roots)) {
-      const __m256d root_one =
-          _mm256_div_pd(negate(b), _mm256_mul_pd(two, a));
-      lower = blend(root_one, lower_two, two_roots);
-      upper = blend(root_one, upper_two, two_roots);
-    }
-
-    // feasible_interval branch select on the sign of a. NaN a matches
-    // none of the compares and lands in the unconditional tail branch,
-    // exactly like the scalar fall-through.
-    const __m256d a_pos = _mm256_cmp_pd(a, zero, _CMP_GT_OQ);
-    const __m256d a_zero = _mm256_cmp_pd(a, zero, _CMP_EQ_OQ);
-    const __m256d tail = not_mask(_mm256_or_pd(a_pos, a_zero));
-
-    // a > 0: infeasible when no roots or upper ≤ 0.
-    const __m256d feas_pos = _mm256_and_pd(
-        has_roots,
-        not_mask(_mm256_cmp_pd(upper, zero, _CMP_LE_OQ)));
-    const __m256d w_min_pos = std_max(lower, zero);
-    // a == 0: feasible iff !(b >= 0) (NaN b → feasible, as in the scalar).
-    const __m256d feas_zero = _mm256_cmp_pd(b, zero, _CMP_NGE_UQ);
-    // tail (a < 0 or NaN): always unbounded-feasible.
-    const __m256d w_min_tail =
-        blend(zero, std_max(upper, zero), has_roots);
-
-    // The three branch masks are disjoint, so blending a_pos before a_zero
-    // gives the same lanes as the other order — and a = ty > 0 for every
-    // valid pair, so the linear-branch division almost never runs.
-    __m256d w_min = blend(w_min_tail, w_min_pos, a_pos);
-    if (_mm256_movemask_pd(a_zero) != 0) {
-      const __m256d w_min_zero =
-          blend(zero, _mm256_div_pd(c, negate(b)),
-                _mm256_cmp_pd(c, zero, _CMP_GT_OQ));
-      w_min = blend(w_min, w_min_zero, a_zero);
-    }
-    const __m256d w_max = blend(inf, upper, a_pos);
-    __m256d feas = _mm256_or_pd(_mm256_and_pd(a_pos, feas_pos),
-                                _mm256_and_pd(a_zero, feas_zero));
-    feas = _mm256_or_pd(feas, tail);
-
-    // w_energy = has_interior_minimum ? argmin : w_max, then the finite
-    // fallbacks of solve_cached_pair.
-    const __m256d ey = _mm256_loadu_pd(table.ey.data() + s);
-    const __m256d ez = _mm256_loadu_pd(table.ez.data() + s);
-    const __m256d has_interior =
-        _mm256_and_pd(_mm256_cmp_pd(ey, zero, _CMP_GT_OQ),
-                      _mm256_cmp_pd(ez, zero, _CMP_GT_OQ));
-    // √(ez/ey) is ρ-independent: streamed from the build-time `we` column
-    // instead of recomputed per grid point.
-    const __m256d argmin = _mm256_loadu_pd(table.we.data() + s);
-    __m256d w_energy = blend(w_max, argmin, has_interior);
-    const __m256d w_max_finite = is_finite(w_max);
-    w_energy = blend(blend(cap_v, w_max, w_max_finite), w_energy,
-                     is_finite(w_energy));
-    const __m256d w_clamp = blend(dbl_max, w_max, w_max_finite);
-    const __m256d w = std_min(std_max(w_min, w_energy), w_clamp);
-    const __m256d ex = _mm256_loadu_pd(table.ex.data() + s);
-    const __m256d e = _mm256_add_pd(_mm256_add_pd(ex, _mm256_mul_pd(ey, w)),
-                                    _mm256_div_pd(ez, w));
-
-    // Gate on the cached validity flags and canonicalize dead lanes
-    // (padding slots have valid = 0, so they fall out here too).
-    const __m256d valid = _mm256_castsi256_pd(_mm256_setr_epi64x(
-        table.valid[s] ? -1 : 0, table.valid[s + 1] ? -1 : 0,
-        table.valid[s + 2] ? -1 : 0, table.valid[s + 3] ? -1 : 0));
-    const __m256d live = _mm256_and_pd(feas, valid);
-    _mm256_storeu_pd(w_opt + s, _mm256_and_pd(w, live));
-    _mm256_storeu_pd(w_min_out + s, _mm256_and_pd(w_min, live));
-    _mm256_storeu_pd(w_max_out + s, _mm256_and_pd(w_max, live));
-    _mm256_storeu_pd(energy + s, blend(inf, e, live));
-    const int bits = _mm256_movemask_pd(live);
-    for (int lane = 0; lane < 4; ++lane) {
-      feasible[s + static_cast<std::size_t>(lane)] =
-          (bits >> lane) & 1 ? 1 : 0;
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void classify_pairs_avx2(
-    const double* rho_min, const double* time_at_we, std::size_t count,
-    double rho, unsigned char* cls) {
-  const __m256d rho_v = _mm256_set1_pd(rho);
-  std::size_t s = 0;
-  for (; s + 4 <= count; s += 4) {
-    const __m256d feas = _mm256_cmp_pd(_mm256_loadu_pd(rho_min + s), rho_v,
-                                       _CMP_LE_OQ);
-    const __m256d lookup = _mm256_cmp_pd(_mm256_loadu_pd(time_at_we + s),
-                                         rho_v, _CMP_LE_OQ);
-    const int fbits = _mm256_movemask_pd(feas);
-    const int lbits = _mm256_movemask_pd(lookup);
-    for (int lane = 0; lane < 4; ++lane) {
-      cls[s + static_cast<std::size_t>(lane)] =
-          !((fbits >> lane) & 1) ? 0u : (((lbits >> lane) & 1) ? 1u : 2u);
-    }
-  }
-  for (; s < count; ++s) {
-    cls[s] = !(rho_min[s] <= rho) ? 0u : (time_at_we[s] <= rho ? 1u : 2u);
-  }
-}
-
 #undef REXSPEED_AVX2
 
 }  // namespace
 
 const KernelOps& avx2_ops() noexcept {
-  static const KernelOps ops{
-      "avx2",
-      &build_pair_table_avx2,
-      &eval_pairs_avx2,
-      &classify_pairs_avx2,
-  };
+  static const KernelOps ops{"avx2", &build_pair_table_avx2};
   return ops;
 }
 

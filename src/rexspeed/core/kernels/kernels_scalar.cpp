@@ -1,8 +1,9 @@
-// Portable reference tier. Every slot goes through the *same* library
-// functions the pointwise solvers use (time_expansion, energy_expansion,
-// feasible_interval, OverheadExpansion members), so its outputs are
-// bit-identical to the pre-SoA per-pair code by construction — this is
-// the contract every SIMD tier is tested against.
+// Portable reference tier of build_pair_table, plus the per-bound loops
+// eval_pairs and classify_pairs. Every slot goes through the *same*
+// library functions the pointwise solvers use (time_expansion,
+// energy_expansion, feasible_interval, OverheadExpansion members), so the
+// outputs are bit-identical to the per-pair code by construction — the
+// contract the AVX2 build is tested against.
 
 #include <algorithm>
 #include <cmath>
@@ -39,12 +40,18 @@ void build_pair_table_scalar(const ModelParams& params, ExpansionSoA& out) {
   }
 }
 
-void eval_pairs_scalar(const ExpansionSoA& table, double rho, double w_cap,
-                       double* w_opt, double* w_min, double* w_max,
-                       double* energy, unsigned char* feasible) {
+}  // namespace
+
+const KernelOps& scalar_ops() noexcept {
+  static const KernelOps ops{"scalar", &build_pair_table_scalar};
+  return ops;
+}
+
+void eval_pairs(const ExpansionSoA& table, double rho, double w_cap,
+                double* w_opt, double* w_min, double* w_max, double* energy,
+                unsigned char* feasible) {
   for (std::size_t s = 0; s < table.padded; ++s) {
-    // Canonical infeasible outputs; overwritten only by feasible slots so
-    // invalid/infeasible/padding lanes compare bitwise across tiers.
+    // Canonical infeasible outputs; overwritten only by feasible slots.
     w_opt[s] = 0.0;
     w_min[s] = 0.0;
     w_max[s] = 0.0;
@@ -78,26 +85,13 @@ void eval_pairs_scalar(const ExpansionSoA& table, double rho, double w_cap,
   }
 }
 
-void classify_pairs_scalar(const double* rho_min, const double* time_at_we,
-                           std::size_t count, double rho,
-                           unsigned char* cls) {
+void classify_pairs(const double* rho_min, const double* time_at_we,
+                    std::size_t count, double rho, unsigned char* cls) {
   for (std::size_t s = 0; s < count; ++s) {
     // The branch structure of ExactSolver::solve_cached: NaN-propagating
     // comparisons mean "not ≤" routes to infeasible, exactly as there.
     cls[s] = !(rho_min[s] <= rho) ? 0u : (time_at_we[s] <= rho ? 1u : 2u);
   }
-}
-
-}  // namespace
-
-const KernelOps& scalar_ops() noexcept {
-  static const KernelOps ops{
-      "scalar",
-      &build_pair_table_scalar,
-      &eval_pairs_scalar,
-      &classify_pairs_scalar,
-  };
-  return ops;
 }
 
 }  // namespace rexspeed::core::kernels

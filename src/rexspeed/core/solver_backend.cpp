@@ -149,8 +149,8 @@ ClosedFormBackend::ClosedFormBackend(ModelParams params, EvalMode mode,
   switch (mode_) {
     case EvalMode::kFirstOrder:
       capabilities_.cost_weight = 1.0;
-      // The whole first-order pair table evaluates in one SIMD sweep of
-      // the SoA cache, so ρ grids go through solve_rho_batch.
+      // The whole first-order pair table evaluates in one sweep of the
+      // SoA cache per bound, so ρ grids go through solve_rho_batch.
       capabilities_.batched_rho = true;
       capabilities_.validity =
           "first-order closed forms; meaningful inside the paper's 5.2 "
@@ -252,7 +252,6 @@ void ClosedFormBackend::solve_rho_batch(const double* rhos,
     return;
   }
   const ExpansionSoA& table = solver_.expansion_table();
-  const kernels::KernelOps& ops = kernels::active_ops();
   const double w_cap = solver_.numeric_options().w_cap;
   const std::size_t k = table.k;
   AlignedDoubles w_opt(table.padded);
@@ -260,10 +259,10 @@ void ClosedFormBackend::solve_rho_batch(const double* rhos,
   AlignedDoubles w_max(table.padded);
   AlignedDoubles energy(table.padded);
   std::vector<unsigned char> feasible(table.padded);
-  // Winner selection stays scalar and in-order: the strict < below is the
-  // same tie-break BiCritSolver::solve applies, so the winning slot — and
+  // Winner selection is in-order: the strict < below is the same
+  // tie-break BiCritSolver::solve applies, so the winning slot — and
   // therefore every bit of the reconstructed solution — matches the
-  // pointwise path. Reductions across SIMD lanes would reorder ties.
+  // pointwise path.
   // The min-ρ fallback is ρ-independent, so the whole batch shares one
   // lazily-built copy per policy — the same bits min_rho_solution returns
   // on every per-point call (the solver is immutable and deterministic).
@@ -309,8 +308,8 @@ void ClosedFormBackend::solve_rho_batch(const double* rhos,
   };
   for (std::size_t p = 0; p < count; ++p) {
     const double rho = rhos[p];
-    ops.eval_pairs(table, rho, w_cap, w_opt.data(), w_min.data(),
-                   w_max.data(), energy.data(), feasible.data());
+    kernels::eval_pairs(table, rho, w_cap, w_opt.data(), w_min.data(),
+                        w_max.data(), energy.data(), feasible.data());
     std::size_t best_two = table.count;
     std::size_t best_single = table.count;
     double energy_two = std::numeric_limits<double>::infinity();
@@ -469,7 +468,6 @@ void ExactOptBackend::solve_rho_batch(const double* rhos, std::size_t count,
   const ExactSolver& solver = exact();
   const std::vector<double>& rho_mins = solver.rho_mins();
   const std::vector<double>& times_at_we = solver.times_at_we();
-  const kernels::KernelOps& ops = kernels::active_ops();
   std::vector<unsigned char> cls(rho_mins.size());
   // The min-ρ fallbacks are ρ-independent: one copy per policy serves the
   // whole batch with the bits every per-point call would return.
@@ -481,8 +479,8 @@ void ExactOptBackend::solve_rho_batch(const double* rhos, std::size_t count,
     const double rho = rhos[p];
     // One classify sweep answers both policies' per-pair branch tests;
     // the classified scans below are bit-identical to solve(rho, ·).best.
-    ops.classify_pairs(rho_mins.data(), times_at_we.data(), rho_mins.size(),
-                       rho, cls.data());
+    kernels::classify_pairs(rho_mins.data(), times_at_we.data(),
+                            rho_mins.size(), rho, cls.data());
     PanelPoint point;
     point.x = rho;
     point.primary = pair_solution_with_fallback(
@@ -600,14 +598,13 @@ void InterleavedBackend::solve_rho_batch(const double* rhos,
   const InterleavedSolver& cached = solver();
   const std::vector<double>& rho_mins = cached.rho_mins();
   const std::vector<double>& times_at_we = cached.times_at_we();
-  const kernels::KernelOps& ops = kernels::active_ops();
   std::vector<unsigned char> cls(rho_mins.size());
   for (std::size_t p = 0; p < count; ++p) {
     const double rho = rhos[p];
     // One classify sweep over every (σ1, σ2, m) slot serves the primary
     // search and the m = 1 baseline of this grid point.
-    ops.classify_pairs(rho_mins.data(), times_at_we.data(), rho_mins.size(),
-                       rho, cls.data());
+    kernels::classify_pairs(rho_mins.data(), times_at_we.data(),
+                            rho_mins.size(), rho, cls.data());
     PanelPoint point;
     point.x = rho;
     point.primary = Solution::from_interleaved(

@@ -99,9 +99,9 @@ struct BackendCapabilities {
   bool min_rho_fallback = false;
   /// True when solve_rho_batch beats the pointwise loop: the backend
   /// answers a whole ρ-grid in one batched call against its contiguous
-  /// caches (the SIMD eval/classify kernels). The default implementation
-  /// is always available; this flag is what makes a ρ panel route
-  /// whole-grid instead of per-point.
+  /// caches (kernels::eval_pairs / classify_pairs). The default
+  /// implementation is always available; this flag is what makes a ρ
+  /// panel route whole-grid instead of per-point.
   bool batched_rho = false;
   /// True when rebind() accepts a PairSeedTable and
   /// solve_panel_point_seeded harvests one — the warm-start chain the
@@ -228,7 +228,7 @@ class SolverBackend {
   /// rhos[i], bit-identical to calling solve_panel_point per point. The
   /// default IS that pointwise loop; backends advertising batched_rho
   /// override it to stream the grid against their contiguous caches
-  /// through the active SIMD kernel tier (`out` must hold `count`
+  /// (kernels::eval_pairs / classify_pairs; `out` must hold `count`
   /// entries). This is how sweep::PanelSweep hands a shared-backend ρ
   /// panel to the backend in one piece.
   virtual void solve_rho_batch(const double* rhos, std::size_t count,

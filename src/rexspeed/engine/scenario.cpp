@@ -63,7 +63,6 @@ sweep::SweepOptions ScenarioSpec::sweep_options(
   options.points = points;
   options.mode = mode;
   options.min_rho_fallback = min_rho_fallback;
-  options.batch = batch;
   options.pool = pool;
   return options;
 }
@@ -254,17 +253,6 @@ void apply_token(ScenarioSpec& spec, const std::string& key,
           "'");
     }
     spec.verification_recall = recall;
-  } else if (key == "batch") {
-    if (value == "auto") {
-      spec.batch = sweep::BatchMode::kAuto;
-    } else if (value == "on") {
-      spec.batch = sweep::BatchMode::kOn;
-    } else if (value == "off") {
-      spec.batch = sweep::BatchMode::kOff;
-    } else {
-      throw std::invalid_argument("scenario: batch must be auto, on or "
-                                  "off, got '" + value + "'");
-    }
   } else if (key == "fallback") {
     if (value == "1" || value == "true") {
       spec.min_rho_fallback = true;

@@ -49,12 +49,6 @@ struct ScenarioSpec {
   core::SpeedPolicy policy = core::SpeedPolicy::kTwoSpeed;
   core::EvalMode mode = core::EvalMode::kFirstOrder;
   bool min_rho_fallback = true;
-  /// Batched vs pointwise ρ-grid evaluation (sweep::BatchMode): kAuto
-  /// batches whenever the backend advertises batched_rho, kOn requires it
-  /// (a non-batching ρ panel throws), kOff forces the pointwise path.
-  /// Both paths produce the same bits; the flag exists for benchmarking,
-  /// bisection and the CI dispatch smoke.
-  sweep::BatchMode batch = sweep::BatchMode::kAuto;
   /// Set for kSweep scenarios; ignored when `all_panels` is true.
   std::optional<sweep::SweepParameter> sweep_parameter;
   /// True for a Figure 8–14 style composite: every panel axis the
@@ -137,8 +131,7 @@ void apply_override(core::ModelParams& params, const ParamOverride& override_);
 /// exact-eval | exact-opt | interleaved | recall — the backend-registry
 /// vocabulary; mode=interleaved defaults max_segments to 1, and an
 /// explicit segments=/max_segments= key takes precedence in either
-/// order), fallback (0 | 1), batch (auto | on | off — batched vs
-/// pointwise ρ-grid evaluation), segments (≥ 1),
+/// order), fallback (0 | 1), segments (≥ 1),
 /// max_segments (≥ 1, mutually exclusive with segments) and
 /// verification_recall (in [0, 1]; below 1 the solver side needs
 /// mode=recall, every mode simulates it). Every other

@@ -78,10 +78,6 @@ std::string write_scenario(const ScenarioSpec& spec) {
   if (spec.recall_mode) mode = "recall";
   out << "mode=" << mode << '\n';
   out << "fallback=" << (spec.min_rho_fallback ? 1 : 0) << '\n';
-  // Non-default batch modes only: the default (auto) emits no line, so
-  // pre-existing files and their byte-exact fixtures are untouched.
-  if (spec.batch == sweep::BatchMode::kOn) out << "batch=on\n";
-  if (spec.batch == sweep::BatchMode::kOff) out << "batch=off\n";
   // Interleaved keys only when set: the default (no interleaved mode) has
   // no line, so pre-existing files and their byte-exact fixtures are
   // untouched.

@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <system_error>
 
+#include <signal.h>
 #include <unistd.h>
 
 #include "rexspeed/store/hash.hpp"
@@ -73,6 +76,23 @@ void write_file_atomic(const fs::path& path, std::string_view bytes) {
     throw StoreError("store: cannot rename " + tmp.string() + " -> " +
                      path.string() + ": " + ec.message());
   }
+}
+
+/// True when `name` is a write_file_atomic temp (`<file>.<pid>.<n>.tmp`)
+/// whose writer process is still alive: its rename may yet land, so
+/// verify() does not report it and gc() does not remove it. kill(pid, 0)
+/// sends nothing; EPERM means the process exists under another user.
+bool is_in_flight_temp(const std::string& name) {
+  const std::size_t counter_dot = name.rfind('.', name.size() - 5);
+  if (counter_dot == std::string::npos || counter_dot == 0) return false;
+  const std::size_t pid_dot = name.rfind('.', counter_dot - 1);
+  if (pid_dot == std::string::npos) return false;
+  const char* first = name.data() + pid_dot + 1;
+  const char* last = name.data() + counter_dot;
+  pid_t pid = 0;
+  const auto [end, error] = std::from_chars(first, last, pid);
+  if (error != std::errc() || end != last || pid <= 0) return false;
+  return ::kill(pid, 0) == 0 || errno == EPERM;
 }
 
 std::string format_double_field(double value) {
@@ -323,7 +343,8 @@ std::vector<std::string> LocalResultStore::verify() {
     } else if (path.extension() == ".info") {
       // A sidecar whose payload vanished is unusable provenance.
       if (!fs::exists(entry_path(stem))) bad.push_back(stem);
-    } else if (path.extension() == ".tmp") {
+    } else if (path.extension() == ".tmp" &&
+               !is_in_flight_temp(path.filename().string())) {
       // Leftover from a killed write; never referenced by key.
       bad.push_back(path.filename().string());
     }

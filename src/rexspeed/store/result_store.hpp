@@ -93,7 +93,8 @@ class ResultStore {
   [[nodiscard]] virtual StoreStats stats() = 0;
 
   /// Checksums every entry; returns the keys that fail (corrupt payload,
-  /// bad header, sidecar/payload hash mismatch, orphan sidecar).
+  /// bad header, sidecar/payload hash mismatch, orphan sidecar) and the
+  /// names of temp files left by writers that are no longer running.
   [[nodiscard]] virtual std::vector<std::string> verify() = 0;
 
   /// Removes everything verify() flags; returns the removed count.

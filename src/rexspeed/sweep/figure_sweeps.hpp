@@ -55,15 +55,6 @@ struct FigureSeries {
   [[nodiscard]] double max_energy_saving() const noexcept;
 };
 
-/// Whether a ρ panel hands its whole grid to the backend in one batched
-/// call (core::SolverBackend::solve_rho_batch — the SIMD/classify kernel
-/// path) instead of solving point by point.
-enum class BatchMode {
-  kAuto,  ///< batched whenever the backend advertises batched_rho
-  kOn,    ///< require it: a ρ panel whose backend cannot batch throws
-  kOff,   ///< force the pointwise per-point path
-};
-
 /// Sweep options; defaults reproduce the paper's setup (§4.1: ρ = 3, Pio =
 /// dynamic power at the lowest speed, default grids matching the figures'
 /// axis ranges).
@@ -76,9 +67,6 @@ struct SweepOptions {
   /// figures, which plot the max-speed solution beyond the feasibility
   /// horizon of the λ and ρ sweeps).
   bool min_rho_fallback = true;
-  /// Batched vs pointwise ρ-grid evaluation (both produce the same bits;
-  /// kOff exists for benchmarking and bisection).
-  BatchMode batch = BatchMode::kAuto;
   /// Chain warm starts along model-axis grids on backends that advertise
   /// warm_start_chain (each point's numeric bracketing seeded from its
   /// neighbor's optimum). Equivalent to cold starts within numeric

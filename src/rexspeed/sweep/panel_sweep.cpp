@@ -130,13 +130,7 @@ PanelSweep::PanelSweep(std::unique_ptr<core::SolverBackend> backend,
   // panel schedules as one unit). Both are properties of THIS panel's
   // axis × backend combination, frozen here.
   batched_ = shared_ && parameter == SweepParameter::kPerformanceBound &&
-             caps.batched_rho && options_.batch != BatchMode::kOff;
-  if (options_.batch == BatchMode::kOn &&
-      parameter == SweepParameter::kPerformanceBound && !caps.batched_rho) {
-    throw std::invalid_argument(
-        std::string("PanelSweep: batch=on but backend '") +
-        backend_->name() + "' does not batch rho grids");
-  }
+             caps.batched_rho;
   chained_ = !shared_ && caps.warm_start_chain && options_.warm_start_chain;
   series_.parameter = parameter;
   series_.configuration = std::move(configuration);

@@ -75,9 +75,8 @@ class PanelSweep {
   /// Takes ownership of the panel's backend. Throws std::invalid_argument
   /// on a null backend, an empty grid, an axis outside
   /// backend->capabilities().axes, a non-positive/non-finite bound or
-  /// ρ-grid value, a segments-grid value outside [1, max_segments], or
-  /// BatchMode::kOn on a ρ panel whose backend cannot batch — everything
-  /// a later prepare() or solve would otherwise trip over.
+  /// ρ-grid value, or a segments-grid value outside [1, max_segments] —
+  /// everything a later prepare() or solve would otherwise trip over.
   PanelSweep(std::unique_ptr<core::SolverBackend> backend,
              std::string configuration, SweepParameter parameter,
              std::vector<double> grid, SweepOptions options);

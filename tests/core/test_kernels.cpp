@@ -1,10 +1,10 @@
-// The SIMD expansion-kernel tiers against their scalar reference: the
-// pure tier-selection rule, the dispatch table, and — the load-bearing
-// contract — bit-identical outputs from every available tier for all
-// three kernel ops (build_pair_table, eval_pairs, classify_pairs) over
-// every registered scenario's model parameters. A SIMD tier that rounds
-// one intermediate differently from the scalar order fails here, not in
-// a golden fixture three layers up.
+// The expansion kernels: the pure tier-selection rule, the dispatch
+// table, and — the load-bearing contract — a bit-identical
+// build_pair_table from every available tier over every registered
+// scenario's model parameters. An AVX2 build that rounds one
+// intermediate differently from the scalar order fails here, not in a
+// golden fixture three layers up. eval_pairs is checked against the
+// pointwise pair solve it replaces.
 
 #include "rexspeed/core/kernels/kernel_dispatch.hpp"
 
@@ -23,19 +23,13 @@ namespace rexspeed::core::kernels {
 namespace {
 
 TEST(KernelTierRule, ForceScalarBeatsEveryFeature) {
-  EXPECT_EQ(choose_tier(true, true, true), KernelTier::kScalar);
-  EXPECT_EQ(choose_tier(true, true, false), KernelTier::kScalar);
-  EXPECT_EQ(choose_tier(true, false, true), KernelTier::kScalar);
-  EXPECT_EQ(choose_tier(true, false, false), KernelTier::kScalar);
+  EXPECT_EQ(choose_tier(true, true), KernelTier::kScalar);
+  EXPECT_EQ(choose_tier(true, false), KernelTier::kScalar);
 }
 
 TEST(KernelTierRule, WidestAvailableTierWins) {
-  EXPECT_EQ(choose_tier(false, false, false), KernelTier::kScalar);
-  EXPECT_EQ(choose_tier(false, true, false), KernelTier::kAVX2);
-  EXPECT_EQ(choose_tier(false, false, true), KernelTier::kNEON);
-  // AVX2 and NEON never coexist on real hardware; the rule still has to
-  // pick deterministically (the native tier of the probing architecture).
-  EXPECT_EQ(choose_tier(false, true, true), KernelTier::kNEON);
+  EXPECT_EQ(choose_tier(false, false), KernelTier::kScalar);
+  EXPECT_EQ(choose_tier(false, true), KernelTier::kAVX2);
 }
 
 TEST(KernelDispatch, ScalarTierIsAlwaysAvailable) {
@@ -53,12 +47,11 @@ TEST(KernelDispatch, ScalarTierIsAlwaysAvailable) {
   EXPECT_STREQ(active_ops().name, to_string(active_tier()));
 }
 
-TEST(KernelDispatch, EveryOpIsWiredInEveryTier) {
+TEST(KernelDispatch, TheBuildIsWiredInEveryTier) {
   for (const KernelTier tier : available_tiers()) {
     const KernelOps& ops = ops_for_tier(tier);
     EXPECT_NE(ops.build_pair_table, nullptr) << ops.name;
-    EXPECT_NE(ops.eval_pairs, nullptr) << ops.name;
-    EXPECT_NE(ops.classify_pairs, nullptr) << ops.name;
+    EXPECT_STREQ(ops.name, to_string(tier));
   }
 }
 
@@ -109,59 +102,35 @@ TEST(KernelBitIdentity, BuildPairTableMatchesScalarOnEveryTier) {
   }
 }
 
-TEST(KernelBitIdentity, EvalPairsMatchesScalarOnEveryTier) {
-  const NumericOptions numeric;
-  // The bounds every registered ρ panel actually evaluates, plus the
-  // infeasible low end where everything canonicalizes.
+TEST(EvalPairs, MatchesThePointwisePairSolveBitForBit) {
+  // Every slot of one eval_pairs sweep against the first-order pair solve
+  // BiCritSolver runs per pair — the equivalence the batched ρ panel's
+  // winner reconstruction rests on.
   const std::vector<double> rhos =
       sweep::default_grid(sweep::SweepParameter::kPerformanceBound, 17);
   for (const core::ModelParams& params : registry_params()) {
-    const ExpansionSoA table = ExpansionSoA::build_with(params, scalar_ops());
+    const BiCritSolver solver(params);
+    const ExpansionSoA& table = solver.expansion_table();
     const std::size_t n = table.padded;
-    AlignedDoubles ref_w(n), ref_lo(n), ref_hi(n), ref_e(n);
     AlignedDoubles w(n), lo(n), hi(n), e(n);
-    std::vector<unsigned char> ref_f(n), f(n);
+    std::vector<unsigned char> f(n);
     for (const double rho : rhos) {
-      scalar_ops().eval_pairs(table, rho, numeric.w_cap, ref_w.data(),
-                              ref_lo.data(), ref_hi.data(), ref_e.data(),
-                              ref_f.data());
-      for (const KernelTier tier : available_tiers()) {
-        const KernelOps& ops = ops_for_tier(tier);
-        ops.eval_pairs(table, rho, numeric.w_cap, w.data(), lo.data(),
-                       hi.data(), e.data(), f.data());
-        expect_same_bits(w, ref_w, "w_opt", ops.name);
-        expect_same_bits(lo, ref_lo, "w_min", ops.name);
-        expect_same_bits(hi, ref_hi, "w_max", ops.name);
-        expect_same_bits(e, ref_e, "energy", ops.name);
-        EXPECT_EQ(f, ref_f) << "feasible differs in tier " << ops.name
-                            << " at rho=" << rho;
+      eval_pairs(table, rho, solver.numeric_options().w_cap, w.data(),
+                 lo.data(), hi.data(), e.data(), f.data());
+      for (std::size_t s = 0; s < table.count; ++s) {
+        SCOPED_TRACE("slot " + std::to_string(s) + " rho " +
+                     std::to_string(rho));
+        const PairSolution pair = solver.solve_pair_by_index(
+            rho, s / table.k, s % table.k, EvalMode::kFirstOrder);
+        ASSERT_EQ(f[s] != 0, pair.feasible);
+        if (!pair.feasible) continue;
+        EXPECT_EQ(std::memcmp(&w[s], &pair.w_opt, sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(&lo[s], &pair.w_min, sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(&hi[s], &pair.w_max, sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(&e[s], &pair.energy_overhead, sizeof(double)),
+                  0);
       }
-    }
-  }
-}
-
-TEST(KernelBitIdentity, ClassifyPairsMatchesScalarOnEveryTier) {
-  // The classifier consumes per-pair (ρ_min, time-at-W_E) arrays; the
-  // SoA's rho_min column and time x coefficients are real solver data of
-  // exactly that shape, including infinities from invalid pairs.
-  const std::vector<double> rhos =
-      sweep::default_grid(sweep::SweepParameter::kPerformanceBound, 17);
-  for (const core::ModelParams& params : registry_params()) {
-    const ExpansionSoA table = ExpansionSoA::build_with(params, scalar_ops());
-    const std::size_t n = table.count;
-    std::vector<unsigned char> reference(n), cls(n);
-    for (const double rho : rhos) {
-      scalar_ops().classify_pairs(table.rho_min.data(), table.tx.data(), n,
-                                  rho, reference.data());
-      for (unsigned char c : reference) EXPECT_LE(c, 2);
-      for (const KernelTier tier : available_tiers()) {
-        const KernelOps& ops = ops_for_tier(tier);
-        ops.classify_pairs(table.rho_min.data(), table.tx.data(), n, rho,
-                           cls.data());
-        EXPECT_EQ(cls, reference)
-            << "classification differs in tier " << ops.name
-            << " at rho=" << rho;
-      }
+      for (std::size_t s = table.count; s < n; ++s) EXPECT_EQ(f[s], 0);
     }
   }
 }

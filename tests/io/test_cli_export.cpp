@@ -9,6 +9,9 @@
 //         xargs sha256sum) > tests/io/golden/registry_p7.sha256
 //   2. An export that cannot be written fails the run loudly (exit 1,
 //      "cannot write to" on stderr) rather than leaving a partial tree.
+//   3. The CLI contracts around the kernels: `rexspeed kernels` opens
+//      with `active tier: scalar|avx2` (REXSPEED_FORCE_SCALAR=1 pins
+//      scalar), and the removed `--batch=` flag is a usage error (exit 2).
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -48,9 +51,12 @@ std::string quoted(const fs::path& path) {
 }
 
 /// Runs the CLI with `arguments` through the shell (so they may carry
-/// redirections); its exit code, or -1 when it did not exit normally.
-int run_cli(const std::string& arguments) {
-  std::string command = quoted(REXSPEED_CLI_PATH);
+/// redirections), with `env` assignments (`NAME=value ...`) in front; its
+/// exit code, or -1 when it did not exit normally.
+int run_cli(const std::string& arguments, const std::string& env = "") {
+  std::string command = env;
+  if (!command.empty()) command += ' ';
+  command += quoted(REXSPEED_CLI_PATH);
   command += ' ';
   command += arguments;
   const int status = std::system(command.c_str());
@@ -117,6 +123,42 @@ TEST_F(CliExport, OutDirOnARegularFileExitsOneNamingTheDirectory) {
   EXPECT_NE(stderr_text.find("cannot write to " + file.string()),
             std::string::npos)
       << stderr_text;
+}
+
+/// First line of a file, without its newline.
+std::string first_line(const fs::path& path) {
+  std::istringstream text(read_file(path));
+  std::string line;
+  std::getline(text, line);
+  return line;
+}
+
+TEST_F(CliExport, KernelsOpensWithTheActiveTier) {
+  const fs::path out = work_ / "kernels.txt";
+  ASSERT_EQ(run_cli("kernels > " + quoted(out)), 0);
+  const std::string line = first_line(out);
+  EXPECT_TRUE(line == "active tier:     scalar" ||
+              line == "active tier:     avx2")
+      << line;
+}
+
+TEST_F(CliExport, ForceScalarPinsTheScalarTier) {
+  const fs::path out = work_ / "kernels.txt";
+  ASSERT_EQ(run_cli("kernels > " + quoted(out), "REXSPEED_FORCE_SCALAR=1"),
+            0);
+  EXPECT_EQ(first_line(out), "active tier:     scalar");
+}
+
+TEST_F(CliExport, BatchFlagIsAUsageError) {
+  const fs::path err = work_ / "stderr.txt";
+  EXPECT_EQ(run_cli("sweep --scenario=fig05 --batch=on > /dev/null 2> " +
+                    quoted(err)),
+            2);
+  EXPECT_NE(read_file(err).find("unknown option '--batch'"),
+            std::string::npos);
+  EXPECT_EQ(run_cli("campaign --scenarios=fig05 --batch=on > /dev/null "
+                    "2> /dev/null"),
+            2);
 }
 
 }  // namespace

@@ -21,7 +21,6 @@ void expect_specs_equivalent(const ScenarioSpec& a, const ScenarioSpec& b) {
   EXPECT_EQ(a.policy, b.policy);
   EXPECT_EQ(a.mode, b.mode);
   EXPECT_EQ(a.min_rho_fallback, b.min_rho_fallback);
-  EXPECT_EQ(a.batch, b.batch);
   EXPECT_EQ(a.sweep_parameter, b.sweep_parameter);
   EXPECT_EQ(a.all_panels, b.all_panels);
   EXPECT_EQ(a.segments, b.segments);

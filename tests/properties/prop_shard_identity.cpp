@@ -39,12 +39,6 @@ struct ShardCaseGen {
       ScenarioSpec spec = spec_gen(rng);
       spec.name = "prop_case_" + std::to_string(i);
       spec.points = 2 + rng.index(3);
-      // batch=on requires a batching backend and the generator does not
-      // correlate the two; kAuto batches exactly when legal (batched
-      // bit-identity has its own property).
-      if (spec.batch == sweep::BatchMode::kOn) {
-        spec.batch = sweep::BatchMode::kAuto;
-      }
       value.specs.push_back(std::move(spec));
     }
     value.workers = static_cast<unsigned>(1 + rng.index(8));

@@ -18,6 +18,7 @@
 #include "rexspeed/store/hash.hpp"
 #include "rexspeed/store/serialize.hpp"
 #include "rexspeed/store/store_key.hpp"
+#include "rexspeed/sweep/thread_pool.hpp"
 
 namespace rexspeed::store {
 namespace {
@@ -84,14 +85,15 @@ TEST(StoreKey, PanelKeyIsStableAndIgnoresExecutionKnobs) {
                       sweep::SweepParameter::kPerformanceBound, grid,
                       options));
 
-  // Bit-identity-contracted execution knobs (batched vs pointwise) must
-  // NOT split the address space: both paths produce the same bytes.
-  sweep::SweepOptions batched = options;
-  batched.batch = sweep::BatchMode::kOn;
+  // The pool is an execution knob: a pooled run produces the same bytes
+  // as a serial one, so it must NOT split the address space.
+  sweep::ThreadPool pool(2);
+  sweep::SweepOptions pooled = options;
+  pooled.pool = &pool;
   EXPECT_EQ(key,
             panel_key(*backend, spec.configuration,
                       sweep::SweepParameter::kPerformanceBound, grid,
-                      batched));
+                      pooled));
 
   // Everything that can change the output bits must change the key.
   sweep::SweepOptions other_rho = options;

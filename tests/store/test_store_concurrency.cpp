@@ -2,6 +2,8 @@
 // recording costs and flushing counters into ONE cache directory — the
 // shape of several campaigns (or shard workers) sharing a --cache-dir —
 // must never fail a write, and must leave a directory verify() passes.
+// A `cache verify`/`gc` run next to a live writer must leave that
+// writer's in-flight temp file alone.
 
 #include "rexspeed/store/result_store.hpp"
 
@@ -11,10 +13,12 @@
 #include <cstdint>
 #include <exception>
 #include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -100,6 +104,59 @@ TEST(StoreConcurrency, ForkedWritersShareOneDirectoryCleanly) {
     EXPECT_EQ(*blob, blob_of(k));
   }
   EXPECT_EQ(store.stats().entries, static_cast<std::uint64_t>(kKeys));
+  fs::remove_all(dir);
+}
+
+/// Waits for `pid`; true when it was reaped.
+bool reap(pid_t pid) {
+  int status = 0;
+  pid_t got = 0;
+  do {
+    got = waitpid(pid, &status, 0);
+  } while (got < 0 && errno == EINTR);
+  return got == pid;
+}
+
+TEST(StoreConcurrency, GcSparesTheTempFileOfALiveWriter) {
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("rexspeed_store_inflight_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  LocalResultStore store(dir);
+
+  // The pid of a writer that has exited and been reaped, and a live
+  // process that stands in for a writer mid-put. Only EXPECTs follow the
+  // second fork, so the test always reaches the kill below.
+  const pid_t dead = fork();
+  if (dead == 0) _exit(0);
+  ASSERT_GE(dead, 0) << "fork failed";
+  ASSERT_TRUE(reap(dead));
+  const pid_t live = fork();
+  ASSERT_GE(live, 0) << "fork failed";
+  if (live == 0) {
+    pause();
+    _exit(0);
+  }
+
+  // write_file_atomic's temp names: <file>.<pid>.<n>.tmp.
+  const std::string live_temp =
+      key_of(0) + ".bin." + std::to_string(live) + ".0.tmp";
+  const std::string dead_temp =
+      key_of(1) + ".bin." + std::to_string(dead) + ".0.tmp";
+  std::ofstream(dir / "entries" / live_temp) << "partial";
+  std::ofstream(dir / "entries" / dead_temp) << "partial";
+
+  EXPECT_EQ(store.verify(), std::vector<std::string>{dead_temp});
+  EXPECT_EQ(store.gc(), 1u);
+  EXPECT_TRUE(fs::exists(dir / "entries" / live_temp));
+  EXPECT_FALSE(fs::exists(dir / "entries" / dead_temp));
+
+  // Once its writer is gone the temp is a leftover like any other.
+  ::kill(live, SIGKILL);
+  EXPECT_TRUE(reap(live));
+  EXPECT_EQ(store.verify(), std::vector<std::string>{live_temp});
+  EXPECT_EQ(store.gc(), 1u);
+  EXPECT_FALSE(fs::exists(dir / "entries" / live_temp));
   fs::remove_all(dir);
 }
 

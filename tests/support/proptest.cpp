@@ -326,10 +326,6 @@ engine::ScenarioSpec ScenarioSpecGen::operator()(Rng& rng) const {
   spec.policy = rng.chance(0.5) ? core::SpeedPolicy::kTwoSpeed
                                 : core::SpeedPolicy::kSingleSpeed;
   spec.min_rho_fallback = rng.chance(0.8);
-  if (rng.chance(0.2)) {
-    spec.batch =
-        rng.chance(0.5) ? sweep::BatchMode::kOn : sweep::BatchMode::kOff;
-  }
 
   switch (rng.index(5)) {
     case 0:

@@ -1,6 +1,7 @@
 // Whole-panel scheduling: batched ρ grids (one solve_rho_batch call
-// against the SoA caches) must be BIT-identical to the pointwise
-// per-point loop on every backend that advertises batched_rho, and
+// against the SoA caches) must be BIT-identical to a loop of the
+// backend's own solve_panel_point on every backend that advertises
+// batched_rho, and
 // warm-start chains along exact model-axis grids must agree with cold
 // per-point rebinds within numeric tolerance (the seeds steer only the
 // bracketing, never the optimum). Both drivers — run_panel_sweep and the
@@ -13,8 +14,9 @@
 
 #include <cmath>
 #include <memory>
-#include <stdexcept>
+#include <string>
 
+#include "rexspeed/engine/backend_registry.hpp"
 #include "rexspeed/engine/campaign_runner.hpp"
 #include "rexspeed/engine/sweep_engine.hpp"
 #include "test_util.hpp"
@@ -31,86 +33,92 @@ core::ModelParams interleavable_params() {
   return params;
 }
 
+/// A ρ panel through PanelSweep: whole-grid on a backend that advertises
+/// batched_rho, point by point otherwise.
 PanelSeries run_rho_panel(std::unique_ptr<core::SolverBackend> backend,
-                          BatchMode batch, std::size_t points = 21) {
-  SweepOptions options;
-  options.batch = batch;
+                          std::size_t points = 21) {
   return run_panel_sweep(
       std::move(backend), "test", SweepParameter::kPerformanceBound,
-      default_grid(SweepParameter::kPerformanceBound, points), options);
+      default_grid(SweepParameter::kPerformanceBound, points), {});
+}
+
+/// The reference a batched panel must match: the backend's own per-point
+/// solve, looped over the same grid with the same default options.
+PanelSeries pointwise_rho_panel(std::unique_ptr<core::SolverBackend> backend,
+                                std::size_t points = 21,
+                                const std::string& configuration = "test") {
+  const SweepOptions options;
+  backend->prepare();
+  PanelSeries series;
+  series.parameter = SweepParameter::kPerformanceBound;
+  series.configuration = configuration;
+  series.rho = options.rho;
+  series.kind = backend->capabilities().kind;
+  series.max_segments = backend->capabilities().max_segments;
+  for (const double rho :
+       default_grid(SweepParameter::kPerformanceBound, points)) {
+    series.points.push_back(backend->solve_panel_point(
+        SweepParameter::kPerformanceBound, rho, options.rho,
+        options.min_rho_fallback));
+  }
+  return series;
 }
 
 TEST(BatchedRhoPanel, FirstOrderBatchedEqualsPointwiseBitForBit) {
   const core::ModelParams params = test::params_for("Hera/XScale");
-  const PanelSeries batched = run_rho_panel(
-      std::make_unique<core::ClosedFormBackend>(
-          params, core::EvalMode::kFirstOrder),
-      BatchMode::kOn);
-  const PanelSeries pointwise = run_rho_panel(
-      std::make_unique<core::ClosedFormBackend>(
-          params, core::EvalMode::kFirstOrder),
-      BatchMode::kOff);
+  const PanelSeries batched =
+      run_rho_panel(std::make_unique<core::ClosedFormBackend>(
+          params, core::EvalMode::kFirstOrder));
+  const PanelSeries pointwise =
+      pointwise_rho_panel(std::make_unique<core::ClosedFormBackend>(
+          params, core::EvalMode::kFirstOrder));
   expect_identical_panel(batched, pointwise);
 }
 
 TEST(BatchedRhoPanel, ExactOptBatchedEqualsPointwiseBitForBit) {
   const core::ModelParams params = test::params_for("Hera/XScale");
-  const PanelSeries batched = run_rho_panel(
-      std::make_unique<core::ExactOptBackend>(params), BatchMode::kOn, 11);
-  const PanelSeries pointwise = run_rho_panel(
-      std::make_unique<core::ExactOptBackend>(params), BatchMode::kOff, 11);
+  const PanelSeries batched =
+      run_rho_panel(std::make_unique<core::ExactOptBackend>(params), 11);
+  const PanelSeries pointwise =
+      pointwise_rho_panel(std::make_unique<core::ExactOptBackend>(params), 11);
   expect_identical_panel(batched, pointwise);
 }
 
 TEST(BatchedRhoPanel, InterleavedBatchedEqualsPointwiseBitForBit) {
   const core::ModelParams params = interleavable_params();
   const PanelSeries batched = run_rho_panel(
-      std::make_unique<core::InterleavedBackend>(params, 6), BatchMode::kOn,
-      11);
-  const PanelSeries pointwise = run_rho_panel(
-      std::make_unique<core::InterleavedBackend>(params, 6), BatchMode::kOff,
-      11);
+      std::make_unique<core::InterleavedBackend>(params, 6), 11);
+  const PanelSeries pointwise = pointwise_rho_panel(
+      std::make_unique<core::InterleavedBackend>(params, 6), 11);
   expect_identical_panel(batched, pointwise);
 }
 
-TEST(BatchedRhoPanel, AutoBatchesWhereAdvertisedAndRejectsForcedOn) {
+TEST(BatchedRhoPanel, BatchesExactlyWhereAdvertised) {
   const core::ModelParams params = test::params_for("Hera/XScale");
-  SweepOptions options;
   const std::vector<double> grid =
       default_grid(SweepParameter::kPerformanceBound, 5);
-  // kAuto on a batching backend: scheduled as one whole-panel unit.
+  // A batching backend: scheduled as one whole-panel unit.
   PanelSweep batched(std::make_unique<core::ClosedFormBackend>(
                          params, core::EvalMode::kFirstOrder),
-                     "test", SweepParameter::kPerformanceBound, grid,
-                     options);
+                     "test", SweepParameter::kPerformanceBound, grid, {});
   EXPECT_EQ(batched.granularity(), PanelSweep::Granularity::kWholePanel);
-  // exact-eval solves every bound numerically — no batched kernel; kAuto
-  // quietly stays pointwise, kOn is a hard error at construction.
+  // exact-eval solves every bound numerically — no batched kernel, so
+  // the panel stays pointwise.
   PanelSweep pointwise(std::make_unique<core::ClosedFormBackend>(
                            params, core::EvalMode::kExactEvaluation),
-                       "test", SweepParameter::kPerformanceBound, grid,
-                       options);
+                       "test", SweepParameter::kPerformanceBound, grid, {});
   EXPECT_EQ(pointwise.granularity(), PanelSweep::Granularity::kPerPoint);
-  options.batch = BatchMode::kOn;
-  EXPECT_THROW(PanelSweep(std::make_unique<core::ClosedFormBackend>(
-                              params, core::EvalMode::kExactEvaluation),
-                          "test", SweepParameter::kPerformanceBound, grid,
-                          options),
-               std::invalid_argument);
 }
 
 TEST(BatchedRhoPanel, MeasureCostLeavesResultsUntouched) {
   // A per-point panel's probe solves its point 0 for real; the remaining
   // stream plus the probe must reproduce the unprobed panel bit for bit.
   const core::ModelParams params = test::params_for("Hera/XScale");
-  SweepOptions options;
-  options.batch = BatchMode::kOff;
   const std::vector<double> grid =
       default_grid(SweepParameter::kPerformanceBound, 7);
   PanelSweep probed(std::make_unique<core::ClosedFormBackend>(
-                        params, core::EvalMode::kFirstOrder),
-                    "test", SweepParameter::kPerformanceBound, grid,
-                    options);
+                        params, core::EvalMode::kExactEvaluation),
+                    "test", SweepParameter::kPerformanceBound, grid, {});
   EXPECT_EQ(probed.first_pending(), 0u);
   EXPECT_GE(probed.measure_cost(), 0.0);
   EXPECT_EQ(probed.first_pending(), 1u);
@@ -118,10 +126,10 @@ TEST(BatchedRhoPanel, MeasureCostLeavesResultsUntouched) {
        ++i) {
     probed.solve_point(i);
   }
-  const PanelSeries reference = run_rho_panel(
-      std::make_unique<core::ClosedFormBackend>(
-          params, core::EvalMode::kFirstOrder),
-      BatchMode::kOff, 7);
+  const PanelSeries reference =
+      run_rho_panel(std::make_unique<core::ClosedFormBackend>(
+                        params, core::EvalMode::kExactEvaluation),
+                    7);
   expect_identical_panel(probed.take(), reference);
 
   // A whole-panel probe is transient: first_pending stays 0 and the later
@@ -132,10 +140,10 @@ TEST(BatchedRhoPanel, MeasureCostLeavesResultsUntouched) {
   EXPECT_GE(whole.measure_cost(), 0.0);
   EXPECT_EQ(whole.first_pending(), 0u);
   whole.solve_all();
-  const PanelSeries batched = run_rho_panel(
-      std::make_unique<core::ClosedFormBackend>(
-          params, core::EvalMode::kFirstOrder),
-      BatchMode::kOn, 7);
+  const PanelSeries batched =
+      run_rho_panel(std::make_unique<core::ClosedFormBackend>(
+                        params, core::EvalMode::kFirstOrder),
+                    7);
   expect_identical_panel(whole.take(), batched);
 }
 
@@ -225,11 +233,12 @@ TEST(WholePanelScheduling, CampaignMatchesStandaloneThroughBatchedPanels) {
     test::expect_identical_series(to_figure_series(result.panels.front()),
                                   standalone);
   }
-  // And the forced-pointwise run of the very same scenario agrees bit for
-  // bit — the batched kernels are an implementation detail of the panel.
-  engine::ScenarioSpec pointwise = spec;
-  pointwise.batch = BatchMode::kOff;
-  test::expect_identical_series(engine.run(pointwise), standalone);
+  // And the backend's own per-point loop agrees bit for bit — the batched
+  // kernels are an implementation detail of the panel.
+  test::expect_identical_series(
+      to_figure_series(pointwise_rho_panel(engine::make_backend(spec),
+                                           spec.points, spec.configuration)),
+      standalone);
 }
 
 }  // namespace

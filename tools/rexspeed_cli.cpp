@@ -99,7 +99,6 @@ int usage() {
       "            [--points=N] [--rho=R] [--threads=N] [--out-dir=DIR]\n"
       "            [--cache-dir=DIR]\n"
       "            [--mode={%s}]\n"
-      "            [--batch={auto,on,off}]  batched rho-grid kernels\n"
       "            or: --scenario=NAME (see `rexspeed scenarios`)\n"
       "            with --segments/--max-segments: interleaved panels\n"
       "            (--param={rho,segments,all})\n"
@@ -111,7 +110,7 @@ int usage() {
       "  campaign  batch of scenarios through one flattened task stream\n"
       "            [--scenario-dir=DIR] [--scenarios=NAME,NAME,...]\n"
       "            [--points=N] [--threads=N] [--out-dir=DIR]\n"
-      "            [--batch={auto,on,off}] [--cache-dir=DIR]\n"
+      "            [--cache-dir=DIR]\n"
       "            [--workers=N]  shard across N worker processes\n"
       "            (byte-identical results; overrides --threads)\n"
       "  cache     inspect a persistent result store\n"
@@ -127,8 +126,8 @@ int usage() {
 /// Flags consumed by scenario_from() — every scenario-driven subcommand
 /// accepts these.
 const std::vector<std::string> kScenarioFlags = {
-    "scenario", "config", "rho",     "points",       "param",  "batch",
-    "mode",     "exact",  "segments", "max-segments", "single", "recall"};
+    "scenario", "config",   "rho",          "points", "param", "mode",
+    "exact",    "segments", "max-segments", "single", "recall"};
 
 /// kScenarioFlags plus a subcommand's own additions.
 std::vector<std::string> with(std::vector<std::string> base,
@@ -182,9 +181,6 @@ engine::ScenarioSpec scenario_from(const io::ArgParser& args) {
   }
   if (const auto param = args.get("param")) {
     engine::apply_token(spec, "param", *param);
-  }
-  if (const auto batch = args.get("batch")) {
-    engine::apply_token(spec, "batch", *batch);
   }
   // --mode takes the backend-registry vocabulary; --exact stays as
   // shorthand for --mode=exact-opt. Applied before the segment flags so
@@ -625,9 +621,6 @@ int cmd_campaign(const io::ArgParser& args) {
   if (const auto points = args.get("points")) {
     for (auto& spec : specs) engine::apply_token(spec, "points", *points);
   }
-  if (const auto batch = args.get("batch")) {
-    for (auto& spec : specs) engine::apply_token(spec, "batch", *batch);
-  }
 
   const long threads = args.get_long_or("threads", 0);
   if (threads < 0) {
@@ -851,7 +844,7 @@ int run_command(const std::string& command, const io::ArgParser& args) {
   }
   if (command == "campaign") {
     require_known_options(args, {"scenario-dir", "scenarios", "scenario",
-                                 "points", "batch", "threads", "out-dir",
+                                 "points", "threads", "out-dir",
                                  "cache-dir", "workers"});
     return cmd_campaign(args);
   }
