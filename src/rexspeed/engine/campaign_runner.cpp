@@ -37,22 +37,30 @@ CampaignRunner::CampaignRunner(CampaignRunnerOptions options)
 
 std::vector<ScenarioResult> CampaignRunner::run(
     const std::vector<ScenarioSpec>& specs) const {
-  // Phase 1 (serial, cheap): plan every scenario through the engine's one
-  // plan-and-cache path (panel_job.hpp) — the same backends, grids, keys
-  // and sweep::PanelSweep setup as every other driver, so campaign results
-  // are bit-identical to per-scenario runs by construction. Verified store
-  // hits fill their result slot here and plan nothing. All validation
-  // errors surface here, before any task is submitted; tasks themselves
-  // are pure solver math on validated inputs and cannot throw. Jobs live
-  // in deques so task lambdas hold stable pointers.
+  // Phase 1: plan every scenario through the engine's one plan-and-cache
+  // path (panel_job.hpp) — the same backends, grids, keys and
+  // sweep::PanelSweep setup as every other driver, so campaign results
+  // are bit-identical to per-scenario runs by construction. Planning is
+  // serial and cheap; fetch_jobs then loads, verifies and decodes every
+  // store entry across the pool, and verified hits fill their result slot
+  // and build nothing. All validation errors surface here, before any
+  // solve task is submitted; tasks themselves are pure solver math on
+  // validated inputs and cannot throw. Jobs live in deques so task
+  // lambdas hold stable pointers.
+  std::vector<ScenarioJob> jobs;
+  jobs.reserve(specs.size());
+  for (const ScenarioSpec& spec : specs) {
+    jobs.push_back(plan_scenario(spec, store_));
+  }
+  fetch_jobs(jobs, sweep::make_parallel_build(pool()));
+
   std::vector<ScenarioResult> results(specs.size());
   std::deque<PanelOutput> panels;
   std::deque<SolveOutput> solves;
-
   for (std::size_t s = 0; s < specs.size(); ++s) {
     ScenarioResult& result = results[s];
     result.spec = specs[s];
-    ScenarioJob job = plan_scenario(specs[s], store_);
+    ScenarioJob& job = jobs[s];
     if (job.solve) {
       if (job.solve->hit) {
         result.solution = *job.solve->hit;

@@ -30,12 +30,14 @@ struct CampaignRunnerOptions {
   /// Worker threads: 0 uses hardware concurrency, 1 forces a serial run.
   unsigned threads = 0;
   /// Persistent result cache (store::make_store); null runs uncached.
-  /// Before a panel or solve is planned, its content address is looked
-  /// up (engine/panel_job.hpp, shared by every driver): a verified hit
-  /// fills the result slot outright — skipping planning, prepare and every
-  /// point task — and a corrupt or missing entry falls through to a
+  /// Once every panel and solve is planned, their content addresses are
+  /// looked up in one batch whose reads, verifies and decodes run on the
+  /// pool (engine/panel_job.hpp, shared by every driver): a verified hit
+  /// fills the result slot outright — skipping the sweep, prepare and
+  /// every point task — and a corrupt or missing entry falls through to a
   /// normal recompute whose result is stored (and heals the entry) once
-  /// the stream drains. Persisted per-point costs also seed the
+  /// the stream drains. The store's methods are called from the thread
+  /// that calls run() only. Persisted per-point costs also seed the
   /// longest-first ordering, replacing that panel's timed probe. Cached
   /// results are bit-identical to recomputed ones by tested contract, so
   /// a warm campaign equals a cold one byte for byte.
@@ -48,13 +50,13 @@ struct CampaignRunnerOptions {
 /// longer idles workers while the next panel waits to start, which is
 /// where sequential panels lose throughput on small grids.
 ///
-/// The stream has three phases: plan (serial, resolves every scenario's
-/// backend through engine::backend_registry and validates everything —
-/// tasks cannot throw), prepare (one pooled barrier building the
-/// heavyweight deferred caches of every panel and solve whose backend
-/// needs one; skipped when none does), and the flattened point stream
-/// itself. Within the stream, whole panels are ordered longest-first by
-/// MEASURED cost: each panel times one probe unit
+/// The stream has three phases: plan (resolves every scenario's backend
+/// through engine::backend_registry and validates everything — tasks
+/// cannot throw — and fetches store hits across the pool), prepare (one
+/// pooled barrier building the heavyweight deferred caches of every panel
+/// and solve whose backend needs one; skipped when none does), and the
+/// flattened point stream itself. Within the stream, whole panels are
+/// ordered longest-first by MEASURED cost: each panel times one probe unit
 /// (sweep::PanelSweep::measure_cost — per-point panels solve their point
 /// 0 for real) and the products probe × remaining-points rank the groups,
 /// so the heaviest panels start earliest and the stream's tail stays

@@ -112,26 +112,20 @@ PanelJob plan_panel(const ScenarioSpec& spec, core::ModelParams params,
                     sweep::ThreadPool* pool) {
   PanelJob job;
   job.axis = axis;
-  const sweep::SweepOptions options = spec.sweep_options(pool);
-  std::unique_ptr<core::SolverBackend> backend =
-      make_backend(spec, std::move(params));
-  std::vector<double> grid =
-      sweep::panel_grid(axis, spec.points, spec.segment_limit());
-  job.points = grid.size();
+  job.options = spec.sweep_options(pool);
+  job.backend = make_backend(spec, std::move(params));
+  job.configuration = spec.configuration;
+  job.grid = sweep::panel_grid(axis, spec.points, spec.segment_limit());
+  job.points = job.grid.size();
   if (cache != nullptr && spec.cache) {
     job.cache = cache;
-    job.key = store::panel_key(*backend, spec.configuration, axis, grid,
-                               options, spec.verification_recall);
-    job.cost_key = store::cost_key(*backend, axis);
-    if (const std::optional<std::string> blob = cache->fetch(job.key)) {
-      job.hit = job.accept(*blob);
-      if (job.hit) return job;
-    }
-    job.info = provenance(spec, *backend, "panel", core::to_string(axis),
-                          job.points);
+    job.key = store::panel_key(*job.backend, spec.configuration, axis,
+                               job.grid, job.options,
+                               spec.verification_recall);
+    job.cost_key = store::cost_key(*job.backend, axis);
+    job.info = provenance(spec, *job.backend, "panel",
+                          core::to_string(axis), job.points);
   }
-  job.sweep.emplace(std::move(backend), spec.configuration, axis,
-                    std::move(grid), options);
   return job;
 }
 
@@ -147,13 +141,6 @@ SolveJob plan_solve(const ScenarioSpec& spec, core::ModelParams params,
     job.key = store::solve_key(*job.backend, spec.rho, spec.policy,
                                spec.min_rho_fallback,
                                spec.verification_recall);
-    if (const std::optional<std::string> blob = cache->fetch(job.key)) {
-      job.hit = job.accept(*blob);
-      if (job.hit) {
-        job.backend.reset();
-        return job;
-      }
-    }
     job.info = provenance(spec, *job.backend, "solution", "-", 1);
   }
   return job;
@@ -171,6 +158,56 @@ ScenarioJob plan_scenario(const ScenarioSpec& spec,
     job.panels.push_back(plan_panel(spec, params, axis, cache));
   }
   return job;
+}
+
+void fetch_jobs(std::span<ScenarioJob> jobs,
+                const store::ParallelFor& parallel) {
+  // The cached jobs, panels first, with their keys in the same order.
+  // Each sink call writes only its own job's `hit`, so the decodes may run
+  // on any thread.
+  store::ResultStore* cache = nullptr;
+  std::vector<PanelJob*> panels;
+  std::vector<SolveJob*> solves;
+  std::vector<std::string> keys;
+  for (ScenarioJob& job : jobs) {
+    for (PanelJob& panel : job.panels) {
+      if (panel.cache == nullptr) continue;
+      cache = panel.cache;
+      panels.push_back(&panel);
+      keys.push_back(panel.key);
+    }
+  }
+  for (ScenarioJob& job : jobs) {
+    if (!job.solve || job.solve->cache == nullptr) continue;
+    cache = job.solve->cache;
+    solves.push_back(&*job.solve);
+    keys.push_back(job.solve->key);
+  }
+  if (cache != nullptr) {
+    const auto decode = [&](std::size_t i, std::string_view blob) {
+      if (i < panels.size()) {
+        panels[i]->hit = panels[i]->accept(blob);
+      } else {
+        SolveJob& solve = *solves[i - panels.size()];
+        solve.hit = solve.accept(blob);
+      }
+    };
+    cache->fetch_many(keys, parallel, decode);
+  }
+
+  // On this thread: construction validates and may throw.
+  for (ScenarioJob& job : jobs) {
+    for (PanelJob& panel : job.panels) {
+      if (!panel.hit) {
+        panel.sweep.emplace(std::move(panel.backend),
+                            std::move(panel.configuration), panel.axis,
+                            std::move(panel.grid), panel.options);
+      }
+      panel.backend.reset();
+      panel.grid = {};
+    }
+    if (job.solve && job.solve->hit) job.solve->backend.reset();
+  }
 }
 
 }  // namespace rexspeed::engine

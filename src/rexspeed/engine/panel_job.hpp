@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,25 +15,34 @@
 #include "rexspeed/sweep/thread_pool.hpp"
 
 // The one plan-and-cache path of every engine driver. CampaignRunner, the
-// shard coordinator and its workers, and SweepEngine all validate, resolve,
-// key, fetch, shape-check and store each panel or solve through the jobs
-// below, so a result is the same bits whichever driver produced it — by
-// construction, not by mirroring. Drivers differ only in how they execute
-// a missed job (the campaign's flattened stream, a worker's serial run,
-// the sweep engine's pool).
+// shard coordinator and its workers, and SweepEngine all validate, resolve
+// and key each panel or solve (plan_*), fetch and shape-check it
+// (fetch_jobs) and store it through the jobs below, so a result is the
+// same bits whichever driver produced it — by construction, not by
+// mirroring. Drivers differ only in how they execute a missed job (the
+// campaign's flattened stream, a worker's serial run, the sweep engine's
+// pool).
 
 namespace rexspeed::engine {
 
 /// One panel of a scenario, planned against an optional result store.
-/// Exactly one of `hit` and `sweep` is set: a verified store hit of the
-/// right shape fills `hit` and builds no PanelSweep (nor, decisively, its
-/// prepare); anything else — uncached, miss, corruption, wrong payload,
-/// wrong shape — leaves a validated `sweep` to compute.
+/// Once fetch_jobs has run, exactly one of `hit` and `sweep` is set: a
+/// verified store hit of the right shape fills `hit` and builds no
+/// PanelSweep (nor, decisively, its prepare); anything else — uncached,
+/// miss, corruption, wrong payload, wrong shape — leaves a validated
+/// `sweep` to compute.
 struct PanelJob {
   sweep::SweepParameter axis = sweep::SweepParameter::kCheckpointTime;
   std::size_t points = 0;  ///< grid size: the shape any result must have
   std::optional<sweep::PanelSeries> hit;
   std::optional<sweep::PanelSweep> sweep;
+
+  /// What `sweep` is built from, held from plan_panel until fetch_jobs
+  /// either builds it or, on a hit, drops it.
+  std::unique_ptr<core::SolverBackend> backend;
+  std::string configuration;
+  std::vector<double> grid;
+  sweep::SweepOptions options;
 
   /// Null when uncached (no store wired, or the spec opted out).
   store::ResultStore* cache = nullptr;
@@ -61,8 +71,9 @@ struct PanelJob {
   [[nodiscard]] sweep::PanelSeries run(double* seconds_per_point = nullptr);
 };
 
-/// A kSolve scenario's bound solve, planned like a PanelJob: `hit` on a
-/// verified store hit (no backend kept), else an unprepared `backend`.
+/// A kSolve scenario's bound solve, planned like a PanelJob: after
+/// fetch_jobs, `hit` on a verified store hit (no backend kept), else an
+/// unprepared `backend`, built and validated at plan time.
 struct SolveJob {
   std::optional<core::Solution> hit;
   std::unique_ptr<core::SolverBackend> backend;
@@ -103,11 +114,10 @@ struct ScenarioJob {
 [[nodiscard]] core::ModelParams resolve_scenario(const ScenarioSpec& spec);
 
 /// Plans one panel of `spec` over already-resolved `params`: builds the
-/// backend and grid, looks the panel up in `cache` (when non-null and the
-/// spec opts in), and on anything but a usable hit constructs the
-/// PanelSweep — whose constructor rejects every input a later prepare or
-/// solve would trip over. `pool` is only the pool the sweep will run on;
-/// it never reaches the key.
+/// backend and grid and, when `cache` is non-null and the spec opts in,
+/// the panel's keys and provenance. It neither fetches nor builds the
+/// PanelSweep; fetch_jobs does both. `pool` is only the pool the sweep
+/// will run on; it never reaches the key.
 [[nodiscard]] PanelJob plan_panel(const ScenarioSpec& spec,
                                   core::ModelParams params,
                                   sweep::SweepParameter axis,
@@ -122,5 +132,19 @@ struct ScenarioJob {
 /// resolve_scenario, then every panel (planned pool-free) or the solve.
 [[nodiscard]] ScenarioJob plan_scenario(const ScenarioSpec& spec,
                                         store::ResultStore* cache);
+
+/// The fetch-and-accept step every driver runs on what it planned, before
+/// it computes anything. Every cached job is looked up with ONE
+/// ResultStore::fetch_many call on the store the jobs were planned
+/// against (they must share one), and `parallel` runs the per-entry work:
+/// read, verify, and decode through the job's accept, each blob freed as
+/// soon as it is decoded. Then, on the calling thread, every panel left
+/// without a usable hit gets its PanelSweep, whose constructor rejects
+/// every input a later prepare or solve would trip over (so this may
+/// throw), and hits drop the backends they no longer need. Store methods
+/// are called from the calling thread only; the decodes are pure, so pool
+/// tasks cannot throw. Empty `parallel` runs everything serially.
+void fetch_jobs(std::span<ScenarioJob> jobs,
+                const store::ParallelFor& parallel = {});
 
 }  // namespace rexspeed::engine

@@ -123,22 +123,26 @@ std::vector<ScenarioResult> ShardCoordinator::run(
     store = store::make_store(options_.cache_spec);
   }
 
-  // Phase 1 (serial, pre-fork): plan every scenario through the engine's
-  // plan-and-cache path (panel_job.hpp) — the same validation, backends,
-  // keys and PanelSweep construction as CampaignRunner — so every input a
-  // worker would reject throws HERE, before any process exists, and
-  // verified cache hits are served outright.
+  // Phase 1 (serial, pre-fork): plan and fetch every scenario through the
+  // engine's plan-and-cache path (panel_job.hpp) — the same validation,
+  // backends, keys and PanelSweep construction as CampaignRunner — so
+  // every input a worker would reject throws HERE, before any process
+  // exists, and verified cache hits are served outright. No pool exists
+  // before the fork, so the fetch runs serially.
   std::vector<ScenarioResult> results(specs.size());
   std::vector<ScenarioJob> jobs(specs.size());
   std::vector<std::string> spec_texts(specs.size());
   std::vector<Task> tasks;
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    jobs[s] = plan_scenario(specs[s], store.get());
+  }
+  fetch_jobs(jobs);
 
   for (std::size_t s = 0; s < specs.size(); ++s) {
     const ScenarioSpec& spec = specs[s];
     ScenarioResult& result = results[s];
     ScenarioJob& job = jobs[s];
     result.spec = spec;
-    job = plan_scenario(spec, store.get());
     bool local_only = false;
     try {
       spec_texts[s] = write_scenario(spec);

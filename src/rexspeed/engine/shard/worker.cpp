@@ -31,8 +31,11 @@ ResultFrame compute(const AssignFrame& assign, store::ResultStore* cache) {
   core::ModelParams params = resolve_scenario(spec);
   ResultFrame result;
   result.task = assign.task;
+  ScenarioJob planned;
   if (assign.panel == kSolveTask) {
-    SolveJob job = plan_solve(spec, std::move(params), cache);
+    planned.solve = plan_solve(spec, std::move(params), cache);
+    fetch_jobs({&planned, 1});
+    SolveJob& job = *planned.solve;
     result.blob =
         store::serialize_solution(job.hit ? std::move(*job.hit) : job.run());
   } else {
@@ -42,8 +45,10 @@ ResultFrame compute(const AssignFrame& assign, store::ResultStore* cache) {
                                   "' has no panel " +
                                   std::to_string(assign.panel));
     }
-    PanelJob job =
-        plan_panel(spec, std::move(params), axes[assign.panel], cache);
+    planned.panels.push_back(
+        plan_panel(spec, std::move(params), axes[assign.panel], cache));
+    fetch_jobs({&planned, 1});
+    PanelJob& job = planned.panels.front();
     result.blob = store::serialize_panel_series(
         job.hit ? std::move(*job.hit) : job.run(&result.seconds_per_point));
   }

@@ -19,8 +19,11 @@ sweep::PanelSeries SweepEngine::run_axis(const ScenarioSpec& spec,
   // The campaign's plan-and-cache step (panel_job.hpp), planned onto this
   // engine's pool: a verified hit replaces the whole sweep, anything else
   // runs it across the pool and stores it under the same key.
-  PanelJob job =
-      plan_panel(spec, resolve_scenario(spec), axis, store_, pool());
+  ScenarioJob planned;
+  planned.panels.push_back(
+      plan_panel(spec, resolve_scenario(spec), axis, store_, pool()));
+  fetch_jobs({&planned, 1});
+  PanelJob& job = planned.panels.front();
   if (job.hit) return std::move(*job.hit);
   sweep::PanelSeries series = job.run();
   if (store_ != nullptr) store_->flush();

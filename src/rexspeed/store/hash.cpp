@@ -5,8 +5,13 @@
 namespace rexspeed::store {
 
 std::uint64_t fnv1a64(const void* data, std::size_t size) noexcept {
+  return fnv1a64(data, size, 14695981039346656037ULL);
+}
+
+std::uint64_t fnv1a64(const void* data, std::size_t size,
+                      std::uint64_t seed) noexcept {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint64_t hash = 14695981039346656037ULL;
+  std::uint64_t hash = seed;
   for (std::size_t i = 0; i < size; ++i) {
     hash ^= bytes[i];
     hash *= 1099511628211ULL;

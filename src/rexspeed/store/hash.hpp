@@ -14,6 +14,12 @@ namespace rexspeed::store {
 /// not adversaries.
 [[nodiscard]] std::uint64_t fnv1a64(const void* data,
                                     std::size_t size) noexcept;
+/// The same hash continued from `seed`, the value of an earlier call:
+/// fnv1a64(b, n, fnv1a64(a, m)) is the hash of a's m bytes followed by
+/// b's n, so a caller that already hashed a prefix finishes the whole
+/// range without a second pass over it.
+[[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t size,
+                                    std::uint64_t seed) noexcept;
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 
 /// Incremental SHA-256 (FIPS 180-4), dependency-free — the store's

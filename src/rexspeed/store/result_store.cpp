@@ -8,10 +8,15 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <new>
 #include <sstream>
 #include <system_error>
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/file.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "rexspeed/store/hash.hpp"
@@ -39,13 +44,106 @@ void require_key(const std::string& key) {
   }
 }
 
+/// Closes its descriptor (releasing any flock on it) on scope exit.
+struct FileDescriptor {
+  int fd = -1;
+  explicit FileDescriptor(int descriptor) : fd(descriptor) {}
+  ~FileDescriptor() {
+    if (fd >= 0) ::close(fd);
+  }
+  FileDescriptor(const FileDescriptor&) = delete;
+  FileDescriptor& operator=(const FileDescriptor&) = delete;
+};
+
+/// Room for one blob of fetch_many: on the heap when small, in pages of
+/// its own (an anonymous mapping, unmapped on destruction) when large.
+/// fetch_many reads and decodes blobs on several threads at once, and
+/// megabyte heap blobs freed between the decoded series left a blob-sized
+/// hole in each thread's malloc arena, resident until the fetch ended:
+/// +13 % peak RSS on a warm 10001-point campaign at 4 threads. Mapped
+/// pages go back the moment a blob is decoded. A small blob stays on the
+/// heap, where the mapping's syscalls would cost more than the blob: all
+/// mapped, a warm 2-point campaign (1 KB blobs) took 15 % longer.
+class BlobBuffer {
+ public:
+  /// Blobs from this size up get pages of their own.
+  static constexpr std::size_t kMapFrom = std::size_t{256} << 10;
+
+  BlobBuffer() = default;
+  ~BlobBuffer() { unmap(); }
+  BlobBuffer(const BlobBuffer&) = delete;
+  BlobBuffer& operator=(const BlobBuffer&) = delete;
+
+  /// Room for `size` bytes; growing discards the contents.
+  void resize(std::size_t size) {
+    if (size > capacity()) {
+      unmap();
+      if (size >= kMapFrom) {
+        void* pages = ::mmap(nullptr, size, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (pages == MAP_FAILED) throw std::bad_alloc();
+        pages_ = static_cast<char*>(pages);
+        mapped_ = size;
+      } else {
+        heap_.resize(size);
+      }
+    }
+    size_ = size;
+  }
+  [[nodiscard]] char* data() noexcept {
+    return pages_ != nullptr ? pages_ : heap_.data();
+  }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+ private:
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return pages_ != nullptr ? mapped_ : heap_.size();
+  }
+  void unmap() noexcept {
+    if (pages_ != nullptr) ::munmap(pages_, mapped_);
+    pages_ = nullptr;
+    mapped_ = 0;
+  }
+
+  std::string heap_;
+  char* pages_ = nullptr;
+  std::size_t mapped_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// A regular file's bytes into `bytes` (a std::string or a BlobBuffer):
+/// one open, one fstat, and read() into room for the size fstat reported
+/// — so the bytes are never copied or regrown — retried after EINTR and
+/// short reads. A file that shrank since the fstat yields what is left;
+/// false when it cannot be opened or read.
+template <class Bytes>
+bool read_file(const fs::path& path, Bytes& bytes) {
+  const FileDescriptor file(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+  if (file.fd < 0) return false;
+  struct stat status {};
+  if (::fstat(file.fd, &status) != 0 || !S_ISREG(status.st_mode)) {
+    return false;
+  }
+  bytes.resize(static_cast<std::size_t>(status.st_size));
+  std::size_t filled = 0;
+  while (filled < bytes.size()) {
+    const ssize_t got =
+        ::read(file.fd, bytes.data() + filled, bytes.size() - filled);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    if (got == 0) break;
+    filled += static_cast<std::size_t>(got);
+  }
+  bytes.resize(filled);
+  return true;
+}
+
 std::optional<std::string> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return std::move(buffer).str();
+  std::string bytes;
+  if (!read_file(path, bytes)) return std::nullopt;
+  return bytes;
 }
 
 /// Atomic write: temp file in the same directory + rename, so readers
@@ -101,8 +199,62 @@ std::string format_double_field(double value) {
   return buffer;
 }
 
-std::string payload_hash(std::string_view blob) {
-  return "fnv1a64:" + to_hex(fnv1a64(blob.data(), blob.size()));
+/// A sidecar's DataHash field for the FNV-1a 64 of a whole blob.
+std::string data_hash_field(std::uint64_t blob_hash) {
+  return "fnv1a64:" + to_hex(blob_hash);
+}
+
+/// How one entry read ended.
+enum class Lookup : std::uint8_t { kHit, kMiss, kCorrupt };
+
+/// The read-and-verify of one entry that fetch, fetch_many and verify
+/// share: reads the blob at `entry` into `blob` and checks it. The
+/// envelope check validates magic, format version and the trailing
+/// checksum; the sidecar at `info`, when present, ties the payload to its
+/// recorded provenance. The sidecar hashes the whole blob, which is the
+/// envelope's body hash continued over the 8-byte trailer, so both checks
+/// cost one pass over the bytes. Any failure is a recompute, not an
+/// error. Touches no store state, so fetch_many runs it on any thread.
+template <class Bytes>
+Lookup load_verified(const fs::path& entry, const fs::path& info,
+                     Bytes& blob) {
+  if (!read_file(entry, blob)) return Lookup::kMiss;
+  const std::string_view bytes(blob.data(), blob.size());
+  BlobEnvelope envelope;
+  try {
+    envelope = check_envelope(bytes);
+  } catch (const SerializeError&) {
+    return Lookup::kCorrupt;
+  }
+  if (const std::optional<std::string> sidecar = read_file(info)) {
+    try {
+      const std::string recorded = parse_entry_info(*sidecar).data_hash;
+      constexpr std::size_t kTrailer = sizeof(std::uint64_t);
+      if (!recorded.empty() &&
+          recorded != data_hash_field(fnv1a64(
+                          bytes.data() + bytes.size() - kTrailer, kTrailer,
+                          envelope.body_hash))) {
+        return Lookup::kCorrupt;
+      }
+    } catch (const StoreError&) {
+      return Lookup::kCorrupt;
+    }
+  }
+  return Lookup::kHit;
+}
+
+void count(StoreStats& stats, Lookup lookup) noexcept {
+  switch (lookup) {
+    case Lookup::kHit:
+      ++stats.hits;
+      break;
+    case Lookup::kMiss:
+      ++stats.misses;
+      break;
+    case Lookup::kCorrupt:
+      ++stats.corrupt;
+      break;
+  }
 }
 
 constexpr const char* kStatsFields[4] = {"Hits", "Misses", "Stores",
@@ -220,35 +372,31 @@ fs::path LocalResultStore::info_path(const std::string& key) const {
 
 std::optional<std::string> LocalResultStore::fetch(const std::string& key) {
   require_key(key);
-  std::optional<std::string> blob = read_file(entry_path(key));
-  if (!blob) {
-    ++session_.misses;
-    return std::nullopt;
-  }
-  // Verify-on-fetch: the envelope check validates magic, format version
-  // and the trailing checksum; the sidecar hash (when present) ties the
-  // payload to its recorded provenance. Any failure is a recompute, not
-  // an error.
-  try {
-    (void)payload_kind(*blob);
-  } catch (const SerializeError&) {
-    ++session_.corrupt;
-    return std::nullopt;
-  }
-  if (const std::optional<std::string> sidecar = read_file(info_path(key))) {
-    try {
-      const EntryInfo info = parse_entry_info(*sidecar);
-      if (!info.data_hash.empty() && info.data_hash != payload_hash(*blob)) {
-        ++session_.corrupt;
-        return std::nullopt;
-      }
-    } catch (const StoreError&) {
-      ++session_.corrupt;
-      return std::nullopt;
-    }
-  }
-  ++session_.hits;
+  std::string blob;
+  const Lookup lookup = load_verified(entry_path(key), info_path(key), blob);
+  count(session_, lookup);
+  if (lookup != Lookup::kHit) return std::nullopt;
   return blob;
+}
+
+void LocalResultStore::fetch_many(const std::vector<std::string>& keys,
+                                  const ParallelFor& parallel,
+                                  const BlobSink& sink) {
+  for (const std::string& key : keys) require_key(key);
+  std::vector<Lookup> lookups(keys.size(), Lookup::kMiss);
+  const auto load = [&](std::size_t i) {
+    BlobBuffer blob;
+    lookups[i] = load_verified(entry_path(keys[i]), info_path(keys[i]), blob);
+    if (lookups[i] == Lookup::kHit) {
+      sink(i, std::string_view(blob.data(), blob.size()));
+    }
+  };
+  if (parallel) {
+    parallel(keys.size(), load);
+  } else {
+    for (std::size_t i = 0; i < keys.size(); ++i) load(i);
+  }
+  for (const Lookup lookup : lookups) count(session_, lookup);
 }
 
 void LocalResultStore::put(const std::string& key, std::string_view blob,
@@ -256,7 +404,7 @@ void LocalResultStore::put(const std::string& key, std::string_view blob,
   require_key(key);
   info.key = key;
   info.data_size = blob.size();
-  info.data_hash = payload_hash(blob);
+  info.data_hash = data_hash_field(fnv1a64(blob));
   write_file_atomic(entry_path(key), blob);
   write_file_atomic(info_path(key), format_entry_info(info));
   ++session_.stores;
@@ -318,28 +466,11 @@ std::vector<std::string> LocalResultStore::verify() {
     const fs::path& path = file.path();
     const std::string stem = path.stem().string();
     if (path.extension() == ".bin") {
-      const std::optional<std::string> blob = read_file(path);
-      bool ok = blob.has_value();
-      if (ok) {
-        try {
-          (void)payload_kind(*blob);
-        } catch (const SerializeError&) {
-          ok = false;
-        }
+      // Exactly fetch's checks: an entry verify passes is a hit.
+      BlobBuffer blob;
+      if (load_verified(path, info_path(stem), blob) != Lookup::kHit) {
+        bad.push_back(stem);
       }
-      if (ok) {
-        if (const std::optional<std::string> sidecar =
-                read_file(info_path(stem))) {
-          try {
-            const EntryInfo entry = parse_entry_info(*sidecar);
-            ok = entry.data_hash.empty() ||
-                 entry.data_hash == payload_hash(*blob);
-          } catch (const StoreError&) {
-            ok = false;
-          }
-        }
-      }
-      if (!ok) bad.push_back(stem);
     } else if (path.extension() == ".info") {
       // A sidecar whose payload vanished is unusable provenance.
       if (!fs::exists(entry_path(stem))) bad.push_back(stem);
@@ -375,6 +506,21 @@ void LocalResultStore::flush() {
       session_.corrupt == 0) {
     return;
   }
+  // The merge is a read-modify-write of one shared file, so processes
+  // sharing the directory take turns under an exclusive flock on a lock
+  // file beside it; without it, two flushes that load the same counters
+  // lose one's increments. The lock is released when `lock` closes.
+  const fs::path lock_path = root_ / "stats.lock";
+  const FileDescriptor lock(
+      ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644));
+  if (lock.fd < 0) {
+    throw StoreError("store: cannot open " + lock_path.string());
+  }
+  while (::flock(lock.fd, LOCK_EX) != 0) {
+    if (errno != EINTR) {
+      throw StoreError("store: cannot lock " + lock_path.string());
+    }
+  }
   std::array<std::uint64_t, 4> counters = load_counters(root_ / "stats");
   counters[0] += session_.hits;
   counters[1] += session_.misses;
@@ -386,6 +532,18 @@ void LocalResultStore::flush() {
   }
   write_file_atomic(root_ / "stats", out.str());
   session_ = StoreStats{};
+}
+
+// ---- ResultStore ---------------------------------------------------------
+
+void ResultStore::fetch_many(const std::vector<std::string>& keys,
+                             const ParallelFor& /*parallel*/,
+                             const BlobSink& sink) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (const std::optional<std::string> blob = fetch(keys[i])) {
+      sink(i, *blob);
+    }
+  }
 }
 
 // ---- factory -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -54,6 +55,18 @@ struct StoreStats {
   std::uint64_t bytes = 0;
 };
 
+/// Parallelizer hook of fetch_many: call fn(i) for every i in [0, count),
+/// in any order, and return once all completed; empty means serial. The
+/// same type as core::ParallelFor (sweep::make_parallel_build adapts a
+/// pool).
+using ParallelFor = std::function<void(
+    std::size_t count, const std::function<void(std::size_t)>& fn)>;
+
+/// Receives one verified blob of a fetch_many call: the index of its key
+/// and the bytes, valid until it returns (the blob is freed then).
+using BlobSink =
+    std::function<void(std::size_t index, std::string_view blob)>;
+
 /// One result-cache tier. Keys are content addresses (store_key.hpp);
 /// values are serialized blobs (serialize.hpp). Implementations verify on
 /// fetch: a returned blob has already passed the checksum, and anything
@@ -69,6 +82,16 @@ class ResultStore {
   /// Verified blob bytes, or nullopt on miss/corruption.
   [[nodiscard]] virtual std::optional<std::string> fetch(
       const std::string& key) = 0;
+
+  /// fetch() over many keys: every verified blob goes to `sink` with the
+  /// index of its key, and the counters move exactly as that many fetch()
+  /// calls would move them. This default calls fetch() for each key in
+  /// order and `sink` after it, all on the calling thread, and ignores
+  /// `parallel`. A tier may override it to do the per-entry work across
+  /// `parallel`; it may then call `sink` from the hook's threads, at most
+  /// once per index, but still updates its counters on the calling thread.
+  virtual void fetch_many(const std::vector<std::string>& keys,
+                          const ParallelFor& parallel, const BlobSink& sink);
 
   /// Persists a blob + its sidecar (overwrites — healing a corrupt entry
   /// is a plain re-put). info.key/data_size/data_hash are filled in by
@@ -141,7 +164,10 @@ class NullResultStore final : public ResultStore {
 ///   stats                cumulative hit/miss/store/corrupt counters
 /// Writes are atomic (temp file + rename) so a killed run never leaves a
 /// half-written entry behind; fetch verifies the blob checksum and the
-/// sidecar's payload hash before returning bytes.
+/// sidecar's payload hash before returning bytes, in one pass over them.
+/// fetch_many reads and verifies its entries across the hook, so the
+/// blobs of a warm campaign load on the pool. Every other method, and the
+/// counters, belong to one thread at a time.
 class LocalResultStore final : public ResultStore {
  public:
   /// Creates the directory tree; throws StoreError when that fails.
@@ -156,6 +182,9 @@ class LocalResultStore final : public ResultStore {
   }
   [[nodiscard]] std::optional<std::string> fetch(
       const std::string& key) override;
+  void fetch_many(const std::vector<std::string>& keys,
+                  const ParallelFor& parallel,
+                  const BlobSink& sink) override;
   void put(const std::string& key, std::string_view blob,
            EntryInfo info) override;
   [[nodiscard]] std::optional<EntryInfo> info(const std::string& key) override;

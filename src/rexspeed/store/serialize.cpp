@@ -283,8 +283,8 @@ std::string finish_blob(ByteWriter&& out) {
 }
 
 /// Validates magic/version/checksum and returns a reader positioned at the
-/// payload (after the kind byte), plus the kind it found.
-PayloadKind check_envelope(std::string_view bytes, ByteReader& payload) {
+/// payload (after the kind byte), plus what the check found.
+BlobEnvelope open_envelope(std::string_view bytes, ByteReader& payload) {
   if (bytes.size() < kHeaderSize + kTrailerSize) {
     throw SerializeError("deserialize: blob shorter than header");
   }
@@ -309,7 +309,7 @@ PayloadKind check_envelope(std::string_view bytes, ByteReader& payload) {
     throw SerializeError("deserialize: malformed payload kind");
   }
   payload = ByteReader(body.substr(kHeaderSize));
-  return static_cast<PayloadKind>(kind);
+  return {static_cast<PayloadKind>(kind), actual};
 }
 
 }  // namespace
@@ -325,7 +325,7 @@ std::string serialize_solution(const core::Solution& solution) {
 
 core::Solution deserialize_solution(std::string_view bytes) {
   ByteReader payload("");
-  if (check_envelope(bytes, payload) != PayloadKind::kSolution) {
+  if (open_envelope(bytes, payload).kind != PayloadKind::kSolution) {
     throw SerializeError("deserialize: expected a Solution blob");
   }
   core::Solution solution = read_solution(payload);
@@ -344,7 +344,7 @@ std::string serialize_panel_series(const sweep::PanelSeries& series) {
 
 sweep::PanelSeries deserialize_panel_series(std::string_view bytes) {
   ByteReader payload("");
-  if (check_envelope(bytes, payload) != PayloadKind::kPanelSeries) {
+  if (open_envelope(bytes, payload).kind != PayloadKind::kPanelSeries) {
     throw SerializeError("deserialize: expected a PanelSeries blob");
   }
   sweep::PanelSeries series = read_panel_series(payload);
@@ -352,9 +352,9 @@ sweep::PanelSeries deserialize_panel_series(std::string_view bytes) {
   return series;
 }
 
-PayloadKind payload_kind(std::string_view bytes) {
+BlobEnvelope check_envelope(std::string_view bytes) {
   ByteReader payload("");
-  return check_envelope(bytes, payload);
+  return open_envelope(bytes, payload);
 }
 
 }  // namespace rexspeed::store

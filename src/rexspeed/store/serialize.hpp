@@ -91,13 +91,26 @@ class ByteReader {
 [[nodiscard]] sweep::PanelSeries deserialize_panel_series(
     std::string_view bytes);
 
-/// Payload kind recorded in a blob's header (throws SerializeError on a
-/// bad header/checksum) — lets `rexspeed cache verify` and the store's
-/// fetch paths reject a kind mismatch before full deserialization.
+/// Payload kind recorded in a blob's header.
 enum class PayloadKind : std::uint8_t {
   kSolution = 0,
   kPanelSeries = 1,
 };
-[[nodiscard]] PayloadKind payload_kind(std::string_view bytes);
+
+/// What the envelope check of a blob found: its payload kind, and the
+/// FNV-1a 64 of its body (every byte before the trailing checksum) —
+/// the value the checksum was verified against. Continued over the 8
+/// trailer bytes (hash.hpp's seeded fnv1a64) it is the hash of the whole
+/// blob, so the store checks a sidecar's payload hash without a second
+/// pass over the bytes.
+struct BlobEnvelope {
+  PayloadKind kind = PayloadKind::kSolution;
+  std::uint64_t body_hash = 0;
+};
+
+/// Checks a blob's magic, format version and checksum without decoding
+/// its payload (throws SerializeError on any failure) — what the store's
+/// fetch paths and `rexspeed cache verify` run on every entry.
+[[nodiscard]] BlobEnvelope check_envelope(std::string_view bytes);
 
 }  // namespace rexspeed::store

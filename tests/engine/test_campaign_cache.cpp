@@ -3,17 +3,21 @@
 // corrupt entry is a transparent recompute that heals the store, a
 // partially-warm cache never leaks between scenarios, cache=0 scenarios
 // are never stored, and cost seeding reorders work without changing any
-// byte of the results.
+// byte of the results. A store mixing hits, misses, a corrupt entry and a
+// wrong-shape entry is fetched across the pool at any thread count with
+// exact counters, and heals.
 
 #include "rexspeed/engine/campaign_runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "rexspeed/engine/panel_job.hpp"
 #include "rexspeed/engine/scenario.hpp"
 #include "rexspeed/store/result_store.hpp"
 #include "rexspeed/store/serialize.hpp"
@@ -192,6 +196,84 @@ TEST_F(CampaignCacheTest, CostSeedingReordersWithoutChangingResults) {
   store::StoreStats stats;
   EXPECT_EQ(fingerprint(run_cached(specs, &stats)), cold);
   EXPECT_EQ(stats.hits, 0u);
+}
+
+TEST_F(CampaignCacheTest, MixedStoreIsFetchedExactlyAtAnyThreadCount) {
+  std::vector<ScenarioSpec> specs = make_campaign();  // rho, exact, solve
+  ScenarioSpec lambda_panel = specs[0];
+  lambda_panel.name = "mix_lambda";
+  lambda_panel.points = 5;
+  lambda_panel.sweep_parameter = sweep::SweepParameter::kErrorRate;
+  specs.push_back(lambda_panel);
+  ScenarioSpec wide_rho = specs[0];
+  wide_rho.name = "mix_wide_rho";
+  wide_rho.points = 11;
+  specs.push_back(wide_rho);
+
+  const std::string storeless =
+      fingerprint(CampaignRunner({.threads = 1}).run(specs));
+  const fs::path entries = dir_ / "entries";
+
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    fs::remove_all(dir_);
+    (void)run_cached(specs);
+
+    // The entries of the campaign's jobs, by scenario: planning keys a
+    // job without touching the store.
+    std::vector<std::string> keys;
+    {
+      store::LocalResultStore cache(dir_);
+      for (const ScenarioSpec& spec : specs) {
+        ScenarioJob job = plan_scenario(spec, &cache);
+        keys.push_back(job.solve ? job.solve->key : job.panels.front().key);
+      }
+    }
+    const auto file = [&](std::size_t scenario, const char* extension) {
+      return entries / (keys[scenario] + extension);
+    };
+    // Scenario 0 (ρ, 9 points) and the solve stay hits. The λ panel
+    // misses; the exact panel is corrupt; the 11-point ρ panel holds the
+    // valid 9-point ρ panel, sidecar and all — a verified hit of the
+    // wrong shape.
+    fs::remove(file(3, ".bin"));
+    fs::remove(file(3, ".info"));
+    {
+      std::fstream blob(file(1, ".bin"),
+                        std::ios::in | std::ios::out | std::ios::binary);
+      blob.seekp(20);
+      blob.put('X');
+    }
+    fs::copy_file(file(0, ".bin"), file(4, ".bin"),
+                  fs::copy_options::overwrite_existing);
+    fs::copy_file(file(0, ".info"), file(4, ".info"),
+                  fs::copy_options::overwrite_existing);
+
+    store::StoreStats before;
+    store::StoreStats after;
+    std::vector<ScenarioResult> results;
+    {
+      store::LocalResultStore cache(dir_);
+      before = cache.stats();
+      results = CampaignRunner({.threads = threads, .store = &cache})
+                    .run(specs);
+      after = cache.stats();
+    }
+    EXPECT_EQ(fingerprint(results), storeless);
+    EXPECT_EQ(after.hits - before.hits, 3u);  // ρ, solve, wrong shape
+    EXPECT_EQ(after.misses - before.misses, 1u);
+    EXPECT_EQ(after.corrupt - before.corrupt, 1u);
+    EXPECT_EQ(after.stores - before.stores, 3u);  // every recompute re-put
+
+    // Healed: every job is now a hit of the right shape.
+    store::StoreStats healed;
+    EXPECT_EQ(fingerprint(run_cached(specs, &healed)), storeless);
+    EXPECT_EQ(healed.hits - after.hits, static_cast<std::uint64_t>(
+                                            specs.size()));
+    EXPECT_EQ(healed.stores, after.stores);
+    store::LocalResultStore cache(dir_);
+    EXPECT_TRUE(cache.verify().empty());
+  }
 }
 
 }  // namespace

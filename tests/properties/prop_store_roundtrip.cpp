@@ -113,16 +113,17 @@ struct BlobGen {
   std::vector<Value> shrink(const Value&) const { return {}; }
 
   std::string describe(const Value& blob) const {
+    const bool solution =
+        check_envelope(blob).kind == PayloadKind::kSolution;
     return "blob of " + std::to_string(blob.size()) + " bytes, kind " +
-           (payload_kind(blob) == PayloadKind::kSolution ? "solution"
-                                                         : "panel");
+           (solution ? "solution" : "panel");
   }
 };
 
 /// Deserialize-then-reserialize under either payload codec; throws when
 /// the blob does not verify.
 std::string reserialize(const std::string& blob) {
-  if (payload_kind(blob) == PayloadKind::kSolution) {
+  if (check_envelope(blob).kind == PayloadKind::kSolution) {
     return serialize_solution(deserialize_solution(blob));
   }
   return serialize_panel_series(deserialize_panel_series(blob));

@@ -67,6 +67,22 @@ TEST(StoreHash, Fnv1a64MatchesReferenceValues) {
             "af63dc4c8601ec8c");
 }
 
+TEST(StoreHash, Fnv1a64ContinuesFromASeed) {
+  const std::string whole = "rexspeed-continued-hash";
+  for (std::size_t split = 0; split <= whole.size(); ++split) {
+    const std::uint64_t prefix = fnv1a64(whole.data(), split);
+    EXPECT_EQ(fnv1a64(whole.data() + split, whole.size() - split, prefix),
+              fnv1a64(whole));
+  }
+  // The envelope check's body hash, continued over the 8-byte trailer, is
+  // the whole blob's hash: the value a sidecar records.
+  const std::string blob = serialize_solution(core::Solution{});
+  const BlobEnvelope envelope = check_envelope(blob);
+  EXPECT_EQ(envelope.kind, PayloadKind::kSolution);
+  EXPECT_EQ(fnv1a64(blob.data() + blob.size() - 8, 8, envelope.body_hash),
+            fnv1a64(blob));
+}
+
 // ---- key derivation ------------------------------------------------------
 
 TEST(StoreKey, PanelKeyIsStableAndIgnoresExecutionKnobs) {
@@ -174,7 +190,7 @@ TEST(StoreSerialize, SolutionRoundTripsBitForBit) {
   solution.used_fallback = true;
 
   const std::string blob = serialize_solution(solution);
-  EXPECT_EQ(payload_kind(blob), PayloadKind::kSolution);
+  EXPECT_EQ(check_envelope(blob).kind, PayloadKind::kSolution);
   // Serialize(deserialize(x)) is a fixed point — including non-finite
   // doubles, whose bit patterns must survive the trip untouched.
   EXPECT_EQ(serialize_solution(deserialize_solution(blob)), blob);

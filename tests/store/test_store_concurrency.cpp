@@ -1,9 +1,10 @@
 // The local store under concurrent writers: forked processes putting,
 // recording costs and flushing counters into ONE cache directory — the
 // shape of several campaigns (or shard workers) sharing a --cache-dir —
-// must never fail a write, and must leave a directory verify() passes.
-// A `cache verify`/`gc` run next to a live writer must leave that
-// writer's in-flight temp file alone.
+// must never fail a write, must leave a directory verify() passes, and
+// must lose no counter update: the persisted hits, misses and stores sum
+// every writer's exactly. A `cache verify`/`gc` run next to a live writer
+// must leave that writer's in-flight temp file alone.
 
 #include "rexspeed/store/result_store.hpp"
 
@@ -98,6 +99,13 @@ TEST(StoreConcurrency, ForkedWritersShareOneDirectoryCleanly) {
 
   LocalResultStore store(dir);
   EXPECT_TRUE(store.verify().empty());
+  // Every round of every writer fetched once (a hit or a miss, never a
+  // corrupt entry: racing writers put identical bytes) and stored once.
+  const StoreStats merged = store.stats();
+  constexpr auto kCalls = static_cast<std::uint64_t>(kProcesses * kRounds);
+  EXPECT_EQ(merged.stores, kCalls);
+  EXPECT_EQ(merged.hits + merged.misses, kCalls);
+  EXPECT_EQ(merged.corrupt, 0u);
   for (int k = 0; k < kKeys; ++k) {
     const std::optional<std::string> blob = store.fetch(key_of(k));
     ASSERT_TRUE(blob.has_value());
