@@ -3,7 +3,7 @@
 //
 //   pointwise — a loop of backend.solve_panel_point, one grid point at a
 //     time, every point walking the K² cached expansions;
-//   batched   — one backend.solve_rho_batch call for the whole grid:
+//   batched   — one backend.solve_batch call for the whole grid:
 //     kernels::eval_pairs streams the SoA cache once per bound (first
 //     order), kernels::classify_pairs triages the cached exact curves
 //     (exact-opt), winners reconstructed per point.
@@ -63,8 +63,9 @@ Timed run_timed(const core::SolverBackend& backend,
     }
     result.pointwise_s = std::min(result.pointwise_s, seconds_since(start));
     start = Clock::now();
-    backend.solve_rho_batch(grid.data(), grid.size(), kFallback,
-                            result.batched.data());
+    backend.solve_batch(core::SweepAxis::kPerformanceBound, grid.data(),
+                        grid.size(), grid.front(), kFallback,
+                        result.batched.data());
     result.batched_s = std::min(result.batched_s, seconds_since(start));
   }
   return result;

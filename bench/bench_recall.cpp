@@ -76,8 +76,9 @@ int main(int argc, char** argv) try {
   auto start = Clock::now();
   const core::RecallBackend cached_backend(params, recall);
   std::vector<core::PanelPoint> cached(grid.size());
-  cached_backend.solve_rho_batch(grid.data(), grid.size(), true,
-                                 cached.data());
+  cached_backend.solve_batch(core::SweepAxis::kPerformanceBound,
+                             grid.data(), grid.size(), grid.front(), true,
+                             cached.data());
   const double cached_s = seconds_since(start);
 
   // Rebuild: a fresh backend per grid point re-pays the expansion table.
@@ -85,7 +86,8 @@ int main(int argc, char** argv) try {
   std::vector<core::PanelPoint> rebuilt(grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     const core::RecallBackend fresh(params, recall);
-    fresh.solve_rho_batch(&grid[i], 1, true, &rebuilt[i]);
+    fresh.solve_batch(core::SweepAxis::kPerformanceBound, &grid[i], 1,
+                      grid[i], true, &rebuilt[i]);
   }
   const double rebuild_s = seconds_since(start);
 

@@ -64,6 +64,28 @@ PairSolution BiCritSolution::best_for_sigma1(double sigma1) const {
   return best_for_sigma1_index(static_cast<std::size_t>(index));
 }
 
+namespace {
+
+/// The cached pair (i, j), read out of its SoA slot — bit-identical to
+/// PairExpansion::make: the scalar build evaluates the same expansion
+/// bodies and the AVX2 build is bit-comparable to it.
+PairExpansion table_pair_at(const ExpansionSoA& table, std::size_t i,
+                            std::size_t j) {
+  const std::size_t s = table.slot(i, j);
+  PairExpansion pair;
+  pair.sigma1 = table.sigma1[s];
+  pair.sigma2 = table.sigma2[s];
+  pair.index1 = static_cast<int>(i);
+  pair.index2 = static_cast<int>(j);
+  pair.time_exp = table.time_expansion(s);
+  pair.energy_exp = table.energy_expansion(s);
+  pair.first_order_valid = table.valid[s] != 0;
+  pair.rho_min = table.rho_min[s];
+  return pair;
+}
+
+}  // namespace
+
 BiCritSolver::BiCritSolver(ModelParams params) : params_(std::move(params)) {
   params_.validate();
   soa_ = ExpansionSoA::build(params_);
@@ -76,22 +98,6 @@ BiCritSolver::BiCritSolver(ModelParams params, ExpansionSoA table)
     throw std::invalid_argument(
         "BiCritSolver: expansion table speed count mismatch");
   }
-}
-
-PairExpansion BiCritSolver::pair_at(std::size_t i, std::size_t j) const {
-  // Bit-identical to PairExpansion::make: the scalar build calls the same
-  // expansion functions and the AVX2 build is bit-comparable to it.
-  const std::size_t s = soa_.slot(i, j);
-  PairExpansion pair;
-  pair.sigma1 = soa_.sigma1[s];
-  pair.sigma2 = soa_.sigma2[s];
-  pair.index1 = static_cast<int>(i);
-  pair.index2 = static_cast<int>(j);
-  pair.time_exp = soa_.time_expansion(s);
-  pair.energy_exp = soa_.energy_expansion(s);
-  pair.first_order_valid = soa_.valid[s] != 0;
-  pair.rho_min = soa_.rho_min[s];
-  return pair;
 }
 
 PairSolution BiCritSolver::solve_cached_pair(double rho,
@@ -177,7 +183,7 @@ PairSolution BiCritSolver::solve_pair_by_index(double rho, std::size_t i,
   if (i >= k || j >= k) {
     throw std::out_of_range("BiCritSolver: speed index out of range");
   }
-  return solve_cached_pair(rho, pair_at(i, j), mode);
+  return solve_cached_pair(rho, table_pair_at(soa_, i, j), mode);
 }
 
 PairSolution BiCritSolver::solve_pair(double rho, double sigma1,
@@ -196,14 +202,15 @@ PairSolution BiCritSolver::solve_pair(double rho, double sigma1,
                            mode);
 }
 
-PairSolution BiCritSolver::min_rho_solution(SpeedPolicy policy) const {
+PairSolution min_rho_solution(const ExpansionSoA& table,
+                              SpeedPolicy policy) {
   PairSolution best;
   best.feasible = false;
   double best_rho = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < soa_.k; ++i) {
-    for (std::size_t j = 0; j < soa_.k; ++j) {
+  for (std::size_t i = 0; i < table.k; ++i) {
+    for (std::size_t j = 0; j < table.k; ++j) {
       if (policy == SpeedPolicy::kSingleSpeed && i != j) continue;
-      const PairExpansion pair = pair_at(i, j);
+      const PairExpansion pair = table_pair_at(table, i, j);
       if (!pair.first_order_valid) continue;
       if (pair.rho_min >= best_rho) continue;
       best_rho = pair.rho_min;
@@ -225,6 +232,10 @@ PairSolution BiCritSolver::min_rho_solution(SpeedPolicy policy) const {
   return best;
 }
 
+PairSolution BiCritSolver::min_rho_solution(SpeedPolicy policy) const {
+  return rexspeed::core::min_rho_solution(soa_, policy);
+}
+
 BiCritSolution BiCritSolver::solve(double rho, SpeedPolicy policy,
                                    EvalMode mode,
                                    const PairSeedTable* seeds) const {
@@ -234,7 +245,7 @@ BiCritSolution BiCritSolver::solve(double rho, SpeedPolicy policy,
   for (std::size_t i = 0; i < soa_.k; ++i) {
     for (std::size_t j = 0; j < soa_.k; ++j) {
       if (policy == SpeedPolicy::kSingleSpeed && i != j) continue;
-      const PairExpansion cached = pair_at(i, j);
+      const PairExpansion cached = table_pair_at(soa_, i, j);
       const double w_seed =
           (seeds != nullptr && mode == EvalMode::kExactOptimize)
               ? seeds->seed(cached.index1, cached.index2)

@@ -126,6 +126,13 @@ struct BiCritSolution {
   [[nodiscard]] PairSolution best_for_sigma1(double sigma1) const;
 };
 
+/// BiCritSolver::min_rho_solution over any built expansion table — the
+/// min-ρ best-effort pattern of the params the table was built for. The
+/// batched model-axis panel derives each grid point's fallback from that
+/// point's rewritten table through this.
+[[nodiscard]] PairSolution min_rho_solution(const ExpansionSoA& table,
+                                            SpeedPolicy policy);
+
 /// The paper's O(K²) BiCrit solver (§3): enumerate speed pairs, discard
 /// those whose ρ_{i,j} exceeds the bound, compute Wopt by Theorem 1, and
 /// return the pair with the smallest energy overhead.
@@ -188,7 +195,7 @@ class BiCritSolver {
   [[nodiscard]] const ModelParams& params() const noexcept { return params_; }
 
   /// The structure-of-arrays expansion table every solve reads — what the
-  /// batched ρ-grid kernels stream over.
+  /// batched ρ chunks stream over.
   [[nodiscard]] const ExpansionSoA& expansion_table() const noexcept {
     return soa_;
   }
@@ -202,8 +209,6 @@ class BiCritSolver {
                                                const PairExpansion& pair,
                                                EvalMode mode,
                                                double w_seed = 0.0) const;
-  /// The cached pair (i, j), read out of its SoA slot.
-  [[nodiscard]] PairExpansion pair_at(std::size_t i, std::size_t j) const;
 
   ModelParams params_;
   NumericOptions numeric_options_;

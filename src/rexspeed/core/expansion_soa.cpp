@@ -36,38 +36,40 @@ ExpansionSoA ExpansionSoA::build(const ModelParams& params) {
 
 ExpansionSoA ExpansionSoA::build_with(const ModelParams& params,
                                       const kernels::KernelOps& ops) {
-  params.validate();
   ExpansionSoA table;
-  table.k = params.speeds.size();
-  table.count = table.k * table.k;
-  table.padded = (table.count + kLane - 1) / kLane * kLane;
+  table.rebuild(params, ops);
+  return table;
+}
 
-  table.tx.resize(table.padded);
-  table.ty.resize(table.padded);
-  table.tz.resize(table.padded);
-  table.ex.resize(table.padded);
-  table.ey.resize(table.padded);
-  table.ez.resize(table.padded);
-  table.sigma1.resize(table.padded);
-  table.sigma2.resize(table.padded);
-  table.rho_min.resize(table.padded);
-  table.we.resize(table.padded);
-  table.valid.resize(table.padded);
+void ExpansionSoA::rebuild(const ModelParams& params,
+                           const kernels::KernelOps& ops) {
+  params.validate();
+  if (k != params.speeds.size()) {
+    k = params.speeds.size();
+    count = k * k;
+    padded = (count + kLane - 1) / kLane * kLane;
+    for (AlignedDoubles* column :
+         {&tx, &ty, &tz, &ex, &ey, &ez, &sigma1, &sigma2, &rho_min, &we}) {
+      column->resize(padded);
+    }
+    valid.resize(padded);
+  }
 
-  for (std::size_t i = 0; i < table.k; ++i) {
-    for (std::size_t j = 0; j < table.k; ++j) {
-      table.sigma1[table.slot(i, j)] = params.speeds[i];
-      table.sigma2[table.slot(i, j)] = params.speeds[j];
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      sigma1[slot(i, j)] = params.speeds[i];
+      sigma2[slot(i, j)] = params.speeds[j];
     }
   }
-  ops.build_pair_table(params, table);
+  ops.build_pair_table(params, *this);
 
   // Padding is canonicalized *after* the op so every tier produces
-  // byte-identical arrays end to end, whatever its tail handling did.
-  for (std::size_t s = table.count; s < table.padded; ++s) {
-    write_inert_slot(table, s);
+  // byte-identical arrays end to end, whatever its tail handling did —
+  // and whatever an earlier build left there: the AVX2 op computes the
+  // padding lanes too, which on a rewritten table hold the inert σ = 1.
+  for (std::size_t s = count; s < padded; ++s) {
+    write_inert_slot(*this, s);
   }
-  return table;
 }
 
 }  // namespace rexspeed::core

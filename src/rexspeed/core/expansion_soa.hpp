@@ -83,6 +83,14 @@ struct ExpansionSoA {
   [[nodiscard]] static ExpansionSoA build_with(const ModelParams& params,
                                                const kernels::KernelOps& ops);
 
+  /// Rewrites this table in place for `params` through `ops` (params
+  /// validated once, throws std::invalid_argument), reusing its arrays
+  /// when the speed count is unchanged — how a batched model-axis panel
+  /// reuses one scratch table across its grid. build/build_with run this
+  /// same code on an empty table, so a rebuilt table is byte-identical to
+  /// a fresh build for the same params and ops, padding slots included.
+  void rebuild(const ModelParams& params, const kernels::KernelOps& ops);
+
   [[nodiscard]] std::size_t slot(std::size_t i, std::size_t j) const {
     return i * k + j;
   }

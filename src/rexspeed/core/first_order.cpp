@@ -32,10 +32,10 @@ void check_speeds(double sigma1, double sigma2) {
 
 }  // namespace
 
-OverheadExpansion time_expansion(const ModelParams& params, double sigma1,
-                                 double sigma2) {
-  params.validate();
-  check_speeds(sigma1, sigma2);
+namespace detail {
+
+OverheadExpansion time_expansion_unchecked(const ModelParams& params,
+                                           double sigma1, double sigma2) {
   const double lam = params.total_error_rate();
   const double lf = params.lambda_failstop;
   const double r = params.recovery_s;
@@ -47,10 +47,8 @@ OverheadExpansion time_expansion(const ModelParams& params, double sigma1,
   return exp;
 }
 
-OverheadExpansion energy_expansion(const ModelParams& params, double sigma1,
-                                   double sigma2) {
-  params.validate();
-  check_speeds(sigma1, sigma2);
+OverheadExpansion energy_expansion_unchecked(const ModelParams& params,
+                                             double sigma1, double sigma2) {
   const double lam = params.total_error_rate();
   const double lf = params.lambda_failstop;
   const double r = params.recovery_s;
@@ -64,6 +62,22 @@ OverheadExpansion energy_expansion(const ModelParams& params, double sigma1,
   exp.y = lam * pc2 / (sigma1 * sigma2) - lf * pc1 / (2.0 * sigma1 * sigma1);
   exp.z = params.checkpoint_s * pio + v * pc1 / sigma1;
   return exp;
+}
+
+}  // namespace detail
+
+OverheadExpansion time_expansion(const ModelParams& params, double sigma1,
+                                 double sigma2) {
+  params.validate();
+  check_speeds(sigma1, sigma2);
+  return detail::time_expansion_unchecked(params, sigma1, sigma2);
+}
+
+OverheadExpansion energy_expansion(const ModelParams& params, double sigma1,
+                                   double sigma2) {
+  params.validate();
+  check_speeds(sigma1, sigma2);
+  return detail::energy_expansion_unchecked(params, sigma1, sigma2);
 }
 
 bool first_order_valid(const ModelParams& params, double sigma1,

@@ -49,6 +49,20 @@ struct OverheadExpansion {
 [[nodiscard]] OverheadExpansion energy_expansion(const ModelParams& params,
                                                  double sigma1, double sigma2);
 
+namespace detail {
+
+/// The expression bodies of time_expansion / energy_expansion without
+/// their argument checks: `params` must already be validated and both
+/// speeds positive. The public functions and the scalar expansion-table
+/// build (which validates once per table, not once per slot) both call
+/// these, so the two agree bit for bit by construction.
+[[nodiscard]] OverheadExpansion time_expansion_unchecked(
+    const ModelParams& params, double sigma1, double sigma2);
+[[nodiscard]] OverheadExpansion energy_expansion_unchecked(
+    const ModelParams& params, double sigma1, double sigma2);
+
+}  // namespace detail
+
 /// True when the first-order approach yields a meaningful optimum for this
 /// speed pair, i.e. both expansions have y > 0 (paper §5.2: requires
 /// (2(1+s/f))^{-1/2} < σ2/σ1 < 2(1+s/f) up to power factors). Always true

@@ -31,9 +31,11 @@ struct KernelOps {
   /// Builds all K² first-order expansion coefficient slots of `out` in one
   /// pass — bit-identical to calling time_expansion/energy_expansion
   /// (+ rho_min, first-order validity) per pair.
-  /// ExpansionSoA::build_with sizes the table and prefills sigma1/sigma2
-  /// (row-major: pair (i, j) at i·K + j) before the call; the op writes
-  /// the coefficient, rho_min and valid slots [0, count).
+  /// ExpansionSoA::rebuild validates `params` once, sizes the table and
+  /// prefills sigma1/sigma2 (row-major: pair (i, j) at i·K + j) before
+  /// the call; the op writes the coefficient, rho_min and valid slots
+  /// [0, count) and may scribble on the padding, which rebuild
+  /// canonicalizes afterwards.
   void (*build_pair_table)(const ModelParams& params, ExpansionSoA& out) =
       nullptr;
 };

@@ -1,9 +1,11 @@
 // Portable reference tier of build_pair_table, plus the per-bound loops
 // eval_pairs and classify_pairs. Every slot goes through the *same*
-// library functions the pointwise solvers use (time_expansion,
-// energy_expansion, feasible_interval, OverheadExpansion members), so the
-// outputs are bit-identical to the per-pair code by construction — the
-// contract the AVX2 build is tested against.
+// expression bodies the pointwise solvers use (the unchecked cores of
+// time_expansion / energy_expansion, feasible_interval, OverheadExpansion
+// members), so the outputs are bit-identical to the per-pair code by
+// construction — the contract the AVX2 build is tested against. The
+// table build validates the parameters once (ExpansionSoA::rebuild), so
+// the per-slot calls skip the public functions' checks.
 
 #include <algorithm>
 #include <cmath>
@@ -24,9 +26,10 @@ void build_pair_table_scalar(const ModelParams& params, ExpansionSoA& out) {
   for (std::size_t s = 0; s < out.count; ++s) {
     const double sigma1 = out.sigma1[s];
     const double sigma2 = out.sigma2[s];
-    const OverheadExpansion time_exp = time_expansion(params, sigma1, sigma2);
+    const OverheadExpansion time_exp =
+        detail::time_expansion_unchecked(params, sigma1, sigma2);
     const OverheadExpansion energy_exp =
-        energy_expansion(params, sigma1, sigma2);
+        detail::energy_expansion_unchecked(params, sigma1, sigma2);
     out.tx[s] = time_exp.x;
     out.ty[s] = time_exp.y;
     out.tz[s] = time_exp.z;

@@ -190,10 +190,19 @@ std::unique_ptr<SolverBackend> RecallBackend::rebind(
   return std::make_unique<RecallBackend>(std::move(params), recall_);
 }
 
-void RecallBackend::solve_rho_batch(const double* rhos, std::size_t count,
-                                    bool min_rho_fallback,
-                                    PanelPoint* out) const {
-  delegate_.solve_rho_batch(rhos, count, min_rho_fallback, out);
+void RecallBackend::solve_batch(SweepAxis axis, const double* xs,
+                                std::size_t count, double panel_rho,
+                                bool min_rho_fallback,
+                                PanelPoint* out) const {
+  if (axis == SweepAxis::kPerformanceBound) {
+    delegate_.solve_batch(axis, xs, count, panel_rho, min_rho_fallback, out);
+    return;
+  }
+  // A model axis applies to the ORIGINAL params and the scaling after it:
+  // the delegate's batch would sweep the already-scaled params (a λ grid
+  // would overwrite the scaled rate). The reference loop rebinds here.
+  SolverBackend::solve_batch(axis, xs, count, panel_rho, min_rho_fallback,
+                             out);
 }
 
 PanelPoint RecallBackend::solve_panel_point_seeded(

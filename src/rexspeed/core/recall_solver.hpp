@@ -142,9 +142,10 @@ class RecallBackend final : public SolverBackend {
   [[nodiscard]] std::unique_ptr<SolverBackend> rebind(
       ModelParams params,
       const PairSeedTable* seeds = nullptr) const override;
-  void solve_rho_batch(const double* rhos, std::size_t count,
-                       bool min_rho_fallback,
-                       PanelPoint* out) const override;
+  /// The delegate's batched ρ path; model axes use the reference loop.
+  void solve_batch(SweepAxis axis, const double* xs, std::size_t count,
+                   double panel_rho, bool min_rho_fallback,
+                   PanelPoint* out) const override;
   [[nodiscard]] PanelPoint solve_panel_point_seeded(
       SweepAxis axis, double x, double panel_rho, bool min_rho_fallback,
       PairSeedTable* harvest) const override;

@@ -83,14 +83,24 @@ PanelPoint SolverBackend::solve_panel_point(SweepAxis axis, double x,
   return point;
 }
 
-void SolverBackend::solve_rho_batch(const double* rhos, std::size_t count,
-                                    bool min_rho_fallback,
-                                    PanelPoint* out) const {
-  // The reference semantics of every batched override: the pointwise
-  // per-grid-point kernel, one bound at a time.
+void SolverBackend::solve_batch(SweepAxis axis, const double* xs,
+                                std::size_t count, double panel_rho,
+                                bool min_rho_fallback,
+                                PanelPoint* out) const {
+  // The reference semantics of every batched override: the per-point
+  // kernel, off this backend where one instance serves the panel and off
+  // a per-point rebind where the swept value changes the model.
+  const bool shared = capabilities().shares_panel_solver(axis);
   for (std::size_t i = 0; i < count; ++i) {
-    out[i] = solve_panel_point(SweepAxis::kPerformanceBound, rhos[i],
-                               rhos[i], min_rho_fallback);
+    if (shared) {
+      out[i] = solve_panel_point(axis, xs[i], panel_rho, min_rho_fallback);
+      continue;
+    }
+    const std::unique_ptr<SolverBackend> point =
+        rebind(apply_parameter(params(), axis, xs[i]));
+    point->prepare();
+    out[i] = point->solve_panel_point(axis, xs[i], panel_rho,
+                                      min_rho_fallback);
   }
 }
 
@@ -149,9 +159,6 @@ ClosedFormBackend::ClosedFormBackend(ModelParams params, EvalMode mode,
   switch (mode_) {
     case EvalMode::kFirstOrder:
       capabilities_.cost_weight = 1.0;
-      // The whole first-order pair table evaluates in one sweep of the
-      // SoA cache per bound, so ρ grids go through solve_rho_batch.
-      capabilities_.batched_rho = true;
       capabilities_.validity =
           "first-order closed forms; meaningful inside the paper's 5.2 "
           "validity window (sigma2 <= 2 sigma1 (1 + s/f))";
@@ -198,10 +205,9 @@ void ClosedFormBackend::prepare(const ParallelFor& /*parallel_build*/) {
 Solution ClosedFormBackend::solve(double rho, SpeedPolicy policy,
                                   bool min_rho_fallback) const {
   // The fallback is derived on demand, only for infeasible bounds — the
-  // common feasible point never pays for it (rebind() builds one of
-  // these per grid point on model-axis panels, so ctor leanness is a hot
-  // path property). min_rho_solution is a pure const read of the cached
-  // expansions, so sharing one backend across workers stays safe.
+  // common feasible point never pays for it. min_rho_solution is a pure
+  // const read of the cached expansions, so sharing one backend across
+  // workers stays safe.
   PairSolution best =
       solver_.solve(rho, policy, mode_, seeds_.empty() ? nullptr : &seeds_)
           .best;
@@ -241,60 +247,85 @@ std::unique_ptr<SolverBackend> ClosedFormBackend::rebind(
                                              seeds);
 }
 
-void ClosedFormBackend::solve_rho_batch(const double* rhos,
-                                        std::size_t count,
-                                        bool min_rho_fallback,
-                                        PanelPoint* out) const {
-  if (mode_ != EvalMode::kFirstOrder) {
-    // Only the first-order evaluation is expressible as a pure SoA sweep;
-    // the exact-evaluation/optimization modes keep the pointwise loop.
-    SolverBackend::solve_rho_batch(rhos, count, min_rho_fallback, out);
-    return;
-  }
-  const ExpansionSoA& table = solver_.expansion_table();
-  const double w_cap = solver_.numeric_options().w_cap;
-  const std::size_t k = table.k;
-  AlignedDoubles w_opt(table.padded);
-  AlignedDoubles w_min(table.padded);
-  AlignedDoubles w_max(table.padded);
-  AlignedDoubles energy(table.padded);
-  std::vector<unsigned char> feasible(table.padded);
-  // Winner selection is in-order: the strict < below is the same
-  // tie-break BiCritSolver::solve applies, so the winning slot — and
-  // therefore every bit of the reconstructed solution — matches the
-  // pointwise path.
-  // The min-ρ fallback is ρ-independent, so the whole batch shares one
-  // lazily-built copy per policy — the same bits min_rho_solution returns
-  // on every per-point call (the solver is immutable and deterministic).
+namespace {
+
+/// Scratch of one batch: the outputs of one kernels::eval_pairs pass,
+/// reused across its grid points, and the table's min-ρ fallback per
+/// policy (two-speed, single-speed), derived on first use only — a point
+/// that finds a feasible pair never pays for it. Clear `fallbacks`
+/// whenever the table is rewritten: the fallback depends on its params.
+struct BatchScratch {
+  explicit BatchScratch(std::size_t padded)
+      : w_opt(padded),
+        w_min(padded),
+        w_max(padded),
+        energy(padded),
+        feasible(padded) {}
+  AlignedDoubles w_opt, w_min, w_max, energy;
+  std::vector<unsigned char> feasible;
   std::optional<Solution> fallbacks[2];
-  const auto fallback_for = [&](SpeedPolicy policy) {
-    std::optional<Solution>& cached =
-        fallbacks[policy == SpeedPolicy::kSingleSpeed ? 1 : 0];
-    if (!cached) {
-      PairSolution infeasible_best;  // solve()'s empty-scan outcome
-      cached = pair_solution_with_fallback(std::move(infeasible_best),
-                                           solver_.min_rho_solution(policy),
-                                           min_rho_fallback);
+};
+
+/// One first-order panel point off a built table at bound `rho`: one
+/// eval_pairs pass answers both policies. Winner selection is in-order
+/// with the strict < of BiCritSolver::solve, and the winner is a pure
+/// read-out of the pass — every field is the expression
+/// solve_cached_pair evaluates on the same inputs (the kernel arrays are
+/// bit-identical to its intermediates by the eval_pairs contract) — so
+/// the point matches the pointwise path bit for bit and no pair is
+/// solved twice.
+PanelPoint first_order_point(const ExpansionSoA& table, double x,
+                             double rho, double w_cap, bool min_rho_fallback,
+                             BatchScratch& scratch) {
+  kernels::eval_pairs(table, rho, w_cap, scratch.w_opt.data(),
+                      scratch.w_min.data(), scratch.w_max.data(),
+                      scratch.energy.data(), scratch.feasible.data());
+  const std::size_t k = table.k;
+  std::size_t best_two = table.count;
+  std::size_t best_single = table.count;
+  double energy_two = std::numeric_limits<double>::infinity();
+  double energy_single = std::numeric_limits<double>::infinity();
+  for (std::size_t s = 0; s < table.count; ++s) {
+    if (scratch.feasible[s] != 0 && scratch.energy[s] < energy_two) {
+      energy_two = scratch.energy[s];
+      best_two = s;
     }
-    return *cached;
-  };
-  // Winner reconstruction is a pure read-out of the batch outputs: every
-  // field below is the expression solve_cached_pair evaluates on the same
-  // inputs (the kernel arrays are bit-identical to its intermediates by
-  // the eval_pairs contract), so no pair is ever solved twice.
+  }
+  // Single-speed candidates are the diagonal slots i·(K+1); walking them
+  // in ascending order visits the same slots with the same strict < as
+  // the kSingleSpeed scan.
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t s = i * (k + 1);
+    if (scratch.feasible[s] != 0 && scratch.energy[s] < energy_single) {
+      energy_single = scratch.energy[s];
+      best_single = s;
+    }
+  }
   const auto winner = [&](std::size_t slot, SpeedPolicy policy) {
-    if (slot >= table.count) return fallback_for(policy);
+    if (slot >= table.count) {
+      // What solve() returns when no pair is feasible under `policy`.
+      std::optional<Solution>& fallback =
+          scratch.fallbacks[policy == SpeedPolicy::kSingleSpeed ? 1 : 0];
+      if (!fallback) {
+        fallback = min_rho_fallback
+                       ? pair_solution_with_fallback(
+                             PairSolution{}, min_rho_solution(table, policy),
+                             true)
+                       : Solution::from_pair(PairSolution{});
+      }
+      return *fallback;
+    }
     PairSolution sol;
     sol.sigma1 = table.sigma1[slot];
     sol.sigma2 = table.sigma2[slot];
     sol.sigma1_index = static_cast<int>(slot / k);
     sol.sigma2_index = static_cast<int>(slot % k);
-    sol.feasible = true;  // winners come from the feasible scan below
+    sol.feasible = true;  // winners come from the feasible scan above
     sol.first_order_valid = true;  // feasible ⇒ valid (eval gates on it)
     sol.rho_min = table.rho_min[slot];
-    sol.w_opt = w_opt[slot];
-    sol.w_min = w_min[slot];
-    sol.w_max = w_max[slot];
+    sol.w_opt = scratch.w_opt[slot];
+    sol.w_min = scratch.w_min[slot];
+    sol.w_max = scratch.w_max[slot];
     // w_energy with solve_cached_pair's finite fallbacks: the cached `we`
     // column is +inf exactly when there is no interior minimum, and both
     // the no-minimum and the non-finite-argmin branches resolve to
@@ -302,39 +333,54 @@ void ClosedFormBackend::solve_rho_batch(const double* rhos,
     sol.w_energy = std::isfinite(table.we[slot])
                        ? table.we[slot]
                        : (std::isfinite(sol.w_max) ? sol.w_max : w_cap);
-    sol.energy_overhead = energy[slot];
+    sol.energy_overhead = scratch.energy[slot];
     sol.time_overhead = table.time_expansion(slot).evaluate(sol.w_opt);
     return Solution::from_pair(sol);
   };
+  PanelPoint point;
+  point.x = x;
+  point.primary = winner(best_two, SpeedPolicy::kTwoSpeed);
+  point.baseline = winner(best_single, SpeedPolicy::kSingleSpeed);
+  return point;
+}
+
+}  // namespace
+
+void ClosedFormBackend::solve_batch(SweepAxis axis, const double* xs,
+                                    std::size_t count, double panel_rho,
+                                    bool min_rho_fallback,
+                                    PanelPoint* out) const {
+  if (mode_ != EvalMode::kFirstOrder || !capabilities_.supports(axis)) {
+    // Only the first-order evaluation is expressible as a pure SoA sweep;
+    // the exact-evaluation/optimization modes keep the reference loop.
+    SolverBackend::solve_batch(axis, xs, count, panel_rho, min_rho_fallback,
+                               out);
+    return;
+  }
+  const double w_cap = solver_.numeric_options().w_cap;
+  BatchScratch scratch(solver_.expansion_table().padded);
+  if (axis == SweepAxis::kPerformanceBound) {
+    // The min-ρ fallback is ρ-independent: one lazily derived copy per
+    // policy serves the whole run.
+    for (std::size_t p = 0; p < count; ++p) {
+      out[p] = first_order_point(solver_.expansion_table(), xs[p], xs[p],
+                                 w_cap, min_rho_fallback, scratch);
+    }
+    return;
+  }
+  // A model axis changes the params at every point: one scratch table is
+  // rewritten in place per point (validating that point's params, like
+  // the reference rebind), and the fallback comes from that point's own
+  // table. The swept axes never touch the speed set, so the scratch's
+  // size holds throughout.
+  ExpansionSoA table;
   for (std::size_t p = 0; p < count; ++p) {
-    const double rho = rhos[p];
-    kernels::eval_pairs(table, rho, w_cap, w_opt.data(), w_min.data(),
-                        w_max.data(), energy.data(), feasible.data());
-    std::size_t best_two = table.count;
-    std::size_t best_single = table.count;
-    double energy_two = std::numeric_limits<double>::infinity();
-    double energy_single = std::numeric_limits<double>::infinity();
-    for (std::size_t s = 0; s < table.count; ++s) {
-      if (feasible[s] != 0 && energy[s] < energy_two) {
-        energy_two = energy[s];
-        best_two = s;
-      }
-    }
-    // Single-speed candidates are the diagonal slots i·(K+1); walking them
-    // directly in ascending order visits the same slots with the same
-    // strict < as the full scan's s/k == s%k filter did.
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t s = i * (k + 1);
-      if (feasible[s] != 0 && energy[s] < energy_single) {
-        energy_single = energy[s];
-        best_single = s;
-      }
-    }
-    PanelPoint point;
-    point.x = rho;
-    point.primary = winner(best_two, SpeedPolicy::kTwoSpeed);
-    point.baseline = winner(best_single, SpeedPolicy::kSingleSpeed);
-    out[p] = point;
+    table.rebuild(apply_parameter(params(), axis, xs[p]),
+                  kernels::active_ops());
+    scratch.fallbacks[0].reset();
+    scratch.fallbacks[1].reset();
+    out[p] = first_order_point(table, xs[p], panel_rho, w_cap,
+                               min_rho_fallback, scratch);
   }
 }
 
@@ -399,9 +445,8 @@ ExactOptBackend::ExactOptBackend(ModelParams params)
   capabilities_.min_rho_fallback = true;
   capabilities_.cost_weight = 3.0;
   // ρ grids classify every cached pair in one kernel sweep of the flat
-  // rho_min/time_at_we arrays; model axes rebind to the seeded numeric
-  // path and chain warm starts along the grid.
-  capabilities_.batched_rho = true;
+  // rho_min/time_at_we arrays (solve_batch); model axes rebind to the
+  // seeded numeric path and chain warm starts along the grid.
   capabilities_.warm_start_chain = true;
   capabilities_.version = "exact-1";
   capabilities_.validity =
@@ -462,9 +507,15 @@ std::unique_ptr<SolverBackend> ExactOptBackend::rebind(
                                              seeds);
 }
 
-void ExactOptBackend::solve_rho_batch(const double* rhos, std::size_t count,
-                                      bool min_rho_fallback,
-                                      PanelPoint* out) const {
+void ExactOptBackend::solve_batch(SweepAxis axis, const double* rhos,
+                                  std::size_t count, double panel_rho,
+                                  bool min_rho_fallback,
+                                  PanelPoint* out) const {
+  if (axis != SweepAxis::kPerformanceBound) {
+    SolverBackend::solve_batch(axis, rhos, count, panel_rho,
+                               min_rho_fallback, out);
+    return;
+  }
   const ExactSolver& solver = exact();
   const std::vector<double>& rho_mins = solver.rho_mins();
   const std::vector<double>& times_at_we = solver.times_at_we();
@@ -528,8 +579,8 @@ InterleavedBackend::InterleavedBackend(ModelParams params,
   capabilities_.pair_table = false;
   capabilities_.min_rho_fallback = false;
   capabilities_.cost_weight = 8.0;
-  // ρ grids classify every cached (pair, m) slot in one kernel sweep.
-  capabilities_.batched_rho = true;
+  // ρ grids classify every cached (pair, m) slot in one kernel sweep
+  // (solve_batch).
   capabilities_.max_segments = max_segments_;
   capabilities_.version = "il-1";
   capabilities_.validity =
@@ -591,10 +642,15 @@ std::unique_ptr<SolverBackend> InterleavedBackend::rebind(
                                               fixed_segments_);
 }
 
-void InterleavedBackend::solve_rho_batch(const double* rhos,
-                                         std::size_t count,
-                                         bool /*min_rho_fallback*/,
-                                         PanelPoint* out) const {
+void InterleavedBackend::solve_batch(SweepAxis axis, const double* rhos,
+                                     std::size_t count, double panel_rho,
+                                     bool min_rho_fallback,
+                                     PanelPoint* out) const {
+  if (axis != SweepAxis::kPerformanceBound) {
+    SolverBackend::solve_batch(axis, rhos, count, panel_rho,
+                               min_rho_fallback, out);
+    return;
+  }
   const InterleavedSolver& cached = solver();
   const std::vector<double>& rho_mins = cached.rho_mins();
   const std::vector<double>& times_at_we = cached.times_at_we();

@@ -89,20 +89,17 @@ struct BackendCapabilities {
   /// Panel axes the backend sweeps, in composite (figure) order.
   std::vector<SweepAxis> axes;
   /// Axes where ONE prepared backend instance serves the whole panel (the
-  /// swept value never touches the model parameters). Other supported
-  /// axes rebuild a cheap per-point backend via rebind().
+  /// swept value never touches the model parameters). On the other
+  /// supported axes every grid point has its own params: the reference
+  /// path (SolverBackend::solve_batch's default) rebind()s a per-point
+  /// backend, and a backend may override solve_batch to rewrite one
+  /// scratch cache per point instead (the first-order closed forms do).
   std::vector<SweepAxis> shared_axes;
   /// True when solve_pair / solve_report (the §4.2 speed-pair tables) are
   /// available.
   bool pair_table = false;
   /// True when the backend has a min-ρ best-effort fallback policy.
   bool min_rho_fallback = false;
-  /// True when solve_rho_batch beats the pointwise loop: the backend
-  /// answers a whole ρ-grid in one batched call against its contiguous
-  /// caches (kernels::eval_pairs / classify_pairs). The default
-  /// implementation is always available; this flag is what makes a ρ
-  /// panel route whole-grid instead of per-point.
-  bool batched_rho = false;
   /// True when rebind() accepts a PairSeedTable and
   /// solve_panel_point_seeded harvests one — the warm-start chain the
   /// model-axis panels of the numeric exact mode thread along their grid.
@@ -206,33 +203,38 @@ class SolverBackend {
   [[nodiscard]] virtual BiCritSolution solve_report(
       double rho, SpeedPolicy policy = SpeedPolicy::kTwoSpeed) const;
 
-  /// A cheap per-point backend over different model parameters, used by
-  /// panels on non-shared axes (C, V, λ, Pidle, Pio rebuild the model per
-  /// grid point by necessity). The result needs no prepare() beyond a
-  /// no-op call and reproduces the historical per-point path of its mode
-  /// bit for bit. `seeds`, when non-null, warm-starts the rebound
-  /// backend's numeric bracketing (backends advertising warm_start_chain;
-  /// others ignore it) — the chain link of a warm-started panel.
+  /// A cheap per-point backend over different model parameters: the
+  /// reference path of a point on a non-shared axis (C, V, λ, Pidle, Pio
+  /// change the model per grid point by necessity), and the link of a
+  /// warm-start chain. The result needs no prepare() beyond a no-op call
+  /// and reproduces the historical per-point path of its mode bit for
+  /// bit. `seeds`, when non-null, warm-starts the rebound backend's
+  /// numeric bracketing (backends advertising warm_start_chain; others
+  /// ignore it).
   [[nodiscard]] virtual std::unique_ptr<SolverBackend> rebind(
       ModelParams params, const PairSeedTable* seeds = nullptr) const = 0;
 
   /// One panel point on any supported axis, off this (already rebound for
   /// model axes) backend: x is the bound on the ρ axis, the pinned count
-  /// on the segments axis, and recorded-only elsewhere. This is THE
-  /// per-grid-point kernel every sweep and campaign task runs.
+  /// on the segments axis, and recorded-only elsewhere. This is the
+  /// per-grid-point reference every batched path must reproduce.
   [[nodiscard]] PanelPoint solve_panel_point(SweepAxis axis, double x,
                                              double panel_rho,
                                              bool min_rho_fallback) const;
 
-  /// A whole ρ-grid in one call: out[i] is the panel point at bound
-  /// rhos[i], bit-identical to calling solve_panel_point per point. The
-  /// default IS that pointwise loop; backends advertising batched_rho
-  /// override it to stream the grid against their contiguous caches
-  /// (kernels::eval_pairs / classify_pairs; `out` must hold `count`
-  /// entries). This is how sweep::PanelSweep hands a shared-backend ρ
-  /// panel to the backend in one piece.
-  virtual void solve_rho_batch(const double* rhos, std::size_t count,
-                               bool min_rho_fallback, PanelPoint* out) const;
+  /// A contiguous run of one panel's grid in one call, on any supported
+  /// axis: out[i] is the panel point at xs[i] (`out` holds `count`
+  /// entries), bit-identical to the per-point reference — on a shared
+  /// axis solve_panel_point off this backend, elsewhere
+  /// rebind(apply_parameter(params(), axis, xs[i])) then
+  /// solve_panel_point. The default IS that reference loop; overrides
+  /// stream the run against contiguous caches (kernels::eval_pairs /
+  /// classify_pairs). This is the one unit of work sweep::PanelSweep
+  /// schedules: a chunk of a panel is one call. Shared axes need
+  /// prepare() first.
+  virtual void solve_batch(SweepAxis axis, const double* xs,
+                           std::size_t count, double panel_rho,
+                           bool min_rho_fallback, PanelPoint* out) const;
 
   /// solve_panel_point plus seed harvesting: backends advertising
   /// warm_start_chain fill `harvest` (when non-null) with this point's
@@ -279,9 +281,12 @@ class ClosedFormBackend final : public SolverBackend {
   [[nodiscard]] std::unique_ptr<SolverBackend> rebind(
       ModelParams params,
       const PairSeedTable* seeds = nullptr) const override;
-  void solve_rho_batch(const double* rhos, std::size_t count,
-                       bool min_rho_fallback,
-                       PanelPoint* out) const override;
+  /// First-order mode batches every pair axis: ρ runs against this
+  /// backend's table, a model axis rewrites one scratch table per point
+  /// (ExpansionSoA::rebuild). Other modes use the reference loop.
+  void solve_batch(SweepAxis axis, const double* xs, std::size_t count,
+                   double panel_rho, bool min_rho_fallback,
+                   PanelPoint* out) const override;
   [[nodiscard]] PanelPoint solve_panel_point_seeded(
       SweepAxis axis, double x, double panel_rho, bool min_rho_fallback,
       PairSeedTable* harvest) const override;
@@ -332,9 +337,11 @@ class ExactOptBackend final : public SolverBackend {
   [[nodiscard]] std::unique_ptr<SolverBackend> rebind(
       ModelParams params,
       const PairSeedTable* seeds = nullptr) const override;
-  void solve_rho_batch(const double* rhos, std::size_t count,
-                       bool min_rho_fallback,
-                       PanelPoint* out) const override;
+  /// Batches the ρ axis against the prepared cache; other axes use the
+  /// reference loop.
+  void solve_batch(SweepAxis axis, const double* xs, std::size_t count,
+                   double panel_rho, bool min_rho_fallback,
+                   PanelPoint* out) const override;
 
   /// The prepared cache. Throws std::logic_error before prepare().
   [[nodiscard]] const ExactSolver& exact() const;
@@ -378,9 +385,11 @@ class InterleavedBackend final : public SolverBackend {
   [[nodiscard]] std::unique_ptr<SolverBackend> rebind(
       ModelParams params,
       const PairSeedTable* seeds = nullptr) const override;
-  void solve_rho_batch(const double* rhos, std::size_t count,
-                       bool min_rho_fallback,
-                       PanelPoint* out) const override;
+  /// Batches the ρ axis against the prepared cache; other axes use the
+  /// reference loop.
+  void solve_batch(SweepAxis axis, const double* xs, std::size_t count,
+                   double panel_rho, bool min_rho_fallback,
+                   PanelPoint* out) const override;
 
   [[nodiscard]] unsigned max_segments() const noexcept {
     return max_segments_;

@@ -3,6 +3,8 @@
 #include <optional>
 #include <string_view>
 
+#include "rexspeed/core/model_params.hpp"
+
 namespace rexspeed::core {
 
 /// The sweepable model dimensions: the six parameters the paper sweeps in
@@ -27,5 +29,11 @@ enum class SweepAxis {
 /// "Pidle", "Pio", "segments"). Returns nullopt for anything else.
 [[nodiscard]] std::optional<SweepAxis> parse_sweep_axis(
     std::string_view name) noexcept;
+
+/// Applies one swept value to a parameter bundle (returns a copy). The ρ
+/// and segments axes leave the params untouched (the value goes to the
+/// solver call); sweeping C keeps R = C (paper §4.1).
+[[nodiscard]] ModelParams apply_parameter(const ModelParams& base,
+                                          SweepAxis axis, double value);
 
 }  // namespace rexspeed::core

@@ -110,13 +110,12 @@ std::vector<ScenarioResult> CampaignRunner::run(
   }
 
   // Phase 1.75 (serial): measure each panel's actual cost with one timed
-  // probe instead of trusting the backend's static cost_weight prior —
-  // the prior cannot see grid difficulty, kernel tier, or machine, and a
-  // misranked long panel is exactly the tail the ordering exists to
-  // avoid. Per-point probes solve their point 0 for real (the stream
-  // then covers the rest), so probing is nearly free. Ordering cannot
-  // change results — every task writes only its own slot — so the
-  // nondeterministic timings are safe as a sort key.
+  // one-point probe instead of trusting the backend's static cost_weight
+  // prior — the prior cannot see grid difficulty, kernel tier, or
+  // machine, and a misranked long panel is exactly the tail the ordering
+  // exists to avoid. Ordering cannot change results — every task writes
+  // only its own slots — so the nondeterministic timings are safe as a
+  // sort key.
   struct TaskGroup {
     double cost = 0.0;
     sweep::PanelSweep* panel = nullptr;  ///< null for solve groups
@@ -128,21 +127,16 @@ std::vector<ScenarioResult> CampaignRunner::run(
     sweep::PanelSweep& plan = *output.job.sweep;
     // A persisted measured cost (recorded by an earlier run of this
     // backend + axis on this machine) replaces the probe outright: the
-    // ordering is seeded before any timing runs, and the stream covers
-    // the whole grid (no probe point was consumed).
+    // ordering is seeded before any timing runs.
+    const auto points = static_cast<double>(plan.point_count());
     if (const std::optional<double> persisted = output.job.persisted_cost()) {
       output.seconds_per_point = *persisted;
-      groups.push_back(
-          {*persisted * static_cast<double>(plan.point_count()), &plan,
-           nullptr});
+      groups.push_back({*persisted * points, &plan, nullptr});
       continue;
     }
-    const double remaining_cost = plan.measure_cost();
-    const auto remaining =
-        static_cast<double>(plan.point_count() - plan.first_pending());
-    output.seconds_per_point =
-        remaining > 0.0 ? remaining_cost / remaining : 0.0;
-    groups.push_back({remaining_cost, &plan, nullptr});
+    const double cost = plan.measure_cost();
+    output.seconds_per_point = cost / points;
+    groups.push_back({cost, &plan, nullptr});
   }
   for (SolveOutput& output : solves) {
     // Solves are single post-prepare feasibility lookups — cheapest of
@@ -158,28 +152,23 @@ std::vector<ScenarioResult> CampaignRunner::run(
                      return a.cost > b.cost;
                    });
 
-  // Phase 2: ONE flattened task stream — every remaining (scenario ×
-  // panel × point) plus every solve, with no barrier until the campaign's
-  // end, ordered longest-first by the measured costs above. Whole-panel
-  // plans (batched ρ grids, warm-start chains) are one task each: their
-  // points are one backend call or one ordered chain by nature.
+  // Phase 2: ONE flattened task stream — every (scenario × panel ×
+  // chunk) plus every solve, with no barrier until the campaign's end,
+  // ordered longest-first by the measured costs above. A chunk is a
+  // contiguous run of ⌈points / threads⌉ grid points solved in one
+  // backend call (a warm-start chain is one chunk by nature), so a long
+  // panel spreads across the pool without paying a task per point.
+  const unsigned threads = pool_.thread_count();
   std::vector<std::function<void()>> tasks;
-  std::size_t task_count = solves.size();
-  for (const PanelOutput& output : panels) {
-    task_count += output.job.points;
-  }
-  tasks.reserve(task_count);
+  tasks.reserve(solves.size() + panels.size() * threads);
   for (const TaskGroup& group : groups) {
     if (group.panel != nullptr) {
       sweep::PanelSweep* plan = group.panel;
-      if (plan->granularity() ==
-          sweep::PanelSweep::Granularity::kWholePanel) {
-        tasks.push_back([plan] { plan->solve_all(); });
-        continue;
-      }
-      for (std::size_t i = plan->first_pending(); i < plan->point_count();
-           ++i) {
-        tasks.push_back([plan, i] { plan->solve_point(i); });
+      const std::size_t size = plan->chunk_size(threads);
+      for (std::size_t begin = 0; begin < plan->point_count();
+           begin += size) {
+        const std::size_t end = std::min(plan->point_count(), begin + size);
+        tasks.push_back([plan, begin, end] { plan->solve_chunk(begin, end); });
       }
       continue;
     }

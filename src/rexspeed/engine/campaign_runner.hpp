@@ -34,7 +34,7 @@ struct CampaignRunnerOptions {
   /// looked up in one batch whose reads, verifies and decodes run on the
   /// pool (engine/panel_job.hpp, shared by every driver): a verified hit
   /// fills the result slot outright — skipping the sweep, prepare and
-  /// every point task — and a corrupt or missing entry falls through to a
+  /// every chunk task — and a corrupt or missing entry falls through to a
   /// normal recompute whose result is stored (and heals the entry) once
   /// the stream drains. The store's methods are called from the thread
   /// that calls run() only. Persisted per-point costs also seed the
@@ -45,7 +45,7 @@ struct CampaignRunnerOptions {
 };
 
 /// Batched multi-scenario driver: flattens every (scenario × panel ×
-/// grid-point) of a campaign into ONE task stream over a shared ThreadPool,
+/// chunk) of a campaign into ONE task stream over a shared ThreadPool,
 /// with no per-panel or per-scenario barriers — the tail of one panel no
 /// longer idles workers while the next panel waits to start, which is
 /// where sequential panels lose throughput on small grids.
@@ -55,25 +55,25 @@ struct CampaignRunnerOptions {
 /// cannot throw — and fetches store hits across the pool), prepare (one
 /// pooled barrier building the heavyweight deferred caches of every panel
 /// and solve whose backend needs one; skipped when none does), and the
-/// flattened point stream itself. Within the stream, whole panels are
-/// ordered longest-first by MEASURED cost: each panel times one probe unit
-/// (sweep::PanelSweep::measure_cost — per-point panels solve their point
-/// 0 for real) and the products probe × remaining-points rank the groups,
-/// so the heaviest panels start earliest and the stream's tail stays
-/// short whatever the grid, kernel tier or machine. Batched ρ panels and
-/// warm-chained model-axis panels enter the stream as ONE whole-panel
-/// task (their points are one backend call or one ordered chain);
-/// everything else stays per-point. Ordering cannot change results (every
-/// task writes only its own slot). See docs/ARCHITECTURE.md for the full
-/// model.
+/// flattened chunk stream itself. Each panel is split into contiguous
+/// chunks of ⌈points / threads⌉ grid points
+/// (sweep::PanelSweep::chunk_size; a warm-start chain stays one chunk),
+/// each solved by one backend solve_batch call. Whole panels are ordered
+/// longest-first by MEASURED cost: each panel times a one-point
+/// solve_batch whose result it discards (sweep::PanelSweep::measure_cost)
+/// and the products probe × points rank the panels, so the heaviest
+/// panels start earliest and the stream's tail stays short whatever the
+/// grid, kernel tier or machine. Ordering and chunking cannot change
+/// results (every task writes only its own slots). See
+/// docs/ARCHITECTURE.md for the full model.
 ///
-/// Determinism: every task runs the same per-point kernel
-/// (core::SolverBackend::solve_panel_point) against the same per-panel
-/// inputs as a per-scenario SweepEngine run, so campaign results are
-/// bit-identical to running each scenario alone — serial or parallel, any
-/// thread count, any scheduling. Backends shared across workers are
-/// immutable after their prepare step (the uniform SolverBackend
-/// contract).
+/// Determinism: every chunk runs the same batched kernel
+/// (core::SolverBackend::solve_batch, bit-identical to the per-point
+/// reference) against the same per-panel inputs as a per-scenario
+/// SweepEngine run, so campaign results are bit-identical to running
+/// each scenario alone — serial or parallel, any thread count, any
+/// scheduling. Backends shared across workers are immutable after their
+/// prepare step (the uniform SolverBackend contract).
 class CampaignRunner {
  public:
   explicit CampaignRunner(CampaignRunnerOptions options = {});

@@ -57,36 +57,6 @@ std::vector<double> default_grid(SweepParameter parameter,
   throw std::invalid_argument("default_grid: unknown parameter");
 }
 
-core::ModelParams apply_parameter(const core::ModelParams& base,
-                                  SweepParameter parameter, double value) {
-  core::ModelParams params = base;
-  switch (parameter) {
-    case SweepParameter::kCheckpointTime:
-      params.checkpoint_s = value;
-      // The paper keeps R = C while sweeping the checkpoint cost (§4.1
-      // fixes R to the checkpointing time).
-      params.recovery_s = value;
-      break;
-    case SweepParameter::kVerificationTime:
-      params.verification_s = value;
-      break;
-    case SweepParameter::kErrorRate:
-      params.lambda_silent = value;
-      break;
-    case SweepParameter::kPerformanceBound:
-      break;  // handled by the solver call
-    case SweepParameter::kIdlePower:
-      params.idle_power_mw = value;
-      break;
-    case SweepParameter::kIoPower:
-      params.io_power_mw = value;
-      break;
-    case SweepParameter::kSegments:
-      break;  // handled by the interleaved solver call, params untouched
-  }
-  return params;
-}
-
 const std::vector<SweepParameter>& all_sweep_parameters() {
   static const std::vector<SweepParameter> kParameters = {
       SweepParameter::kCheckpointTime, SweepParameter::kVerificationTime,

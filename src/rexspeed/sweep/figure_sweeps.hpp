@@ -17,6 +17,7 @@ namespace rexspeed::sweep {
 /// core so solver backends can advertise the axes they support
 /// (core::BackendCapabilities::axes) without depending on this layer.
 using SweepParameter = core::SweepAxis;
+using core::apply_parameter;
 using core::to_string;
 
 /// Inverse of to_string: parses a sweep-parameter name ("C", "V",
@@ -81,11 +82,6 @@ struct SweepOptions {
 /// geometrically spaced; segments = the integer grid 1..points.
 [[nodiscard]] std::vector<double> default_grid(SweepParameter parameter,
                                                std::size_t points);
-
-/// Applies one swept value to a parameter bundle (returns a copy).
-/// Sweeping ρ leaves the params untouched (ρ is passed to the solver).
-[[nodiscard]] core::ModelParams apply_parameter(
-    const core::ModelParams& base, SweepParameter parameter, double value);
 
 /// The six panel parameters of a Figure 8–14 composite, in figure order
 /// (C, V, λ, ρ, Pidle, Pio). This is the panel list every pair backend

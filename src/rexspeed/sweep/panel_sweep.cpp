@@ -124,13 +124,9 @@ PanelSweep::PanelSweep(std::unique_ptr<core::SolverBackend> backend,
     }
   }
   shared_ = caps.shares_panel_solver(parameter);
-  // Batched: the backend takes the whole ρ grid in one call against its
-  // contiguous caches. Chained: a model axis whose per-point rebinds are
-  // warm-started from the neighboring point (order IS the point, so the
-  // panel schedules as one unit). Both are properties of THIS panel's
-  // axis × backend combination, frozen here.
-  batched_ = shared_ && parameter == SweepParameter::kPerformanceBound &&
-             caps.batched_rho;
+  // Chained: a model axis whose per-point rebinds are warm-started from
+  // the neighboring point (order IS the point, so the panel is one
+  // chunk). A property of THIS panel's axis × backend, frozen here.
   chained_ = !shared_ && caps.warm_start_chain && options_.warm_start_chain;
   series_.parameter = parameter;
   series_.configuration = std::move(configuration);
@@ -145,97 +141,62 @@ void PanelSweep::prepare() {
   backend_->prepare(make_parallel_build(options_.pool));
 }
 
-void PanelSweep::solve_point(std::size_t i) {
-  const double x = grid_[i];
-  if (shared_) {
-    series_.points[i] = backend_->solve_panel_point(
-        series_.parameter, x, options_.rho, options_.min_rho_fallback);
-    return;
-  }
-  // Model axes rebuild the model per point by necessity; the rebound
-  // backend is the cheap per-point path of the panel's mode.
-  const std::unique_ptr<core::SolverBackend> point_backend = backend_->rebind(
-      apply_parameter(backend_->params(), series_.parameter, x));
-  point_backend->prepare();
-  series_.points[i] = point_backend->solve_panel_point(
-      series_.parameter, x, options_.rho, options_.min_rho_fallback);
+std::size_t PanelSweep::chunk_size(unsigned threads) const noexcept {
+  // Splitting a chain would restart it cold mid-grid and move bits.
+  if (chained_ || threads <= 1) return grid_.size();
+  return (grid_.size() + threads - 1) / threads;
 }
 
-void PanelSweep::solve_all() {
-  if (batched_) {
-    // The whole ρ grid in one backend call — the kernel-batched path,
-    // bit-identical to the per-point loop by the backend contract.
-    backend_->solve_rho_batch(grid_.data(), grid_.size(),
-                              options_.min_rho_fallback,
-                              series_.points.data());
+void PanelSweep::solve_chunk(std::size_t begin, std::size_t end) {
+  if (!chained_) {
+    backend_->solve_batch(series_.parameter, grid_.data() + begin,
+                          end - begin, options_.rho,
+                          options_.min_rho_fallback,
+                          series_.points.data() + begin);
     return;
   }
-  if (chained_) {
-    // Walk the grid in order, seeding each point's per-pair bracketing
-    // from the optima harvested at its neighbor. The first point has no
-    // seeds and runs the cold path bit for bit; later points converge to
-    // the same optima within numeric tolerance, only faster.
-    core::PairSeedTable seeds;
-    core::PairSeedTable harvest;
-    for (std::size_t i = first_pending_; i < grid_.size(); ++i) {
-      const double x = grid_[i];
-      const std::unique_ptr<core::SolverBackend> point_backend =
-          backend_->rebind(
-              apply_parameter(backend_->params(), series_.parameter, x),
-              seeds.empty() ? nullptr : &seeds);
-      point_backend->prepare();
-      series_.points[i] = point_backend->solve_panel_point_seeded(
-          series_.parameter, x, options_.rho, options_.min_rho_fallback,
-          &harvest);
-      std::swap(seeds, harvest);
-    }
-    return;
-  }
-  for (std::size_t i = first_pending_; i < grid_.size(); ++i) {
-    solve_point(i);
+  // Walk the range in order, seeding each point's per-pair bracketing
+  // from the optima harvested at its neighbor. The first point has no
+  // seeds and runs the cold path bit for bit; later points converge to
+  // the same optima within numeric tolerance, only faster.
+  core::PairSeedTable seeds;
+  core::PairSeedTable harvest;
+  for (std::size_t i = begin; i < end; ++i) {
+    const double x = grid_[i];
+    const std::unique_ptr<core::SolverBackend> point_backend =
+        backend_->rebind(
+            apply_parameter(backend_->params(), series_.parameter, x),
+            seeds.empty() ? nullptr : &seeds);
+    point_backend->prepare();
+    series_.points[i] = point_backend->solve_panel_point_seeded(
+        series_.parameter, x, options_.rho, options_.min_rho_fallback,
+        &harvest);
+    std::swap(seeds, harvest);
   }
 }
 
 double PanelSweep::measure_cost() {
   using clock = std::chrono::steady_clock;
+  // A chain's first link is a cold rebind — exactly what the one-point
+  // batch runs — so the probe is the panel's own unit of work throughout.
+  core::PanelPoint probe;
   const auto start = clock::now();
-  if (granularity() == Granularity::kPerPoint) {
-    // Probe work that counts: point 0 is solved for real and the stream
-    // starts at index 1.
-    solve_point(0);
-    first_pending_ = 1;
-  } else if (batched_) {
-    // One point through the same shared backend — the unit the batched
-    // call amortizes further, so this over- rather than underestimates.
-    (void)backend_->solve_panel_point(series_.parameter, grid_[0],
-                                      options_.rho,
-                                      options_.min_rho_fallback);
-  } else {
-    // Chained panel: one cold per-point rebind — exactly the first link
-    // of the chain, which solve_all() recomputes identically.
-    const std::unique_ptr<core::SolverBackend> point_backend =
-        backend_->rebind(apply_parameter(backend_->params(),
-                                         series_.parameter, grid_[0]));
-    point_backend->prepare();
-    (void)point_backend->solve_panel_point(series_.parameter, grid_[0],
-                                           options_.rho,
-                                           options_.min_rho_fallback);
-  }
+  backend_->solve_batch(series_.parameter, grid_.data(), 1, options_.rho,
+                        options_.min_rho_fallback, &probe);
   const double seconds =
       std::chrono::duration<double>(clock::now() - start).count();
-  const auto remaining =
-      static_cast<double>(point_count() - first_pending_);
-  return seconds * remaining;
+  return seconds * static_cast<double>(point_count());
 }
 
 PanelSeries PanelSweep::run() {
   prepare();
-  if (granularity() == Granularity::kWholePanel) {
-    solve_all();
-  } else {
-    parallel_for(options_.pool, point_count(),
-                 [this](std::size_t i) { solve_point(i); });
-  }
+  const std::size_t size =
+      chunk_size(options_.pool != nullptr ? options_.pool->thread_count() : 1);
+  const std::size_t chunks = (point_count() + size - 1) / size;
+  parallel_for(options_.pool, chunks, [this, size](std::size_t c) {
+    const std::size_t begin = c * size;
+    solve_chunk(begin, std::min(point_count(), begin + size));
+  });
   return take();
 }
 

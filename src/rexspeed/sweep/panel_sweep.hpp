@@ -49,29 +49,30 @@ struct PanelSeries {
 /// historical twin PanelSweep / InterleavedPanelSweep pair. The panel asks
 /// the backend which axes it supports (capabilities().axes) and whether
 /// one prepared instance serves the whole grid (shared_axes — ρ for every
-/// backend, segments for the interleaved one); on other axes each point
-/// rebinds a cheap per-point backend over apply_parameter'd params,
-/// reproducing the historical per-point path of its mode bit for bit.
+/// backend, segments for the interleaved one); on other axes every point
+/// has its own apply_parameter'd params, which the backend's solve_batch
+/// handles (a per-point rebind by default, one rewritten scratch table on
+/// the first-order closed forms), reproducing the historical per-point
+/// path of its mode bit for bit.
 ///
 /// Construction is two-phase: the constructor validates everything (cheap,
 /// throws), prepare() pays the backend's deferred cache — the dominant
 /// cost of exact and interleaved ρ panels. The split lets the campaign
 /// runner build many panels' caches across its pool (prepare() cannot
-/// throw on a constructed plan). Both run_panel_sweep and the campaign's
-/// flattened task stream drive this same setup and per-point kernel, so
-/// their results are bit-identical by construction.
+/// throw on a constructed plan).
 ///
-/// prepare() touches only this panel's backend and solve_point(i) writes
-/// only points[i], so distinct panels prepare — and distinct indices
-/// solve — concurrently without synchronization.
+/// The one unit of work is a contiguous chunk of the grid
+/// (solve_chunk): one backend solve_batch call. Both run_panel_sweep and
+/// the campaign's flattened task stream split a panel into chunks of
+/// chunk_size(threads) points, so their results are bit-identical by
+/// construction — and, since every point is independent, identical
+/// whatever the chunking. A warm-start-chained panel is the exception:
+/// each point seeds the next, so it is always one chunk. prepare()
+/// touches only this panel's backend and solve_chunk(begin, end) writes
+/// only points [begin, end), so distinct panels prepare — and disjoint
+/// chunks solve — concurrently without synchronization.
 class PanelSweep {
  public:
-  /// How the panel's points want to be scheduled: independent per-point
-  /// tasks, or one whole-panel unit (batched ρ grids, where the backend
-  /// takes the entire grid in one call, and warm-start chains, where each
-  /// point seeds the next and order is the point).
-  enum class Granularity { kPerPoint, kWholePanel };
-
   /// Takes ownership of the panel's backend. Throws std::invalid_argument
   /// on a null backend, an empty grid, an axis outside
   /// backend->capabilities().axes, a non-positive/non-finite bound or
@@ -85,11 +86,6 @@ class PanelSweep {
     return grid_.size();
   }
 
-  [[nodiscard]] Granularity granularity() const noexcept {
-    return batched_ || chained_ ? Granularity::kWholePanel
-                                : Granularity::kPerPoint;
-  }
-
   /// True until prepare() has built the cache the panel needs (always
   /// false for panels that need none) — lets batched drivers skip the
   /// prepare pass for plans that would no-op.
@@ -98,24 +94,23 @@ class PanelSweep {
   }
 
   /// Builds the shared backend's deferred cache (idempotent; no-op for
-  /// panels whose backend needs none or is rebuilt per point). Uses
-  /// options.pool, when set, to parallelize independent cache entries —
-  /// the cache is bit-identical either way. Must complete before the
-  /// first solve_point; never throws on a constructed plan.
+  /// panels whose backend needs none or whose points each have their own
+  /// params). Uses options.pool, when set, to parallelize independent
+  /// cache entries — the cache is bit-identical either way. Must complete
+  /// before the first solve_chunk; never throws on a constructed plan.
   void prepare();
 
-  /// Solves grid point `i` into its series slot (prepare() first). Only
-  /// valid on kPerPoint panels — whole-panel plans go through
-  /// solve_all().
-  void solve_point(std::size_t i);
+  /// Points per chunk when `threads` workers share the panel:
+  /// ⌈points / threads⌉, or the whole grid for a warm-start chain (and
+  /// for one thread).
+  [[nodiscard]] std::size_t chunk_size(unsigned threads) const noexcept;
 
-  /// Solves the whole panel into its series slots (prepare() first):
-  /// batched ρ panels hand the entire grid to the backend's
-  /// solve_rho_batch (bit-identical to the per-point loop); warm-chained
-  /// model-axis panels walk the grid in order, seeding each point's
-  /// rebind from its neighbor's harvested optima; anything else runs the
-  /// plain per-point loop serially.
-  void solve_all();
+  /// Solves grid points [begin, end) into their series slots (prepare()
+  /// first) in one backend solve_batch call. A warm-start chain walks the
+  /// range in order, seeding each point's rebind from its neighbor's
+  /// harvested optima, starting cold at `begin` — which is why
+  /// chunk_size never splits one.
+  void solve_chunk(std::size_t begin, std::size_t end);
 
   /// Relative cost of one point of this panel (the backend's
   /// capabilities().cost_weight) — the campaign scheduler's static
@@ -124,19 +119,11 @@ class PanelSweep {
     return backend_->capabilities().cost_weight;
   }
 
-  /// The campaign scheduler's measured ordering key: times one
-  /// representative work unit (seconds) and returns the estimated cost of
-  /// the REMAINING work. Per-point panels solve point 0 for real — the
-  /// stream must then cover indices [first_pending(), point_count()) —
-  /// while whole-panel plans time one point-equivalent probe whose result
-  /// the later solve_all() recomputes identically. Call after prepare().
+  /// The campaign scheduler's measured ordering key: times a one-point
+  /// solve_batch of grid point 0 (result discarded; the chunk that owns
+  /// the point recomputes it identically) and returns the estimated cost
+  /// of the whole panel in seconds. Call after prepare().
   [[nodiscard]] double measure_cost();
-
-  /// First grid index the task stream still owes (1 after a per-point
-  /// measure_cost(), else 0).
-  [[nodiscard]] std::size_t first_pending() const noexcept {
-    return first_pending_;
-  }
 
   [[nodiscard]] const core::SolverBackend& backend() const noexcept {
     return *backend_;
@@ -145,18 +132,15 @@ class PanelSweep {
   /// Moves the finished panel out (call once every point is solved).
   [[nodiscard]] PanelSeries take() { return std::move(series_); }
 
-  /// The whole panel in one call: prepare(), then solve_all() for
-  /// whole-panel plans or every point across options.pool (inline without
-  /// one), then take(). Batched and chained panels are one unit here as
-  /// in the campaign stream, so both drivers stay bit-identical.
+  /// The whole panel in one call: prepare(), then every chunk of
+  /// chunk_size(threads of options.pool) across the pool (inline without
+  /// one), then take() — the same chunks the campaign stream schedules.
   [[nodiscard]] PanelSeries run();
 
  private:
   std::unique_ptr<core::SolverBackend> backend_;
   bool shared_ = false;
-  bool batched_ = false;
   bool chained_ = false;
-  std::size_t first_pending_ = 0;
   SweepOptions options_;
   std::vector<double> grid_;
   PanelSeries series_;

@@ -87,12 +87,14 @@ TEST(RecallBackendPinned, FullRecallMatchesFirstOrderOnEveryScenario) {
     }
     std::vector<core::PanelPoint> via_recall(points);
     std::vector<core::PanelPoint> via_reference(points);
-    recall_backend->solve_rho_batch(rhos.data(), points,
-                                    registered.min_rho_fallback,
-                                    via_recall.data());
-    reference->solve_rho_batch(rhos.data(), points,
-                               registered.min_rho_fallback,
-                               via_reference.data());
+    recall_backend->solve_batch(core::SweepAxis::kPerformanceBound,
+                                rhos.data(), points, registered.rho,
+                                registered.min_rho_fallback,
+                                via_recall.data());
+    reference->solve_batch(core::SweepAxis::kPerformanceBound, rhos.data(),
+                           points, registered.rho,
+                           registered.min_rho_fallback,
+                           via_reference.data());
     for (std::size_t i = 0; i < points; ++i) {
       SCOPED_TRACE("rho grid point " + std::to_string(i));
       expect_identical_solution(via_recall[i].primary,

@@ -1,18 +1,20 @@
 // Property: every expansion/optimization cache answers exactly what a
 // from-scratch rebuild would — for ANY valid model. Three caches are under
 // test: the SoA expansion table (vs the per-pair closed forms it is
-// materialized from), the prepared exact-optimization backend (vs a fresh
-// instance prepared per bound), and the prepared interleaved backend (vs a
-// fresh InterleavedSolver). Caching is a pure speed trade: never a bit of
-// the answer.
+// materialized from, and rewritten in place vs built fresh), the prepared
+// exact-optimization backend (vs a fresh instance prepared per bound), and
+// the prepared interleaved backend (vs a fresh InterleavedSolver). Caching
+// is a pure speed trade: never a bit of the answer.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 
 #include "rexspeed/core/expansion_soa.hpp"
 #include "rexspeed/core/first_order.hpp"
 #include "rexspeed/core/interleaved.hpp"
+#include "rexspeed/core/kernels/kernel_dispatch.hpp"
 #include "rexspeed/core/solver_backend.hpp"
 #include "support/proptest.hpp"
 #include "test_util.hpp"
@@ -83,6 +85,81 @@ TEST(PropCacheVsRebuild, ExpansionSoAMatchesPerPairClosedForms) {
         // Padding slots are inert.
         for (std::size_t s = table.count; s < table.padded; ++s) {
           EXPECT_EQ(table.valid[s], 0);
+        }
+      },
+      options);
+}
+
+/// Two parameter bundles: the one a table is first built for and the
+/// one it is rewritten for. Half the cases keep the speed set (the
+/// in-place path a model-axis panel takes), half may resize the table.
+struct ParamsPair {
+  ModelParams first;
+  ModelParams second;
+};
+
+struct ParamsPairGen {
+  using Value = ParamsPair;
+  proptest::ModelParamsGen params_gen;
+
+  ParamsPair operator()(proptest::Rng& rng) const {
+    ParamsPair pair{params_gen(rng), params_gen(rng)};
+    if (rng.chance(0.5)) pair.second.speeds = pair.first.speeds;
+    return pair;
+  }
+  std::vector<ParamsPair> shrink(const ParamsPair& value) const {
+    std::vector<ParamsPair> out;
+    for (const auto& params : params_gen.shrink(value.first)) {
+      out.push_back({params, value.second});
+    }
+    for (const auto& params : params_gen.shrink(value.second)) {
+      out.push_back({value.first, params});
+    }
+    return out;
+  }
+  std::string describe(const ParamsPair& value) const {
+    return "first: " + params_gen.describe(value.first) +
+           " | second: " + params_gen.describe(value.second);
+  }
+};
+
+/// Byte equality of two tables: shape plus every array over its padded
+/// length, padding slots included.
+void expect_identical_bytes(const ExpansionSoA& a, const ExpansionSoA& b) {
+  ASSERT_EQ(a.k, b.k);
+  ASSERT_EQ(a.count, b.count);
+  ASSERT_EQ(a.padded, b.padded);
+  const std::pair<const AlignedDoubles*, const AlignedDoubles*> columns[] = {
+      {&a.tx, &b.tx},         {&a.ty, &b.ty},
+      {&a.tz, &b.tz},         {&a.ex, &b.ex},
+      {&a.ey, &b.ey},         {&a.ez, &b.ez},
+      {&a.sigma1, &b.sigma1}, {&a.sigma2, &b.sigma2},
+      {&a.rho_min, &b.rho_min}, {&a.we, &b.we}};
+  for (const auto& [x, y] : columns) {
+    ASSERT_EQ(x->size(), a.padded);
+    ASSERT_EQ(y->size(), b.padded);
+    EXPECT_EQ(std::memcmp(x->data(), y->data(), a.padded * sizeof(double)),
+              0);
+  }
+  ASSERT_EQ(a.valid.size(), a.padded);
+  ASSERT_EQ(b.valid.size(), b.padded);
+  EXPECT_EQ(std::memcmp(a.valid.data(), b.valid.data(), a.padded), 0);
+}
+
+TEST(PropCacheVsRebuild, InPlaceRebuildMatchesFreshBuildByteForByte) {
+  proptest::PropOptions options;
+  options.iterations = 100;
+  proptest::check(
+      "ExpansionSoA::rebuild(p2) on a p1 table == build(p2), every byte",
+      ParamsPairGen{},
+      [](const ParamsPair& c) {
+        for (const kernels::KernelOps* ops :
+             {&kernels::scalar_ops(), &kernels::active_ops()}) {
+          SCOPED_TRACE(std::string("ops ") + ops->name);
+          ExpansionSoA table = ExpansionSoA::build_with(c.first, *ops);
+          table.rebuild(c.second, *ops);
+          expect_identical_bytes(table,
+                                 ExpansionSoA::build_with(c.second, *ops));
         }
       },
       options);

@@ -83,10 +83,11 @@ TEST(PropRecallIdentity, FullRecallBackendEqualsFirstOrderBitForBit) {
         // The batched ρ path the sweep engine uses.
         std::vector<PanelPoint> via_recall(c.rhos.size());
         std::vector<PanelPoint> via_reference(c.rhos.size());
-        recall.solve_rho_batch(c.rhos.data(), c.rhos.size(), true,
-                               via_recall.data());
-        reference.solve_rho_batch(c.rhos.data(), c.rhos.size(), true,
-                                  via_reference.data());
+        recall.solve_batch(SweepAxis::kPerformanceBound, c.rhos.data(),
+                           c.rhos.size(), rho, true, via_recall.data());
+        reference.solve_batch(SweepAxis::kPerformanceBound, c.rhos.data(),
+                              c.rhos.size(), rho, true,
+                              via_reference.data());
         for (std::size_t i = 0; i < c.rhos.size(); ++i) {
           test::expect_identical_solution(via_recall[i].primary,
                                           via_reference[i].primary);

@@ -1,24 +1,27 @@
-// Whole-panel scheduling: batched ρ grids (one solve_rho_batch call
-// against the SoA caches) must be BIT-identical to a loop of the
-// backend's own solve_panel_point on every backend that advertises
-// batched_rho, and
-// warm-start chains along exact model-axis grids must agree with cold
+// Chunked panel scheduling: a panel's unit of work is a contiguous chunk
+// of its grid, solved in one backend solve_batch call. Batched ρ grids
+// must be BIT-identical to a loop of the backend's own solve_panel_point;
+// the chunking itself must be invisible — any pool size, any grid size,
+// on ρ, model and segments axes; and warm-start chains along exact
+// model-axis grids must stay one in-order chunk that agrees with cold
 // per-point rebinds within numeric tolerance (the seeds steer only the
 // bracketing, never the optimum). Both drivers — run_panel_sweep and the
-// campaign stream — route whole panels through the same PanelSweep, so
-// these checks cover the campaign path too.
+// campaign stream — split panels through the same PanelSweep, so these
+// checks cover the campaign path too.
 
 #include "rexspeed/sweep/panel_sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <string>
 
 #include "rexspeed/engine/backend_registry.hpp"
 #include "rexspeed/engine/campaign_runner.hpp"
 #include "rexspeed/engine/sweep_engine.hpp"
+#include "rexspeed/sweep/thread_pool.hpp"
 #include "test_util.hpp"
 
 namespace rexspeed::sweep {
@@ -33,8 +36,7 @@ core::ModelParams interleavable_params() {
   return params;
 }
 
-/// A ρ panel through PanelSweep: whole-grid on a backend that advertises
-/// batched_rho, point by point otherwise.
+/// A ρ panel through PanelSweep, serially: one solve_batch chunk.
 PanelSeries run_rho_panel(std::unique_ptr<core::SolverBackend> backend,
                           std::size_t points = 21) {
   return run_panel_sweep(
@@ -93,58 +95,93 @@ TEST(BatchedRhoPanel, InterleavedBatchedEqualsPointwiseBitForBit) {
   expect_identical_panel(batched, pointwise);
 }
 
-TEST(BatchedRhoPanel, BatchesExactlyWhereAdvertised) {
-  const core::ModelParams params = test::params_for("Hera/XScale");
-  const std::vector<double> grid =
-      default_grid(SweepParameter::kPerformanceBound, 5);
-  // A batching backend: scheduled as one whole-panel unit.
-  PanelSweep batched(std::make_unique<core::ClosedFormBackend>(
-                         params, core::EvalMode::kFirstOrder),
-                     "test", SweepParameter::kPerformanceBound, grid, {});
-  EXPECT_EQ(batched.granularity(), PanelSweep::Granularity::kWholePanel);
-  // exact-eval solves every bound numerically — no batched kernel, so
-  // the panel stays pointwise.
-  PanelSweep pointwise(std::make_unique<core::ClosedFormBackend>(
-                           params, core::EvalMode::kExactEvaluation),
-                       "test", SweepParameter::kPerformanceBound, grid, {});
-  EXPECT_EQ(pointwise.granularity(), PanelSweep::Granularity::kPerPoint);
+/// A grid of `points` values on `axis`'s paper range (segments cycle
+/// through 1..max_segments, so any size fits).
+std::vector<double> chunk_test_grid(SweepParameter axis, std::size_t points,
+                                    unsigned max_segments) {
+  if (axis != SweepParameter::kSegments) {
+    // default_grid needs two points; a one-point panel takes a midpoint.
+    return points > 1 ? default_grid(axis, points)
+                      : std::vector<double>{default_grid(axis, 3)[1]};
+  }
+  std::vector<double> grid(points);
+  for (std::size_t i = 0; i < points; ++i) {
+    grid[i] = static_cast<double>(1 + i % max_segments);
+  }
+  return grid;
 }
 
-TEST(BatchedRhoPanel, MeasureCostLeavesResultsUntouched) {
-  // A per-point panel's probe solves its point 0 for real; the remaining
-  // stream plus the probe must reproduce the unprobed panel bit for bit.
+TEST(ChunkedPanel, ChunkingIsInvisible) {
+  // Every point is independent, so splitting a panel into ⌈n / threads⌉
+  // chunks across 1–4 workers must give the serial series bit for bit,
+  // for grids smaller than, equal to and much larger than the pool.
+  using Make = std::function<std::unique_ptr<core::SolverBackend>()>;
+  const auto closed_form = [](core::EvalMode mode) -> Make {
+    return [mode]() -> std::unique_ptr<core::SolverBackend> {
+      return std::make_unique<core::ClosedFormBackend>(
+          test::params_for("Hera/XScale"), mode);
+    };
+  };
+  const struct {
+    const char* label;
+    SweepParameter axis;
+    Make make;
+  } panels[] = {
+      {"first-order rho", SweepParameter::kPerformanceBound,
+       closed_form(core::EvalMode::kFirstOrder)},
+      {"first-order C", SweepParameter::kCheckpointTime,
+       closed_form(core::EvalMode::kFirstOrder)},
+      {"first-order lambda", SweepParameter::kErrorRate,
+       closed_form(core::EvalMode::kFirstOrder)},
+      {"exact-eval Pidle", SweepParameter::kIdlePower,
+       closed_form(core::EvalMode::kExactEvaluation)},
+      {"interleaved segments", SweepParameter::kSegments,
+       []() -> std::unique_ptr<core::SolverBackend> {
+         return std::make_unique<core::InterleavedBackend>(
+             interleavable_params(), 4);
+       }},
+  };
+  for (const auto& panel : panels) {
+    for (const std::size_t points : {1u, 2u, 7u, 1001u}) {
+      SCOPED_TRACE(std::string(panel.label) + ", " + std::to_string(points) +
+                   " points");
+      const std::vector<double> grid = chunk_test_grid(
+          panel.axis, points, panel.make()->capabilities().max_segments);
+      const PanelSeries serial =
+          run_panel_sweep(panel.make(), "test", panel.axis, grid, {});
+      for (const unsigned threads : {1u, 2u, 3u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        ThreadPool pool(threads);
+        SweepOptions options;
+        options.pool = &pool;
+        expect_identical_panel(
+            run_panel_sweep(panel.make(), "test", panel.axis, grid, options),
+            serial);
+      }
+    }
+  }
+}
+
+TEST(ChunkedPanel, ChunkSizeSplitsEvenlyAndMeasureCostIsTransient) {
   const core::ModelParams params = test::params_for("Hera/XScale");
   const std::vector<double> grid =
-      default_grid(SweepParameter::kPerformanceBound, 7);
-  PanelSweep probed(std::make_unique<core::ClosedFormBackend>(
-                        params, core::EvalMode::kExactEvaluation),
-                    "test", SweepParameter::kPerformanceBound, grid, {});
-  EXPECT_EQ(probed.first_pending(), 0u);
-  EXPECT_GE(probed.measure_cost(), 0.0);
-  EXPECT_EQ(probed.first_pending(), 1u);
-  for (std::size_t i = probed.first_pending(); i < probed.point_count();
-       ++i) {
-    probed.solve_point(i);
-  }
-  const PanelSeries reference =
-      run_rho_panel(std::make_unique<core::ClosedFormBackend>(
-                        params, core::EvalMode::kExactEvaluation),
-                    7);
-  expect_identical_panel(probed.take(), reference);
-
-  // A whole-panel probe is transient: first_pending stays 0 and the later
-  // solve_all() recomputes everything.
-  PanelSweep whole(std::make_unique<core::ClosedFormBackend>(
-                       params, core::EvalMode::kFirstOrder),
-                   "test", SweepParameter::kPerformanceBound, grid, {});
-  EXPECT_GE(whole.measure_cost(), 0.0);
-  EXPECT_EQ(whole.first_pending(), 0u);
-  whole.solve_all();
-  const PanelSeries batched =
-      run_rho_panel(std::make_unique<core::ClosedFormBackend>(
-                        params, core::EvalMode::kFirstOrder),
-                    7);
-  expect_identical_panel(whole.take(), batched);
+      default_grid(SweepParameter::kCheckpointTime, 7);
+  PanelSweep plan(std::make_unique<core::ClosedFormBackend>(
+                      params, core::EvalMode::kFirstOrder),
+                  "test", SweepParameter::kCheckpointTime, grid, {});
+  EXPECT_EQ(plan.chunk_size(1), 7u);
+  EXPECT_EQ(plan.chunk_size(3), 3u);
+  EXPECT_EQ(plan.chunk_size(4), 2u);
+  EXPECT_EQ(plan.chunk_size(16), 1u);
+  // The probe's point is discarded; the chunks recompute everything.
+  EXPECT_GE(plan.measure_cost(), 0.0);
+  plan.solve_chunk(0, 3);
+  plan.solve_chunk(3, 7);
+  expect_identical_panel(
+      plan.take(),
+      run_panel_sweep(std::make_unique<core::ClosedFormBackend>(
+                          params, core::EvalMode::kFirstOrder),
+                      "test", SweepParameter::kCheckpointTime, grid, {}));
 }
 
 /// Tolerance agreement for warm-vs-cold chains: identical discrete
@@ -196,31 +233,56 @@ TEST(WarmStartChain, ExactModelAxesAgreeWithColdRebinds) {
   }
 }
 
-TEST(WarmStartChain, ChainGranularityFollowsTheOption) {
+TEST(WarmStartChain, ChainedPanelIsOneInOrderChunk) {
   const core::ModelParams params = test::params_for("Hera/XScale");
   const std::vector<double> grid =
       default_grid(SweepParameter::kCheckpointTime, 5);
   SweepOptions options;
   PanelSweep chained(std::make_unique<core::ExactOptBackend>(params), "test",
                      SweepParameter::kCheckpointTime, grid, options);
-  EXPECT_EQ(chained.granularity(), PanelSweep::Granularity::kWholePanel);
+  EXPECT_EQ(chained.chunk_size(4), grid.size());
   options.warm_start_chain = false;
   PanelSweep cold(std::make_unique<core::ExactOptBackend>(params), "test",
                   SweepParameter::kCheckpointTime, grid, options);
-  EXPECT_EQ(cold.granularity(), PanelSweep::Granularity::kPerPoint);
-  // First-order model axes have no chain to warm: per-point either way.
-  PanelSweep closed(std::make_unique<core::ClosedFormBackend>(
-                        params, core::EvalMode::kFirstOrder),
-                    "test", SweepParameter::kCheckpointTime, grid, {});
-  EXPECT_EQ(closed.granularity(), PanelSweep::Granularity::kPerPoint);
+  EXPECT_EQ(cold.chunk_size(4), 2u);
+
+  // The serial chain, link by link: each point's rebind seeded from its
+  // neighbor's harvest. A pooled run must reproduce it bit for bit.
+  const SweepOptions defaults;
+  const core::ExactOptBackend base(params);
+  PanelSeries reference;
+  reference.parameter = SweepParameter::kCheckpointTime;
+  reference.configuration = "test";
+  reference.rho = defaults.rho;
+  reference.kind = base.capabilities().kind;
+  reference.max_segments = base.capabilities().max_segments;
+  core::PairSeedTable seeds;
+  core::PairSeedTable harvest;
+  for (const double x : grid) {
+    const auto link = base.rebind(
+        apply_parameter(params, SweepParameter::kCheckpointTime, x),
+        seeds.empty() ? nullptr : &seeds);
+    link->prepare();
+    reference.points.push_back(link->solve_panel_point_seeded(
+        SweepParameter::kCheckpointTime, x, defaults.rho,
+        defaults.min_rho_fallback, &harvest));
+    std::swap(seeds, harvest);
+  }
+  ThreadPool pool(4);
+  SweepOptions pooled;
+  pooled.pool = &pool;
+  expect_identical_panel(
+      run_panel_sweep(std::make_unique<core::ExactOptBackend>(params),
+                      "test", SweepParameter::kCheckpointTime, grid, pooled),
+      reference);
 }
 
-TEST(WholePanelScheduling, CampaignMatchesStandaloneThroughBatchedPanels) {
-  // The campaign stream schedules a batched ρ panel as ONE task; the
-  // result must still be bit-identical to the standalone engine run of
-  // the same scenario, pointwise or batched, serial or pooled.
+TEST(ChunkedPanel, CampaignMatchesStandaloneThroughChunkedPanels) {
+  // The campaign stream schedules a ρ panel as ⌈points / threads⌉-point
+  // chunks; the result must still be bit-identical to the standalone
+  // engine run of the same scenario, serial or pooled.
   engine::ScenarioSpec spec;
-  spec.name = "batched_rho";
+  spec.name = "chunked_rho";
   spec.configuration = "Hera/XScale";
   spec.sweep_parameter = SweepParameter::kPerformanceBound;
   spec.points = 9;
