@@ -185,17 +185,36 @@ std::vector<ScenarioResult> CampaignRunner::run(
   }
 
   // Store every missed result (healing any corrupt entry under the same
-  // key) and feed the measured costs back for the next run's ordering.
-  // Serial and after the barrier on purpose: puts touch the filesystem,
-  // not solver state, and a crashed put can only lose cache warmth.
+  // key) and feed the measured costs back for the next run's ordering, in
+  // one put_many that encodes and writes across the pool, after the
+  // barrier: puts touch the filesystem, not solver state. A failed write
+  // loses cache warmth, never the results, so it becomes an incident.
+  incidents_.clear();
   if (store_ != nullptr) {
+    std::vector<store::PutEntry> entries;
     for (const PanelOutput& output : panels) {
-      output.job.put(*output.series, output.seconds_per_point);
+      if (output.job.cache == nullptr) continue;
+      entries.push_back(
+          output.job.entry(*output.series, output.seconds_per_point));
     }
     for (const SolveOutput& output : solves) {
-      output.job.put(*output.solution);
+      if (output.job.cache == nullptr) continue;
+      entries.push_back(output.job.entry(*output.solution));
     }
-    store_->flush();
+    const std::vector<std::string> failures =
+        store_->put_many(entries, sweep::make_parallel_build(pool()));
+    if (!failures.empty()) {
+      incidents_.push_back("cache: " + std::to_string(failures.size()) +
+                           " of " + std::to_string(entries.size()) +
+                           " entries not stored (first: " + failures.front() +
+                           "); they recompute on the next run");
+    }
+    try {
+      store_->flush();
+    } catch (const store::StoreError& error) {
+      incidents_.push_back(std::string("cache: counters not saved: ") +
+                           error.what());
+    }
   }
   return results;
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "rexspeed/engine/scenario.hpp"
@@ -36,11 +37,13 @@ struct CampaignRunnerOptions {
   /// fills the result slot outright — skipping the sweep, prepare and
   /// every chunk task — and a corrupt or missing entry falls through to a
   /// normal recompute whose result is stored (and heals the entry) once
-  /// the stream drains. The store's methods are called from the thread
-  /// that calls run() only. Persisted per-point costs also seed the
-  /// longest-first ordering, replacing that panel's timed probe. Cached
-  /// results are bit-identical to recomputed ones by tested contract, so
-  /// a warm campaign equals a cold one byte for byte.
+  /// the stream drains, in one put_many that encodes and writes across
+  /// the pool; an entry that cannot be written is an incident (see
+  /// CampaignRunner::incidents), not an error. The store's methods are
+  /// called from the thread that calls run() only. Persisted per-point
+  /// costs also seed the longest-first ordering, replacing that panel's
+  /// timed probe. Cached results are bit-identical to recomputed ones by
+  /// tested contract, so a warm campaign equals a cold one byte for byte.
   store::ResultStore* store = nullptr;
 };
 
@@ -92,6 +95,13 @@ class CampaignRunner {
     return pool_.thread_count();
   }
 
+  /// What the most recent run() could not do without costing a result:
+  /// one line per kind of failed cache write (entries not stored, counters
+  /// not saved). Its results are complete and exact either way.
+  [[nodiscard]] const std::vector<std::string>& incidents() const noexcept {
+    return incidents_;
+  }
+
   /// The runner's pool — serial runners (threads == 1) hand out null so
   /// the flattened stream runs inline.
   [[nodiscard]] sweep::ThreadPool* pool() const noexcept {
@@ -101,6 +111,7 @@ class CampaignRunner {
  private:
   mutable sweep::ThreadPool pool_;
   store::ResultStore* store_ = nullptr;
+  mutable std::vector<std::string> incidents_;
 };
 
 }  // namespace rexspeed::engine

@@ -34,12 +34,10 @@ store::EntryInfo provenance(const ScenarioSpec& spec,
 std::optional<sweep::PanelSeries> PanelJob::accept(
     std::string_view blob) const {
   try {
-    sweep::PanelSeries series = store::deserialize_panel_series(blob);
     // A wrong shape means a collision or a store bug; recompute is
-    // always safe.
-    if (series.parameter == axis && series.points.size() == points) {
-      return series;
-    }
+    // always safe. The point count is checked before anything is sized.
+    sweep::PanelSeries series = store::decode_panel_entry(blob, points);
+    if (series.parameter == axis) return series;
   } catch (const store::SerializeError&) {
   }
   return std::nullopt;
@@ -50,13 +48,16 @@ std::optional<double> PanelJob::persisted_cost() const {
   return cache->lookup_cost(cost_key);
 }
 
-void PanelJob::put(const sweep::PanelSeries& series,
-                   double seconds_per_point) const {
-  if (cache == nullptr) return;
-  store::EntryInfo entry = info;
-  entry.cost_seconds_per_point = seconds_per_point;
-  cache->put(key, store::serialize_panel_series(series), std::move(entry));
-  if (seconds_per_point > 0.0) cache->record_cost(cost_key, seconds_per_point);
+store::PutEntry PanelJob::entry(const sweep::PanelSeries& series,
+                                double seconds_per_point) const {
+  store::PutEntry entry;
+  entry.key = key;
+  entry.info = info;
+  entry.info.canonical_size = store::canonical_size(series);
+  entry.info.cost_seconds_per_point = seconds_per_point;
+  entry.encode = [&series] { return store::encode_panel_entry(series); };
+  entry.cost_key = cost_key;
+  return entry;
 }
 
 sweep::PanelSeries PanelJob::run(double* seconds_per_point) {
@@ -67,13 +68,13 @@ sweep::PanelSeries PanelJob::run(double* seconds_per_point) {
       std::chrono::duration<double>(Clock::now() - start).count() /
       static_cast<double>(points);
   if (seconds_per_point != nullptr) *seconds_per_point = per_point;
-  put(series, per_point);
+  if (cache != nullptr) (void)cache->put_many({entry(series, per_point)}, {});
   return series;
 }
 
 std::optional<core::Solution> SolveJob::accept(std::string_view blob) const {
   try {
-    return store::deserialize_solution(blob);
+    return store::decode_solution_entry(blob);
   } catch (const store::SerializeError&) {
     return std::nullopt;
   }
@@ -83,15 +84,19 @@ core::Solution SolveJob::solve() const {
   return backend->solve(rho, policy, min_rho_fallback);
 }
 
-void SolveJob::put(const core::Solution& solution) const {
-  if (cache == nullptr) return;
-  cache->put(key, store::serialize_solution(solution), info);
+store::PutEntry SolveJob::entry(const core::Solution& solution) const {
+  store::PutEntry entry;
+  entry.key = key;
+  entry.info = info;
+  entry.info.canonical_size = store::canonical_size(solution);
+  entry.encode = [&solution] { return store::encode_solution_entry(solution); };
+  return entry;
 }
 
 core::Solution SolveJob::run() {
   if (backend->needs_prepare()) backend->prepare();
   const core::Solution solution = solve();
-  put(solution);
+  if (cache != nullptr) (void)cache->put_many({entry(solution)}, {});
   return solution;
 }
 

@@ -50,9 +50,10 @@ struct PanelJob {
   std::string cost_key;  ///< measured-cost table key (store::cost_key)
   store::EntryInfo info;  ///< provenance stored with the result
 
-  /// Decodes `blob` — a store entry or a shard worker's reply — when it
-  /// is a verified panel of this job's axis and point count; nullopt
-  /// otherwise, and the caller recomputes.
+  /// Decodes `blob` — a store entry check_envelope has passed, or a shard
+  /// worker's reply inside a checksummed frame — when it is a panel of
+  /// this job's axis and point count; nullopt otherwise, and the caller
+  /// recomputes.
   [[nodiscard]] std::optional<sweep::PanelSeries> accept(
       std::string_view blob) const;
 
@@ -60,13 +61,16 @@ struct PanelJob {
   /// (nullopt when uncached or unrecorded).
   [[nodiscard]] std::optional<double> persisted_cost() const;
 
-  /// Stores a computed series with its measured per-point cost and feeds
-  /// the cost table. No-op when uncached.
-  void put(const sweep::PanelSeries& series, double seconds_per_point) const;
+  /// The put_many entry storing `series` (which must outlive the call)
+  /// with its canonical size and measured per-point cost, fed to the cost
+  /// table too. Cached jobs only.
+  [[nodiscard]] store::PutEntry entry(const sweep::PanelSeries& series,
+                                      double seconds_per_point) const;
 
   /// Computes the planned sweep in one call (across the pool it was
   /// planned with, serially without one), puts it with its measured
-  /// wall-clock cost per point, and returns it. `seconds_per_point`, when
+  /// wall-clock cost per point when cached (a failed put is counted by
+  /// the store, not thrown), and returns it. `seconds_per_point`, when
   /// non-null, receives that cost.
   [[nodiscard]] sweep::PanelSeries run(double* seconds_per_point = nullptr);
 };
@@ -85,7 +89,8 @@ struct SolveJob {
   std::string key;  ///< content address (store::solve_key)
   store::EntryInfo info;
 
-  /// Decodes `blob` when it is a verified solution; nullopt otherwise.
+  /// Decodes `blob` (as PanelJob::accept) when it is a solution entry;
+  /// nullopt otherwise.
   [[nodiscard]] std::optional<core::Solution> accept(
       std::string_view blob) const;
 
@@ -93,10 +98,12 @@ struct SolveJob {
   /// was validated at plan time).
   [[nodiscard]] core::Solution solve() const;
 
-  /// Stores a computed solution. No-op when uncached.
-  void put(const core::Solution& solution) const;
+  /// The put_many entry storing `solution` (which must outlive the
+  /// call). Cached jobs only.
+  [[nodiscard]] store::PutEntry entry(const core::Solution& solution) const;
 
-  /// Prepares the backend, solves, puts and returns the solution.
+  /// Prepares the backend, solves, puts (when cached; as PanelJob::run)
+  /// and returns the solution.
   [[nodiscard]] core::Solution run();
 };
 

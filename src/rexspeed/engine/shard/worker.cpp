@@ -36,8 +36,8 @@ ResultFrame compute(const AssignFrame& assign, store::ResultStore* cache) {
     planned.solve = plan_solve(spec, std::move(params), cache);
     fetch_jobs({&planned, 1});
     SolveJob& job = *planned.solve;
-    result.blob =
-        store::serialize_solution(job.hit ? std::move(*job.hit) : job.run());
+    result.blob = store::encode_solution_entry(job.hit ? std::move(*job.hit)
+                                                       : job.run());
   } else {
     const std::vector<sweep::SweepParameter> axes = scenario_panel_axes(spec);
     if (assign.panel >= axes.size()) {
@@ -49,7 +49,7 @@ ResultFrame compute(const AssignFrame& assign, store::ResultStore* cache) {
         plan_panel(spec, std::move(params), axes[assign.panel], cache));
     fetch_jobs({&planned, 1});
     PanelJob& job = planned.panels.front();
-    result.blob = store::serialize_panel_series(
+    result.blob = store::encode_panel_entry(
         job.hit ? std::move(*job.hit) : job.run(&result.seconds_per_point));
   }
   // Workers exit via _exit (skipping destructors), so persist eagerly.

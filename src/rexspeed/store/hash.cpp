@@ -1,17 +1,13 @@
 #include "rexspeed/store/hash.hpp"
 
+#include <bit>
 #include <cstring>
 
 namespace rexspeed::store {
 
 std::uint64_t fnv1a64(const void* data, std::size_t size) noexcept {
-  return fnv1a64(data, size, 14695981039346656037ULL);
-}
-
-std::uint64_t fnv1a64(const void* data, std::size_t size,
-                      std::uint64_t seed) noexcept {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint64_t hash = seed;
+  std::uint64_t hash = 14695981039346656037ULL;
   for (std::size_t i = 0; i < size; ++i) {
     hash ^= bytes[i];
     hash *= 1099511628211ULL;
@@ -21,6 +17,70 @@ std::uint64_t fnv1a64(const void* data, std::size_t size,
 
 std::uint64_t fnv1a64(std::string_view bytes) noexcept {
   return fnv1a64(bytes.data(), bytes.size());
+}
+
+namespace {
+
+constexpr std::uint64_t kLanePrime1 = 0x9e3779b97f4a7c15ULL;
+constexpr std::uint64_t kLanePrime2 = 0xc2b2ae3d27d4eb4fULL;
+
+std::uint64_t load_le64(const std::uint8_t* bytes) noexcept {
+  std::uint64_t word;
+  std::memcpy(&word, bytes, sizeof word);
+  if constexpr (std::endian::native == std::endian::big) {
+    word = __builtin_bswap64(word);
+  }
+  return word;
+}
+
+/// One lane step: xor the word in, multiply by an odd constant, fold the
+/// high half down — each a bijection of the lane for a fixed word.
+std::uint64_t lane_step(std::uint64_t lane, std::uint64_t word) noexcept {
+  lane = (lane ^ word) * kLanePrime1;
+  return lane ^ (lane >> 32);
+}
+
+/// MurmurHash3's fmix64 finalizer (a bijection).
+std::uint64_t avalanche(std::uint64_t value) noexcept {
+  value ^= value >> 33;
+  value *= 0xff51afd7ed558ccdULL;
+  value ^= value >> 33;
+  value *= 0xc4ceb9fe1a85ec53ULL;
+  return value ^ (value >> 33);
+}
+
+}  // namespace
+
+std::uint64_t lane_hash64(const void* data, std::size_t size) noexcept {
+  const auto* bytes = static_cast<const std::uint8_t*>(data);
+  std::uint64_t lanes[4] = {kLanePrime2, kLanePrime2 * 3, kLanePrime2 * 5,
+                            kLanePrime2 * 7};
+  std::size_t offset = 0;
+  for (; offset + 32 <= size; offset += 32) {
+    lanes[0] = lane_step(lanes[0], load_le64(bytes + offset));
+    lanes[1] = lane_step(lanes[1], load_le64(bytes + offset + 8));
+    lanes[2] = lane_step(lanes[2], load_le64(bytes + offset + 16));
+    lanes[3] = lane_step(lanes[3], load_le64(bytes + offset + 24));
+  }
+  std::size_t lane = 0;
+  for (; offset + 8 <= size; offset += 8, ++lane) {
+    lanes[lane] = lane_step(lanes[lane], load_le64(bytes + offset));
+  }
+  if (offset < size) {
+    std::uint8_t tail[8] = {};
+    std::memcpy(tail, bytes + offset, size - offset);
+    lanes[lane] = lane_step(lanes[lane], load_le64(tail));
+  }
+  // In order, so a change confined to one lane survives every later step.
+  std::uint64_t fold = static_cast<std::uint64_t>(size) * kLanePrime1;
+  for (const std::uint64_t value : lanes) {
+    fold = ((fold << 23) | (fold >> 41)) ^ avalanche(value);
+  }
+  return avalanche(fold);
+}
+
+std::uint64_t lane_hash64(std::string_view bytes) noexcept {
+  return lane_hash64(bytes.data(), bytes.size());
 }
 
 namespace {

@@ -8,19 +8,26 @@
 
 namespace rexspeed::store {
 
-/// 64-bit FNV-1a over a byte range — the store's cheap integrity and
-/// cost-table hash. Stable across platforms (pure integer arithmetic,
-/// byte-oriented), not cryptographic: entry checksums detect corruption,
-/// not adversaries.
+/// 64-bit FNV-1a over a byte range — the checksum of canonical blobs and
+/// shard frames, and the cost table's key hash. Stable across platforms
+/// (pure integer arithmetic, byte-oriented), not cryptographic: checksums
+/// detect corruption, not adversaries.
 [[nodiscard]] std::uint64_t fnv1a64(const void* data,
                                     std::size_t size) noexcept;
-/// The same hash continued from `seed`, the value of an earlier call:
-/// fnv1a64(b, n, fnv1a64(a, m)) is the hash of a's m bytes followed by
-/// b's n, so a caller that already hashed a prefix finishes the whole
-/// range without a second pass over it.
-[[nodiscard]] std::uint64_t fnv1a64(const void* data, std::size_t size,
-                                    std::uint64_t seed) noexcept;
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
+
+/// The store entries' checksum: four independent 64-bit multiply-xorshift
+/// lanes over little-endian 8-byte words (word i feeds lane i % 4), the
+/// 0–7 tail bytes zero-padded into one last word, the lanes folded in
+/// order and the length mixed in. Every step is a bijection of the state
+/// it updates, so any single flipped bit changes the result; the lanes
+/// carry no dependency on each other, so a pass runs at several bytes
+/// per cycle where FNV-1a's byte chain manages one. Stable across
+/// platforms (words are read little-endian at any alignment); detects
+/// corruption, not adversaries.
+[[nodiscard]] std::uint64_t lane_hash64(const void* data,
+                                        std::size_t size) noexcept;
+[[nodiscard]] std::uint64_t lane_hash64(std::string_view bytes) noexcept;
 
 /// Incremental SHA-256 (FIPS 180-4), dependency-free — the store's
 /// content-address hash. Keys are the hex digest of a canonical

@@ -199,9 +199,9 @@ std::string format_double_field(double value) {
   return buffer;
 }
 
-/// A sidecar's DataHash field for the FNV-1a 64 of a whole blob.
-std::string data_hash_field(std::uint64_t blob_hash) {
-  return "fnv1a64:" + to_hex(blob_hash);
+/// A sidecar's DataHash field for an entry checksum.
+std::string data_hash_field(std::uint64_t checksum) {
+  return "lane64:" + to_hex(checksum);
 }
 
 /// How one entry read ended.
@@ -211,8 +211,7 @@ enum class Lookup : std::uint8_t { kHit, kMiss, kCorrupt };
 /// share: reads the blob at `entry` into `blob` and checks it. The
 /// envelope check validates magic, format version and the trailing
 /// checksum; the sidecar at `info`, when present, ties the payload to its
-/// recorded provenance. The sidecar hashes the whole blob, which is the
-/// envelope's body hash continued over the 8-byte trailer, so both checks
+/// recorded provenance by recording that same checksum, so both checks
 /// cost one pass over the bytes. Any failure is a recompute, not an
 /// error. Touches no store state, so fetch_many runs it on any thread.
 template <class Bytes>
@@ -229,11 +228,8 @@ Lookup load_verified(const fs::path& entry, const fs::path& info,
   if (const std::optional<std::string> sidecar = read_file(info)) {
     try {
       const std::string recorded = parse_entry_info(*sidecar).data_hash;
-      constexpr std::size_t kTrailer = sizeof(std::uint64_t);
       if (!recorded.empty() &&
-          recorded != data_hash_field(fnv1a64(
-                          bytes.data() + bytes.size() - kTrailer, kTrailer,
-                          envelope.body_hash))) {
+          recorded != data_hash_field(envelope.checksum)) {
         return Lookup::kCorrupt;
       }
     } catch (const StoreError&) {
@@ -257,12 +253,13 @@ void count(StoreStats& stats, Lookup lookup) noexcept {
   }
 }
 
-constexpr const char* kStatsFields[4] = {"Hits", "Misses", "Stores",
-                                         "Corrupt"};
+constexpr std::size_t kCounters = 5;
+constexpr const char* kStatsFields[kCounters] = {"Hits", "Misses", "Stores",
+                                                 "Corrupt", "PutFailures"};
 
-/// The persisted counter quartet, in kStatsFields order.
-std::array<std::uint64_t, 4> load_counters(const fs::path& path) {
-  std::array<std::uint64_t, 4> counters{};
+/// The persisted counters, in kStatsFields order.
+std::array<std::uint64_t, kCounters> load_counters(const fs::path& path) {
+  std::array<std::uint64_t, kCounters> counters{};
   const std::optional<std::string> text = read_file(path);
   if (!text) return counters;
   std::istringstream lines(*text);
@@ -272,7 +269,7 @@ std::array<std::uint64_t, 4> load_counters(const fs::path& path) {
     if (colon == std::string::npos) continue;
     const std::string field = line.substr(0, colon);
     const std::string value = line.substr(colon + 2);
-    for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t i = 0; i < kCounters; ++i) {
       if (field == kStatsFields[i]) {
         counters[i] = std::strtoull(value.c_str(), nullptr, 10);
       }
@@ -295,7 +292,8 @@ std::string format_entry_info(const EntryInfo& info) {
       << "BackendVersion: " << info.backend_version << '\n'
       << "Axis: " << info.axis << '\n'
       << "Points: " << info.points << '\n'
-      << "DataSize: " << info.data_size << '\n'
+      << "FileSize: " << info.data_size << '\n'
+      << "CanonicalSize: " << info.canonical_size << '\n'
       << "DataHash: " << info.data_hash << '\n'
       << "CostPerPoint: " << format_double_field(info.cost_seconds_per_point)
       << '\n';
@@ -327,8 +325,10 @@ EntryInfo parse_entry_info(const std::string& text) {
       info.axis = value;
     } else if (field == "Points") {
       info.points = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (field == "DataSize") {
+    } else if (field == "FileSize") {
       info.data_size = std::strtoull(value.c_str(), nullptr, 10);
+    } else if (field == "CanonicalSize") {
+      info.canonical_size = std::strtoull(value.c_str(), nullptr, 10);
     } else if (field == "DataHash") {
       info.data_hash = value;
     } else if (field == "CostPerPoint") {
@@ -399,15 +399,55 @@ void LocalResultStore::fetch_many(const std::vector<std::string>& keys,
   for (const Lookup lookup : lookups) count(session_, lookup);
 }
 
-void LocalResultStore::put(const std::string& key, std::string_view blob,
-                           EntryInfo info) {
+void LocalResultStore::write_entry(const std::string& key,
+                                   std::string_view blob,
+                                   EntryInfo info) const {
   require_key(key);
   info.key = key;
   info.data_size = blob.size();
-  info.data_hash = data_hash_field(fnv1a64(blob));
+  info.data_hash = data_hash_field(stored_checksum(blob));
   write_file_atomic(entry_path(key), blob);
   write_file_atomic(info_path(key), format_entry_info(info));
+}
+
+void LocalResultStore::put(const std::string& key, std::string_view blob,
+                           EntryInfo info) {
+  write_entry(key, blob, std::move(info));
   ++session_.stores;
+}
+
+std::vector<std::string> LocalResultStore::put_many(
+    const std::vector<PutEntry>& entries, const ParallelFor& parallel) {
+  // Per entry, on any thread: encode, write, record the cost. Errors land
+  // in the entry's own slot (pool tasks must not throw); the counters
+  // move below, on this thread.
+  std::vector<std::string> errors(entries.size());
+  const auto store_one = [&](std::size_t i) {
+    const PutEntry& entry = entries[i];
+    try {
+      write_entry(entry.key, entry.encode(), entry.info);
+      if (!entry.cost_key.empty()) {
+        record_cost(entry.cost_key, entry.info.cost_seconds_per_point);
+      }
+    } catch (const std::exception& error) {
+      errors[i] = entry.key + ": " + error.what();
+    }
+  };
+  if (parallel) {
+    parallel(entries.size(), store_one);
+  } else {
+    for (std::size_t i = 0; i < entries.size(); ++i) store_one(i);
+  }
+  std::vector<std::string> failures;
+  for (std::string& error : errors) {
+    if (error.empty()) {
+      ++session_.stores;
+    } else {
+      ++session_.put_failures;
+      failures.push_back(std::move(error));
+    }
+  }
+  return failures;
 }
 
 std::optional<EntryInfo> LocalResultStore::info(const std::string& key) {
@@ -442,18 +482,31 @@ void LocalResultStore::record_cost(const std::string& cost_key,
 }
 
 StoreStats LocalResultStore::stats() {
-  const std::array<std::uint64_t, 4> persisted =
+  const std::array<std::uint64_t, kCounters> persisted =
       load_counters(root_ / "stats");
   StoreStats out;
   out.hits = persisted[0] + session_.hits;
   out.misses = persisted[1] + session_.misses;
   out.stores = persisted[2] + session_.stores;
   out.corrupt = persisted[3] + session_.corrupt;
+  out.put_failures = persisted[4] + session_.put_failures;
   std::error_code ec;
   for (const auto& file : fs::directory_iterator(root_ / "entries", ec)) {
     if (file.path().extension() == ".bin") {
       ++out.entries;
       out.bytes += fs::file_size(file.path(), ec);
+    } else if (file.path().extension() == ".info") {
+      const std::optional<std::string> text = read_file(file.path());
+      if (!text) continue;
+      try {
+        const EntryInfo sidecar = parse_entry_info(*text);
+        if (sidecar.canonical_size > 0 && sidecar.data_size > 0) {
+          out.sized_bytes += sidecar.data_size;
+          out.canonical_bytes += sidecar.canonical_size;
+        }
+      } catch (const StoreError&) {
+        // verify() reports an unparsable sidecar; stats just skips it.
+      }
     }
   }
   return out;
@@ -503,7 +556,7 @@ std::size_t LocalResultStore::gc() {
 
 void LocalResultStore::flush() {
   if (session_.hits == 0 && session_.misses == 0 && session_.stores == 0 &&
-      session_.corrupt == 0) {
+      session_.corrupt == 0 && session_.put_failures == 0) {
     return;
   }
   // The merge is a read-modify-write of one shared file, so processes
@@ -521,13 +574,15 @@ void LocalResultStore::flush() {
       throw StoreError("store: cannot lock " + lock_path.string());
     }
   }
-  std::array<std::uint64_t, 4> counters = load_counters(root_ / "stats");
+  std::array<std::uint64_t, kCounters> counters =
+      load_counters(root_ / "stats");
   counters[0] += session_.hits;
   counters[1] += session_.misses;
   counters[2] += session_.stores;
   counters[3] += session_.corrupt;
+  counters[4] += session_.put_failures;
   std::ostringstream out;
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < kCounters; ++i) {
     out << kStatsFields[i] << ": " << counters[i] << '\n';
   }
   write_file_atomic(root_ / "stats", out.str());
@@ -544,6 +599,22 @@ void ResultStore::fetch_many(const std::vector<std::string>& keys,
       sink(i, *blob);
     }
   }
+}
+
+std::vector<std::string> ResultStore::put_many(
+    const std::vector<PutEntry>& entries, const ParallelFor& /*parallel*/) {
+  std::vector<std::string> failures;
+  for (const PutEntry& entry : entries) {
+    try {
+      put(entry.key, entry.encode(), entry.info);
+      if (!entry.cost_key.empty()) {
+        record_cost(entry.cost_key, entry.info.cost_seconds_per_point);
+      }
+    } catch (const std::exception& error) {
+      failures.push_back(entry.key + ": " + error.what());
+    }
+  }
+  return failures;
 }
 
 // ---- factory -------------------------------------------------------------

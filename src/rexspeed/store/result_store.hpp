@@ -38,21 +38,33 @@ struct EntryInfo {
   std::string backend_version; ///< capabilities().version at store time
   std::string axis;            ///< swept axis name ("-" for solutions)
   std::uint64_t points = 0;    ///< grid points (1 for solutions)
-  std::uint64_t data_size = 0; ///< payload bytes
-  std::string data_hash;       ///< "fnv1a64:<16 hex>" of the payload
+  /// Entry bytes on disk ("FileSize", as in a Nix narinfo).
+  std::uint64_t data_size = 0;
+  /// Bytes of the value's canonical blob (serialize.hpp's
+  /// canonical_size; narinfo's NarSize to data_size's FileSize), set by
+  /// the caller; 0 = unknown.
+  std::uint64_t canonical_size = 0;
+  /// "lane64:<16 hex>": the entry's checksum, as its trailer records it.
+  std::string data_hash;
   double cost_seconds_per_point = 0.0;  ///< measured (0 = not measured)
 };
 
-/// Session + on-disk counters. hits/misses/stores/corrupt accumulate
-/// across every process that touched the store (the local tier persists
-/// them on flush); entries/bytes are the current on-disk footprint.
+/// Session + on-disk counters. hits/misses/stores/corrupt/put_failures
+/// accumulate across every process that touched the store (the local
+/// tier persists them on flush); the rest is the current on-disk
+/// footprint.
 struct StoreStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
   std::uint64_t corrupt = 0;
+  std::uint64_t put_failures = 0;  ///< entries put_many could not store
   std::uint64_t entries = 0;
   std::uint64_t bytes = 0;
+  /// Over the entries whose sidecar records both sizes: their encoded
+  /// and canonical bytes (`rexspeed cache stats` prints the ratio).
+  std::uint64_t sized_bytes = 0;
+  std::uint64_t canonical_bytes = 0;
 };
 
 /// Parallelizer hook of fetch_many: call fn(i) for every i in [0, count),
@@ -61,6 +73,20 @@ struct StoreStats {
 /// pool).
 using ParallelFor = std::function<void(
     std::size_t count, const std::function<void(std::size_t)>& fn)>;
+
+/// One entry of a put_many call.
+struct PutEntry {
+  std::string key;
+  /// Provenance, canonical size and measured cost; the store fills in
+  /// key, data_size and data_hash.
+  EntryInfo info;
+  /// Produces the entry's blob (serialize.hpp's encode_*_entry); called
+  /// once, on any thread of the put_many hook.
+  std::function<std::string()> encode;
+  /// When non-empty, info.cost_seconds_per_point (if positive) is also
+  /// recorded under this cost key.
+  std::string cost_key;
+};
 
 /// Receives one verified blob of a fetch_many call: the index of its key
 /// and the bytes, valid until it returns (the blob is freed then).
@@ -98,6 +124,17 @@ class ResultStore {
   /// the store; callers provide provenance and cost.
   virtual void put(const std::string& key, std::string_view blob,
                    EntryInfo info) = 0;
+
+  /// put() over many entries, each followed by its record_cost: the write
+  /// half of fetch_many. An entry whose encode or write throws is left
+  /// unstored and reported — one "<key>: <error>" message per failed
+  /// entry — and the rest are stored: a failed cache write costs a later
+  /// recompute, never the results in hand. This default handles the
+  /// entries in order on the calling thread and ignores `parallel`. A
+  /// tier may override it to encode and write across `parallel`; it still
+  /// updates its counters on the calling thread.
+  virtual std::vector<std::string> put_many(
+      const std::vector<PutEntry>& entries, const ParallelFor& parallel);
 
   /// Sidecar lookup without touching the payload.
   [[nodiscard]] virtual std::optional<EntryInfo> info(
@@ -141,6 +178,11 @@ class NullResultStore final : public ResultStore {
     return std::nullopt;
   }
   void put(const std::string&, std::string_view, EntryInfo) override {}
+  /// Nothing to store, so nothing is encoded.
+  std::vector<std::string> put_many(const std::vector<PutEntry>&,
+                                    const ParallelFor&) override {
+    return {};
+  }
   [[nodiscard]] std::optional<EntryInfo> info(const std::string&) override {
     return std::nullopt;
   }
@@ -163,10 +205,11 @@ class NullResultStore final : public ResultStore {
 ///   costs/<hex16>.cost   measured seconds-per-point, one per cost key
 ///   stats                cumulative hit/miss/store/corrupt counters
 /// Writes are atomic (temp file + rename) so a killed run never leaves a
-/// half-written entry behind; fetch verifies the blob checksum and the
-/// sidecar's payload hash before returning bytes, in one pass over them.
-/// fetch_many reads and verifies its entries across the hook, so the
-/// blobs of a warm campaign load on the pool. Every other method, and the
+/// half-written entry behind; fetch verifies the entry checksum and that
+/// the sidecar records the same one before returning bytes, in one pass
+/// over them. fetch_many reads and verifies its entries across the hook
+/// and put_many encodes and writes them across it, so the blobs of a
+/// campaign load and store on the pool. Every other method, and the
 /// counters, belong to one thread at a time.
 class LocalResultStore final : public ResultStore {
  public:
@@ -187,6 +230,8 @@ class LocalResultStore final : public ResultStore {
                   const BlobSink& sink) override;
   void put(const std::string& key, std::string_view blob,
            EntryInfo info) override;
+  std::vector<std::string> put_many(const std::vector<PutEntry>& entries,
+                                    const ParallelFor& parallel) override;
   [[nodiscard]] std::optional<EntryInfo> info(const std::string& key) override;
   [[nodiscard]] std::optional<double> lookup_cost(
       const std::string& cost_key) override;
@@ -204,6 +249,9 @@ class LocalResultStore final : public ResultStore {
  private:
   std::filesystem::path entry_path(const std::string& key) const;
   std::filesystem::path info_path(const std::string& key) const;
+  /// put()'s writes, touching no counter (put_many runs it on the pool).
+  void write_entry(const std::string& key, std::string_view blob,
+                   EntryInfo info) const;
 
   std::filesystem::path root_;
   StoreStats session_;  ///< this process's counters, merged on flush()

@@ -5,20 +5,26 @@
 // are never stored, and cost seeding reorders work without changing any
 // byte of the results. A store mixing hits, misses, a corrupt entry and a
 // wrong-shape entry is fetched across the pool at any thread count with
-// exact counters, and heals.
+// exact counters, and heals. A cache write that fails costs an incident,
+// never the campaign; a cache of canonical (format 1) entries reads as
+// corrupt, heals into entries on the first run and is all hits after.
 
 #include "rexspeed/engine/campaign_runner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "rexspeed/engine/panel_job.hpp"
 #include "rexspeed/engine/scenario.hpp"
+#include "rexspeed/store/hash.hpp"
 #include "rexspeed/store/result_store.hpp"
 #include "rexspeed/store/serialize.hpp"
 
@@ -274,6 +280,166 @@ TEST_F(CampaignCacheTest, MixedStoreIsFetchedExactlyAtAnyThreadCount) {
     store::LocalResultStore cache(dir_);
     EXPECT_TRUE(cache.verify().empty());
   }
+}
+
+/// A tier whose every write fails, the way a full disk fails: put and
+/// record_cost throw StoreError. Reads forward to a real store; put_many
+/// is ResultStore's serial default.
+class FailingWritesStore final : public store::ResultStore {
+ public:
+  explicit FailingWritesStore(store::ResultStore& inner) : inner_(inner) {}
+
+  [[nodiscard]] const char* tier_name() const noexcept override {
+    return "failing";
+  }
+  [[nodiscard]] std::optional<std::string> fetch(
+      const std::string& key) override {
+    return inner_.fetch(key);
+  }
+  void put(const std::string&, std::string_view, store::EntryInfo) override {
+    ++attempts;
+    throw store::StoreError("store: no space left on device");
+  }
+  [[nodiscard]] std::optional<store::EntryInfo> info(
+      const std::string& key) override {
+    return inner_.info(key);
+  }
+  [[nodiscard]] std::optional<double> lookup_cost(
+      const std::string& cost_key) override {
+    return inner_.lookup_cost(cost_key);
+  }
+  void record_cost(const std::string&, double) override {
+    throw store::StoreError("store: no space left on device");
+  }
+  [[nodiscard]] store::StoreStats stats() override { return inner_.stats(); }
+  [[nodiscard]] std::vector<std::string> verify() override {
+    return inner_.verify();
+  }
+  std::size_t gc() override { return inner_.gc(); }
+  void flush() override {
+    throw store::StoreError("store: no space left on device");
+  }
+
+  std::size_t attempts = 0;
+
+ private:
+  store::ResultStore& inner_;
+};
+
+TEST_F(CampaignCacheTest, FailedCacheWritesAreIncidentsNotErrors) {
+  const auto specs = make_campaign();
+  const std::string storeless =
+      fingerprint(CampaignRunner({.threads = 1}).run(specs));
+
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    store::LocalResultStore local(dir_);
+    FailingWritesStore failing(local);
+    const CampaignRunner runner({.threads = threads, .store = &failing});
+    std::vector<ScenarioResult> results;
+    ASSERT_NO_THROW(results = runner.run(specs));
+    EXPECT_EQ(fingerprint(results), storeless);
+    EXPECT_EQ(failing.attempts, specs.size());
+    // One line for the entries, one for the counters.
+    ASSERT_EQ(runner.incidents().size(), 2u);
+    EXPECT_NE(runner.incidents()[0].find("3 of 3 entries not stored"),
+              std::string::npos)
+        << runner.incidents()[0];
+    EXPECT_NE(runner.incidents()[0].find("no space left"), std::string::npos);
+    EXPECT_NE(runner.incidents()[1].find("counters not saved"),
+              std::string::npos);
+  }
+}
+
+TEST_F(CampaignCacheTest, AnEntryTheLocalTierCannotWriteIsAnIncident) {
+  const auto specs = make_campaign();
+  const std::string storeless =
+      fingerprint(CampaignRunner({.threads = 1}).run(specs));
+  // A directory where the exact panel's entry goes: its write fails on
+  // the pool, the other two are stored.
+  std::string blocked;
+  {
+    store::LocalResultStore cache(dir_);
+    blocked = plan_scenario(specs[1], &cache).panels.front().key;
+  }
+  fs::create_directories(dir_ / "entries" / (blocked + ".bin") / "occupied");
+
+  store::LocalResultStore cache(dir_);
+  const CampaignRunner runner({.threads = 4, .store = &cache});
+  EXPECT_EQ(fingerprint(runner.run(specs)), storeless);
+  ASSERT_EQ(runner.incidents().size(), 1u);
+  EXPECT_EQ(runner.incidents()[0].rfind("cache: 1 of 3 entries not stored "
+                                        "(first: " + blocked + ": ",
+                                        0),
+            0u)
+      << runner.incidents()[0];
+  EXPECT_EQ(cache.stats().stores, 2u);
+  EXPECT_EQ(cache.stats().put_failures, 1u);
+}
+
+TEST_F(CampaignCacheTest, CanonicalFormatCacheMigratesByHealing) {
+  const auto specs = make_campaign();
+  const std::vector<ScenarioResult> storeless =
+      CampaignRunner({.threads = 1}).run(specs);
+
+  // What a format-1 store wrote: canonical blobs, and sidecars recording
+  // their size and FNV-1a.
+  const auto fill_canonical = [&] {
+    fs::remove_all(dir_);
+    store::LocalResultStore cache(dir_);
+    std::vector<std::string> keys;
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+      const ScenarioJob job = plan_scenario(specs[s], &cache);
+      const std::string key =
+          job.solve ? job.solve->key : job.panels.front().key;
+      const std::string blob =
+          job.solve ? store::serialize_solution(storeless[s].solution)
+                    : store::serialize_panel_series(storeless[s].panels[0]);
+      std::ofstream(dir_ / "entries" / (key + ".bin"), std::ios::binary)
+          << blob;
+      std::ofstream(dir_ / "entries" / (key + ".info"))
+          << "Key: " << key << "\nKind: panel\nDataSize: " << blob.size()
+          << "\nDataHash: fnv1a64:" << store::to_hex(store::fnv1a64(blob))
+          << "\nCostPerPoint: 0\n";
+      keys.push_back(key);
+    }
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+
+  // verify flags every format-1 entry, and gc removes them.
+  {
+    const std::vector<std::string> keys = fill_canonical();
+    store::LocalResultStore cache(dir_);
+    EXPECT_EQ(cache.verify(), keys);
+    EXPECT_EQ(cache.gc(), keys.size());
+    EXPECT_EQ(cache.stats().entries, 0u);
+  }
+
+  // A campaign on them: no hits, the storeless results, every entry
+  // re-put in the current format.
+  const std::vector<std::string> keys = fill_canonical();
+  store::StoreStats first;
+  EXPECT_EQ(fingerprint(run_cached(specs, &first)), fingerprint(storeless));
+  EXPECT_EQ(first.hits, 0u);
+  EXPECT_EQ(first.corrupt, specs.size());
+  EXPECT_EQ(first.stores, specs.size());
+  for (const std::string& key : keys) {
+    std::ifstream in(dir_ / "entries" / (key + ".bin"), std::ios::binary);
+    const std::string blob{std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>()};
+    EXPECT_NO_THROW((void)store::check_envelope(blob)) << key;
+    store::LocalResultStore cache(dir_);
+    EXPECT_EQ(cache.info(key)->data_hash.rfind("lane64:", 0), 0u);
+  }
+
+  // Then every entry is a hit, and verify is clean.
+  store::StoreStats second;
+  EXPECT_EQ(fingerprint(run_cached(specs, &second)), fingerprint(storeless));
+  EXPECT_EQ(second.hits - first.hits, specs.size());
+  EXPECT_EQ(second.stores, first.stores);
+  store::LocalResultStore cache(dir_);
+  EXPECT_TRUE(cache.verify().empty());
 }
 
 }  // namespace

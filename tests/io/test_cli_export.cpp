@@ -12,11 +12,17 @@
 //   3. The CLI contracts around the kernels: `rexspeed kernels` opens
 //      with `active tier: scalar|avx2` (REXSPEED_FORCE_SCALAR=1 pins
 //      scalar), and the removed `--batch=` flag is a usage error (exit 2).
+//   4. The cache's CLI face: `cache stats` prints the canonical-to-encoded
+//      ratio its sidecars record; a campaign whose cache writes fail
+//      prints one incident line and otherwise exactly what an uncached
+//      run prints and exports (exit 0), while `cache` on an unusable
+//      directory stays a cache error (exit 4).
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -159,6 +165,77 @@ TEST_F(CliExport, BatchFlagIsAUsageError) {
   EXPECT_EQ(run_cli("campaign --scenarios=fig05 --batch=on > /dev/null "
                     "2> /dev/null"),
             2);
+}
+
+TEST_F(CliExport, CacheStatsPrintsTheCanonicalRatio) {
+  const fs::path cache = work_ / "cache";
+  ASSERT_EQ(run_cli("campaign --scenarios=fig02,fig08 --points=101 "
+                    "--cache-dir=" + quoted(cache) + " > /dev/null"),
+            0);
+  const fs::path out = work_ / "stats.txt";
+  ASSERT_EQ(run_cli("cache stats --cache-dir=" + quoted(cache) + " > " +
+                    quoted(out)),
+            0);
+  const std::string stats = read_file(out);
+  EXPECT_NE(stats.find("failed puts: 0\n"), std::string::npos) << stats;
+  const std::size_t ratio = stats.find("ratio:   ");
+  ASSERT_NE(ratio, std::string::npos) << stats;
+  // Columns of repeated flags and speed pairs shrink far below the rows.
+  EXPECT_GT(std::stod(stats.substr(ratio + 9)), 2.0) << stats;
+}
+
+TEST_F(CliExport, FailedCacheWritesAreOneIncidentLine) {
+  // Both compared runs export to `out` (stdout names the directory).
+  const std::string campaign =
+      "campaign --scenarios=fig02,exact_rho --points=7 --out-dir=";
+  ASSERT_EQ(run_cli(campaign + quoted(work_ / "out") + " > " +
+                    quoted(work_ / "plain.txt")),
+            0);
+  fs::rename(work_ / "out", work_ / "plain");
+  // Fill a cache, then put a directory where every entry goes: the rerun
+  // misses each one, recomputes it, and cannot store it.
+  const fs::path cache = work_ / "cache";
+  ASSERT_EQ(run_cli(campaign + quoted(work_ / "fill") + " --cache-dir=" +
+                    quoted(cache) + " > /dev/null"),
+            0);
+  std::size_t entries = 0;
+  for (const auto& entry : fs::directory_iterator(cache / "entries")) {
+    if (entry.path().extension() != ".bin") continue;
+    fs::remove(entry.path());
+    fs::create_directories(entry.path() / "occupied");
+    ++entries;
+  }
+  ASSERT_GT(entries, 0u);
+
+  const fs::path err = work_ / "stderr.txt";
+  ASSERT_EQ(run_cli(campaign + quoted(work_ / "out") + " --cache-dir=" +
+                    quoted(cache) + " > " + quoted(work_ / "blocked.txt") +
+                    " 2> " + quoted(err)),
+            0);
+  EXPECT_EQ(read_file(work_ / "blocked.txt"), read_file(work_ / "plain.txt"));
+  const std::string incident = read_file(err);
+  EXPECT_EQ(incident.rfind("incident: cache: " + std::to_string(entries) +
+                               " of " + std::to_string(entries) +
+                               " entries not stored",
+                           0),
+            0u)
+      << incident;
+  EXPECT_EQ(std::count(incident.begin(), incident.end(), '\n'), 1) << incident;
+  for (const auto& file : fs::recursive_directory_iterator(work_ / "plain")) {
+    if (!file.is_regular_file()) continue;
+    const fs::path relative = fs::relative(file.path(), work_ / "plain");
+    EXPECT_EQ(read_file(work_ / "out" / relative), read_file(file.path()))
+        << relative;
+  }
+
+  // A cache directory that cannot be opened stays a cache error.
+  const fs::path not_a_directory = work_ / "plain.txt";
+  for (const char* action : {"verify", "gc"}) {
+    EXPECT_EQ(run_cli(std::string("cache ") + action + " --cache-dir=" +
+                      quoted(not_a_directory) + " > /dev/null 2> /dev/null"),
+              4)
+        << action;
+  }
 }
 
 }  // namespace

@@ -4,6 +4,12 @@
 // agree on every case, and every fetch path must move the hit, miss and
 // corrupt counters exactly alike. A damaged entry is never an error: it
 // is a miss that bumps `corrupt`, and the caller recomputes.
+//
+// The store checks integrity (the checksum, and the sidecar recording the
+// same one); structure is the decoder's. So damage inside one column of
+// each layout, resealed with a matching checksum and sidecar as a faulty
+// encoder would write it, is a hit on every path, and the panel decoder
+// rejects those bytes instead.
 
 #include "rexspeed/store/result_store.hpp"
 
@@ -40,10 +46,25 @@ struct Case {
   /// Damages the stored entry (`bin`, `info`); null leaves it intact, and
   /// an absent entry is never stored at all.
   std::function<void(const fs::path& bin, const fs::path& info)> damage;
-  /// A panel blob large enough for fetch_many to read it into pages of
-  /// its own, rather than a small solution blob read onto the heap.
-  bool large = false;
+  /// The panel the entry holds (Panel::kNone: a small solution).
+  enum class Panel { kNone, kLarge, kRawX, kRunsX, kRepeatX, kDictX };
+  Panel panel = Panel::kNone;
+  /// Resealed damage: the entry still verifies, the decoder rejects it.
+  bool undecodable = false;
 };
+
+/// Points of a Case::Panel: kLarge is big enough for fetch_many to read
+/// it into pages of its own, rather than onto the heap.
+std::size_t points_of(Case::Panel panel) {
+  return panel == Case::Panel::kLarge ? 12000 : 300;
+}
+
+constexpr const char* kConfiguration = "Hera/XScale";
+
+/// Offset of the x column's layout tag in a panel entry: the entry header
+/// (magic, version, kind), then the panel header (axis, configuration,
+/// ρ, kind, segment cap, count). The column's bytes follow the tag.
+constexpr std::size_t kXColumn = 9 + 4 + (4 + 11) + 8 + 1 + 4 + 4;
 
 std::string read_bytes(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -58,6 +79,23 @@ void flip_byte(const fs::path& path, std::size_t (*where)(std::size_t)) {
   std::string bytes = read_bytes(path);
   bytes[where(bytes.size())] ^= 0x01;
   write_bytes(path, bytes);
+}
+
+/// Rewrites the entry at `bin` as edit(its body) with a fresh checksum,
+/// and its sidecar to record that checksum.
+void reseal(const fs::path& bin, const fs::path& info,
+            const std::function<void(std::string&)>& edit) {
+  std::string body = read_bytes(bin);
+  body.resize(body.size() - 8);
+  edit(body);
+  std::uint64_t checksum = lane_hash64(body);
+  for (int i = 0; i < 8; ++i, checksum >>= 8) {
+    body.push_back(static_cast<char>(checksum & 0xff));
+  }
+  EntryInfo entry = parse_entry_info(read_bytes(info));
+  entry.data_hash = "lane64:" + to_hex(check_envelope(body).checksum);
+  write_bytes(bin, body);
+  write_bytes(info, format_entry_info(entry));
 }
 
 std::vector<Case> damage_matrix() {
@@ -81,9 +119,9 @@ std::vector<Case> damage_matrix() {
        }},
       {"wrong_sidecar_hash", Outcome::kCorrupt,
        [](const fs::path&, const fs::path& info) {
-         // The blob stays valid; only the recorded payload hash lies.
+         // The blob stays valid; only the recorded checksum lies.
          EntryInfo entry = parse_entry_info(read_bytes(info));
-         entry.data_hash = "fnv1a64:" + to_hex(std::uint64_t{42});
+         entry.data_hash = "lane64:" + to_hex(std::uint64_t{42});
          write_bytes(info, format_entry_info(entry));
        }},
       {"unparsable_sidecar", Outcome::kCorrupt,
@@ -92,12 +130,43 @@ std::vector<Case> damage_matrix() {
        }},
       {"missing_sidecar", Outcome::kHit,
        [](const fs::path&, const fs::path& info) { fs::remove(info); }},
-      {"large_intact", Outcome::kHit, nullptr, true},
+      {"large_intact", Outcome::kHit, nullptr, Case::Panel::kLarge},
       {"large_flipped_payload_byte", Outcome::kCorrupt,
        [](const fs::path& bin, const fs::path&) {
          flip_byte(bin, [](std::size_t size) { return size / 3; });
        },
-       true},
+       Case::Panel::kLarge},
+      // One resealed case per column layout, each in the x column.
+      {"raw_column_truncated", Outcome::kHit,
+       [](const fs::path& bin, const fs::path& info) {
+         reseal(bin, info, [](std::string& body) {
+           body.resize(kXColumn + 1 + 8 * 150);  // half of 300 words
+         });
+       },
+       Case::Panel::kRawX, true},
+      {"run_longer_than_the_panel", Outcome::kHit,
+       [](const fs::path& bin, const fs::path& info) {
+         reseal(bin, info, [](std::string& body) {
+           // One run: u32 count, then its word and u32 length.
+           body[kXColumn + 1 + 4 + 8] = static_cast<char>(301 & 0xff);
+         });
+       },
+       Case::Panel::kRunsX, true},
+      {"first_row_marked_repeat", Outcome::kHit,
+       [](const fs::path& bin, const fs::path& info) {
+         reseal(bin, info, [](std::string& body) {
+           body[kXColumn + 1] = static_cast<char>(body[kXColumn + 1] | 1);
+         });
+       },
+       Case::Panel::kRepeatX, true},
+      {"dictionary_index_out_of_range", Outcome::kHit,
+       [](const fs::path& bin, const fs::path& info) {
+         reseal(bin, info, [](std::string& body) {
+           // u8 size − 1, two words, then the indices.
+           body[kXColumn + 1 + 1 + 16 + 5] = 2;
+         });
+       },
+       Case::Panel::kDictX, true},
   };
 }
 
@@ -105,19 +174,38 @@ std::string key_of(const Case& c) {
   return to_hex(fnv1a64("rexspeed-damage-" + c.name));
 }
 
+/// The x of row i of a Case::Panel, shaped to put the x column in the
+/// layout the case names: all distinct (raw), constant (runs), a new
+/// value every third row (repeat), two alternating values (dict).
+double x_of(Case::Panel panel, std::size_t i) {
+  switch (panel) {
+    case Case::Panel::kRunsX:
+      return 5.0;
+    case Case::Panel::kRepeatX:
+      return static_cast<double>(i / 3);
+    case Case::Panel::kDictX:
+      return static_cast<double>(1 + i % 2);
+    default:
+      return static_cast<double>(i);
+  }
+}
+
 std::string blob_of(const Case& c, std::size_t index) {
   core::Solution solution;
   solution.pair.feasible = true;
   solution.pair.w_opt = 1000.0 + static_cast<double>(index);
-  if (!c.large) return serialize_solution(solution);
+  if (c.panel == Case::Panel::kNone) return encode_solution_entry(solution);
   sweep::PanelSeries series;
-  series.configuration = "Hera/XScale";
-  series.points.resize(2000);  // ≈ 520 KB
+  series.configuration = kConfiguration;
+  series.points.resize(points_of(c.panel));
   for (std::size_t i = 0; i < series.points.size(); ++i) {
-    series.points[i].x = static_cast<double>(i);
+    series.points[i].x = x_of(c.panel, i);
     series.points[i].primary = solution;
+    // Two raw columns besides x: the large panel is ≈ 290 KB on disk.
+    series.points[i].primary.pair.w_energy = static_cast<double>(i) / 7.0;
+    series.points[i].baseline.pair.w_energy = static_cast<double>(i) / 9.0;
   }
-  return serialize_panel_series(series);
+  return encode_panel_entry(series);
 }
 
 /// Forwards every call to a real store but inherits ResultStore's serial
@@ -170,15 +258,16 @@ class DamagedEntriesTest : public ::testing::Test {
     for (std::size_t i = 0; i < cases_.size(); ++i) {
       const Case& c = cases_[i];
       keys_.push_back(key_of(c));
-      if (c.expected == Outcome::kMiss) continue;
+      if (c.expected == Outcome::kMiss) {
+        on_disk_.emplace_back();
+        continue;
+      }
       EntryInfo info;
       info.kind = "solution";
       store.put(keys_.back(), blob_of(c, i), info);
-      if (c.damage) {
-        const fs::path entries = dir_ / "entries";
-        c.damage(entries / (keys_.back() + ".bin"),
-                 entries / (keys_.back() + ".info"));
-      }
+      const fs::path bin = dir_ / "entries" / (keys_.back() + ".bin");
+      if (c.damage) c.damage(bin, dir_ / "entries" / (keys_.back() + ".info"));
+      on_disk_.push_back(read_bytes(bin));
     }
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -198,7 +287,9 @@ class DamagedEntriesTest : public ::testing::Test {
       const bool hit = c.expected == Outcome::kHit;
       EXPECT_EQ(reading.blobs[i].has_value(), hit) << path << ": " << c.name;
       if (hit && reading.blobs[i]) {
-        EXPECT_EQ(*reading.blobs[i], blob_of(c, i)) << path << ": " << c.name;
+        EXPECT_EQ(*reading.blobs[i], on_disk_[i]) << path << ": " << c.name;
+        EXPECT_EQ(*reading.blobs[i] == blob_of(c, i), !c.undecodable)
+            << path << ": " << c.name;
       }
       expected.hits += hit ? 1 : 0;
       expected.misses += c.expected == Outcome::kMiss ? 1 : 0;
@@ -243,6 +334,7 @@ class DamagedEntriesTest : public ::testing::Test {
 
   const std::vector<Case> cases_ = damage_matrix();
   std::vector<std::string> keys_;
+  std::vector<std::string> on_disk_;  ///< each entry's bytes after damage
   fs::path dir_;
 };
 
@@ -283,6 +375,45 @@ TEST_F(DamagedEntriesTest, DefaultFetchManyLoopsFetchOnTheCallingThread) {
   EXPECT_EQ(threads.size(), keys_.size() + reading.counted.hits);
   for (const std::thread::id id : threads) {
     EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST_F(DamagedEntriesTest, ResealedColumnDamageIsRejectedByTheDecoder) {
+  LocalResultStore store(dir_);
+  for (std::size_t i = 0; i < cases_.size(); ++i) {
+    const Case& c = cases_[i];
+    if (c.panel == Case::Panel::kNone || c.expected != Outcome::kHit) {
+      continue;
+    }
+    const std::optional<std::string> blob = store.fetch(keys_[i]);
+    ASSERT_TRUE(blob.has_value()) << c.name;
+    const std::size_t points = points_of(c.panel);
+    // The x column is in the layout the case damages (0 raw, 1 runs,
+    // 2 repeat, 3 dict), and the large panel big enough to be mapped.
+    const std::string intact = blob_of(c, i);
+    switch (c.panel) {
+      case Case::Panel::kLarge:
+        EXPECT_GE(intact.size(), std::size_t{256} << 10);
+        break;
+      case Case::Panel::kRunsX:
+        EXPECT_EQ(intact[kXColumn], 1);
+        break;
+      case Case::Panel::kRepeatX:
+        EXPECT_EQ(intact[kXColumn], 2);
+        break;
+      case Case::Panel::kDictX:
+        EXPECT_EQ(intact[kXColumn], 3);
+        break;
+      default:
+        EXPECT_EQ(intact[kXColumn], 0);
+    }
+    if (c.undecodable) {
+      EXPECT_THROW((void)decode_panel_entry(*blob, points), SerializeError)
+          << c.name;
+    } else {
+      EXPECT_EQ(encode_panel_entry(decode_panel_entry(*blob, points)), *blob)
+          << c.name;
+    }
   }
 }
 

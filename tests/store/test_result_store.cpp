@@ -11,6 +11,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rexspeed/engine/backend_registry.hpp"
@@ -67,20 +68,76 @@ TEST(StoreHash, Fnv1a64MatchesReferenceValues) {
             "af63dc4c8601ec8c");
 }
 
-TEST(StoreHash, Fnv1a64ContinuesFromASeed) {
-  const std::string whole = "rexspeed-continued-hash";
-  for (std::size_t split = 0; split <= whole.size(); ++split) {
-    const std::uint64_t prefix = fnv1a64(whole.data(), split);
-    EXPECT_EQ(fnv1a64(whole.data() + split, whole.size() - split, prefix),
-              fnv1a64(whole));
+/// Bytes 0..size-1 of the known-answer message: byte i is 37 i + 11.
+std::string kat_message(std::size_t size) {
+  std::string message;
+  for (std::size_t i = 0; i < size; ++i) {
+    message.push_back(static_cast<char>(i * 37 + 11));
   }
-  // The envelope check's body hash, continued over the 8-byte trailer, is
-  // the whole blob's hash: the value a sidecar records.
-  const std::string blob = serialize_solution(core::Solution{});
-  const BlobEnvelope envelope = check_envelope(blob);
-  EXPECT_EQ(envelope.kind, PayloadKind::kSolution);
-  EXPECT_EQ(fnv1a64(blob.data() + blob.size() - 8, 8, envelope.body_hash),
-            fnv1a64(blob));
+  return message;
+}
+
+TEST(StoreHash, LaneHash64MatchesKnownAnswers) {
+  // Pinned: every entry on disk carries this checksum, so changing the
+  // function is a format change (bump kFormatVersion). The lengths cover
+  // no words, a tail only, one word, a word plus tail, a block short of a
+  // byte, one block, and a block plus a byte.
+  const std::pair<std::size_t, const char*> answers[] = {
+      {0, "2d39e577bdaa7d33"},  {1, "de8aa461b4c36206"},
+      {7, "522a0203b901589c"},  {8, "5f7284a70b88e419"},
+      {9, "0de572187f029945"},  {31, "0c09878fd090bfee"},
+      {32, "38e5a4c3a8f1a96c"}, {33, "a28ec5ce3f6766e5"},
+  };
+  for (const auto& [size, expected] : answers) {
+    const std::string message = kat_message(size);
+    EXPECT_EQ(to_hex(lane_hash64(message)), expected) << size << " bytes";
+    // The same bytes at every misalignment of the view.
+    for (std::size_t shift = 1; shift < 8; ++shift) {
+      const std::string padded = std::string(shift, '\x5a') + message;
+      EXPECT_EQ(to_hex(lane_hash64(padded.data() + shift, size)), expected)
+          << size << " bytes at offset " << shift;
+    }
+  }
+}
+
+/// lane_hash64 spelled out byte by byte, as hash.hpp documents it.
+std::uint64_t lane_hash64_reference(const std::string& bytes) {
+  const auto mix = [](std::uint64_t lane, std::uint64_t word) {
+    lane = (lane ^ word) * 0x9e3779b97f4a7c15ULL;
+    return lane ^ (lane >> 32);
+  };
+  const auto fmix = [](std::uint64_t value) {
+    value ^= value >> 33;
+    value *= 0xff51afd7ed558ccdULL;
+    value ^= value >> 33;
+    value *= 0xc4ceb9fe1a85ec53ULL;
+    return value ^ (value >> 33);
+  };
+  std::uint64_t lanes[4];
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    lanes[i] = 0xc2b2ae3d27d4eb4fULL * (2 * i + 1);
+  }
+  for (std::size_t word = 0; 8 * word < bytes.size(); ++word) {
+    std::uint64_t value = 0;  // little-endian, zero-padded past the end
+    for (std::size_t b = 0; b < 8 && 8 * word + b < bytes.size(); ++b) {
+      value |= std::uint64_t{static_cast<std::uint8_t>(bytes[8 * word + b])}
+               << (8 * b);
+    }
+    lanes[word % 4] = mix(lanes[word % 4], value);
+  }
+  std::uint64_t fold = bytes.size() * 0x9e3779b97f4a7c15ULL;
+  for (const std::uint64_t lane : lanes) {
+    fold = ((fold << 23) | (fold >> 41)) ^ fmix(lane);
+  }
+  return fmix(fold);
+}
+
+TEST(StoreHash, LaneHash64MatchesItsByteWiseDefinition) {
+  for (std::size_t size = 0; size <= 100; ++size) {
+    EXPECT_EQ(lane_hash64(kat_message(size)),
+              lane_hash64_reference(kat_message(size)))
+        << size << " bytes";
+  }
 }
 
 // ---- key derivation ------------------------------------------------------
@@ -190,10 +247,36 @@ TEST(StoreSerialize, SolutionRoundTripsBitForBit) {
   solution.used_fallback = true;
 
   const std::string blob = serialize_solution(solution);
-  EXPECT_EQ(check_envelope(blob).kind, PayloadKind::kSolution);
+  EXPECT_EQ(blob.size(), canonical_size(solution));
   // Serialize(deserialize(x)) is a fixed point — including non-finite
   // doubles, whose bit patterns must survive the trip untouched.
   EXPECT_EQ(serialize_solution(deserialize_solution(blob)), blob);
+
+  // The same for the store's entry form.
+  const std::string entry = encode_solution_entry(solution);
+  const BlobEnvelope envelope = check_envelope(entry);
+  EXPECT_EQ(envelope.kind, PayloadKind::kSolution);
+  EXPECT_EQ(envelope.checksum, stored_checksum(entry));
+  EXPECT_EQ(encode_solution_entry(decode_solution_entry(entry)), entry);
+  EXPECT_EQ(serialize_solution(decode_solution_entry(entry)), blob);
+}
+
+TEST(StoreSerialize, EntriesAndCanonicalBlobsAreDifferentFormats) {
+  sweep::PanelSeries series;
+  series.configuration = "Hera/XScale";
+  series.points.resize(3);
+  const std::string canonical = serialize_panel_series(series);
+  const std::string entry = encode_panel_entry(series);
+  EXPECT_EQ(canonical.size(), canonical_size(series));
+  // Each codec rejects the other's blobs by their version.
+  EXPECT_THROW((void)check_envelope(canonical), SerializeError);
+  EXPECT_THROW((void)decode_panel_entry(canonical, 3), SerializeError);
+  EXPECT_THROW((void)deserialize_panel_series(entry), SerializeError);
+  // A panel decodes only at the point count its caller expects, and only
+  // as the payload kind it is.
+  EXPECT_EQ(decode_panel_entry(entry, 3).points.size(), 3u);
+  EXPECT_THROW((void)decode_panel_entry(entry, 4), SerializeError);
+  EXPECT_THROW((void)decode_solution_entry(entry), SerializeError);
 }
 
 TEST(StoreSerialize, CorruptedBytesAreDetected) {
@@ -222,7 +305,7 @@ TEST(StoreSerialize, CorruptedBytesAreDetected) {
 TEST_F(ResultStoreTest, LocalPutFetchRoundTripsWithSidecar) {
   LocalResultStore store(dir_);
   const std::string key(64, 'a');
-  const std::string blob = serialize_solution(core::Solution{});
+  const std::string blob = encode_solution_entry(core::Solution{});
 
   EXPECT_FALSE(store.fetch(key).has_value());  // miss first
 
@@ -234,6 +317,7 @@ TEST_F(ResultStoreTest, LocalPutFetchRoundTripsWithSidecar) {
   info.backend_version = "cf-1";
   info.axis = "-";
   info.points = 1;
+  info.canonical_size = canonical_size(core::Solution{});
   store.put(key, blob, info);
 
   const auto fetched = store.fetch(key);
@@ -247,15 +331,102 @@ TEST_F(ResultStoreTest, LocalPutFetchRoundTripsWithSidecar) {
   EXPECT_EQ(sidecar->scenario, "fig02");
   EXPECT_EQ(sidecar->backend_version, "cf-1");
   EXPECT_EQ(sidecar->data_size, blob.size());
-  EXPECT_EQ(sidecar->data_hash,
-            "fnv1a64:" + to_hex(fnv1a64(blob.data(), blob.size())));
+  EXPECT_EQ(sidecar->canonical_size, serialize_solution({}).size());
+  // The entry's trailer checksum, recorded without a second hash pass;
+  // pinned, like the checksum itself.
+  EXPECT_EQ(sidecar->data_hash, "lane64:" + to_hex(check_envelope(blob).checksum));
+  EXPECT_EQ(sidecar->data_hash, "lane64:1f086aee546552ce");
 
   const StoreStats stats = store.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.stores, 1u);
   EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.sized_bytes, blob.size());
+  EXPECT_EQ(stats.canonical_bytes, serialize_solution({}).size());
   EXPECT_TRUE(store.verify().empty());
+}
+
+TEST_F(ResultStoreTest, StatsSumTheSidecarSizes) {
+  // Two panels and an entry whose sidecar records no canonical size (it
+  // counts in `bytes`, not in the ratio's sums).
+  LocalResultStore store(dir_);
+  sweep::PanelSeries series;
+  series.configuration = "Hera/XScale";
+  std::uint64_t sized = 0;
+  std::uint64_t canonical = 0;
+  for (const std::size_t points : {101u, 2001u}) {
+    series.points.resize(points);
+    for (std::size_t i = 0; i < points; ++i) {
+      series.points[i].x = 1.0 + static_cast<double>(i) / 64.0;
+      series.points[i].primary.pair.w_opt = 1000.0 + static_cast<double>(i);
+    }
+    const std::string blob = encode_panel_entry(series);
+    EntryInfo info;
+    info.canonical_size = canonical_size(series);
+    store.put(std::string(64, points == 101 ? '1' : '2'), blob, info);
+    sized += blob.size();
+    canonical += info.canonical_size;
+  }
+  const std::string unsized = encode_solution_entry(core::Solution{});
+  store.put(std::string(64, '3'), unsized, EntryInfo{});
+
+  const StoreStats stats = store.stats();
+  EXPECT_EQ(stats.entries, 3u);
+  EXPECT_EQ(stats.bytes, sized + unsized.size());
+  EXPECT_EQ(stats.sized_bytes, sized);
+  EXPECT_EQ(stats.canonical_bytes, canonical);
+  // Two raw double columns out of 45: far smaller than the rows.
+  EXPECT_GT(stats.canonical_bytes, 5 * stats.sized_bytes);
+}
+
+TEST_F(ResultStoreTest, PutManyStoresAcrossAPoolAndReportsEachFailure) {
+  LocalResultStore store(dir_);
+  // 40 entries; the 7th cannot be encoded and the 13th cannot be written
+  // (a directory holds its path).
+  std::vector<core::Solution> solutions(40);
+  std::vector<PutEntry> entries;
+  for (std::size_t i = 0; i < solutions.size(); ++i) {
+    solutions[i].pair.w_opt = static_cast<double>(i);
+    PutEntry entry;
+    entry.key = to_hex(Sha256::of("put-many-" + std::to_string(i)));
+    entry.info.kind = "solution";
+    entry.info.cost_seconds_per_point = 1e-6 * static_cast<double>(i + 1);
+    entry.cost_key = to_hex(fnv1a64(entry.key));
+    const core::Solution& solution = solutions[i];
+    entry.encode = [&solution] { return encode_solution_entry(solution); };
+    entries.push_back(std::move(entry));
+  }
+  entries[6].encode = []() -> std::string {
+    throw SerializeError("serialize: cannot encode");
+  };
+  fs::create_directories(dir_ / "entries" / (entries[12].key + ".bin") /
+                         "occupied");
+
+  sweep::ThreadPool pool(4);
+  const std::vector<std::string> failures =
+      store.put_many(entries, sweep::make_parallel_build(&pool));
+  ASSERT_EQ(failures.size(), 2u);
+  EXPECT_EQ(failures[0].rfind(entries[6].key + ": ", 0), 0u) << failures[0];
+  EXPECT_NE(failures[0].find("cannot encode"), std::string::npos);
+  EXPECT_EQ(failures[1].rfind(entries[12].key + ": ", 0), 0u) << failures[1];
+
+  const StoreStats stats = store.stats();
+  EXPECT_EQ(stats.stores, 38u);
+  EXPECT_EQ(stats.put_failures, 2u);
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const bool stored = i != 6 && i != 12;
+    const std::optional<std::string> blob = store.fetch(entries[i].key);
+    EXPECT_EQ(blob.has_value(), stored) << i;
+    if (blob) {
+      EXPECT_EQ(decode_solution_entry(*blob).pair.w_opt, solutions[i].pair.w_opt);
+    }
+    EXPECT_EQ(store.lookup_cost(entries[i].cost_key).has_value(), stored)
+        << i;
+  }
+  // Failures are counted in the persisted stats too.
+  store.flush();
+  EXPECT_EQ(LocalResultStore(dir_).stats().put_failures, 2u);
 }
 
 TEST_F(ResultStoreTest, CountersPersistAcrossInstances) {
@@ -263,7 +434,7 @@ TEST_F(ResultStoreTest, CountersPersistAcrossInstances) {
   {
     LocalResultStore store(dir_);
     (void)store.fetch(key);  // miss
-    store.put(key, serialize_solution(core::Solution{}), EntryInfo{});
+    store.put(key, encode_solution_entry(core::Solution{}), EntryInfo{});
     (void)store.fetch(key);  // hit
   }  // destructor flushes
   LocalResultStore reopened(dir_);
@@ -276,7 +447,7 @@ TEST_F(ResultStoreTest, CountersPersistAcrossInstances) {
 TEST_F(ResultStoreTest, CorruptEntriesAreMissesUntilHealed) {
   LocalResultStore store(dir_);
   const std::string key(64, 'c');
-  const std::string blob = serialize_solution(core::Solution{});
+  const std::string blob = encode_solution_entry(core::Solution{});
   store.put(key, blob, EntryInfo{});
 
   // Flip one payload byte on disk: fetch must report a miss (corrupt
@@ -304,8 +475,8 @@ TEST_F(ResultStoreTest, GcRemovesWhatVerifyFlags) {
   LocalResultStore store(dir_);
   const std::string good(64, 'd');
   const std::string bad(64, 'e');
-  store.put(good, serialize_solution(core::Solution{}), EntryInfo{});
-  store.put(bad, serialize_solution(core::Solution{}), EntryInfo{});
+  store.put(good, encode_solution_entry(core::Solution{}), EntryInfo{});
+  store.put(bad, encode_solution_entry(core::Solution{}), EntryInfo{});
   std::ofstream(dir_ / "entries" / (bad + ".bin"), std::ios::trunc)
       << "garbage";
   // An orphan sidecar (no payload) is damage too.
@@ -354,7 +525,8 @@ TEST(StoreSidecar, FormatParseRoundTrips) {
   info.axis = "rho";
   info.points = 51;
   info.data_size = 4096;
-  info.data_hash = "fnv1a64:0123456789abcdef";
+  info.canonical_size = 13370;
+  info.data_hash = "lane64:0123456789abcdef";
   info.cost_seconds_per_point = 3.5e-3;
 
   const EntryInfo parsed = parse_entry_info(format_entry_info(info));
@@ -367,6 +539,7 @@ TEST(StoreSidecar, FormatParseRoundTrips) {
   EXPECT_EQ(parsed.axis, info.axis);
   EXPECT_EQ(parsed.points, info.points);
   EXPECT_EQ(parsed.data_size, info.data_size);
+  EXPECT_EQ(parsed.canonical_size, info.canonical_size);
   EXPECT_EQ(parsed.data_hash, info.data_hash);
   EXPECT_EQ(parsed.cost_seconds_per_point, info.cost_seconds_per_point);
 

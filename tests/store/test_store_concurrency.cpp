@@ -46,7 +46,7 @@ std::string blob_of(int k) {
   core::Solution solution;
   solution.pair.feasible = true;
   solution.pair.w_opt = 1000.0 + k;
-  return serialize_solution(solution);
+  return encode_solution_entry(solution);
 }
 
 /// One writer process's workload; returns normally only if no store call
@@ -58,8 +58,18 @@ void hammer(const fs::path& dir) {
     (void)store.fetch(key_of(k));
     EntryInfo info;
     info.kind = "solution";
-    store.put(key_of(k), blob_of(k), info);
-    store.record_cost(key_of(k), 1e-3 * (k + 1));
+    if (round % 2 == 0) {
+      store.put(key_of(k), blob_of(k), info);
+      store.record_cost(key_of(k), 1e-3 * (k + 1));
+    } else {
+      // The same writes through put_many, which reports failures instead
+      // of throwing them.
+      info.cost_seconds_per_point = 1e-3 * (k + 1);
+      const PutEntry entry{key_of(k), info, [k] { return blob_of(k); },
+                           key_of(k)};
+      const std::vector<std::string> failures = store.put_many({entry}, {});
+      if (!failures.empty()) throw StoreError(failures.front());
+    }
     store.flush();
   }
 }

@@ -355,7 +355,7 @@ int cmd_solve(const io::ArgParser& args) {
                            spec.verification_recall);
     if (const std::optional<std::string> blob = cache->fetch(key)) {
       try {
-        const core::Solution sol = store::deserialize_solution(*blob);
+        const core::Solution sol = store::decode_solution_entry(*blob);
         if (sol.feasible()) {
           // Verified hit: the backend's (possibly expensive) prepare is
           // skipped entirely.
@@ -380,7 +380,8 @@ int cmd_solve(const io::ArgParser& args) {
     info.backend_version = context.capabilities().version;
     info.axis = "-";
     info.points = 1;
-    cache->put(key, store::serialize_solution(sol), std::move(info));
+    info.canonical_size = store::canonical_size(sol);
+    cache->put(key, store::encode_solution_entry(sol), std::move(info));
     cache->flush();
   }
   return report_solution(spec, sol, &context);
@@ -665,6 +666,9 @@ int cmd_campaign(const io::ArgParser& args) {
     engine::CampaignRunner runner({.threads = static_cast<unsigned>(threads),
                                    .store = cache.get()});
     results = runner.run(specs);
+    for (const std::string& incident : runner.incidents()) {
+      std::fprintf(stderr, "incident: %s\n", incident.c_str());
+    }
     char buffer[96];
     std::snprintf(buffer, sizeof buffer,
                   "\n%zu scenarios through one pool (%u threads)\n",
@@ -788,6 +792,15 @@ int cmd_cache(const io::ArgParser& args) {
                 static_cast<unsigned long long>(stats.stores));
     std::printf("corrupt: %llu\n",
                 static_cast<unsigned long long>(stats.corrupt));
+    std::printf("failed puts: %llu\n",
+                static_cast<unsigned long long>(stats.put_failures));
+    if (stats.sized_bytes > 0) {
+      std::printf("ratio:   %.2fx (%llu canonical bytes in %llu)\n",
+                  static_cast<double>(stats.canonical_bytes) /
+                      static_cast<double>(stats.sized_bytes),
+                  static_cast<unsigned long long>(stats.canonical_bytes),
+                  static_cast<unsigned long long>(stats.sized_bytes));
+    }
     return 0;
   }
   if (action == "verify") {
