@@ -201,13 +201,19 @@ std::vector<ScenarioResult> CampaignRunner::run(
       if (output.job.cache == nullptr) continue;
       entries.push_back(output.job.entry(*output.solution));
     }
-    const std::vector<std::string> failures =
+    const store::PutFailures failures =
         store_->put_many(entries, sweep::make_parallel_build(pool()));
-    if (!failures.empty()) {
-      incidents_.push_back("cache: " + std::to_string(failures.size()) +
-                           " of " + std::to_string(entries.size()) +
-                           " entries not stored (first: " + failures.front() +
-                           "); they recompute on the next run");
+    if (!failures.entries.empty()) {
+      incidents_.push_back(
+          "cache: " + std::to_string(failures.entries.size()) + " of " +
+          std::to_string(entries.size()) + " entries not stored (first: " +
+          failures.entries.front() + "); they recompute on the next run");
+    }
+    if (!failures.costs.empty()) {
+      incidents_.push_back(
+          "cache: " + std::to_string(failures.costs.size()) +
+          " measured costs not recorded (first: " + failures.costs.front() +
+          "); their entries are stored");
     }
     try {
       store_->flush();

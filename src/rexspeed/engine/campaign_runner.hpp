@@ -96,8 +96,8 @@ class CampaignRunner {
   }
 
   /// What the most recent run() could not do without costing a result:
-  /// one line per kind of failed cache write (entries not stored, counters
-  /// not saved). Its results are complete and exact either way.
+  /// one line per kind of failed cache write (entries not stored, costs
+  /// not recorded, counters not saved). Its results are complete and exact either way.
   [[nodiscard]] const std::vector<std::string>& incidents() const noexcept {
     return incidents_;
   }

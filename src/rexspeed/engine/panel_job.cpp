@@ -29,6 +29,23 @@ store::EntryInfo provenance(const ScenarioSpec& spec,
   return info;
 }
 
+/// Puts one job's entry for the drivers that run one job at a time (the
+/// sweep engine, a shard worker, the coordinator's in-process fallback):
+/// whatever put_many could not do is thrown, as a plain put would, so the
+/// driver reports it. Only the campaign's batched put turns failures into
+/// incidents.
+void put_or_throw(store::ResultStore& cache, store::PutEntry entry) {
+  const store::PutFailures failures = cache.put_many({std::move(entry)}, {});
+  if (!failures.entries.empty()) {
+    throw store::StoreError("entry not stored: " +
+                            failures.entries.front());
+  }
+  if (!failures.costs.empty()) {
+    throw store::StoreError("cost not recorded: " +
+                            failures.costs.front());
+  }
+}
+
 }  // namespace
 
 std::optional<sweep::PanelSeries> PanelJob::accept(
@@ -68,7 +85,7 @@ sweep::PanelSeries PanelJob::run(double* seconds_per_point) {
       std::chrono::duration<double>(Clock::now() - start).count() /
       static_cast<double>(points);
   if (seconds_per_point != nullptr) *seconds_per_point = per_point;
-  if (cache != nullptr) (void)cache->put_many({entry(series, per_point)}, {});
+  if (cache != nullptr) put_or_throw(*cache, entry(series, per_point));
   return series;
 }
 
@@ -96,7 +113,7 @@ store::PutEntry SolveJob::entry(const core::Solution& solution) const {
 core::Solution SolveJob::run() {
   if (backend->needs_prepare()) backend->prepare();
   const core::Solution solution = solve();
-  if (cache != nullptr) (void)cache->put_many({entry(solution)}, {});
+  if (cache != nullptr) put_or_throw(*cache, entry(solution));
   return solution;
 }
 

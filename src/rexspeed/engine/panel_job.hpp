@@ -69,9 +69,9 @@ struct PanelJob {
 
   /// Computes the planned sweep in one call (across the pool it was
   /// planned with, serially without one), puts it with its measured
-  /// wall-clock cost per point when cached (a failed put is counted by
-  /// the store, not thrown), and returns it. `seconds_per_point`, when
-  /// non-null, receives that cost.
+  /// wall-clock cost per point when cached, and returns it. A failed put
+  /// throws StoreError. `seconds_per_point`, when non-null, receives that
+  /// cost.
   [[nodiscard]] sweep::PanelSeries run(double* seconds_per_point = nullptr);
 };
 

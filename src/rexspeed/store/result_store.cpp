@@ -278,6 +278,54 @@ std::array<std::uint64_t, kCounters> load_counters(const fs::path& path) {
   return counters;
 }
 
+/// Where one put_many entry ended up; empty strings mean it went through.
+struct PutOutcome {
+  std::string entry_error;
+  std::string cost_error;
+};
+
+/// The per-entry body of every put_many: encode, `write` the blob, then
+/// record the entry's cost. Each entry's outcome lands in its own slot
+/// (pool tasks must not throw), so `parallel` may run them on any thread
+/// when `write` and the store's record_cost allow it. A cost that cannot
+/// be recorded leaves the entry stored.
+PutFailures put_entries(
+    ResultStore& store, const std::vector<PutEntry>& entries,
+    const ParallelFor& parallel,
+    const std::function<void(const PutEntry&, std::string_view)>& write) {
+  std::vector<PutOutcome> outcomes(entries.size());
+  const auto put_one = [&](std::size_t i) {
+    const PutEntry& entry = entries[i];
+    try {
+      write(entry, entry.encode());
+    } catch (const std::exception& error) {
+      outcomes[i].entry_error = entry.key + ": " + error.what();
+      return;
+    }
+    if (entry.cost_key.empty()) return;
+    try {
+      store.record_cost(entry.cost_key, entry.info.cost_seconds_per_point);
+    } catch (const std::exception& error) {
+      outcomes[i].cost_error = entry.cost_key + ": " + error.what();
+    }
+  };
+  if (parallel) {
+    parallel(entries.size(), put_one);
+  } else {
+    for (std::size_t i = 0; i < entries.size(); ++i) put_one(i);
+  }
+  PutFailures failures;
+  for (PutOutcome& outcome : outcomes) {
+    if (!outcome.entry_error.empty()) {
+      failures.entries.push_back(std::move(outcome.entry_error));
+    }
+    if (!outcome.cost_error.empty()) {
+      failures.costs.push_back(std::move(outcome.cost_error));
+    }
+  }
+  return failures;
+}
+
 }  // namespace
 
 // ---- sidecar format ------------------------------------------------------
@@ -416,37 +464,17 @@ void LocalResultStore::put(const std::string& key, std::string_view blob,
   ++session_.stores;
 }
 
-std::vector<std::string> LocalResultStore::put_many(
-    const std::vector<PutEntry>& entries, const ParallelFor& parallel) {
-  // Per entry, on any thread: encode, write, record the cost. Errors land
-  // in the entry's own slot (pool tasks must not throw); the counters
-  // move below, on this thread.
-  std::vector<std::string> errors(entries.size());
-  const auto store_one = [&](std::size_t i) {
-    const PutEntry& entry = entries[i];
-    try {
-      write_entry(entry.key, entry.encode(), entry.info);
-      if (!entry.cost_key.empty()) {
-        record_cost(entry.cost_key, entry.info.cost_seconds_per_point);
-      }
-    } catch (const std::exception& error) {
-      errors[i] = entry.key + ": " + error.what();
-    }
-  };
-  if (parallel) {
-    parallel(entries.size(), store_one);
-  } else {
-    for (std::size_t i = 0; i < entries.size(); ++i) store_one(i);
-  }
-  std::vector<std::string> failures;
-  for (std::string& error : errors) {
-    if (error.empty()) {
-      ++session_.stores;
-    } else {
-      ++session_.put_failures;
-      failures.push_back(std::move(error));
-    }
-  }
+PutFailures LocalResultStore::put_many(const std::vector<PutEntry>& entries,
+                                      const ParallelFor& parallel) {
+  // write_entry touches no counter, so it runs on the pool; the counters
+  // move here, on this thread.
+  PutFailures failures = put_entries(
+      *this, entries, parallel,
+      [this](const PutEntry& entry, std::string_view blob) {
+        write_entry(entry.key, blob, entry.info);
+      });
+  session_.stores += entries.size() - failures.entries.size();
+  session_.put_failures += failures.entries.size();
   return failures;
 }
 
@@ -601,20 +629,12 @@ void ResultStore::fetch_many(const std::vector<std::string>& keys,
   }
 }
 
-std::vector<std::string> ResultStore::put_many(
-    const std::vector<PutEntry>& entries, const ParallelFor& /*parallel*/) {
-  std::vector<std::string> failures;
-  for (const PutEntry& entry : entries) {
-    try {
-      put(entry.key, entry.encode(), entry.info);
-      if (!entry.cost_key.empty()) {
-        record_cost(entry.cost_key, entry.info.cost_seconds_per_point);
-      }
-    } catch (const std::exception& error) {
-      failures.push_back(entry.key + ": " + error.what());
-    }
-  }
-  return failures;
+PutFailures ResultStore::put_many(const std::vector<PutEntry>& entries,
+                                 const ParallelFor& /*parallel*/) {
+  return put_entries(*this, entries, {},
+                     [this](const PutEntry& entry, std::string_view blob) {
+                       put(entry.key, blob, entry.info);
+                     });
 }
 
 // ---- factory -------------------------------------------------------------

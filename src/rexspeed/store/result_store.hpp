@@ -88,6 +88,20 @@ struct PutEntry {
   std::string cost_key;
 };
 
+/// What a put_many call could not do, one "<key>: <error>" message per
+/// failure.
+struct PutFailures {
+  /// Entries left unstored: their encode or write threw.
+  std::vector<std::string> entries;
+  /// Stored entries whose cost record threw, under their cost key: the
+  /// entry is a hit next run, only the scheduling hint is lost.
+  std::vector<std::string> costs;
+
+  [[nodiscard]] bool empty() const noexcept {
+    return entries.empty() && costs.empty();
+  }
+};
+
 /// Receives one verified blob of a fetch_many call: the index of its key
 /// and the bytes, valid until it returns (the blob is freed then).
 using BlobSink =
@@ -127,14 +141,14 @@ class ResultStore {
 
   /// put() over many entries, each followed by its record_cost: the write
   /// half of fetch_many. An entry whose encode or write throws is left
-  /// unstored and reported — one "<key>: <error>" message per failed
-  /// entry — and the rest are stored: a failed cache write costs a later
+  /// unstored, a cost whose record throws is left unrecorded, both are
+  /// reported, and the rest are stored: a failed cache write costs a later
   /// recompute, never the results in hand. This default handles the
   /// entries in order on the calling thread and ignores `parallel`. A
   /// tier may override it to encode and write across `parallel`; it still
   /// updates its counters on the calling thread.
-  virtual std::vector<std::string> put_many(
-      const std::vector<PutEntry>& entries, const ParallelFor& parallel);
+  virtual PutFailures put_many(const std::vector<PutEntry>& entries,
+                               const ParallelFor& parallel);
 
   /// Sidecar lookup without touching the payload.
   [[nodiscard]] virtual std::optional<EntryInfo> info(
@@ -179,8 +193,8 @@ class NullResultStore final : public ResultStore {
   }
   void put(const std::string&, std::string_view, EntryInfo) override {}
   /// Nothing to store, so nothing is encoded.
-  std::vector<std::string> put_many(const std::vector<PutEntry>&,
-                                    const ParallelFor&) override {
+  PutFailures put_many(const std::vector<PutEntry>&,
+                       const ParallelFor&) override {
     return {};
   }
   [[nodiscard]] std::optional<EntryInfo> info(const std::string&) override {
@@ -230,8 +244,8 @@ class LocalResultStore final : public ResultStore {
                   const BlobSink& sink) override;
   void put(const std::string& key, std::string_view blob,
            EntryInfo info) override;
-  std::vector<std::string> put_many(const std::vector<PutEntry>& entries,
-                                    const ParallelFor& parallel) override;
+  PutFailures put_many(const std::vector<PutEntry>& entries,
+                       const ParallelFor& parallel) override;
   [[nodiscard]] std::optional<EntryInfo> info(const std::string& key) override;
   [[nodiscard]] std::optional<double> lookup_cost(
       const std::string& cost_key) override;

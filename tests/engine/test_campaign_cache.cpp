@@ -377,6 +377,39 @@ TEST_F(CampaignCacheTest, AnEntryTheLocalTierCannotWriteIsAnIncident) {
   EXPECT_EQ(cache.stats().put_failures, 1u);
 }
 
+TEST_F(CampaignCacheTest, ACostTheLocalTierCannotRecordLeavesItsEntryStored) {
+  const auto specs = make_campaign();
+  const std::string storeless =
+      fingerprint(CampaignRunner({.threads = 1}).run(specs));
+  // A directory where the exact panel's cost file goes.
+  std::string blocked;
+  {
+    store::LocalResultStore cache(dir_);
+    blocked = plan_scenario(specs[1], &cache).panels.front().cost_key;
+  }
+  fs::create_directories(dir_ / "costs" / (blocked + ".cost") / "occupied");
+
+  {
+    store::LocalResultStore cache(dir_);
+    const CampaignRunner runner({.threads = 4, .store = &cache});
+    EXPECT_EQ(fingerprint(runner.run(specs)), storeless);
+    ASSERT_EQ(runner.incidents().size(), 1u);
+    EXPECT_EQ(runner.incidents()[0].rfind(
+                  "cache: 1 measured costs not recorded (first: " + blocked +
+                      ": ",
+                  0),
+              0u)
+        << runner.incidents()[0];
+    EXPECT_EQ(cache.stats().stores, 3u);
+    EXPECT_EQ(cache.stats().put_failures, 0u);
+  }
+  // Every entry was stored, so the rerun hits all three.
+  store::LocalResultStore cache(dir_);
+  const CampaignRunner runner({.threads = 4, .store = &cache});
+  EXPECT_EQ(fingerprint(runner.run(specs)), storeless);
+  EXPECT_EQ(cache.stats().hits, 3u);
+}
+
 TEST_F(CampaignCacheTest, CanonicalFormatCacheMigratesByHealing) {
   const auto specs = make_campaign();
   const std::vector<ScenarioResult> storeless =

@@ -16,7 +16,8 @@
 //      ratio its sidecars record; a campaign whose cache writes fail
 //      prints one incident line and otherwise exactly what an uncached
 //      run prints and exports (exit 0), while `cache` on an unusable
-//      directory stays a cache error (exit 4).
+//      directory stays a cache error (exit 4), and so does a sweep whose
+//      one cache write fails.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -236,6 +237,29 @@ TEST_F(CliExport, FailedCacheWritesAreOneIncidentLine) {
               4)
         << action;
   }
+}
+
+TEST_F(CliExport, SweepReportsAFailedCacheWriteAsACacheError) {
+  // A sweep runs one panel at a time and has no incident report, so a
+  // cache write it cannot make fails the command, as a plain put does.
+  const std::string sweep = "sweep --scenario=fig08 --points=5 --cache-dir=" +
+                            quoted(work_ / "cache");
+  ASSERT_EQ(run_cli(sweep + " > /dev/null"), 0);
+  std::size_t entries = 0;
+  for (const auto& entry :
+       fs::directory_iterator(work_ / "cache" / "entries")) {
+    if (entry.path().extension() != ".bin") continue;
+    fs::remove(entry.path());
+    fs::create_directories(entry.path() / "occupied");
+    ++entries;
+  }
+  ASSERT_GT(entries, 0u);
+
+  const fs::path err = work_ / "stderr.txt";
+  EXPECT_EQ(run_cli(sweep + " > /dev/null 2> " + quoted(err)), 4);
+  const std::string error = read_file(err);
+  EXPECT_NE(error.find("cache error: entry not stored: "), std::string::npos)
+      << error;
 }
 
 }  // namespace

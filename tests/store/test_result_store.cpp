@@ -382,8 +382,9 @@ TEST_F(ResultStoreTest, StatsSumTheSidecarSizes) {
 
 TEST_F(ResultStoreTest, PutManyStoresAcrossAPoolAndReportsEachFailure) {
   LocalResultStore store(dir_);
-  // 40 entries; the 7th cannot be encoded and the 13th cannot be written
-  // (a directory holds its path).
+  // 40 entries; the 7th cannot be encoded, the 13th cannot be written (a
+  // directory holds its path), and the 20th is written but its cost
+  // cannot be (likewise).
   std::vector<core::Solution> solutions(40);
   std::vector<PutEntry> entries;
   for (std::size_t i = 0; i < solutions.size(); ++i) {
@@ -402,14 +403,22 @@ TEST_F(ResultStoreTest, PutManyStoresAcrossAPoolAndReportsEachFailure) {
   };
   fs::create_directories(dir_ / "entries" / (entries[12].key + ".bin") /
                          "occupied");
+  fs::create_directories(dir_ / "costs" / (entries[19].cost_key + ".cost") /
+                         "occupied");
 
   sweep::ThreadPool pool(4);
-  const std::vector<std::string> failures =
+  const PutFailures failures =
       store.put_many(entries, sweep::make_parallel_build(&pool));
-  ASSERT_EQ(failures.size(), 2u);
-  EXPECT_EQ(failures[0].rfind(entries[6].key + ": ", 0), 0u) << failures[0];
-  EXPECT_NE(failures[0].find("cannot encode"), std::string::npos);
-  EXPECT_EQ(failures[1].rfind(entries[12].key + ": ", 0), 0u) << failures[1];
+  ASSERT_EQ(failures.entries.size(), 2u);
+  EXPECT_EQ(failures.entries[0].rfind(entries[6].key + ": ", 0), 0u)
+      << failures.entries[0];
+  EXPECT_NE(failures.entries[0].find("cannot encode"), std::string::npos);
+  EXPECT_EQ(failures.entries[1].rfind(entries[12].key + ": ", 0), 0u)
+      << failures.entries[1];
+  // A lost cost is reported apart: its entry is stored and counts so.
+  ASSERT_EQ(failures.costs.size(), 1u);
+  EXPECT_EQ(failures.costs[0].rfind(entries[19].cost_key + ": ", 0), 0u)
+      << failures.costs[0];
 
   const StoreStats stats = store.stats();
   EXPECT_EQ(stats.stores, 38u);
@@ -421,7 +430,8 @@ TEST_F(ResultStoreTest, PutManyStoresAcrossAPoolAndReportsEachFailure) {
     if (blob) {
       EXPECT_EQ(decode_solution_entry(*blob).pair.w_opt, solutions[i].pair.w_opt);
     }
-    EXPECT_EQ(store.lookup_cost(entries[i].cost_key).has_value(), stored)
+    EXPECT_EQ(store.lookup_cost(entries[i].cost_key).has_value(),
+              stored && i != 19)
         << i;
   }
   // Failures are counted in the persisted stats too.

@@ -67,8 +67,10 @@ void hammer(const fs::path& dir) {
       info.cost_seconds_per_point = 1e-3 * (k + 1);
       const PutEntry entry{key_of(k), info, [k] { return blob_of(k); },
                            key_of(k)};
-      const std::vector<std::string> failures = store.put_many({entry}, {});
-      if (!failures.empty()) throw StoreError(failures.front());
+      const PutFailures failures = store.put_many({entry}, {});
+      for (const auto* list : {&failures.entries, &failures.costs}) {
+        if (!list->empty()) throw StoreError(list->front());
+      }
     }
     store.flush();
   }

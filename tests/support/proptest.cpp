@@ -60,7 +60,7 @@ std::string format_double(double value) {
 }  // namespace
 
 std::size_t resolved_iterations(const PropOptions& options) {
-  if (const auto iters = env_u64(options.iterations_env)) {
+  if (const auto iters = env_u64("REXSPEED_PROP_ITERS")) {
     return static_cast<std::size_t>(std::max<std::uint64_t>(*iters, 1));
   }
   return options.iterations;
@@ -100,8 +100,7 @@ bool run_captured(const std::function<void()>& body, std::string* failure) {
 
 void report_falsified(const char* property, std::size_t iteration,
                       std::uint64_t case_seed, std::size_t shrink_steps,
-                      const std::string& description,
-                      const char* iterations_env) {
+                      const std::string& description) {
   std::fprintf(stderr,
                "[proptest] property '%s' falsified at iteration %zu "
                "(%zu shrink steps)\n",
@@ -110,8 +109,9 @@ void report_falsified(const char* property, std::size_t iteration,
   // failing case and the (deterministic) shrink re-finds this minimum.
   std::fprintf(stderr,
                "[proptest] repro: REXSPEED_PROP_SEED=%llu "
-               "%s=1 <test binary> --gtest_filter=<this test>\n",
-               static_cast<unsigned long long>(case_seed), iterations_env);
+               "REXSPEED_PROP_ITERS=1 <test binary> "
+               "--gtest_filter=<this test>\n",
+               static_cast<unsigned long long>(case_seed));
   std::fprintf(stderr, "[proptest] counterexample: %s\n",
                description.c_str());
 }

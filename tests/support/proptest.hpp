@@ -18,10 +18,6 @@
 // Environment overrides (absolute, applying to every property):
 //   REXSPEED_PROP_ITERS — iterations per property (CI runs 1000+)
 //   REXSPEED_PROP_SEED  — the first case seed of every property
-// A property with a budget of its own (a fuzz target's iterations are two
-// orders of magnitude cheaper than a solver property's) names its own
-// iteration variable in PropOptions::iterations_env, as Nix's
-// RC_GTEST_PROP_WITH_PARAMS gives a test its own RapidCheck parameters.
 //
 // Generators are plain structs:
 //   using Value = ...;
@@ -69,11 +65,9 @@ class Rng {
 };
 
 struct PropOptions {
-  /// Per-property default; the `iterations_env` variable overrides it
-  /// absolutely (every property in this suite is cheap enough for >= 1000).
+  /// Per-property default; REXSPEED_PROP_ITERS overrides it absolutely
+  /// (every property in this suite is cheap enough for >= 1000).
   std::size_t iterations = 100;
-  /// The environment variable that overrides `iterations`.
-  const char* iterations_env = "REXSPEED_PROP_ITERS";
   /// First case seed; REXSPEED_PROP_SEED overrides it.
   std::uint64_t seed = 0x5EEDF00Dull;
   /// Cap on greedy shrink steps (each step re-runs the body once per
@@ -81,8 +75,7 @@ struct PropOptions {
   std::size_t max_shrink_steps = 200;
 };
 
-/// The options.iterations_env variable, or options.iterations when
-/// unset/malformed.
+/// REXSPEED_PROP_ITERS, or options.iterations when unset/malformed.
 [[nodiscard]] std::size_t resolved_iterations(const PropOptions& options);
 /// REXSPEED_PROP_SEED, or options.seed when unset/malformed.
 [[nodiscard]] std::uint64_t resolved_seed(const PropOptions& options);
@@ -98,8 +91,7 @@ bool run_captured(const std::function<void()>& body, std::string* failure);
 /// single-line seed repro and the counterexample description.
 void report_falsified(const char* property, std::size_t iteration,
                       std::uint64_t case_seed, std::size_t shrink_steps,
-                      const std::string& description,
-                      const char* iterations_env);
+                      const std::string& description);
 
 }  // namespace detail
 
@@ -137,7 +129,7 @@ void check(const char* property, const Gen& gen, const Body& body,
       }
     }
     detail::report_falsified(property, i, case_seed, steps,
-                             gen.describe(value), options.iterations_env);
+                             gen.describe(value));
     body(value);  // uncaptured: the real diagnostics, on the minimal case
     return;
   }
