@@ -4,7 +4,7 @@
 //
 //   per-point rebuild — the pre-cache path: every grid point re-runs
 //     optimize_exact_pair for all K² pairs from scratch
-//     (sweep::solve_figure_point off a BiCritSolver in kExactOptimize);
+//     (solve_panel_point off a ClosedFormBackend in kExactOptimize);
 //   cached serial     — ONE core::ExactSolver pays the per-(σ1,σ2) exact
 //     curve optimization once (construction included in the timing);
 //     every point is then feasibility math + at most one bisection;
@@ -47,21 +47,23 @@ double seconds_since(Clock::time_point start) {
 /// agreement only: the rebuild path falls back to the first-order
 /// tangency policy while the cached backend uses the exact-model one —
 /// different by design, both feasible best-effort answers.
-bool series_agree(const std::vector<sweep::FigurePoint>& a,
-                  const std::vector<sweep::FigurePoint>& b,
+bool series_agree(const std::vector<core::PanelPoint>& a,
+                  const std::vector<core::PanelPoint>& b,
                   double* max_rel_err) {
   *max_rel_err = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].two_speed_fallback != b[i].two_speed_fallback ||
-        a[i].two_speed.feasible != b[i].two_speed.feasible) {
+    const core::Solution& left = a[i].primary;
+    const core::Solution& right = b[i].primary;
+    if (left.used_fallback != right.used_fallback ||
+        left.pair.feasible != right.pair.feasible) {
       std::fprintf(stderr, "MISMATCH at x=%g: feasibility/fallback differs\n",
                    a[i].x);
       return false;
     }
-    if (a[i].two_speed_fallback || !a[i].two_speed.feasible) continue;
-    const double rel = std::abs(a[i].two_speed.energy_overhead -
-                                b[i].two_speed.energy_overhead) /
-                       b[i].two_speed.energy_overhead;
+    if (left.used_fallback || !left.pair.feasible) continue;
+    const double rel = std::abs(left.pair.energy_overhead -
+                                right.pair.energy_overhead) /
+                       right.pair.energy_overhead;
     *max_rel_err = std::max(*max_rel_err, rel);
   }
   if (*max_rel_err > 1e-6) {
@@ -85,9 +87,13 @@ int main(int argc, char** argv) try {
       platform::configuration_by_name("Hera/XScale"));
   const std::vector<double> grid =
       sweep::default_grid(sweep::SweepParameter::kPerformanceBound, points);
-  sweep::SweepOptions options;
-  options.mode = core::EvalMode::kExactOptimize;
-  options.points = points;
+  // One figure point: both speed policies (and their min-ρ fallbacks) at
+  // bound x.
+  const auto figure_point = [](const core::SolverBackend& backend,
+                               double rho) {
+    return backend.solve_panel_point(sweep::SweepParameter::kPerformanceBound,
+                                     rho, rho, /*min_rho_fallback=*/true);
+  };
 
   std::printf("exact-opt rho sweep: %zu points, %zu speeds -> %zu pairs\n\n",
               grid.size(), params.speeds.size(),
@@ -99,11 +105,10 @@ int main(int argc, char** argv) try {
   auto start = Clock::now();
   const core::ClosedFormBackend rebuild_backend(
       params, core::EvalMode::kExactOptimize);
-  std::vector<sweep::FigurePoint> rebuilt;
+  std::vector<core::PanelPoint> rebuilt;
   rebuilt.reserve(grid.size());
   for (const double rho : grid) {
-    rebuilt.push_back(
-        sweep::solve_figure_point(rebuild_backend, rho, options));
+    rebuilt.push_back(figure_point(rebuild_backend, rho));
   }
   const double naive_s = seconds_since(start);
 
@@ -111,11 +116,10 @@ int main(int argc, char** argv) try {
   start = Clock::now();
   core::ExactOptBackend exact_backend(params);
   exact_backend.prepare();
-  std::vector<sweep::FigurePoint> cached;
+  std::vector<core::PanelPoint> cached;
   cached.reserve(grid.size());
   for (const double rho : grid) {
-    cached.push_back(
-        sweep::solve_figure_point(exact_backend, rho, options));
+    cached.push_back(figure_point(exact_backend, rho));
   }
   const double cached_s = seconds_since(start);
 
@@ -128,7 +132,8 @@ int main(int argc, char** argv) try {
   spec.sweep_parameter = sweep::SweepParameter::kPerformanceBound;
   const engine::SweepEngine engine({.threads = threads});
   start = Clock::now();
-  const sweep::FigureSeries panel = engine.run(spec);
+  const sweep::PanelSeries panel =
+      engine.run_axis(spec, *spec.sweep_parameter);
   const double parallel_s = seconds_since(start);
 
   double max_rel_err = 0.0;

@@ -109,8 +109,8 @@ int main(int argc, char** argv) try {
   spec.sweep_parameter = sweep::SweepParameter::kPerformanceBound;
   const engine::SweepEngine engine({.threads = threads});
   start = Clock::now();
-  const sweep::InterleavedSeries panel = engine.run_interleaved(
-      spec, sweep::SweepParameter::kPerformanceBound);
+  const sweep::PanelSeries panel =
+      engine.run_axis(spec, sweep::SweepParameter::kPerformanceBound);
   const double parallel_s = seconds_since(start);
 
   // The two code paths must agree (boundary bisection vs golden section

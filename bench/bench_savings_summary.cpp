@@ -9,7 +9,8 @@
 
 #include "rexspeed/io/table_writer.hpp"
 #include "rexspeed/platform/configuration.hpp"
-#include "rexspeed/sweep/figure_sweeps.hpp"
+#include "rexspeed/core/solver_backend.hpp"
+#include "rexspeed/sweep/panel_sweep.hpp"
 
 using namespace rexspeed;
 
@@ -28,17 +29,19 @@ int main() {
                          "Pidle", "Pio", "max"});
   double global_best = 0.0;
   std::string global_where;
-  sweep::SweepOptions options;
-  options.points = 101;
   for (const auto& config : platform::all_configurations()) {
     io::Row row{config.name()};
     double config_best = 0.0;
     for (const auto parameter : parameters) {
-      const auto series = run_figure_sweep(config, parameter, options);
+      const sweep::PanelSeries series = sweep::run_panel_sweep(
+          core::make_mode_backend(
+              core::ModelParams::from_configuration(config),
+              core::EvalMode::kFirstOrder),
+          config.name(), parameter, sweep::default_grid(parameter, 101));
       // Only count points where both policies genuinely meet the bound.
       double best = 0.0;
       for (const auto& point : series.points) {
-        if (point.two_speed_fallback || point.single_speed_fallback) {
+        if (point.primary.used_fallback || point.baseline.used_fallback) {
           continue;
         }
         best = std::max(best, point.energy_saving());

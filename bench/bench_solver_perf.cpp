@@ -7,11 +7,11 @@
 
 #include "rexspeed/core/bicrit_solver.hpp"
 #include "rexspeed/core/exact_expectations.hpp"
-#include "rexspeed/engine/solver_context.hpp"
+#include "rexspeed/core/solver_backend.hpp"
 #include "rexspeed/platform/configuration.hpp"
 #include "rexspeed/sim/simulator.hpp"
-#include "rexspeed/sweep/figure_sweeps.hpp"
 #include "rexspeed/sweep/grid.hpp"
+#include "rexspeed/sweep/panel_sweep.hpp"
 
 using namespace rexspeed;
 
@@ -59,23 +59,25 @@ void BM_RhoSweepColdSolverPerPoint(benchmark::State& state) {
 }
 BENCHMARK(BM_RhoSweepColdSolverPerPoint);
 
-void BM_RhoSweepSharedContext(benchmark::State& state) {
-  // The engine's ρ-sweep fast path: one SolverContext serves the whole
+void BM_RhoSweepSharedBackend(benchmark::State& state) {
+  // The engine's ρ-sweep fast path: one prepared backend serves the whole
   // grid, so repeated solves are cheap lookups + feasibility math.
   const auto params = hera_xscale();
   const auto grid = sweep::linspace(1.0, 3.5, 51);
   for (auto _ : state) {
-    const engine::SolverContext context(params);
+    const auto backend =
+        core::make_mode_backend(params, core::EvalMode::kFirstOrder);
+    backend->prepare();
     double acc = 0.0;
     for (const double rho : grid) {
-      acc += context.solve(rho).pair.energy_overhead;
-      acc += context.solve(rho, core::SpeedPolicy::kSingleSpeed)
+      acc += backend->solve(rho).pair.energy_overhead;
+      acc += backend->solve(rho, core::SpeedPolicy::kSingleSpeed)
                  .pair.energy_overhead;
     }
     benchmark::DoNotOptimize(acc);
   }
 }
-BENCHMARK(BM_RhoSweepSharedContext);
+BENCHMARK(BM_RhoSweepSharedBackend);
 
 void BM_SolveFirstOrderScalesWithK(benchmark::State& state) {
   // Synthetic speed sets of growing size to exhibit the K² scaling.
@@ -129,25 +131,29 @@ void BM_SimulatorPatternThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorPatternThroughput);
 
+/// One 51-point first-order Atlas/Crusoe panel over `axis`.
+sweep::PanelSeries atlas_crusoe_panel(sweep::SweepParameter axis) {
+  return sweep::run_panel_sweep(
+      core::make_mode_backend(
+          core::ModelParams::from_configuration(
+              platform::configuration_by_name("Atlas/Crusoe")),
+          core::EvalMode::kFirstOrder),
+      "Atlas/Crusoe", axis, sweep::default_grid(axis, 51));
+}
+
 void BM_FigureSweepPanel(benchmark::State& state) {
-  const auto& config = platform::configuration_by_name("Atlas/Crusoe");
-  sweep::SweepOptions options;
-  options.points = 51;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_figure_sweep(
-        config, sweep::SweepParameter::kCheckpointTime, options));
+    benchmark::DoNotOptimize(
+        atlas_crusoe_panel(sweep::SweepParameter::kCheckpointTime));
   }
 }
 BENCHMARK(BM_FigureSweepPanel);
 
 void BM_FigureSweepRhoPanel(benchmark::State& state) {
-  // ρ panel: exercises the shared-context fast path end to end.
-  const auto& config = platform::configuration_by_name("Atlas/Crusoe");
-  sweep::SweepOptions options;
-  options.points = 51;
+  // ρ panel: exercises the shared-backend fast path end to end.
   for (auto _ : state) {
-    benchmark::DoNotOptimize(run_figure_sweep(
-        config, sweep::SweepParameter::kPerformanceBound, options));
+    benchmark::DoNotOptimize(
+        atlas_crusoe_panel(sweep::SweepParameter::kPerformanceBound));
   }
 }
 BENCHMARK(BM_FigureSweepRhoPanel);

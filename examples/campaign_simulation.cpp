@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <exception>
 
-#include "rexspeed/engine/solver_context.hpp"
 #include "rexspeed/core/exact_expectations.hpp"
+#include "rexspeed/core/solver_backend.hpp"
 #include "rexspeed/io/cli.hpp"
 #include "rexspeed/io/table_writer.hpp"
 #include "rexspeed/platform/configuration.hpp"
@@ -62,9 +62,11 @@ int main(int argc, char** argv) try {
 
   auto params = core::ModelParams::from_configuration(
       platform::configuration_by_name(config_name));
-  const engine::SolverContext solver(params);
-  const auto two = solver.solve(rho, core::SpeedPolicy::kTwoSpeed);
-  const auto one = solver.solve(rho, core::SpeedPolicy::kSingleSpeed);
+  const auto solver =
+      core::make_mode_backend(params, core::EvalMode::kFirstOrder);
+  solver->prepare();
+  const auto two = solver->solve(rho, core::SpeedPolicy::kTwoSpeed);
+  const auto one = solver->solve(rho, core::SpeedPolicy::kSingleSpeed);
   if (!two.feasible() || !one.feasible()) {
     std::printf("rho = %.3f is unachievable on %s\n", rho,
                 config_name.c_str());
@@ -74,9 +76,12 @@ int main(int argc, char** argv) try {
   // Boost the error rate so a laptop-scale simulation sees enough errors;
   // the policy itself is recomputed for the boosted rate to stay optimal.
   params.lambda_silent *= boost;
-  const engine::SolverContext hot_solver(params);
-  const auto hot_two = hot_solver.solve(rho, core::SpeedPolicy::kTwoSpeed);
-  const auto hot_one = hot_solver.solve(rho, core::SpeedPolicy::kSingleSpeed);
+  const auto hot_solver =
+      core::make_mode_backend(params, core::EvalMode::kFirstOrder);
+  hot_solver->prepare();
+  const auto hot_two = hot_solver->solve(rho, core::SpeedPolicy::kTwoSpeed);
+  const auto hot_one =
+      hot_solver->solve(rho, core::SpeedPolicy::kSingleSpeed);
 
   const double total_work = days * 86400.0;
   std::printf("Campaign on %s: %.0f days of full-speed work, %zu "

@@ -9,7 +9,7 @@
 #include <cstdio>
 #include <exception>
 
-#include "rexspeed/engine/solver_context.hpp"
+#include "rexspeed/core/solver_backend.hpp"
 #include "rexspeed/io/cli.hpp"
 #include "rexspeed/io/table_writer.hpp"
 #include "rexspeed/platform/configuration.hpp"
@@ -20,11 +20,10 @@ using namespace rexspeed;
 
 namespace {
 
-void print_speed_pair_table(const engine::SolverContext& context,
-                            double rho) {
+void print_speed_pair_table(const core::SolverBackend& solver, double rho) {
   std::printf("rho = %g\n", rho);
   io::TableWriter table({"sigma1", "best sigma2", "Wopt", "E/W", ""});
-  for (const auto& row : sweep::speed_pair_table(context.backend(), rho)) {
+  for (const auto& row : sweep::speed_pair_table(solver, rho)) {
     if (!row.feasible) {
       table.add_row({io::TableWriter::cell(row.sigma1, 2), "-", "-", "-",
                      ""});
@@ -49,23 +48,26 @@ int main(int argc, char** argv) try {
   const auto steps =
       static_cast<std::size_t>(args.get_long_or("steps", 15));
 
-  // One cached context serves the four §4.2 tables and the whole bound
+  // One prepared backend serves the four §4.2 tables and the whole bound
   // scan: the O(K²) expansions are computed exactly once.
-  const engine::SolverContext solver(core::ModelParams::from_configuration(
-      platform::configuration_by_name(config_name)));
+  const auto solver = core::make_mode_backend(
+      core::ModelParams::from_configuration(
+          platform::configuration_by_name(config_name)),
+      core::EvalMode::kFirstOrder);
+  solver->prepare();
 
   std::printf("=== Speed-pair tables (paper section 4.2) on %s ===\n\n",
               config_name.c_str());
   for (const double rho : sweep::section42_bounds()) {
-    print_speed_pair_table(solver, rho);
+    print_speed_pair_table(*solver, rho);
   }
 
   std::printf("=== Two-speed vs single-speed across the bound ===\n\n");
   io::TableWriter table({"rho", "sigma1", "sigma2", "Wopt", "E/W 2-speed",
                          "E/W 1-speed", "saving %"});
   for (const double rho : sweep::linspace(rho_min, rho_max, steps)) {
-    const auto two = solver.solve(rho, core::SpeedPolicy::kTwoSpeed);
-    const auto one = solver.solve(rho, core::SpeedPolicy::kSingleSpeed);
+    const auto two = solver->solve(rho, core::SpeedPolicy::kTwoSpeed);
+    const auto one = solver->solve(rho, core::SpeedPolicy::kSingleSpeed);
     if (!two.feasible()) {
       table.add_row({io::TableWriter::cell(rho, 3), "-", "-", "-", "-", "-",
                      "-"});

@@ -68,17 +68,18 @@ int main(int argc, char** argv) try {
 
   // 2. The overhead-vs-segments panel, parallel by default.
   const engine::SweepEngine engine;
-  const sweep::InterleavedSeries panel =
-      engine.run_interleaved(spec, sweep::SweepParameter::kSegments);
+  const sweep::PanelSeries panel =
+      engine.run_axis(spec, sweep::SweepParameter::kSegments);
   io::TableWriter table({"m", "sigma1", "sigma2", "Wopt", "E/W",
                          "saved vs m=1 %"});
   for (const auto& point : panel.points) {
-    if (!point.best.feasible) continue;
+    const core::InterleavedSolution& pattern = point.primary.interleaved;
+    if (!pattern.feasible) continue;
     table.add_row({io::TableWriter::cell(point.x, 0),
-                   io::TableWriter::cell(point.best.sigma1, 2),
-                   io::TableWriter::cell(point.best.sigma2, 2),
-                   io::TableWriter::cell(point.best.w_opt, 0),
-                   io::TableWriter::cell(point.best.energy_overhead, 1),
+                   io::TableWriter::cell(pattern.sigma1, 2),
+                   io::TableWriter::cell(pattern.sigma2, 2),
+                   io::TableWriter::cell(pattern.w_opt, 0),
+                   io::TableWriter::cell(pattern.energy_overhead, 1),
                    io::TableWriter::cell(100.0 * point.energy_saving(), 2)});
   }
   std::printf("%s\n", table.str().c_str());

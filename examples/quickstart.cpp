@@ -1,5 +1,5 @@
 // Quickstart: describe the workload as an engine scenario, solve the
-// BiCrit problem off a cached solver context, print the optimal
+// BiCrit problem off its prepared solver backend, print the optimal
 // checkpointing policy, then replay it in the fault-injection simulator
 // and show a Figure-1-style execution trace.
 //
@@ -9,8 +9,8 @@
 #include <cstdio>
 #include <exception>
 
+#include "rexspeed/engine/backend_registry.hpp"
 #include "rexspeed/engine/scenario.hpp"
-#include "rexspeed/engine/solver_context.hpp"
 #include "rexspeed/io/cli.hpp"
 #include "rexspeed/sim/monte_carlo.hpp"
 
@@ -37,8 +37,9 @@ int main(int argc, char** argv) try {
 
   // 1. Solve BiCrit: minimize energy per work unit subject to T/W <= rho.
   const double rho = scenario.rho;
-  const engine::SolverContext context(params);
-  const core::BiCritSolution sol = context.solve_report(rho);
+  const auto backend = engine::make_backend(scenario, params);
+  backend->prepare();
+  const core::BiCritSolution sol = backend->solve_report(rho);
   if (!sol.feasible) {
     std::printf("No speed pair satisfies rho = %.3f on this platform.\n",
                 rho);

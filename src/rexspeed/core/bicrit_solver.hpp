@@ -28,8 +28,9 @@ enum class EvalMode {
                      ///< (valid outside the first-order window). Through
                      ///< BiCritSolver this re-optimizes per bound; repeated
                      ///< solves (ρ sweeps) should use the cached ExactSolver
-                     ///< backend (exact_solver.hpp) instead — engine
-                     ///< contexts and ρ panels route there automatically.
+                     ///< backend (exact_solver.hpp) instead — the
+                     ///< registry's exact-opt backend (ExactOptBackend)
+                     ///< routes solves and ρ panels there automatically.
 };
 
 /// Everything about a speed pair (σ1, σ2) that depends only on the model
@@ -141,7 +142,8 @@ struct BiCritSolution {
 /// per-pair ρ_min and validity flags; solve/solve_pair/min_rho_solution
 /// afterwards are cheap lookups plus feasibility math. Reusing one solver
 /// across many bounds (a ρ sweep) therefore costs the expansions once —
-/// engine::SolverContext builds on exactly this property. The exception
+/// a prepared ClosedFormBackend serving a whole ρ panel builds on exactly
+/// this property. The exception
 /// is kExactOptimize, whose per-bound numeric optimization this cache
 /// cannot help; the ExactSolver backend (exact_solver.hpp) is its cached
 /// counterpart.

@@ -122,9 +122,8 @@ std::vector<SweepAxis> pair_axes() {
 }
 
 /// Shared fallback step of every pair backend's solve: degrade an
-/// infeasible best to the backend's min-ρ policy when asked to — the exact
-/// logic the historical SolverContext::best and panel kernels applied, so
-/// panel and solve paths cannot diverge.
+/// infeasible best to the backend's min-ρ policy when asked to — one step
+/// for the panel and solve paths, so they cannot diverge.
 Solution pair_solution_with_fallback(PairSolution best,
                                      const PairSolution& fallback,
                                      bool min_rho_fallback) {

@@ -71,7 +71,7 @@ struct Solution {
 /// One x position of a figure panel, backend-agnostic: the backend's best
 /// solution next to its baseline (single-speed for pair backends, m = 1
 /// for the interleaved backend). The generic sweep::PanelSweep fills a
-/// vector of these; typed figure/interleaved series are views over them.
+/// vector of these (sweep::PanelSeries, the one panel type).
 struct PanelPoint {
   double x = 0.0;
   Solution primary;   ///< the backend's configured best
@@ -414,9 +414,9 @@ class InterleavedBackend final : public SolverBackend {
 /// share.
 [[nodiscard]] const char* to_mode_name(EvalMode mode) noexcept;
 
-/// Backend for a bare EvalMode over one parameter bundle — the shape the
-/// mode-only entry points (run_figure_sweep, speed_pair_table) use when no
-/// scenario is involved. kFirstOrder/kExactEvaluation yield a (fully
+/// Backend for a bare EvalMode over one parameter bundle — the shape
+/// callers use when no scenario is involved (engine::make_backend is the
+/// scenario route). kFirstOrder/kExactEvaluation yield a (fully
 /// prepared) ClosedFormBackend, kExactOptimize an ExactOptBackend whose
 /// prepare() is still pending.
 [[nodiscard]] std::unique_ptr<SolverBackend> make_mode_backend(

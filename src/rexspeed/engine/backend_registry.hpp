@@ -28,8 +28,9 @@ struct BackendEntry {
 
 /// The backend registry: mode names → backend factories. Adding an
 /// evaluation backend is one core::SolverBackend subclass plus one entry
-/// here — every engine driver (SolverContext, SweepEngine, CampaignRunner,
-/// the CLI) resolves backends exclusively through this table.
+/// here — every engine driver (SweepEngine, CampaignRunner, the shard
+/// coordinator and workers, the CLI) resolves backends exclusively through
+/// this table.
 [[nodiscard]] const std::vector<BackendEntry>& backend_registry();
 
 /// Registry lookup; null when unknown.
@@ -47,7 +48,9 @@ struct BackendEntry {
 /// batched drivers resolve once and copy per panel). Validates the spec,
 /// rejects simulate-only dimensions (verification_recall < 1) with a
 /// clear error, then dispatches through the registry. The returned
-/// backend may still need prepare().
+/// backend may still need prepare(): a caller solving off it directly
+/// calls `backend->prepare(sweep::make_parallel_build(pool))` (pool may
+/// be null) — the prepared cache is the same bits on any schedule.
 [[nodiscard]] std::unique_ptr<core::SolverBackend> make_backend(
     const ScenarioSpec& spec, core::ModelParams params);
 

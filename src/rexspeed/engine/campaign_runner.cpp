@@ -201,26 +201,8 @@ std::vector<ScenarioResult> CampaignRunner::run(
       if (output.job.cache == nullptr) continue;
       entries.push_back(output.job.entry(*output.solution));
     }
-    const store::PutFailures failures =
-        store_->put_many(entries, sweep::make_parallel_build(pool()));
-    if (!failures.entries.empty()) {
-      incidents_.push_back(
-          "cache: " + std::to_string(failures.entries.size()) + " of " +
-          std::to_string(entries.size()) + " entries not stored (first: " +
-          failures.entries.front() + "); they recompute on the next run");
-    }
-    if (!failures.costs.empty()) {
-      incidents_.push_back(
-          "cache: " + std::to_string(failures.costs.size()) +
-          " measured costs not recorded (first: " + failures.costs.front() +
-          "); their entries are stored");
-    }
-    try {
-      store_->flush();
-    } catch (const store::StoreError& error) {
-      incidents_.push_back(std::string("cache: counters not saved: ") +
-                           error.what());
-    }
+    incidents_ =
+        store_results(*store_, entries, sweep::make_parallel_build(pool()));
   }
   return results;
 }

@@ -30,10 +30,10 @@ store::EntryInfo provenance(const ScenarioSpec& spec,
 }
 
 /// Puts one job's entry for the drivers that run one job at a time (the
-/// sweep engine, a shard worker, the coordinator's in-process fallback):
-/// whatever put_many could not do is thrown, as a plain put would, so the
-/// driver reports it. Only the campaign's batched put turns failures into
-/// incidents.
+/// sweep engine, a shard worker): whatever put_many could not do is
+/// thrown, as a plain put would, so the driver reports it. The campaign
+/// and the shard coordinator turn failures into incidents instead
+/// (store_results).
 void put_or_throw(store::ResultStore& cache, store::PutEntry entry) {
   const store::PutFailures failures = cache.put_many({std::move(entry)}, {});
   if (!failures.entries.empty()) {
@@ -77,13 +77,21 @@ store::PutEntry PanelJob::entry(const sweep::PanelSeries& series,
   return entry;
 }
 
-sweep::PanelSeries PanelJob::run(double* seconds_per_point) {
+sweep::PanelSeries PanelJob::compute(double* seconds_per_point) {
   using Clock = std::chrono::steady_clock;
   const Clock::time_point start = Clock::now();
   sweep::PanelSeries series = sweep->run();
-  const double per_point =
-      std::chrono::duration<double>(Clock::now() - start).count() /
-      static_cast<double>(points);
+  if (seconds_per_point != nullptr) {
+    *seconds_per_point =
+        std::chrono::duration<double>(Clock::now() - start).count() /
+        static_cast<double>(points);
+  }
+  return series;
+}
+
+sweep::PanelSeries PanelJob::run(double* seconds_per_point) {
+  double per_point = 0.0;
+  sweep::PanelSeries series = compute(&per_point);
   if (seconds_per_point != nullptr) *seconds_per_point = per_point;
   if (cache != nullptr) put_or_throw(*cache, entry(series, per_point));
   return series;
@@ -110,11 +118,40 @@ store::PutEntry SolveJob::entry(const core::Solution& solution) const {
   return entry;
 }
 
-core::Solution SolveJob::run() {
+core::Solution SolveJob::compute() {
   if (backend->needs_prepare()) backend->prepare();
-  const core::Solution solution = solve();
+  return solve();
+}
+
+core::Solution SolveJob::run() {
+  const core::Solution solution = compute();
   if (cache != nullptr) put_or_throw(*cache, entry(solution));
   return solution;
+}
+
+std::vector<std::string> store_results(
+    store::ResultStore& cache, const std::vector<store::PutEntry>& entries,
+    const store::ParallelFor& parallel) {
+  std::vector<std::string> incidents;
+  const store::PutFailures failures = cache.put_many(entries, parallel);
+  if (!failures.entries.empty()) {
+    incidents.push_back(
+        "cache: " + std::to_string(failures.entries.size()) + " of " +
+        std::to_string(entries.size()) + " entries not stored (first: " +
+        failures.entries.front() + "); they recompute on the next run");
+  }
+  if (!failures.costs.empty()) {
+    incidents.push_back("cache: " + std::to_string(failures.costs.size()) +
+                        " measured costs not recorded (first: " +
+                        failures.costs.front() + "); their entries are stored");
+  }
+  try {
+    cache.flush();
+  } catch (const store::StoreError& error) {
+    incidents.push_back(std::string("cache: counters not saved: ") +
+                        error.what());
+  }
+  return incidents;
 }
 
 core::ModelParams resolve_scenario(const ScenarioSpec& spec) {

@@ -21,7 +21,9 @@
 // same bits whichever driver produced it — by construction, not by
 // mirroring. Drivers differ only in how they execute a missed job (the
 // campaign's flattened stream, a worker's serial run, the sweep engine's
-// pool).
+// pool) and in how a failed put surfaces: the one-job drivers (the sweep
+// engine, a worker) throw it, the campaign and the coordinator report it
+// (store_results).
 
 namespace rexspeed::engine {
 
@@ -68,10 +70,14 @@ struct PanelJob {
                                       double seconds_per_point) const;
 
   /// Computes the planned sweep in one call (across the pool it was
-  /// planned with, serially without one), puts it with its measured
-  /// wall-clock cost per point when cached, and returns it. A failed put
-  /// throws StoreError. `seconds_per_point`, when non-null, receives that
-  /// cost.
+  /// planned with, serially without one) and returns it without storing
+  /// it. `seconds_per_point`, when non-null, receives its measured
+  /// wall-clock cost per point.
+  [[nodiscard]] sweep::PanelSeries compute(
+      double* seconds_per_point = nullptr);
+
+  /// compute(), then puts the result with its measured cost when cached.
+  /// A failed put throws StoreError.
   [[nodiscard]] sweep::PanelSeries run(double* seconds_per_point = nullptr);
 };
 
@@ -102,8 +108,11 @@ struct SolveJob {
   /// call). Cached jobs only.
   [[nodiscard]] store::PutEntry entry(const core::Solution& solution) const;
 
-  /// Prepares the backend, solves, puts (when cached; as PanelJob::run)
-  /// and returns the solution.
+  /// Prepares the backend and solves, without storing the result.
+  [[nodiscard]] core::Solution compute();
+
+  /// compute(), then puts (when cached; as PanelJob::run) and returns the
+  /// solution.
   [[nodiscard]] core::Solution run();
 };
 
@@ -139,6 +148,16 @@ struct ScenarioJob {
 /// resolve_scenario, then every panel (planned pool-free) or the solve.
 [[nodiscard]] ScenarioJob plan_scenario(const ScenarioSpec& spec,
                                         store::ResultStore* cache);
+
+/// The store step of the drivers that report instead of failing (the
+/// campaign and the shard coordinator): puts every entry in one put_many
+/// across `parallel`, then flushes the counters. A write that fails costs
+/// cache warmth, never a result, so nothing is thrown: what could not be
+/// done comes back as incident lines, one per kind of failure (entries
+/// not stored, costs not recorded, counters not saved).
+[[nodiscard]] std::vector<std::string> store_results(
+    store::ResultStore& cache, const std::vector<store::PutEntry>& entries,
+    const store::ParallelFor& parallel = {});
 
 /// The fetch-and-accept step every driver runs on what it planned, before
 /// it computes anything. Every cached job is looked up with ONE

@@ -60,8 +60,6 @@ sweep::SweepOptions ScenarioSpec::sweep_options(
     sweep::ThreadPool* pool) const {
   sweep::SweepOptions options;
   options.rho = rho;
-  options.points = points;
-  options.mode = mode;
   options.min_rho_fallback = min_rho_fallback;
   options.pool = pool;
   return options;

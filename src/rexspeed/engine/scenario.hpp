@@ -115,8 +115,9 @@ struct ScenarioSpec {
   /// Configuration lookup + overrides → validated model parameters.
   [[nodiscard]] core::ModelParams resolve_params() const;
 
-  /// Sweep options carrying this scenario's ρ, grid size, eval mode and
-  /// fallback flag (pool supplied by the caller — usually a SweepEngine).
+  /// Sweep options carrying this scenario's ρ and fallback flag (pool
+  /// supplied by the caller — usually a SweepEngine). The grid comes from
+  /// sweep::panel_grid and the mode from the backend (make_backend).
   [[nodiscard]] sweep::SweepOptions sweep_options(
       sweep::ThreadPool* pool = nullptr) const;
 };

@@ -196,14 +196,34 @@ std::vector<ScenarioResult> ShardCoordinator::run(
   report_.tasks = tasks.size();
 
   // Runs a task's planned job in-process (each task at most once: it is
-  // done afterwards), storing it like a worker would.
+  // done afterwards). Its entry is stored with the others once the
+  // campaign is complete (finish), as the in-process campaign does, so a
+  // failed write is an incident, not a lost campaign. The entries point
+  // into `results`, which no longer resizes.
+  std::vector<store::PutEntry> local_entries;
   auto execute_local = [&](const Task& task) {
     ScenarioResult& result = results[task.scenario];
     ScenarioJob& job = jobs[task.scenario];
     if (task.panel == kSolveTask) {
-      result.solution = job.solve->run();
-    } else {
-      result.panels[task.panel] = job.panels[task.panel].run();
+      SolveJob& solve = *job.solve;
+      result.solution = solve.compute();
+      if (solve.cache != nullptr) {
+        local_entries.push_back(solve.entry(result.solution));
+      }
+      return;
+    }
+    PanelJob& panel = job.panels[task.panel];
+    double seconds_per_point = 0.0;
+    result.panels[task.panel] = panel.compute(&seconds_per_point);
+    if (panel.cache != nullptr) {
+      local_entries.push_back(
+          panel.entry(result.panels[task.panel], seconds_per_point));
+    }
+  };
+  auto finish = [&] {
+    if (store == nullptr) return;
+    for (std::string& incident : store_results(*store, local_entries)) {
+      report_.incidents.push_back({0, std::move(incident)});
     }
   };
 
@@ -227,7 +247,7 @@ std::vector<ScenarioResult> ShardCoordinator::run(
     ++report_.completed_in_process;
   }
   if (queue.empty()) {
-    if (store != nullptr) store->flush();
+    finish();
     return results;
   }
 
@@ -403,7 +423,9 @@ std::vector<ScenarioResult> ShardCoordinator::run(
         if (failure.task < tasks.size() && !tasks[failure.task].done) {
           // Inputs were validated pre-fork, so a genuine compute error
           // reproduces here and throws to the caller — the same error a
-          // serial CampaignRunner would have raised.
+          // serial CampaignRunner would have raised. A worker whose cache
+          // write failed lands here too; the recompute is stored with the
+          // rest, and a write that fails again is an incident.
           execute_local(tasks[failure.task]);
           mark_done(failure.task);
           ++report_.completed_in_process;
@@ -497,7 +519,7 @@ std::vector<ScenarioResult> ShardCoordinator::run(
     worker.alive = false;
   }
 
-  if (store != nullptr) store->flush();
+  finish();
   return results;
 }
 

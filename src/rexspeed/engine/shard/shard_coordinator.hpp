@@ -27,11 +27,12 @@ struct ShardOptions {
 };
 
 /// One recorded anomaly: worker deaths (with exit status), corrupt
-/// frames, requeues, protocol mismatches. The campaign still completes —
-/// incidents exist so operators and the fault-injection suites can see
-/// what the coordinator absorbed.
+/// frames, requeues, protocol mismatches, failed tasks, and cache writes
+/// the coordinator could not make (as CampaignRunner::incidents words
+/// them). The campaign still completes — incidents exist so operators and
+/// the fault-injection suites can see what the coordinator absorbed.
 struct ShardIncident {
-  unsigned worker = 0;
+  unsigned worker = 0;  ///< the worker concerned (0 for cache writes)
   std::string detail;
 };
 

@@ -6,7 +6,6 @@
 
 #include "rexspeed/engine/backend_registry.hpp"
 #include "rexspeed/engine/panel_job.hpp"
-#include "rexspeed/engine/solver_context.hpp"
 #include "rexspeed/store/result_store.hpp"
 
 namespace rexspeed::engine {
@@ -47,61 +46,6 @@ std::vector<sweep::PanelSeries> SweepEngine::run_scenario(
     panels.push_back(run_axis(spec, axis));
   }
   return panels;
-}
-
-sweep::FigureSeries SweepEngine::run_panel(
-    const platform::Configuration& config, sweep::SweepParameter parameter,
-    sweep::SweepOptions options) const {
-  options.pool = pool();
-  return sweep::run_figure_sweep(config, parameter, options);
-}
-
-sweep::FigureSeries SweepEngine::run(const ScenarioSpec& spec) const {
-  if (!spec.sweep_parameter) {
-    throw std::invalid_argument("SweepEngine::run: scenario '" + spec.name +
-                                "' has no sweep parameter");
-  }
-  return sweep::to_figure_series(run_axis(spec, *spec.sweep_parameter));
-}
-
-std::vector<sweep::FigureSeries> SweepEngine::run_all(
-    const ScenarioSpec& spec) const {
-  ScenarioSpec composite = spec;
-  composite.all_panels = true;
-  composite.sweep_parameter.reset();
-  std::vector<sweep::FigureSeries> panels;
-  for (const sweep::PanelSeries& panel : run_scenario(composite)) {
-    panels.push_back(sweep::to_figure_series(panel));
-  }
-  return panels;
-}
-
-sweep::InterleavedSeries SweepEngine::run_interleaved(
-    const ScenarioSpec& spec, sweep::SweepParameter parameter) const {
-  return sweep::to_interleaved_series(run_axis(spec, parameter));
-}
-
-std::vector<std::vector<sweep::SpeedPairRow>> SweepEngine::speed_pair_tables(
-    const ScenarioSpec& spec, const std::vector<double>& bounds) const {
-  // Capabilities are readable before prepare(), so backends without a
-  // pair table are rejected BEFORE their (possibly expensive) cache is
-  // built — and here rather than inside a pool worker (tasks must not
-  // throw).
-  std::unique_ptr<core::SolverBackend> backend = make_backend(spec);
-  if (!backend->capabilities().pair_table) {
-    throw std::invalid_argument(
-        "SweepEngine::speed_pair_tables: backend '" +
-        std::string(backend->name()) + "' has no speed-pair table");
-  }
-  // The context prepares whatever cache the backend defers (across the
-  // pool), so each bound's table below is feasibility math instead of a
-  // fresh per-pair numeric optimization — one path for every mode.
-  const SolverContext context(std::move(backend), pool());
-  std::vector<std::vector<sweep::SpeedPairRow>> tables(bounds.size());
-  sweep::parallel_for(pool(), bounds.size(), [&](std::size_t i) {
-    tables[i] = sweep::speed_pair_table(context.backend(), bounds[i]);
-  });
-  return tables;
 }
 
 }  // namespace rexspeed::engine

@@ -3,10 +3,7 @@
 #include <vector>
 
 #include "rexspeed/engine/scenario.hpp"
-#include "rexspeed/platform/configuration.hpp"
-#include "rexspeed/sweep/interleaved_sweeps.hpp"
 #include "rexspeed/sweep/panel_sweep.hpp"
-#include "rexspeed/sweep/section42_tables.hpp"
 #include "rexspeed/sweep/thread_pool.hpp"
 
 namespace rexspeed::store {
@@ -27,13 +24,15 @@ struct SweepEngineOptions {
   store::ResultStore* store = nullptr;
 };
 
-/// The shared sweep driver: owns the thread pool, resolves scenarios
+/// The one-scenario sweep driver: owns the thread pool, resolves scenarios
 /// through the backend registry, and runs every panel through ONE generic
-/// backend sweep path (sweep::PanelSweep) — no mode-specific twins. The
-/// CLI, benches and examples all obtain their panels here, so they inherit
-/// parallel-by-default execution with results bit-identical to a serial
-/// run (each grid point writes only its own slot; the per-point math is
-/// deterministic and independent of scheduling).
+/// backend sweep path (sweep::PanelSweep) — no mode-specific twins.
+/// `rexspeed sweep` and the single-scenario benches and examples obtain
+/// their panels here (the campaign drivers plan the same PanelJobs
+/// themselves), so they inherit parallel-by-default execution with
+/// results bit-identical to a serial run (each grid point writes only its
+/// own slot; the per-point math is deterministic and independent of
+/// scheduling).
 ///
 /// Thread-safety: the engine itself is safe to use from one thread at a
 /// time per call, and every backend it shares across its pool workers is
@@ -55,33 +54,6 @@ class SweepEngine {
   /// solve_scenario / CampaignRunner for the panel-free result).
   [[nodiscard]] std::vector<sweep::PanelSeries> run_scenario(
       const ScenarioSpec& spec) const;
-
-  /// One figure panel for a configuration (default grid) — pair-backend
-  /// convenience over run_axis, kept for the figure benches.
-  [[nodiscard]] sweep::FigureSeries run_panel(
-      const platform::Configuration& config,
-      sweep::SweepParameter parameter,
-      sweep::SweepOptions options = {}) const;
-
-  /// One figure panel for a kSweep scenario (pair backends; throws on an
-  /// interleaved spec — its panels are interleaved series).
-  [[nodiscard]] sweep::FigureSeries run(const ScenarioSpec& spec) const;
-
-  /// All panels of a composite for any scenario, as figure series (pair
-  /// backends).
-  [[nodiscard]] std::vector<sweep::FigureSeries> run_all(
-      const ScenarioSpec& spec) const;
-
-  /// One interleaved panel (overhead vs ρ or vs segment count) for an
-  /// interleaved scenario — typed convenience over run_axis.
-  [[nodiscard]] sweep::InterleavedSeries run_interleaved(
-      const ScenarioSpec& spec, sweep::SweepParameter parameter) const;
-
-  /// §4.2-style speed-pair tables for the scenario at each bound, off one
-  /// shared prepared backend (any mode with capabilities().pair_table).
-  [[nodiscard]] std::vector<std::vector<sweep::SpeedPairRow>>
-  speed_pair_tables(const ScenarioSpec& spec,
-                    const std::vector<double>& bounds) const;
 
   [[nodiscard]] unsigned thread_count() const noexcept {
     return pool_.thread_count();

@@ -7,8 +7,6 @@
 
 namespace rexspeed::sweep {
 class Series;
-struct FigureSeries;
-struct InterleavedSeries;
 struct PanelSeries;
 }  // namespace rexspeed::sweep
 
@@ -35,19 +33,10 @@ class CsvWriter {
 /// a header row (x name + column names) then one row per grid point.
 void write_csv_series(std::ostream& os, const sweep::Series& series);
 
-/// Exports a figure panel as <out_dir>/<config>_<param>.csv (same stem as
-/// the gnuplot export, see io::figure_file_stem). Returns the stem on
-/// success, nullopt when out_dir is not writable. Defined with the other
-/// export steps in figure_export.cpp.
-std::optional<std::string> export_csv_figure(
-    const sweep::FigureSeries& series, const std::string& out_dir);
-
-/// Same for an interleaved panel (stem <config>_interleaved_<param>).
-std::optional<std::string> export_csv_figure(
-    const sweep::InterleavedSeries& series, const std::string& out_dir);
-
-/// Same for a generic backend panel (kind-dispatched: byte-identical to
-/// the typed overloads).
+/// Exports a panel as <out_dir>/<stem>.csv (same stem as the gnuplot
+/// export, see io::figure_file_stem). Returns the stem on success, nullopt
+/// when out_dir is not writable. Defined with the other export steps in
+/// figure_export.cpp.
 std::optional<std::string> export_csv_figure(
     const sweep::PanelSeries& series, const std::string& out_dir);
 

@@ -172,34 +172,9 @@ std::optional<std::string> export_figure(const sweep::PanelSeries& panel,
 }
 
 std::optional<std::string> export_gnuplot_figure(
-    const sweep::FigureSeries& series, const std::string& out_dir) {
-  return export_files(figure_file_stem(series), to_series(series), out_dir,
-                      series.parameter == sweep::SweepParameter::kErrorRate,
-                      Files::kGnuplot);
-}
-
-std::optional<std::string> export_gnuplot_figure(
-    const sweep::InterleavedSeries& series, const std::string& out_dir) {
-  return export_files(figure_file_stem(series), to_series(series), out_dir,
-                      false, Files::kGnuplot);
-}
-
-std::optional<std::string> export_gnuplot_figure(
     const sweep::PanelSeries& series, const std::string& out_dir) {
   return export_files(figure_file_stem(series), sweep::to_series(series),
                       out_dir, uses_logscale_x(series), Files::kGnuplot);
-}
-
-std::optional<std::string> export_csv_figure(
-    const sweep::FigureSeries& series, const std::string& out_dir) {
-  return export_files(figure_file_stem(series), to_series(series), out_dir,
-                      false, Files::kCsv);
-}
-
-std::optional<std::string> export_csv_figure(
-    const sweep::InterleavedSeries& series, const std::string& out_dir) {
-  return export_files(figure_file_stem(series), to_series(series), out_dir,
-                      false, Files::kCsv);
 }
 
 std::optional<std::string> export_csv_figure(

@@ -28,35 +28,13 @@ void write_gnuplot_script(std::ostream& os, const sweep::Series& series,
   os << '\n';
 }
 
-namespace {
-
-/// The configuration with "/" flattened to "_", then `infix`, then the
-/// axis name.
-std::string file_stem(const std::string& configuration, const char* infix,
-                      sweep::SweepParameter parameter) {
-  std::string stem = configuration;
+std::string figure_file_stem(const sweep::PanelSeries& series) {
+  std::string stem = series.configuration;
   for (auto& ch : stem) {
     if (ch == '/') ch = '_';
   }
-  return stem + infix + sweep::to_string(parameter);
-}
-
-}  // namespace
-
-std::string figure_file_stem(const sweep::FigureSeries& series) {
-  return file_stem(series.configuration, "_", series.parameter);
-}
-
-std::string figure_file_stem(const sweep::InterleavedSeries& series) {
-  return file_stem(series.configuration, "_interleaved_", series.parameter);
-}
-
-std::string figure_file_stem(const sweep::PanelSeries& series) {
-  return file_stem(series.configuration,
-                   series.kind == core::SolutionKind::kPair
-                       ? "_"
-                       : "_interleaved_",
-                   series.parameter);
+  stem += series.kind == core::SolutionKind::kPair ? "_" : "_interleaved_";
+  return stem + sweep::to_string(series.parameter);
 }
 
 }  // namespace rexspeed::io

@@ -4,8 +4,6 @@
 #include <optional>
 #include <string>
 
-#include "rexspeed/sweep/figure_sweeps.hpp"
-#include "rexspeed/sweep/interleaved_sweeps.hpp"
 #include "rexspeed/sweep/panel_sweep.hpp"
 #include "rexspeed/sweep/series.hpp"
 
@@ -28,34 +26,17 @@ void write_gnuplot_script(std::ostream& os, const sweep::Series& series,
 
 /// "<config>_<param>" with "/" flattened to "_" — the file stem shared by
 /// every figure export (gnuplot and CSV), so one panel's artifacts sit
-/// next to each other.
-[[nodiscard]] std::string figure_file_stem(const sweep::FigureSeries& series);
-
-/// Interleaved-panel stem: "<config>_interleaved_<param>", so segmented
-/// panels never collide with the regular panel of the same axis.
-[[nodiscard]] std::string figure_file_stem(
-    const sweep::InterleavedSeries& series);
-
-/// Generic-panel stem, dispatching on the panel's solution kind so every
-/// historical stem (and therefore every golden fixture) is preserved.
+/// next to each other. Interleaved panels get
+/// "<config>_interleaved_<param>", so they never collide with the regular
+/// panel of the same axis.
 [[nodiscard]] std::string figure_file_stem(const sweep::PanelSeries& series);
 
-/// Exports a figure panel as <out_dir>/<config>_<param>.dat plus a
-/// matching .gp script ("/" in the configuration name becomes "_"), so
-/// the paper's plots can be regenerated with a stock gnuplot. Returns the
-/// file stem on success, nullopt when out_dir is not writable. Used by
-/// `rexspeed sweep` and the figure benches; `rexspeed campaign` writes
-/// all three files of a panel through io::export_figure (figure_export.hpp,
-/// which also defines these overloads).
-std::optional<std::string> export_gnuplot_figure(
-    const sweep::FigureSeries& series, const std::string& out_dir);
-
-/// Same for an interleaved panel.
-std::optional<std::string> export_gnuplot_figure(
-    const sweep::InterleavedSeries& series, const std::string& out_dir);
-
-/// Same for a generic backend panel (kind-dispatched: byte-identical to
-/// the typed overloads).
+/// Exports a panel as <out_dir>/<stem>.dat plus a matching .gp script
+/// (logscale x for pair panels over λ), so the paper's plots can be
+/// regenerated with a stock gnuplot. Returns the file stem on success,
+/// nullopt when out_dir is not writable. Used by `rexspeed sweep`;
+/// `rexspeed campaign` writes all three files of a panel through
+/// io::export_figure (figure_export.hpp, which also defines this).
 std::optional<std::string> export_gnuplot_figure(
     const sweep::PanelSeries& series, const std::string& out_dir);
 

@@ -51,7 +51,7 @@ std::string panel_key(const core::SolverBackend& backend,
   out.u32(static_cast<std::uint32_t>(axis));
   out.f64(options.rho);
   out.boolean(options.min_rho_fallback);
-  out.boolean(options.warm_start_chain);
+  out.boolean(true);  // the retired warm-start-chain switch, always on
   out.f64(recall);
   out.u32(static_cast<std::uint32_t>(grid.size()));
   for (const double value : grid) {

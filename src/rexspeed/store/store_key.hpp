@@ -25,7 +25,10 @@ namespace rexspeed::store {
 
 /// Key of one panel sweep: the backend (name, version, params, segment
 /// configuration), the recorded configuration label, the swept axis, the
-/// panel bound and fallback/chain options, and the exact grid.
+/// panel bound and fallback option, and the exact grid. The byte after the
+/// fallback flag is always true: it recorded a warm-start-chain switch
+/// that no longer exists (chaining backends always chain), and keeping it
+/// keeps every key, and so every cache already filled, valid.
 [[nodiscard]] std::string panel_key(const core::SolverBackend& backend,
                                     const std::string& configuration,
                                     sweep::SweepParameter axis,

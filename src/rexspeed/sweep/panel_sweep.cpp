@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -18,55 +19,49 @@ double PanelSeries::max_energy_saving() const noexcept {
   return best;
 }
 
-FigureSeries to_figure_series(const PanelSeries& panel) {
-  if (panel.kind != core::SolutionKind::kPair) {
-    throw std::invalid_argument(
-        "to_figure_series: panel carries interleaved solutions (use "
-        "to_interleaved_series)");
-  }
-  FigureSeries out;
-  out.parameter = panel.parameter;
-  out.configuration = panel.configuration;
-  out.rho = panel.rho;
-  out.points.reserve(panel.points.size());
-  for (const auto& point : panel.points) {
-    FigurePoint typed;
-    typed.x = point.x;
-    typed.two_speed = point.primary.pair;
-    typed.single_speed = point.baseline.pair;
-    typed.two_speed_fallback = point.primary.used_fallback;
-    typed.single_speed_fallback = point.baseline.used_fallback;
-    out.points.push_back(std::move(typed));
-  }
-  return out;
-}
-
-InterleavedSeries to_interleaved_series(const PanelSeries& panel) {
-  if (panel.kind != core::SolutionKind::kInterleaved) {
-    throw std::invalid_argument(
-        "to_interleaved_series: panel carries pair solutions (use "
-        "to_figure_series)");
-  }
-  InterleavedSeries out;
-  out.parameter = panel.parameter;
-  out.configuration = panel.configuration;
-  out.rho = panel.rho;
-  out.max_segments = panel.max_segments;
-  out.points.reserve(panel.points.size());
-  for (const auto& point : panel.points) {
-    InterleavedPoint typed;
-    typed.x = point.x;
-    typed.best = point.primary.interleaved;
-    typed.single = point.baseline.interleaved;
-    out.points.push_back(typed);
-  }
-  return out;
-}
-
 Series to_series(const PanelSeries& panel) {
-  return panel.kind == core::SolutionKind::kPair
-             ? to_series(to_figure_series(panel))
-             : to_series(to_interleaved_series(panel));
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  if (panel.kind == core::SolutionKind::kPair) {
+    Series series(to_string(panel.parameter),
+                  {"sigma1", "sigma2", "Wopt2", "energy2", "sigma", "Wopt1",
+                   "energy1", "saving"});
+    for (const core::PanelPoint& point : panel.points) {
+      const core::PairSolution& two = point.primary.pair;
+      const core::PairSolution& one = point.baseline.pair;
+      series.add_row(point.x, {two.feasible ? two.sigma1 : kNaN,
+                               two.feasible ? two.sigma2 : kNaN,
+                               two.feasible ? two.w_opt : kNaN,
+                               two.feasible ? two.energy_overhead : kNaN,
+                               one.feasible ? one.sigma1 : kNaN,
+                               one.feasible ? one.w_opt : kNaN,
+                               one.feasible ? one.energy_overhead : kNaN,
+                               point.energy_saving()});
+    }
+    return series;
+  }
+  // "best_m", not "segments": the segments-axis panel's x column already
+  // carries that name, and a duplicate header breaks key-by-name
+  // consumers of the CSV.
+  Series series(to_string(panel.parameter),
+                {"best_m", "sigma1", "sigma2", "Wopt", "energy", "time",
+                 "energy1", "saving"});
+  for (const core::PanelPoint& point : panel.points) {
+    const core::InterleavedSolution& best = point.primary.interleaved;
+    const core::InterleavedSolution& one = point.baseline.interleaved;
+    series.add_row(
+        point.x,
+        {best.feasible ? static_cast<double>(best.segments) : kNaN,
+         best.feasible ? best.sigma1 : kNaN,
+         best.feasible ? best.sigma2 : kNaN,
+         best.feasible ? best.w_opt : kNaN,
+         best.feasible ? best.energy_overhead : kNaN,
+         best.feasible ? best.time_overhead : kNaN,
+         one.feasible ? one.energy_overhead : kNaN,
+         // A saving only exists where both patterns do; rendering 0 at an
+         // infeasible point would plot as "feasible, no gain".
+         best.feasible && one.feasible ? point.energy_saving() : kNaN});
+  }
+  return series;
 }
 
 std::vector<double> panel_grid(SweepParameter parameter, std::size_t points,
@@ -127,7 +122,7 @@ PanelSweep::PanelSweep(std::unique_ptr<core::SolverBackend> backend,
   // Chained: a model axis whose per-point rebinds are warm-started from
   // the neighboring point (order IS the point, so the panel is one
   // chunk). A property of THIS panel's axis × backend, frozen here.
-  chained_ = !shared_ && caps.warm_start_chain && options_.warm_start_chain;
+  chained_ = !shared_ && caps.warm_start_chain;
   series_.parameter = parameter;
   series_.configuration = std::move(configuration);
   series_.rho = options_.rho;
@@ -208,19 +203,6 @@ PanelSeries run_panel_sweep(std::unique_ptr<core::SolverBackend> backend,
   return PanelSweep(std::move(backend), std::move(configuration), parameter,
                     std::move(grid), options)
       .run();
-}
-
-FigurePoint solve_figure_point(const core::SolverBackend& backend,
-                               double rho, const SweepOptions& options) {
-  const core::PanelPoint point = backend.solve_panel_point(
-      SweepParameter::kPerformanceBound, rho, rho, options.min_rho_fallback);
-  FigurePoint typed;
-  typed.x = rho;
-  typed.two_speed = point.primary.pair;
-  typed.single_speed = point.baseline.pair;
-  typed.two_speed_fallback = point.primary.used_fallback;
-  typed.single_speed_fallback = point.baseline.used_fallback;
-  return typed;
 }
 
 }  // namespace rexspeed::sweep

@@ -6,15 +6,16 @@
 
 #include "rexspeed/core/solver_backend.hpp"
 #include "rexspeed/sweep/figure_sweeps.hpp"
-#include "rexspeed/sweep/interleaved_sweeps.hpp"
+#include "rexspeed/sweep/series.hpp"
 
 namespace rexspeed::sweep {
 
 /// A full backend-agnostic panel: the swept axis and one PanelPoint per
-/// grid value, tagged with the backend's solution kind. This is what the
-/// unified sweep/campaign paths produce for every mode; the typed
-/// FigureSeries / InterleavedSeries views (to_figure_series /
-/// to_interleaved_series) exist for export and analysis compatibility.
+/// grid value, tagged with the backend's solution kind. This is the one
+/// panel type: every sweep, campaign, cache entry and export carries it,
+/// whatever the mode (pair panels hold the two-speed optimum as
+/// `primary.pair` and the single-speed baseline as `baseline.pair`;
+/// interleaved panels the best segmented pattern and its m = 1 baseline).
 struct PanelSeries {
   SweepParameter parameter = SweepParameter::kCheckpointTime;
   std::string configuration;  ///< e.g. "Atlas/Crusoe"
@@ -27,16 +28,13 @@ struct PanelSeries {
   [[nodiscard]] double max_energy_saving() const noexcept;
 };
 
-/// Typed views over a generic panel, byte-compatible with the historical
-/// series types (every export stem, CSV column and gnuplot artifact is
-/// unchanged). Throw std::invalid_argument on a kind mismatch.
-[[nodiscard]] FigureSeries to_figure_series(const PanelSeries& panel);
-[[nodiscard]] InterleavedSeries to_interleaved_series(
-    const PanelSeries& panel);
-
 /// Flattens any panel into a plain numeric Series for CSV/gnuplot export,
-/// dispatching on the panel's kind (pair panels keep the figure columns,
-/// interleaved panels the interleaved ones).
+/// dispatching on the panel's kind. Pair panels: sigma1, sigma2, Wopt2,
+/// energy2 (two-speed), sigma, Wopt1, energy1 (single-speed), saving.
+/// Interleaved panels: best_m, sigma1, sigma2, Wopt, energy, time,
+/// energy1 (the m = 1 baseline), saving. Infeasible solutions become NaN
+/// cells (rendered as gaps); an interleaved saving is NaN unless both
+/// patterns are feasible.
 [[nodiscard]] Series to_series(const PanelSeries& panel);
 
 /// Grid for any panel axis: the paper's default grid for the six figure
@@ -102,7 +100,8 @@ class PanelSweep {
 
   /// Points per chunk when `threads` workers share the panel:
   /// ⌈points / threads⌉, or the whole grid for a warm-start chain (and
-  /// for one thread).
+  /// for one thread). A model-axis panel on a backend advertising
+  /// warm_start_chain always chains.
   [[nodiscard]] std::size_t chunk_size(unsigned threads) const noexcept;
 
   /// Solves grid points [begin, end) into their series slots (prepare()
@@ -124,10 +123,6 @@ class PanelSweep {
   /// the point recomputes it identically) and returns the estimated cost
   /// of the whole panel in seconds. Call after prepare().
   [[nodiscard]] double measure_cost();
-
-  [[nodiscard]] const core::SolverBackend& backend() const noexcept {
-    return *backend_;
-  }
 
   /// Moves the finished panel out (call once every point is solved).
   [[nodiscard]] PanelSeries take() { return std::move(series_); }
@@ -153,14 +148,5 @@ class PanelSweep {
     std::unique_ptr<core::SolverBackend> backend, std::string configuration,
     SweepParameter parameter, std::vector<double> grid,
     const SweepOptions& options = {});
-
-/// One figure point (x = the bound) off any pair backend: both speed
-/// policies plus their min-ρ fallbacks resolve against the backend's
-/// prepared caches — the thin FigurePoint view over
-/// core::SolverBackend::solve_panel_point, which is the per-grid-point
-/// kernel of every sweep.
-[[nodiscard]] FigurePoint solve_figure_point(
-    const core::SolverBackend& backend, double rho,
-    const SweepOptions& options);
 
 }  // namespace rexspeed::sweep

@@ -1,15 +1,25 @@
 // The polymorphic SolverBackend interface: the unified Solution view,
 // capability advertising, the prepare lifecycle, the shared panel-point
 // kernel, and rebind semantics — everything the engine's generic drivers
-// rely on instead of mode branches.
+// rely on instead of mode branches — plus the point solves every caller
+// makes off a prepared backend: bit-identity with a per-call reference
+// that re-derives the first-order expansions, fallback beyond the
+// feasibility horizon, the pair-index range check, and one backend
+// serving a whole ρ grid.
 
 #include "rexspeed/core/solver_backend.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
+#include "rexspeed/core/exact_expectations.hpp"
+#include "rexspeed/core/feasibility.hpp"
+#include "rexspeed/core/first_order.hpp"
 #include "test_util.hpp"
 
 namespace rexspeed::core {
@@ -80,9 +90,145 @@ TEST(ClosedFormBackend, MatchesBiCritSolverBitForBit) {
     }
     expect_identical_pair(backend.solve_pair(2.0, 0, 1),
                           reference.solve_pair_by_index(2.0, 0, 1, mode));
-    expect_identical_pair(
-        backend.min_rho(SpeedPolicy::kTwoSpeed).pair,
-        reference.min_rho_solution(SpeedPolicy::kTwoSpeed));
+    for (const SpeedPolicy policy :
+         {SpeedPolicy::kTwoSpeed, SpeedPolicy::kSingleSpeed}) {
+      expect_identical_pair(backend.min_rho(policy).pair,
+                            reference.min_rho_solution(policy));
+    }
+  }
+}
+
+// Reference implementation: a per-call solver that re-derives both
+// first-order expansions on every pair solve. The prepared closed-form
+// backend caches those very expansions, so it must reproduce this bit
+// for bit.
+
+PairSolution per_call_solve_pair(const ModelParams& params, double rho,
+                                 double sigma1, double sigma2,
+                                 EvalMode mode) {
+  PairSolution sol;
+  sol.sigma1 = sigma1;
+  sol.sigma2 = sigma2;
+
+  const OverheadExpansion time_exp = time_expansion(params, sigma1, sigma2);
+  const OverheadExpansion energy_exp =
+      energy_expansion(params, sigma1, sigma2);
+  sol.first_order_valid = time_exp.y > 0.0 && energy_exp.y > 0.0;
+  sol.rho_min = core::rho_min(time_exp);
+  if (!sol.first_order_valid) return sol;
+
+  const FeasibleInterval interval = feasible_interval(time_exp, rho);
+  if (!interval.feasible()) return sol;
+  sol.w_min = interval.w_min;
+  sol.w_max = interval.w_max;
+  sol.w_energy = energy_exp.has_interior_minimum() ? energy_exp.argmin()
+                                                   : interval.w_max;
+  if (!std::isfinite(sol.w_energy)) {
+    sol.w_energy = std::isfinite(interval.w_max) ? interval.w_max : 1e12;
+  }
+  sol.w_opt = std::min(std::max(interval.w_min, sol.w_energy),
+                       std::isfinite(interval.w_max)
+                           ? interval.w_max
+                           : std::numeric_limits<double>::max());
+  sol.feasible = true;
+
+  if (mode == EvalMode::kFirstOrder) {
+    sol.energy_overhead = energy_exp.evaluate(sol.w_opt);
+    sol.time_overhead = time_exp.evaluate(sol.w_opt);
+  } else {
+    sol.energy_overhead = energy_overhead(params, sol.w_opt, sigma1, sigma2);
+    sol.time_overhead = time_overhead(params, sol.w_opt, sigma1, sigma2);
+  }
+  return sol;
+}
+
+PairSolution per_call_best(const ModelParams& params, double rho,
+                           SpeedPolicy policy, EvalMode mode) {
+  PairSolution best;
+  double best_energy = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < params.speeds.size(); ++i) {
+    for (std::size_t j = 0; j < params.speeds.size(); ++j) {
+      if (policy == SpeedPolicy::kSingleSpeed && i != j) continue;
+      const PairSolution pair = per_call_solve_pair(
+          params, rho, params.speeds[i], params.speeds[j], mode);
+      if (pair.feasible && pair.energy_overhead < best_energy) {
+        best_energy = pair.energy_overhead;
+        best = pair;
+      }
+    }
+  }
+  return best;
+}
+
+void expect_same_solution(const PairSolution& cached,
+                          const PairSolution& per_call) {
+  EXPECT_EQ(cached.feasible, per_call.feasible);
+  if (!cached.feasible || !per_call.feasible) return;
+  EXPECT_EQ(cached.sigma1, per_call.sigma1);
+  EXPECT_EQ(cached.sigma2, per_call.sigma2);
+  EXPECT_EQ(cached.w_opt, per_call.w_opt);
+  EXPECT_EQ(cached.w_min, per_call.w_min);
+  EXPECT_EQ(cached.w_max, per_call.w_max);
+  EXPECT_EQ(cached.energy_overhead, per_call.energy_overhead);
+  EXPECT_EQ(cached.time_overhead, per_call.time_overhead);
+  EXPECT_EQ(cached.rho_min, per_call.rho_min);
+}
+
+std::unique_ptr<SolverBackend> prepared_first_order(
+    const ModelParams& params) {
+  return test::prepared(make_mode_backend(params, EvalMode::kFirstOrder));
+}
+
+TEST(ClosedFormBackend, MatchesPerCallSolveOnAllConfigurations) {
+  const double bounds[] = {1.2, 1.4, 1.775, 2.0, 3.0, 8.0};
+  for (const auto& config : platform::all_configurations()) {
+    const ModelParams params = ModelParams::from_configuration(config);
+    for (const EvalMode mode :
+         {EvalMode::kFirstOrder, EvalMode::kExactEvaluation}) {
+      const auto backend = test::prepared(make_mode_backend(params, mode));
+      for (const double rho : bounds) {
+        for (const SpeedPolicy policy :
+             {SpeedPolicy::kTwoSpeed, SpeedPolicy::kSingleSpeed}) {
+          SCOPED_TRACE(config.name() + " rho=" + std::to_string(rho));
+          const Solution cached = backend->solve(rho, policy);
+          const PairSolution reference =
+              per_call_best(params, rho, policy, mode);
+          EXPECT_EQ(cached.feasible(), reference.feasible);
+          expect_same_solution(cached.pair, reference);
+        }
+      }
+    }
+  }
+}
+
+TEST(ClosedFormBackend, ReportPairsMatchPerCallPairByPair) {
+  const ModelParams params = test::params_for("Atlas/Crusoe");
+  const BiCritSolution solution =
+      prepared_first_order(params)->solve_report(3.0);
+  ASSERT_EQ(solution.pairs.size(),
+            params.speeds.size() * params.speeds.size());
+  for (const auto& pair : solution.pairs) {
+    expect_same_solution(pair,
+                         per_call_solve_pair(params, 3.0, pair.sigma1,
+                                             pair.sigma2,
+                                             EvalMode::kFirstOrder));
+  }
+}
+
+TEST(ClosedFormBackend, SolvePairByIndexChecksRange) {
+  const auto backend = prepared_first_order(test::toy_params());
+  EXPECT_NO_THROW((void)backend->solve_pair(3.0, 0, 2));
+  EXPECT_THROW((void)backend->solve_pair(3.0, 0, 3), std::out_of_range);
+  EXPECT_THROW((void)backend->solve_pair(3.0, 7, 0), std::out_of_range);
+}
+
+TEST(ClosedFormBackend, SharedAcrossRhoGridMatchesPerPointBackends) {
+  // The ρ-panel fast path: one prepared backend, many bounds.
+  const ModelParams params = test::params_for("Coastal/XScale");
+  const auto shared = prepared_first_order(params);
+  for (double rho = 1.1; rho < 4.0; rho += 0.3) {
+    expect_same_solution(shared->solve(rho).pair,
+                         prepared_first_order(params)->solve(rho).pair);
   }
 }
 
@@ -101,6 +247,10 @@ TEST(ClosedFormBackend, FallbackSemanticsMatchTheHistoricalKernel) {
       backend.solve(1.0, SpeedPolicy::kTwoSpeed, false);
   EXPECT_FALSE(without.feasible());
   EXPECT_FALSE(without.used_fallback);
+  // A feasible bound never takes the fallback, asked or not.
+  const Solution feasible = backend.solve(3.0, SpeedPolicy::kTwoSpeed, true);
+  EXPECT_TRUE(feasible.feasible());
+  EXPECT_FALSE(feasible.used_fallback);
 }
 
 TEST(ClosedFormBackend, CapabilitiesDescribeThePairFamily) {

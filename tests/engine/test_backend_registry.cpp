@@ -150,6 +150,18 @@ TEST(BackendRegistry, RegistryBackendsMatchThePreRedesignPathsBitForBit) {
   }
 }
 
+TEST(BackendRegistry, PreparedScenarioBackendSolvesDirectly) {
+  // Point solves start from make_backend + prepare: the backend arrives
+  // ready whatever it defers (the exact cache here).
+  const ScenarioSpec spec = parse_scenario(
+      "name=ctx config=Hera/XScale mode=exact-opt param=none rho=2");
+  const auto backend = make_backend(spec);
+  EXPECT_TRUE(backend->needs_prepare());
+  backend->prepare();
+  EXPECT_FALSE(backend->needs_prepare());
+  EXPECT_TRUE(backend->solve(2.0, spec.policy).feasible());
+}
+
 TEST(BackendRegistry, SimulateOnlyDimensionsAreRejectedAtTheChokepoint) {
   ScenarioSpec spec = parse_scenario(
       "name=recall config=Hera/XScale verification_recall=0.5");

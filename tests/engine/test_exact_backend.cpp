@@ -6,14 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
 #include "rexspeed/core/exact_solver.hpp"
 #include "rexspeed/engine/backend_registry.hpp"
 #include "rexspeed/engine/campaign_runner.hpp"
 #include "rexspeed/engine/scenario.hpp"
-#include "rexspeed/engine/solver_context.hpp"
 #include "rexspeed/engine/sweep_engine.hpp"
+#include "rexspeed/sweep/section42_tables.hpp"
 #include "test_util.hpp"
 
 namespace rexspeed::engine {
@@ -27,26 +28,29 @@ ScenarioSpec exact_rho_spec() {
       "name=exact config=Hera/XScale mode=exact-opt param=rho points=9");
 }
 
-TEST(ExactBackend, ContextRoutesTheCachedBackend) {
+std::unique_ptr<core::SolverBackend> prepared(const ScenarioSpec& spec) {
+  return test::prepared(make_backend(spec));
+}
+
+TEST(ExactBackend, RegistryRoutesTheCachedBackend) {
   const ScenarioSpec spec = exact_rho_spec();
-  const SolverContext context = make_context(spec);
-  EXPECT_STREQ(context.backend().name(), "exact-opt");
-  EXPECT_FALSE(context.backend().needs_prepare());
-  // Routing: the context's solve IS the cached backend's solve
+  const std::unique_ptr<core::SolverBackend> exact = prepared(spec);
+  EXPECT_STREQ(exact->name(), "exact-opt");
+  EXPECT_FALSE(exact->needs_prepare());
+  // Routing: the backend's solve IS the cached solver's solve
   // (deterministic construction → bit-identical).
   const core::ExactSolver standalone(spec.resolve_params());
-  expect_identical_pair(
-      context.solve(2.0, core::SpeedPolicy::kTwoSpeed).pair,
-      standalone.solve(2.0).best);
-  expect_identical_pair(context.solve_pair(2.0, 0, 1),
+  expect_identical_pair(exact->solve(2.0, core::SpeedPolicy::kTwoSpeed).pair,
+                        standalone.solve(2.0).best);
+  expect_identical_pair(exact->solve_pair(2.0, 0, 1),
                         standalone.solve_pair_by_index(2.0, 0, 1));
   // The first-order registry entry keeps the closed-form path.
   ScenarioSpec first = spec;
   first.mode = core::EvalMode::kFirstOrder;
-  const SolverContext closed = make_context(first);
-  EXPECT_STREQ(closed.backend().name(), "first-order");
+  const std::unique_ptr<core::SolverBackend> closed = prepared(first);
+  EXPECT_STREQ(closed->name(), "first-order");
   expect_identical_pair(
-      closed.solve(2.0, core::SpeedPolicy::kTwoSpeed).pair,
+      closed->solve(2.0, core::SpeedPolicy::kTwoSpeed).pair,
       core::BiCritSolver(spec.resolve_params())
           .solve(2.0, core::SpeedPolicy::kTwoSpeed,
                  core::EvalMode::kFirstOrder)
@@ -177,20 +181,18 @@ TEST(ExactBackend, SpeedPairTablesRouteThroughTheCache) {
   // uncached per-bound table.
   const ScenarioSpec spec = parse_scenario(
       "name=tables config=Hera/XScale mode=exact-opt param=none rho=3");
-  const SweepEngine engine({.threads = 1});
-  const auto tables = engine.speed_pair_tables(spec, {3.0, 1.775});
-  ASSERT_EQ(tables.size(), 2u);
+  const auto table = sweep::speed_pair_table(*prepared(spec), 3.0);
   const core::ClosedFormBackend uncached(spec.resolve_params(),
                                          core::EvalMode::kExactOptimize);
   const auto reference = sweep::speed_pair_table(uncached, 3.0);
-  ASSERT_EQ(tables[0].size(), reference.size());
+  ASSERT_EQ(table.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     SCOPED_TRACE(i);
-    ASSERT_EQ(tables[0][i].feasible, reference[i].feasible);
-    EXPECT_EQ(tables[0][i].is_global_best, reference[i].is_global_best);
+    ASSERT_EQ(table[i].feasible, reference[i].feasible);
+    EXPECT_EQ(table[i].is_global_best, reference[i].is_global_best);
     if (!reference[i].feasible) continue;
-    EXPECT_EQ(tables[0][i].best_sigma2, reference[i].best_sigma2);
-    EXPECT_NEAR(tables[0][i].energy_overhead, reference[i].energy_overhead,
+    EXPECT_EQ(table[i].best_sigma2, reference[i].best_sigma2);
+    EXPECT_NEAR(table[i].energy_overhead, reference[i].energy_overhead,
                 1e-6 * reference[i].energy_overhead);
   }
 }

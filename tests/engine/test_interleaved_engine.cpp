@@ -5,12 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
 #include "rexspeed/engine/backend_registry.hpp"
 #include "rexspeed/engine/campaign_runner.hpp"
 #include "rexspeed/engine/scenario.hpp"
-#include "rexspeed/engine/solver_context.hpp"
 #include "rexspeed/engine/sweep_engine.hpp"
 #include "test_util.hpp"
 
@@ -27,6 +27,10 @@ ScenarioSpec hot_spec() {
       "name=hot config=Hera/XScale rho=5 max_segments=6 param=rho "
       "points=7 lambda=1e-3 V=1");
   return spec;
+}
+
+std::unique_ptr<core::SolverBackend> prepared(const ScenarioSpec& spec) {
+  return test::prepared(make_backend(spec));
 }
 
 TEST(InterleavedScenario, ParsesSegmentKeys) {
@@ -128,26 +132,25 @@ TEST(InterleavedBackendEngine, RegistryBackendMatchesDirectSolver) {
   // bit-identical to driving the solver directly, for the searched and
   // the pinned form alike.
   const ScenarioSpec spec = hot_spec();
-  const SolverContext context = make_context(spec);
-  EXPECT_EQ(context.capabilities().kind, core::SolutionKind::kInterleaved);
-  EXPECT_EQ(context.capabilities().max_segments, 6u);
+  const std::unique_ptr<core::SolverBackend> backend = prepared(spec);
+  EXPECT_EQ(backend->capabilities().kind, core::SolutionKind::kInterleaved);
+  EXPECT_EQ(backend->capabilities().max_segments, 6u);
 
   const core::InterleavedSolver direct(spec.resolve_params(), 6);
-  expect_identical_interleaved(context.solve(5.0).interleaved,
+  expect_identical_interleaved(backend->solve(5.0).interleaved,
                                direct.solve(5.0));
 
   ScenarioSpec pinned = spec;
   pinned.max_segments = 0;
   pinned.segments = 3;
-  const SolverContext pinned_context = make_context(pinned);
-  expect_identical_interleaved(pinned_context.solve(5.0).interleaved,
+  expect_identical_interleaved(prepared(pinned)->solve(5.0).interleaved,
                                direct.solve_segments(5.0, 3));
 
   // The pair backends are untouched by the segment configuration.
-  const ScenarioSpec plain = parse_scenario("config=Hera/XScale");
-  const SolverContext pair_context = make_context(plain);
-  EXPECT_EQ(pair_context.capabilities().kind, core::SolutionKind::kPair);
-  EXPECT_TRUE(pair_context.solve(3.0).feasible());
+  const std::unique_ptr<core::SolverBackend> pair =
+      prepared(parse_scenario("config=Hera/XScale"));
+  EXPECT_EQ(pair->capabilities().kind, core::SolutionKind::kPair);
+  EXPECT_TRUE(pair->solve(3.0).feasible());
 }
 
 TEST(InterleavedScenario, SolveUsesFixedOrSearchedCount) {
@@ -191,13 +194,14 @@ TEST(SweepEngineInterleaved, ParallelPanelsAreBitIdenticalToSerial) {
     expect_identical_panel(a[p], b[p]);
   }
   // The segments panel carries the baseline at every x and x = m.
-  const sweep::InterleavedSeries vs_m = sweep::to_interleaved_series(a[1]);
+  const sweep::PanelSeries& vs_m = a[1];
   ASSERT_EQ(vs_m.points.size(), 6u);
   for (std::size_t i = 0; i < vs_m.points.size(); ++i) {
-    EXPECT_EQ(vs_m.points[i].x, static_cast<double>(i + 1));
-    if (vs_m.points[i].best.feasible) {
-      EXPECT_LE(vs_m.points[i].best.energy_overhead,
-                vs_m.points[i].single.energy_overhead * (1.0 + 1e-9));
+    const core::PanelPoint& point = vs_m.points[i];
+    EXPECT_EQ(point.x, static_cast<double>(i + 1));
+    if (point.primary.feasible()) {
+      EXPECT_LE(point.primary.energy_overhead(),
+                point.baseline.energy_overhead() * (1.0 + 1e-9));
     }
   }
 }
@@ -209,19 +213,19 @@ TEST(SweepEngineInterleaved, FixedSegmentCountStaysPinnedAcrossRhoPanel) {
   pinned.max_segments = 0;
   pinned.segments = 3;
   const SweepEngine engine(SweepEngineOptions{.threads = 1});
-  const sweep::InterleavedSeries panel = engine.run_interleaved(
-      pinned, sweep::SweepParameter::kPerformanceBound);
+  const sweep::PanelSeries panel =
+      engine.run_axis(pinned, sweep::SweepParameter::kPerformanceBound);
   bool any_feasible = false;
   for (const auto& point : panel.points) {
-    if (!point.best.feasible) continue;
+    const core::InterleavedSolution& best = point.primary.interleaved;
+    if (!best.feasible) continue;
     any_feasible = true;
-    EXPECT_EQ(point.best.segments, 3u) << "x=" << point.x;
+    EXPECT_EQ(best.segments, 3u) << "x=" << point.x;
     // Each panel point agrees with the solve path at the same bound.
     ScenarioSpec at_x = pinned;
     at_x.sweep_parameter.reset();
     at_x.rho = point.x;
-    expect_identical_interleaved(point.best,
-                                 solve_scenario(at_x).interleaved);
+    expect_identical_interleaved(best, solve_scenario(at_x).interleaved);
   }
   EXPECT_TRUE(any_feasible);
 }
@@ -240,12 +244,6 @@ TEST(SweepEngineInterleaved, OneEntryPointServesEveryBackend) {
   const auto pair = engine.run_scenario(regular);
   ASSERT_EQ(pair.size(), 1u);
   EXPECT_EQ(pair[0].kind, core::SolutionKind::kPair);
-
-  // The typed views reject the wrong kind instead of mangling it.
-  EXPECT_THROW((void)sweep::to_figure_series(segmented[0]),
-               std::invalid_argument);
-  EXPECT_THROW((void)sweep::to_interleaved_series(pair[0]),
-               std::invalid_argument);
 }
 
 TEST(CampaignRunnerInterleaved, CampaignMatchesStandaloneRuns) {

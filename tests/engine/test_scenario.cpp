@@ -4,7 +4,7 @@
 
 #include <stdexcept>
 
-#include "rexspeed/engine/solver_context.hpp"
+#include "rexspeed/engine/backend_registry.hpp"
 #include "rexspeed/platform/configuration.hpp"
 #include "test_util.hpp"
 
@@ -142,11 +142,11 @@ TEST(ScenarioRegistry, LookupByName) {
   EXPECT_THROW(scenario_by_name("fig99"), std::out_of_range);
 }
 
-TEST(ScenarioSolve, MatchesDirectContextSolve) {
+TEST(ScenarioSolve, MatchesDirectBackendSolve) {
   const ScenarioSpec spec = parse_scenario("config=Hera/XScale rho=3");
   const core::Solution via_scenario = solve_scenario(spec);
-  const SolverContext context = make_context(spec);
-  const core::PairSolution direct = context.solve(3.0).pair;
+  const core::PairSolution direct =
+      test::prepared(make_backend(spec))->solve(3.0).pair;
   ASSERT_TRUE(via_scenario.feasible());
   EXPECT_EQ(via_scenario.sigma1(), direct.sigma1);
   EXPECT_EQ(via_scenario.sigma2(), direct.sigma2);
@@ -266,8 +266,6 @@ TEST(ScenarioSweepOptions, CarryTheSpecSettings) {
   sweep::ThreadPool pool(2);
   const sweep::SweepOptions options = spec.sweep_options(&pool);
   EXPECT_DOUBLE_EQ(options.rho, 2.25);
-  EXPECT_EQ(options.points, 33u);
-  EXPECT_EQ(options.mode, core::EvalMode::kExactEvaluation);
   EXPECT_FALSE(options.min_rho_fallback);
   EXPECT_EQ(options.pool, &pool);
 }

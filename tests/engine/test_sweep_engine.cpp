@@ -4,36 +4,44 @@
 
 #include <stdexcept>
 
-#include "rexspeed/engine/solver_context.hpp"
-#include "rexspeed/platform/configuration.hpp"
+#include "rexspeed/engine/backend_registry.hpp"
 #include "test_util.hpp"
 
 namespace rexspeed::engine {
 namespace {
 
-const platform::Configuration& atlas_crusoe() {
-  return platform::configuration_by_name("Atlas/Crusoe");
+using test::expect_identical_pair;
+using test::expect_identical_panel;
+
+/// The scenario's declared panel through the engine.
+sweep::PanelSeries run_declared(const SweepEngine& engine,
+                                const ScenarioSpec& spec) {
+  return engine.run_axis(spec, *spec.sweep_parameter);
 }
 
-using test::expect_identical_pair;
-using test::expect_identical_series;
+/// The same panel built by hand: the scenario's backend and default grid
+/// straight through the generic panel sweep.
+sweep::PanelSeries run_direct(const ScenarioSpec& spec) {
+  return sweep::run_panel_sweep(
+      make_backend(spec), spec.configuration, *spec.sweep_parameter,
+      sweep::default_grid(*spec.sweep_parameter, spec.points),
+      spec.sweep_options(nullptr));
+}
 
-TEST(SweepEngine, RunAllSweepsParallelIsBitIdenticalToSerial) {
-  // The satellite requirement: a multi-thread pool must not change a
-  // single bit of any panel relative to the serial run.
-  sweep::SweepOptions serial;
-  serial.points = 13;
-  const auto reference = sweep::run_all_sweeps(atlas_crusoe(), serial);
-
-  sweep::ThreadPool pool(4);
-  sweep::SweepOptions pooled = serial;
-  pooled.pool = &pool;
-  const auto parallel = sweep::run_all_sweeps(atlas_crusoe(), pooled);
-
+TEST(SweepEngine, CompositeParallelIsBitIdenticalToSerial) {
+  // A multi-thread pool must not change a single bit of any panel
+  // relative to the serial run.
+  ScenarioSpec spec = scenario_by_name("fig08");
+  spec.points = 13;
+  const auto reference =
+      SweepEngine(SweepEngineOptions{.threads = 1}).run_scenario(spec);
+  const auto parallel =
+      SweepEngine(SweepEngineOptions{.threads = 4}).run_scenario(spec);
+  ASSERT_EQ(reference.size(), 6u);
   ASSERT_EQ(reference.size(), parallel.size());
   for (std::size_t p = 0; p < reference.size(); ++p) {
     SCOPED_TRACE(sweep::to_string(reference[p].parameter));
-    expect_identical_series(reference[p], parallel[p]);
+    expect_identical_panel(reference[p], parallel[p]);
   }
 }
 
@@ -41,12 +49,7 @@ TEST(SweepEngine, EngineRunMatchesDirectSweep) {
   ScenarioSpec spec = scenario_by_name("fig04");
   spec.points = 9;
   const SweepEngine engine;  // parallel by default
-  const auto via_engine = engine.run(spec);
-
-  const auto direct = sweep::run_figure_sweep(
-      platform::configuration_by_name(spec.configuration),
-      *spec.sweep_parameter, spec.sweep_options(nullptr));
-  expect_identical_series(via_engine, direct);
+  expect_identical_panel(run_declared(engine, spec), run_direct(spec));
 }
 
 TEST(SweepEngine, RunScenarioDispatchesOnAllThreeKinds) {
@@ -78,24 +81,14 @@ TEST(SweepEngine, ScenarioOverridesReachTheSweptModel) {
   ScenarioSpec spec = scenario_by_name("fig03");
   spec.points = 5;
   const SweepEngine engine(SweepEngineOptions{.threads = 1});
-  const auto base = engine.run(spec);
+  const auto base = run_declared(engine, spec);
 
   spec.overrides.push_back({"lambda", 5e-4});
-  const auto overridden = engine.run(spec);
+  const auto overridden = run_declared(engine, spec);
   ASSERT_EQ(base.points.size(), overridden.points.size());
-  EXPECT_NE(base.points[2].two_speed.w_opt,
-            overridden.points[2].two_speed.w_opt);
-
-  const auto direct = sweep::run_figure_sweep(
-      spec.resolve_params(), spec.configuration, *spec.sweep_parameter,
-      sweep::default_grid(*spec.sweep_parameter, spec.points),
-      spec.sweep_options(nullptr));
-  expect_identical_series(overridden, direct);
-}
-
-TEST(SweepEngine, RunRejectsScenariosWithoutASweepParameter) {
-  const SweepEngine engine;
-  EXPECT_THROW(engine.run(ScenarioSpec{}), std::invalid_argument);
+  EXPECT_NE(base.points[2].primary.pair.w_opt,
+            overridden.points[2].primary.pair.w_opt);
+  expect_identical_panel(overridden, run_direct(spec));
 }
 
 TEST(SweepEngine, SerialEngineHandsOutNoPool) {
@@ -110,46 +103,25 @@ TEST(SweepEngine, SerialEngineHandsOutNoPool) {
   // Serial and parallel engines agree bit for bit.
   ScenarioSpec spec = scenario_by_name("fig02");
   spec.points = 7;
-  expect_identical_series(serial.run(spec), parallel.run(spec));
+  expect_identical_panel(run_declared(serial, spec),
+                         run_declared(parallel, spec));
 }
 
-TEST(SweepEngine, SpeedPairTablesMatchPerBoundCalls) {
-  const SweepEngine engine;
-  const ScenarioSpec spec = parse_scenario("config=Hera/XScale");
-  const auto bounds = sweep::section42_bounds();
-  const auto tables = engine.speed_pair_tables(spec, bounds);
-  ASSERT_EQ(tables.size(), bounds.size());
-
-  const SolverContext context = make_context(spec);
-  for (std::size_t b = 0; b < bounds.size(); ++b) {
-    const auto expected =
-        sweep::speed_pair_table(context.backend(), bounds[b]);
-    ASSERT_EQ(tables[b].size(), expected.size());
-    for (std::size_t r = 0; r < expected.size(); ++r) {
-      EXPECT_EQ(tables[b][r].sigma1, expected[r].sigma1);
-      EXPECT_EQ(tables[b][r].feasible, expected[r].feasible);
-      EXPECT_EQ(tables[b][r].best_sigma2, expected[r].best_sigma2);
-      EXPECT_EQ(tables[b][r].w_opt, expected[r].w_opt);
-      EXPECT_EQ(tables[b][r].energy_overhead, expected[r].energy_overhead);
-      EXPECT_EQ(tables[b][r].is_global_best, expected[r].is_global_best);
-    }
-  }
-}
-
-TEST(SweepEngine, RhoSweepSharedContextMatchesPerPointSolves) {
-  // The ρ fast path reuses one SolverContext across the grid; every point
+TEST(SweepEngine, RhoSweepSharedBackendMatchesPerPointSolves) {
+  // A ρ panel reuses one prepared backend across the grid; every point
   // must still equal an independent solve at that bound.
   const SweepEngine engine;
   ScenarioSpec spec = scenario_by_name("fig05");
   spec.points = 11;
-  const auto series = engine.run(spec);
-  const SolverContext context = make_context(spec);
+  const auto series = run_declared(engine, spec);
+  const std::unique_ptr<core::SolverBackend> backend = make_backend(spec);
+  backend->prepare();
   for (const auto& point : series.points) {
     const core::Solution expected =
-        context.solve(point.x, core::SpeedPolicy::kTwoSpeed,
-                      /*min_rho_fallback=*/true);
-    expect_identical_pair(point.two_speed, expected.pair);
-    EXPECT_EQ(point.two_speed_fallback, expected.used_fallback);
+        backend->solve(point.x, core::SpeedPolicy::kTwoSpeed,
+                       /*min_rho_fallback=*/true);
+    expect_identical_pair(point.primary.pair, expected.pair);
+    EXPECT_EQ(point.primary.used_fallback, expected.used_fallback);
   }
 }
 

@@ -10,36 +10,28 @@
 #include <cmath>
 #include <limits>
 
-#include "rexspeed/sweep/figure_sweeps.hpp"
 #include "rexspeed/sweep/grid.hpp"
 #include "test_util.hpp"
 
 namespace rexspeed {
 namespace {
 
-using sweep::FigureSeries;
-using sweep::SweepOptions;
+using sweep::PanelSeries;
 using sweep::SweepParameter;
 
-const platform::Configuration& atlas_crusoe() {
-  return platform::configuration_by_name("Atlas/Crusoe");
-}
-
-SweepOptions dense() {
-  SweepOptions options;
-  options.points = 101;
-  return options;
+/// One Atlas/Crusoe panel (Figures 2–7) on a 101-point grid.
+PanelSeries dense(SweepParameter axis) {
+  return test::figure_panel("Atlas/Crusoe", axis, 101);
 }
 
 TEST(Figure2, CheckpointSweepSpeedPairEvolution) {
   // §4.3.1: "the optimal speed pair starts at (0.45, 0.45) when C is small
   // and reaches (0.45, 0.8) when C is increased to 5000 seconds."
-  const FigureSeries series = run_figure_sweep(
-      atlas_crusoe(), SweepParameter::kCheckpointTime, dense());
-  const auto& first = series.points.front().two_speed;
+  const PanelSeries series = dense(SweepParameter::kCheckpointTime);
+  const auto& first = series.points.front().primary.pair;
   EXPECT_DOUBLE_EQ(first.sigma1, 0.45);
   EXPECT_DOUBLE_EQ(first.sigma2, 0.45);
-  const auto& last = series.points.back().two_speed;
+  const auto& last = series.points.back().primary.pair;
   EXPECT_DOUBLE_EQ(last.sigma1, 0.45);
   EXPECT_DOUBLE_EQ(last.sigma2, 0.8);
 }
@@ -47,18 +39,16 @@ TEST(Figure2, CheckpointSweepSpeedPairEvolution) {
 TEST(Figure2, UpToThirtyFivePercentSavings) {
   // §4.3.1: "using two speeds achieves up to 35% improvement in the
   // energy overhead" (C sweep peaks just above 32%, the V sweep at 35%).
-  const FigureSeries series = run_figure_sweep(
-      atlas_crusoe(), SweepParameter::kCheckpointTime, dense());
+  const PanelSeries series = dense(SweepParameter::kCheckpointTime);
   EXPECT_GE(series.max_energy_saving(), 0.30);
   EXPECT_LE(series.max_energy_saving(), 0.40);
 }
 
 TEST(Figure2, PatternSizeGrowsWithCheckpointCostAtFixedSpeeds) {
-  const FigureSeries series = run_figure_sweep(
-      atlas_crusoe(), SweepParameter::kCheckpointTime, dense());
+  const PanelSeries series = dense(SweepParameter::kCheckpointTime);
   for (std::size_t i = 1; i < series.points.size(); ++i) {
-    const auto& prev = series.points[i - 1].two_speed;
-    const auto& cur = series.points[i].two_speed;
+    const auto& prev = series.points[i - 1].primary.pair;
+    const auto& cur = series.points[i].primary.pair;
     if (prev.sigma1 == cur.sigma1 && prev.sigma2 == cur.sigma2) {
       EXPECT_GE(cur.w_opt, prev.w_opt - 1e-9)
           << "x=" << series.points[i].x;
@@ -69,9 +59,8 @@ TEST(Figure2, PatternSizeGrowsWithCheckpointCostAtFixedSpeeds) {
 TEST(Figure3, VerificationSweepStabilizesAtMixedPair) {
   // §4.3.1: "the optimal speed pair stabilizes at (0.6, 0.45) when V is
   // increased to 5000 seconds" — with ~35% peak savings on the way.
-  const FigureSeries series = run_figure_sweep(
-      atlas_crusoe(), SweepParameter::kVerificationTime, dense());
-  const auto& last = series.points.back().two_speed;
+  const PanelSeries series = dense(SweepParameter::kVerificationTime);
+  const auto& last = series.points.back().primary.pair;
   EXPECT_DOUBLE_EQ(last.sigma1, 0.6);
   EXPECT_DOUBLE_EQ(last.sigma2, 0.45);
   EXPECT_GE(series.max_energy_saving(), 0.33);
@@ -81,9 +70,8 @@ TEST(Figure3, VerificationSweepStabilizesAtMixedPair) {
 TEST(Figure4, ErrorRateSweepShrinksPatternsAndRaisesSpeeds) {
   // §4.3.2: Wopt decreases with λ while the execution speeds increase
   // (σ2 first, then σ1, until both reach the maximum).
-  const FigureSeries series =
-      run_figure_sweep(atlas_crusoe(), SweepParameter::kErrorRate, dense());
-  const auto& low = series.points.front().two_speed;
+  const PanelSeries series = dense(SweepParameter::kErrorRate);
+  const auto& low = series.points.front().primary.pair;
   EXPECT_DOUBLE_EQ(low.sigma1, 0.45);
   EXPECT_DOUBLE_EQ(low.sigma2, 0.45);
 
@@ -93,7 +81,7 @@ TEST(Figure4, ErrorRateSweepShrinksPatternsAndRaisesSpeeds) {
   bool prev_fallback = false;
   bool prev_inactive = true;
   for (const auto& point : series.points) {
-    const auto& sol = point.two_speed;
+    const auto& sol = point.primary.pair;
     ASSERT_TRUE(sol.feasible);
     // Wopt decreases while the speed pair is unchanged *and* the bound is
     // inactive (Wopt = We). Pair switches reset it upward, and when the
@@ -103,32 +91,31 @@ TEST(Figure4, ErrorRateSweepShrinksPatternsAndRaisesSpeeds) {
         std::abs(sol.w_opt - sol.w_energy) <= 1e-6 * sol.w_opt;
     if (bound_inactive && prev_inactive && sol.sigma1 == prev_s1 &&
         sol.sigma2 == prev_s2 &&
-        point.two_speed_fallback == prev_fallback) {
+        point.primary.used_fallback == prev_fallback) {
       EXPECT_LE(sol.w_opt, prev_w * (1.0 + 1e-9)) << "lambda=" << point.x;
     }
     EXPECT_GE(sol.sigma1, prev_s1 - 1e-12);  // σ1 never falls back
     prev_w = sol.w_opt;
     prev_s1 = sol.sigma1;
     prev_s2 = sol.sigma2;
-    prev_fallback = point.two_speed_fallback;
+    prev_fallback = point.primary.used_fallback;
     prev_inactive = bound_inactive;
   }
   // Beyond the feasibility horizon the fallback pins the fastest speed.
   const auto& high = series.points.back();
-  EXPECT_TRUE(high.two_speed_fallback);
-  EXPECT_DOUBLE_EQ(high.two_speed.sigma1, 1.0);
+  EXPECT_TRUE(high.primary.used_fallback);
+  EXPECT_DOUBLE_EQ(high.primary.pair.sigma1, 1.0);
 }
 
 TEST(Figure5, TighterBoundForcesFasterSpeedsAndMoreEnergy) {
   // §4.3.2: as ρ is reduced the speeds increase; with more slack the
   // energy overhead decreases monotonically.
-  const FigureSeries series = run_figure_sweep(
-      atlas_crusoe(), SweepParameter::kPerformanceBound, dense());
+  const PanelSeries series = dense(SweepParameter::kPerformanceBound);
   double prev_energy = std::numeric_limits<double>::infinity();
   double prev_s1 = 2.0;
   for (const auto& point : series.points) {
-    if (point.two_speed_fallback) continue;  // ρ below every ρ_{i,j}
-    const auto& sol = point.two_speed;
+    if (point.primary.used_fallback) continue;  // ρ below every ρ_{i,j}
+    const auto& sol = point.primary.pair;
     EXPECT_LE(sol.energy_overhead, prev_energy * (1.0 + 1e-9))
         << "rho=" << point.x;
     EXPECT_LE(sol.sigma1, prev_s1 + 1e-12) << "rho=" << point.x;
@@ -136,23 +123,22 @@ TEST(Figure5, TighterBoundForcesFasterSpeedsAndMoreEnergy) {
     prev_s1 = sol.sigma1;
   }
   // Generous bounds settle on the cheapest speed.
-  EXPECT_DOUBLE_EQ(series.points.back().two_speed.sigma1, 0.45);
-  EXPECT_DOUBLE_EQ(series.points.back().two_speed.sigma2, 0.45);
+  EXPECT_DOUBLE_EQ(series.points.back().primary.pair.sigma1, 0.45);
+  EXPECT_DOUBLE_EQ(series.points.back().primary.pair.sigma2, 0.45);
 }
 
 TEST(Figure6, IdlePowerRaisesSpeedsSigma1First) {
   // §4.3.3: speeds increase with Pidle (σ1 first, then σ2), and σ2 almost
   // always equals σ1 so one speed suffices.
-  const FigureSeries series =
-      run_figure_sweep(atlas_crusoe(), SweepParameter::kIdlePower, dense());
-  const auto& first = series.points.front().two_speed;
-  const auto& last = series.points.back().two_speed;
+  const PanelSeries series = dense(SweepParameter::kIdlePower);
+  const auto& first = series.points.front().primary.pair;
+  const auto& last = series.points.back().primary.pair;
   EXPECT_DOUBLE_EQ(first.sigma1, 0.45);
   EXPECT_GT(last.sigma1, first.sigma1);
   EXPECT_DOUBLE_EQ(last.sigma1, last.sigma2);
   // Energy overhead strictly grows with static power.
   EXPECT_GT(last.energy_overhead,
-            series.points.front().two_speed.energy_overhead);
+            series.points.front().primary.pair.energy_overhead);
   // Two-speed gains are marginal in this sweep (σ2 ≈ σ1 throughout).
   EXPECT_LT(series.max_energy_saving(), 0.05);
 }
@@ -160,12 +146,11 @@ TEST(Figure6, IdlePowerRaisesSpeedsSigma1First) {
 TEST(Figure7, IoPowerLeavesSpeedsUnchanged) {
   // §4.3.3: the execution speeds are not affected by Pio; the pattern size
   // and the energy overhead grow with it.
-  const FigureSeries series =
-      run_figure_sweep(atlas_crusoe(), SweepParameter::kIoPower, dense());
+  const PanelSeries series = dense(SweepParameter::kIoPower);
   double prev_w = 0.0;
   double prev_energy = 0.0;
   for (const auto& point : series.points) {
-    const auto& sol = point.two_speed;
+    const auto& sol = point.primary.pair;
     ASSERT_TRUE(sol.feasible);
     EXPECT_DOUBLE_EQ(sol.sigma1, 0.45);
     EXPECT_DOUBLE_EQ(sol.sigma2, 0.45);
@@ -180,20 +165,17 @@ TEST(Figures8to14, EveryConfigurationSweepsCleanly) {
   // The remaining figures repeat the six sweeps on the other seven
   // configurations; check global sanity everywhere (full benches print
   // the complete panels).
-  SweepOptions options;
-  options.points = 11;
   for (const auto& config : platform::all_configurations()) {
-    const auto panels = run_all_sweeps(config, options);
-    ASSERT_EQ(panels.size(), 6u) << config.name();
-    for (const auto& panel : panels) {
+    for (const SweepParameter axis : sweep::all_sweep_parameters()) {
+      const PanelSeries panel = test::figure_panel(config.name(), axis, 11);
       for (const auto& point : panel.points) {
-        if (!point.two_speed.feasible) continue;
-        EXPECT_GT(point.two_speed.w_opt, 0.0) << config.name();
-        EXPECT_GT(point.two_speed.energy_overhead, 0.0) << config.name();
-        if (point.single_speed.feasible && !point.single_speed_fallback &&
-            !point.two_speed_fallback) {
-          EXPECT_LE(point.two_speed.energy_overhead,
-                    point.single_speed.energy_overhead * (1.0 + 1e-12))
+        if (!point.primary.pair.feasible) continue;
+        EXPECT_GT(point.primary.pair.w_opt, 0.0) << config.name();
+        EXPECT_GT(point.primary.pair.energy_overhead, 0.0) << config.name();
+        if (point.baseline.pair.feasible && !point.baseline.used_fallback &&
+            !point.primary.used_fallback) {
+          EXPECT_LE(point.primary.pair.energy_overhead,
+                    point.baseline.pair.energy_overhead * (1.0 + 1e-12))
               << config.name();
         }
       }
@@ -206,16 +188,13 @@ TEST(Figures8to14, CrusoeOnOtherPlatformsKeepsSlowPairLonger) {
   // checkpointing cost increases up to 5000 s when the Crusoe processor is
   // coupled with platforms other than Atlas" (their error rates are
   // smaller).
-  SweepOptions options;
-  options.points = 26;
   for (const char* name : {"Hera/Crusoe", "Coastal/Crusoe",
                            "CoastalSSD/Crusoe"}) {
-    const FigureSeries series =
-        run_figure_sweep(platform::configuration_by_name(name),
-                         SweepParameter::kCheckpointTime, options);
+    const PanelSeries series =
+        test::figure_panel(name, SweepParameter::kCheckpointTime, 26);
     for (const auto& point : series.points) {
-      EXPECT_DOUBLE_EQ(point.two_speed.sigma1, 0.45) << name;
-      EXPECT_DOUBLE_EQ(point.two_speed.sigma2, 0.45) << name;
+      EXPECT_DOUBLE_EQ(point.primary.pair.sigma1, 0.45) << name;
+      EXPECT_DOUBLE_EQ(point.primary.pair.sigma2, 0.45) << name;
     }
   }
 }

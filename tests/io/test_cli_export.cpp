@@ -15,9 +15,10 @@
 //   4. The cache's CLI face: `cache stats` prints the canonical-to-encoded
 //      ratio its sidecars record; a campaign whose cache writes fail
 //      prints one incident line and otherwise exactly what an uncached
-//      run prints and exports (exit 0), while `cache` on an unusable
-//      directory stays a cache error (exit 4), and so does a sweep whose
-//      one cache write fails.
+//      run prints and exports (exit 0) — across `--workers` too, where
+//      each worker's failed write adds an incident line of its own —
+//      while `cache` on an unusable directory stays a cache error
+//      (exit 4), and so does a sweep whose one cache write fails.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -236,6 +237,65 @@ TEST_F(CliExport, FailedCacheWritesAreOneIncidentLine) {
                       quoted(not_a_directory) + " > /dev/null 2> /dev/null"),
               4)
         << action;
+  }
+}
+
+/// `text` without its last line (a campaign's footer names its driver).
+std::string without_footer(const std::string& text) {
+  const std::size_t end = text.find_last_of('\n', text.size() - 2);
+  return end == std::string::npos ? std::string() : text.substr(0, end + 1);
+}
+
+TEST_F(CliExport, FailedCacheWritesUnderWorkersAreIncidentsToo) {
+  // The sharded campaign on the same blocked cache: each worker's failed
+  // write is a failed task the coordinator recomputes, and the
+  // coordinator's own writes fail as one incident, as in-process. Exit 0,
+  // the in-process table and exports, and nothing on stderr but
+  // incident lines.
+  const std::string campaign =
+      "campaign --scenarios=fig02,fig08 --points=5 --out-dir=";
+  ASSERT_EQ(run_cli(campaign + quoted(work_ / "out") + " > " +
+                    quoted(work_ / "plain.txt")),
+            0);
+  fs::rename(work_ / "out", work_ / "plain");
+  const fs::path cache = work_ / "cache";
+  ASSERT_EQ(run_cli(campaign + quoted(work_ / "fill") +
+                    " --workers=2 --cache-dir=" + quoted(cache) +
+                    " > /dev/null"),
+            0);
+  std::size_t entries = 0;
+  for (const auto& entry : fs::directory_iterator(cache / "entries")) {
+    if (entry.path().extension() != ".bin") continue;
+    fs::remove(entry.path());
+    fs::create_directories(entry.path() / "occupied");
+    ++entries;
+  }
+  ASSERT_GT(entries, 0u);
+
+  const fs::path err = work_ / "stderr.txt";
+  ASSERT_EQ(run_cli(campaign + quoted(work_ / "out") +
+                    " --workers=2 --cache-dir=" + quoted(cache) + " > " +
+                    quoted(work_ / "blocked.txt") + " 2> " + quoted(err)),
+            0);
+  EXPECT_EQ(without_footer(read_file(work_ / "blocked.txt")),
+            without_footer(read_file(work_ / "plain.txt")));
+  std::istringstream incidents(read_file(err));
+  std::string line;
+  bool stored_line = false;
+  while (std::getline(incidents, line)) {
+    EXPECT_EQ(line.rfind("incident: ", 0), 0u) << line;
+    if (line.rfind("incident: cache: " + std::to_string(entries) + " of " +
+                       std::to_string(entries) + " entries not stored",
+                   0) == 0) {
+      stored_line = true;
+    }
+  }
+  EXPECT_TRUE(stored_line) << read_file(err);
+  for (const auto& file : fs::recursive_directory_iterator(work_ / "plain")) {
+    if (!file.is_regular_file()) continue;
+    const fs::path relative = fs::relative(file.path(), work_ / "plain");
+    EXPECT_EQ(read_file(work_ / "out" / relative), read_file(file.path()))
+        << relative;
   }
 }
 

@@ -5,7 +5,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "rexspeed/sweep/figure_sweeps.hpp"
+#include "rexspeed/sweep/panel_sweep.hpp"
 
 namespace rexspeed::io {
 namespace {
@@ -50,7 +50,7 @@ TEST(CsvWriter, WriteCsvSeriesEmitsHeaderAndOneRowPerPoint) {
 }
 
 TEST(CsvWriter, ExportCsvFigureSharesTheGnuplotStem) {
-  sweep::FigureSeries figure;
+  sweep::PanelSeries figure;
   figure.parameter = sweep::SweepParameter::kVerificationTime;
   figure.configuration = "Hera/XScale";
   figure.rho = 3.0;

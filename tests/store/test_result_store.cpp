@@ -175,12 +175,6 @@ TEST(StoreKey, PanelKeyIsStableAndIgnoresExecutionKnobs) {
             panel_key(*backend, spec.configuration,
                       sweep::SweepParameter::kPerformanceBound, grid,
                       other_rho));
-  sweep::SweepOptions no_chain = options;
-  no_chain.warm_start_chain = false;
-  EXPECT_NE(key,
-            panel_key(*backend, spec.configuration,
-                      sweep::SweepParameter::kPerformanceBound, grid,
-                      no_chain));
   EXPECT_NE(key, panel_key(*backend, spec.configuration,
                            sweep::SweepParameter::kCheckpointTime, grid,
                            options));
@@ -197,6 +191,14 @@ TEST(StoreKey, PanelKeyIsStableAndIgnoresExecutionKnobs) {
             panel_key(*exact_backend, spec.configuration,
                       sweep::SweepParameter::kPerformanceBound, grid,
                       options));
+
+  // A chained exact-opt C panel keeps the key it had when warm-start
+  // chaining was still a switch (recorded on): caches filled before stay
+  // valid.
+  EXPECT_EQ(panel_key(*exact_backend, spec.configuration,
+                      sweep::SweepParameter::kCheckpointTime,
+                      {0.0, 2500.0, 5000.0}, options),
+            "d6f0e57bce1eb10f387e83bde733d991bbda4d0e8c1d503c3e0e2bf117f027c8");
 }
 
 TEST(StoreKey, SolveKeyDependsOnPolicyBoundAndFallback) {

@@ -3,16 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "rexspeed/sweep/grid.hpp"
 #include "test_util.hpp"
 
 namespace rexspeed::sweep {
 namespace {
-
-const platform::Configuration& atlas_crusoe() {
-  return platform::configuration_by_name("Atlas/Crusoe");
-}
 
 TEST(DefaultGrid, RangesMatchPaperAxes) {
   const auto c = default_grid(SweepParameter::kCheckpointTime, 11);
@@ -56,31 +54,37 @@ TEST(ApplyParameter, CheckpointSweepKeepsRecoveryEqual) {
 }
 
 TEST(FigureSweep, ProducesOnePointPerGridValue) {
-  SweepOptions options;
-  options.points = 9;
-  const FigureSeries series =
-      run_figure_sweep(atlas_crusoe(), SweepParameter::kCheckpointTime,
-                       options);
+  const PanelSeries series =
+      test::figure_panel("Atlas/Crusoe", SweepParameter::kCheckpointTime, 9);
   EXPECT_EQ(series.points.size(), 9u);
   EXPECT_EQ(series.configuration, "Atlas/Crusoe");
   EXPECT_EQ(series.parameter, SweepParameter::kCheckpointTime);
+  EXPECT_EQ(series.kind, core::SolutionKind::kPair);
   for (const auto& point : series.points) {
-    ASSERT_TRUE(point.two_speed.feasible);
-    ASSERT_TRUE(point.single_speed.feasible);
-    EXPECT_DOUBLE_EQ(point.single_speed.sigma1, point.single_speed.sigma2);
-    EXPECT_LE(point.two_speed.energy_overhead,
-              point.single_speed.energy_overhead * (1.0 + 1e-12));
+    const core::PairSolution& two = point.primary.pair;
+    const core::PairSolution& one = point.baseline.pair;
+    ASSERT_TRUE(two.feasible);
+    ASSERT_TRUE(one.feasible);
+    EXPECT_DOUBLE_EQ(one.sigma1, one.sigma2);
+    EXPECT_LE(two.energy_overhead, one.energy_overhead * (1.0 + 1e-12));
   }
 }
 
+PanelSeries atlas_rho_panel(std::vector<double> grid,
+                            const SweepOptions& options = {}) {
+  return run_panel_sweep(
+      core::make_mode_backend(test::params_for("Atlas/Crusoe"),
+                              core::EvalMode::kFirstOrder),
+      "Atlas/Crusoe", SweepParameter::kPerformanceBound, std::move(grid),
+      options);
+}
+
 TEST(FigureSweep, RhoSweepUsesXAsBound) {
-  const std::vector<double> grid = {1.5, 2.5, 3.5};
-  const FigureSeries series = run_figure_sweep(
-      atlas_crusoe(), SweepParameter::kPerformanceBound, grid, {});
+  const PanelSeries series = atlas_rho_panel({1.5, 2.5, 3.5});
   ASSERT_EQ(series.points.size(), 3u);
   for (const auto& point : series.points) {
-    if (point.two_speed.feasible && !point.two_speed_fallback) {
-      EXPECT_LE(point.two_speed.time_overhead, point.x * (1.0 + 1e-9));
+    if (point.primary.feasible() && !point.primary.used_fallback) {
+      EXPECT_LE(point.primary.time_overhead(), point.x * (1.0 + 1e-9));
     }
   }
 }
@@ -88,57 +92,44 @@ TEST(FigureSweep, RhoSweepUsesXAsBound) {
 TEST(FigureSweep, FallbackKicksInBeyondFeasibilityHorizon) {
   // At ρ = 1 nothing is feasible on Atlas/Crusoe; with the fallback the
   // point still carries the min-ρ policy (pinned near the fastest speeds).
-  const std::vector<double> grid = {1.0};
-  const FigureSeries with = run_figure_sweep(
-      atlas_crusoe(), SweepParameter::kPerformanceBound, grid, {});
-  ASSERT_TRUE(with.points[0].two_speed.feasible);
-  EXPECT_TRUE(with.points[0].two_speed_fallback);
-  EXPECT_GT(with.points[0].two_speed.time_overhead, 1.0);
+  const PanelSeries with = atlas_rho_panel({1.0});
+  ASSERT_TRUE(with.points[0].primary.feasible());
+  EXPECT_TRUE(with.points[0].primary.used_fallback);
+  EXPECT_GT(with.points[0].primary.time_overhead(), 1.0);
 
   SweepOptions no_fallback;
   no_fallback.min_rho_fallback = false;
-  const FigureSeries without = run_figure_sweep(
-      atlas_crusoe(), SweepParameter::kPerformanceBound, grid, no_fallback);
-  EXPECT_FALSE(without.points[0].two_speed.feasible);
-  EXPECT_FALSE(without.points[0].two_speed_fallback);
+  const PanelSeries without = atlas_rho_panel({1.0}, no_fallback);
+  EXPECT_FALSE(without.points[0].primary.feasible());
+  EXPECT_FALSE(without.points[0].primary.used_fallback);
 }
 
 TEST(FigureSweep, ParallelMatchesSerial) {
   ThreadPool pool(4);
-  SweepOptions serial;
-  serial.points = 11;
-  SweepOptions pooled = serial;
+  SweepOptions pooled;
   pooled.pool = &pool;
-  const FigureSeries a =
-      run_figure_sweep(atlas_crusoe(), SweepParameter::kErrorRate, serial);
-  const FigureSeries b =
-      run_figure_sweep(atlas_crusoe(), SweepParameter::kErrorRate, pooled);
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (std::size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.points[i].two_speed.energy_overhead,
-                     b.points[i].two_speed.energy_overhead);
-    EXPECT_DOUBLE_EQ(a.points[i].two_speed.sigma1,
-                     b.points[i].two_speed.sigma1);
-  }
+  test::expect_identical_panel(
+      test::figure_panel("Atlas/Crusoe", SweepParameter::kErrorRate, 11),
+      test::figure_panel("Atlas/Crusoe", SweepParameter::kErrorRate, 11,
+                         pooled));
 }
 
 TEST(FigureSweep, EnergySavingIsZeroWhenInfeasible) {
-  FigurePoint point;
+  const core::PanelPoint point;
   EXPECT_DOUBLE_EQ(point.energy_saving(), 0.0);
 }
 
-TEST(FigureSweep, RunAllSweepsCoversSixPanels) {
-  SweepOptions options;
-  options.points = 5;
-  const auto all = run_all_sweeps(atlas_crusoe(), options);
-  ASSERT_EQ(all.size(), 6u);
-  EXPECT_EQ(all[0].parameter, SweepParameter::kCheckpointTime);
-  EXPECT_EQ(all[5].parameter, SweepParameter::kIoPower);
+TEST(FigureSweep, CompositeAxesAreTheSixFigurePanels) {
+  const auto& axes = all_sweep_parameters();
+  ASSERT_EQ(axes.size(), 6u);
+  EXPECT_EQ(axes.front(), SweepParameter::kCheckpointTime);
+  EXPECT_EQ(axes.back(), SweepParameter::kIoPower);
 }
 
-TEST(FigureSweep, RejectsEmptyGrid) {
-  EXPECT_THROW(run_figure_sweep(atlas_crusoe(),
-                                SweepParameter::kCheckpointTime, {}, {}),
+TEST(FigureSweep, RejectsEmptyGridAndNullBackend) {
+  EXPECT_THROW(atlas_rho_panel({}), std::invalid_argument);
+  EXPECT_THROW(run_panel_sweep(nullptr, "Atlas/Crusoe",
+                               SweepParameter::kPerformanceBound, {3.0}),
                std::invalid_argument);
 }
 

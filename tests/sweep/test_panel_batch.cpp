@@ -3,11 +3,11 @@
 // must be BIT-identical to a loop of the backend's own solve_panel_point;
 // the chunking itself must be invisible — any pool size, any grid size,
 // on ρ, model and segments axes; and warm-start chains along exact
-// model-axis grids must stay one in-order chunk that agrees with cold
-// per-point rebinds within numeric tolerance (the seeds steer only the
-// bracketing, never the optimum). Both drivers — run_panel_sweep and the
-// campaign stream — split panels through the same PanelSweep, so these
-// checks cover the campaign path too.
+// model-axis grids must stay one in-order chunk that agrees with the
+// unseeded per-point reference loop within numeric tolerance (the seeds
+// steer only the bracketing, never the optimum). Both drivers —
+// run_panel_sweep and the campaign stream — split panels through the same
+// PanelSweep, so these checks cover the campaign path too.
 
 #include "rexspeed/sweep/panel_sweep.hpp"
 
@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "rexspeed/engine/backend_registry.hpp"
 #include "rexspeed/engine/campaign_runner.hpp"
@@ -214,22 +215,33 @@ void expect_chain_agrees(const PanelSeries& warm, const PanelSeries& cold) {
   }
 }
 
+/// The cold reference of a chained panel: the per-point unseeded loop
+/// (SolverBackend::solve_batch's default, called non-virtually), one
+/// fresh rebind per grid point.
+PanelSeries unseeded_panel(const core::SolverBackend& backend,
+                           SweepParameter axis,
+                           const std::vector<double>& grid) {
+  const SweepOptions defaults;
+  PanelSeries series;
+  series.parameter = axis;
+  series.points.resize(grid.size());
+  backend.core::SolverBackend::solve_batch(
+      axis, grid.data(), grid.size(), defaults.rho,
+      defaults.min_rho_fallback, series.points.data());
+  return series;
+}
+
 TEST(WarmStartChain, ExactModelAxesAgreeWithColdRebinds) {
   const core::ModelParams params = test::params_for("Hera/XScale");
   for (const SweepParameter axis :
        {SweepParameter::kCheckpointTime, SweepParameter::kVerificationTime,
         SweepParameter::kErrorRate}) {
     const std::vector<double> grid = default_grid(axis, 7);
-    SweepOptions warm_options;  // warm_start_chain defaults on
     const PanelSeries warm = run_panel_sweep(
         std::make_unique<core::ExactOptBackend>(params), "test", axis, grid,
-        warm_options);
-    SweepOptions cold_options;
-    cold_options.warm_start_chain = false;
-    const PanelSeries cold = run_panel_sweep(
-        std::make_unique<core::ExactOptBackend>(params), "test", axis, grid,
-        cold_options);
-    expect_chain_agrees(warm, cold);
+        {});
+    expect_chain_agrees(
+        warm, unseeded_panel(core::ExactOptBackend(params), axis, grid));
   }
 }
 
@@ -237,14 +249,14 @@ TEST(WarmStartChain, ChainedPanelIsOneInOrderChunk) {
   const core::ModelParams params = test::params_for("Hera/XScale");
   const std::vector<double> grid =
       default_grid(SweepParameter::kCheckpointTime, 5);
-  SweepOptions options;
   PanelSweep chained(std::make_unique<core::ExactOptBackend>(params), "test",
-                     SweepParameter::kCheckpointTime, grid, options);
+                     SweepParameter::kCheckpointTime, grid, {});
   EXPECT_EQ(chained.chunk_size(4), grid.size());
-  options.warm_start_chain = false;
-  PanelSweep cold(std::make_unique<core::ExactOptBackend>(params), "test",
-                  SweepParameter::kCheckpointTime, grid, options);
-  EXPECT_EQ(cold.chunk_size(4), 2u);
+  // A backend without warm_start_chain splits the same axis.
+  PanelSweep unchained(std::make_unique<core::ClosedFormBackend>(
+                           params, core::EvalMode::kFirstOrder),
+                       "test", SweepParameter::kCheckpointTime, grid, {});
+  EXPECT_EQ(unchained.chunk_size(4), 2u);
 
   // The serial chain, link by link: each point's rebind seeded from its
   // neighbor's harvest. A pooled run must reproduce it bit for bit.
@@ -287,20 +299,18 @@ TEST(ChunkedPanel, CampaignMatchesStandaloneThroughChunkedPanels) {
   spec.sweep_parameter = SweepParameter::kPerformanceBound;
   spec.points = 9;
   const engine::SweepEngine engine({.threads = 1});
-  const FigureSeries standalone = engine.run(spec);
+  const PanelSeries standalone = engine.run_axis(spec, *spec.sweep_parameter);
   for (const unsigned threads : {1u, 4u}) {
     const engine::CampaignRunner runner({.threads = threads});
     const engine::ScenarioResult result = runner.run_one(spec);
     ASSERT_EQ(result.panels.size(), 1u);
-    test::expect_identical_series(to_figure_series(result.panels.front()),
-                                  standalone);
+    expect_identical_panel(result.panels.front(), standalone);
   }
   // And the backend's own per-point loop agrees bit for bit — the batched
   // kernels are an implementation detail of the panel.
-  test::expect_identical_series(
-      to_figure_series(pointwise_rho_panel(engine::make_backend(spec),
-                                           spec.points, spec.configuration)),
-      standalone);
+  expect_identical_panel(pointwise_rho_panel(engine::make_backend(spec),
+                                             spec.points, spec.configuration),
+                         standalone);
 }
 
 }  // namespace

@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "rexspeed/core/bicrit_solver.hpp"
 #include "rexspeed/core/interleaved.hpp"
 #include "rexspeed/core/model_params.hpp"
 #include "rexspeed/core/solver_backend.hpp"
 #include "rexspeed/platform/configuration.hpp"
-#include "rexspeed/sweep/figure_sweeps.hpp"
-#include "rexspeed/sweep/interleaved_sweeps.hpp"
 #include "rexspeed/sweep/panel_sweep.hpp"
 
 namespace rexspeed::test {
@@ -17,6 +18,25 @@ namespace rexspeed::test {
 inline core::ModelParams params_for(const std::string& name) {
   return core::ModelParams::from_configuration(
       platform::configuration_by_name(name));
+}
+
+/// One panel of a named paper configuration over the default grid of
+/// `points` (first-order unless `mode` says otherwise) — the panel the
+/// figure tests sweep.
+inline sweep::PanelSeries figure_panel(
+    const std::string& configuration, sweep::SweepParameter axis,
+    std::size_t points, const sweep::SweepOptions& options = {},
+    core::EvalMode mode = core::EvalMode::kFirstOrder) {
+  return sweep::run_panel_sweep(
+      core::make_mode_backend(params_for(configuration), mode),
+      configuration, axis, sweep::default_grid(axis, points), options);
+}
+
+/// `backend` after prepare() — the shape every point solve starts from.
+inline std::unique_ptr<core::SolverBackend> prepared(
+    std::unique_ptr<core::SolverBackend> backend) {
+  backend->prepare();
+  return backend;
 }
 
 /// Small synthetic parameter set with round numbers, handy for hand
@@ -52,23 +72,6 @@ inline void expect_identical_pair(const core::PairSolution& a,
   EXPECT_EQ(a.time_overhead, b.time_overhead);
 }
 
-/// Bit-identity check for a whole figure panel.
-inline void expect_identical_series(const sweep::FigureSeries& a,
-                                    const sweep::FigureSeries& b) {
-  EXPECT_EQ(a.parameter, b.parameter);
-  EXPECT_EQ(a.configuration, b.configuration);
-  EXPECT_EQ(a.rho, b.rho);
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (std::size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_EQ(a.points[i].x, b.points[i].x);
-    EXPECT_EQ(a.points[i].two_speed_fallback, b.points[i].two_speed_fallback);
-    EXPECT_EQ(a.points[i].single_speed_fallback,
-              b.points[i].single_speed_fallback);
-    expect_identical_pair(a.points[i].two_speed, b.points[i].two_speed);
-    expect_identical_pair(a.points[i].single_speed, b.points[i].single_speed);
-  }
-}
-
 /// Bit-identity check for an interleaved solution — the segmented
 /// counterpart of expect_identical_pair.
 inline void expect_identical_interleaved(const core::InterleavedSolution& a,
@@ -80,21 +83,6 @@ inline void expect_identical_interleaved(const core::InterleavedSolution& a,
   EXPECT_EQ(a.w_opt, b.w_opt);
   EXPECT_EQ(a.energy_overhead, b.energy_overhead);
   EXPECT_EQ(a.time_overhead, b.time_overhead);
-}
-
-/// Bit-identity check for a whole interleaved panel.
-inline void expect_identical_interleaved_series(
-    const sweep::InterleavedSeries& a, const sweep::InterleavedSeries& b) {
-  EXPECT_EQ(a.parameter, b.parameter);
-  EXPECT_EQ(a.configuration, b.configuration);
-  EXPECT_EQ(a.rho, b.rho);
-  EXPECT_EQ(a.max_segments, b.max_segments);
-  ASSERT_EQ(a.points.size(), b.points.size());
-  for (std::size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_EQ(a.points[i].x, b.points[i].x);
-    expect_identical_interleaved(a.points[i].best, b.points[i].best);
-    expect_identical_interleaved(a.points[i].single, b.points[i].single);
-  }
 }
 
 /// Bit-identity check for a unified backend solution — dispatches on the

@@ -56,7 +56,6 @@
 #include "rexspeed/engine/campaign_runner.hpp"
 #include "rexspeed/engine/scenario.hpp"
 #include "rexspeed/engine/scenario_file.hpp"
-#include "rexspeed/engine/solver_context.hpp"
 #include "rexspeed/engine/shard/shard_coordinator.hpp"
 #include "rexspeed/engine/sweep_engine.hpp"
 #include "rexspeed/io/cli.hpp"
@@ -68,6 +67,7 @@
 #include "rexspeed/store/result_store.hpp"
 #include "rexspeed/store/serialize.hpp"
 #include "rexspeed/store/store_key.hpp"
+#include "rexspeed/sweep/section42_tables.hpp"
 
 using namespace rexspeed;
 
@@ -299,11 +299,12 @@ int cmd_scenarios() {
   return 0;
 }
 
-/// Shared reporting tail for cmd_solve: `context` is null on a cache hit
-/// (only feasible solutions are cached, and those never consult it).
+/// Shared reporting tail for cmd_solve: `backend` (prepared) is null on a
+/// cache hit (only feasible solutions are cached, and those never consult
+/// it).
 int report_solution(const engine::ScenarioSpec& spec,
                     const core::Solution& sol,
-                    const engine::SolverContext* context) {
+                    const core::SolverBackend* backend) {
   if (!sol.feasible()) {
     if (sol.kind == core::SolutionKind::kInterleaved) {
       std::printf("infeasible: no segmented pattern satisfies rho = %g "
@@ -314,8 +315,8 @@ int report_solution(const engine::ScenarioSpec& spec,
     std::printf("infeasible: no speed pair satisfies rho = %g\n", spec.rho);
     // Report the backend's own floor (the exact-model one for exact-opt,
     // not the first-order tangency) when it has one.
-    if (context != nullptr) {
-      const core::Solution fallback = context->min_rho(spec.policy);
+    if (backend != nullptr) {
+      const core::Solution fallback = backend->min_rho(spec.policy);
       if (fallback.feasible()) {
         std::printf("best-effort minimum bound: rho_min = %.4f at "
                     "(%.2f, %.2f)\n",
@@ -369,22 +370,22 @@ int cmd_solve(const io::ArgParser& args) {
     }
   }
 
-  const engine::SolverContext context(std::move(backend));
-  const core::Solution sol = context.solve(spec.rho, spec.policy);
+  backend->prepare();
+  const core::Solution sol = backend->solve(spec.rho, spec.policy);
   if (!key.empty() && sol.feasible()) {
     store::EntryInfo info;
     info.kind = "solution";
     info.scenario = spec.name;
     info.configuration = spec.configuration;
-    info.backend = context.backend().name();
-    info.backend_version = context.capabilities().version;
+    info.backend = backend->name();
+    info.backend_version = backend->capabilities().version;
     info.axis = "-";
     info.points = 1;
     info.canonical_size = store::canonical_size(sol);
     cache->put(key, store::encode_solution_entry(sol), std::move(info));
     cache->flush();
   }
-  return report_solution(spec, sol, &context);
+  return report_solution(spec, sol, backend.get());
 }
 
 int cmd_pairs(const io::ArgParser& args) {
@@ -399,9 +400,9 @@ int cmd_pairs(const io::ArgParser& args) {
                  backend->name());
     return 2;
   }
-  const engine::SolverContext context(std::move(backend));
+  backend->prepare();
   io::TableWriter table({"sigma1", "best sigma2", "Wopt", "E/W", ""});
-  const auto rows = sweep::speed_pair_table(context.backend(), spec.rho);
+  const auto rows = sweep::speed_pair_table(*backend, spec.rho);
   for (const auto& row : rows) {
     if (!row.feasible) {
       table.add_row(
