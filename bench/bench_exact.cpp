@@ -5,8 +5,9 @@
 //   per-point rebuild — the pre-cache path: every grid point re-runs
 //     optimize_exact_pair for all K² pairs from scratch
 //     (solve_panel_point off a ClosedFormBackend in kExactOptimize);
-//   cached serial     — ONE core::ExactSolver pays the per-(σ1,σ2) exact
-//     curve optimization once (construction included in the timing);
+//   cached serial     — ONE core::ExactOptBackend pays the per-(σ1,σ2)
+//     exact curve optimization once (its prepare() included in the
+//     timing);
 //     every point is then feasibility math + at most one bisection;
 //   cached parallel   — the same backend behind SweepEngine's exact ρ
 //     panel, grid points across the pool.

@@ -1,13 +1,13 @@
-// Cached-context gain of the interleaved solver mode: a ρ sweep of the
+// Cached-context gain of the interleaved backend: a ρ sweep of the
 // best segmented pattern (best speed pair × best segment count), run
 // three ways with identical results:
 //
 //   per-point rebuild — no cache: every grid point re-optimizes W for
 //     every (σ1, σ2, m) from scratch via optimize_interleaved;
-//   cached serial     — ONE core::InterleavedSolver pays the per-(σ1,σ2,m)
-//     curve optimization once (construction included in the timing);
+//   cached serial     — ONE core::InterleavedBackend pays the per-(σ1,σ2,m)
+//     curve optimization once (its prepare() included in the timing);
 //     every point is then feasibility math on the cached expansions;
-//   cached parallel   — the same solver behind SweepEngine's interleaved
+//   cached parallel   — the same backend behind SweepEngine's interleaved
 //     panel, grid points across the pool.
 //
 // Emits BENCH_interleaved.json next to the textual report so the perf
@@ -26,6 +26,7 @@
 
 #include "bench_util.hpp"
 #include "rexspeed/core/interleaved.hpp"
+#include "rexspeed/core/solver_backend.hpp"
 #include "rexspeed/engine/scenario.hpp"
 #include "rexspeed/engine/sweep_engine.hpp"
 #include "rexspeed/io/cli.hpp"
@@ -94,10 +95,14 @@ int main(int argc, char** argv) try {
 
   // Cached serial, construction included.
   start = Clock::now();
-  const core::InterleavedSolver solver(params, max_segments);
+  core::InterleavedBackend backend(params, max_segments);
+  backend.prepare();
   std::vector<core::InterleavedSolution> cached;
   cached.reserve(grid.size());
-  for (const double rho : grid) cached.push_back(solver.solve(rho));
+  for (const double rho : grid) {
+    cached.push_back(
+        backend.solve(rho, core::SpeedPolicy::kTwoSpeed, false).interleaved);
+  }
   const double cached_s = seconds_since(start);
 
   // Cached parallel through the engine's interleaved panel.

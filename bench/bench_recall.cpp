@@ -1,10 +1,11 @@
-// Recall-backend bench: quantifies the two costs the partial-recall
-// closed forms (core/recall_solver) remove.
+// Recall-mode bench: quantifies the two costs the partial-recall closed
+// forms (core/recall_solver) remove.
 //
-//   cached vs rebuild — a ρ sweep through ONE prepared RecallBackend
-//     (its construction pays the O(K²) first-order expansion over the
-//     recall-scaled parameters once) vs constructing a fresh backend per
-//     grid point, with bit-identity checked between the two runs;
+//   cached vs rebuild — a ρ sweep through ONE recall-mode
+//     ClosedFormBackend (its construction pays the O(K²) first-order
+//     expansion over the recall-scaled parameters once) vs constructing a
+//     fresh backend per grid point, with bit-identity checked between the
+//     two runs;
 //   closed form vs simulator — evaluating the recall-exact expected
 //     time/energy/corruption at every feasible optimum vs estimating the
 //     same three quantities by fault-injection Monte Carlo, with
@@ -74,7 +75,7 @@ int main(int argc, char** argv) try {
   // Cached: one prepared backend, the batched ρ path the sweep engine
   // uses.
   auto start = Clock::now();
-  const core::RecallBackend cached_backend(params, recall);
+  const core::ClosedFormBackend cached_backend(params, recall);
   std::vector<core::PanelPoint> cached(grid.size());
   cached_backend.solve_batch(core::SweepAxis::kPerformanceBound,
                              grid.data(), grid.size(), grid.front(), true,
@@ -85,7 +86,7 @@ int main(int argc, char** argv) try {
   start = Clock::now();
   std::vector<core::PanelPoint> rebuilt(grid.size());
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    const core::RecallBackend fresh(params, recall);
+    const core::ClosedFormBackend fresh(params, recall);
     fresh.solve_batch(core::SweepAxis::kPerformanceBound, &grid[i], 1,
                       grid[i], true, &rebuilt[i]);
   }
@@ -101,7 +102,6 @@ int main(int argc, char** argv) try {
 
   // Closed forms vs simulator: the three recall-exact quantities at every
   // feasible optimum, evaluated then Monte-Carlo-estimated.
-  const core::RecallSolver solver(params, recall);
   struct Point {
     double w, s1, s2, time, energy, corrupt;
   };
@@ -112,9 +112,12 @@ int main(int argc, char** argv) try {
     if (!sol.feasible) continue;
     feasible.push_back(
         {sol.w_opt, sol.sigma1, sol.sigma2,
-         solver.expected_time(sol.w_opt, sol.sigma1, sol.sigma2),
-         solver.expected_energy(sol.w_opt, sol.sigma1, sol.sigma2),
-         solver.corruption_probability(sol.w_opt, sol.sigma1, sol.sigma2)});
+         core::expected_time_recall(params, recall, sol.w_opt, sol.sigma1,
+                                    sol.sigma2),
+         core::expected_energy_recall(params, recall, sol.w_opt, sol.sigma1,
+                                      sol.sigma2),
+         core::recall_corruption_probability(params, recall, sol.w_opt,
+                                             sol.sigma1, sol.sigma2)});
   }
   const double closed_form_s = seconds_since(start);
 

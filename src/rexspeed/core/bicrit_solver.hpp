@@ -27,8 +27,8 @@ enum class EvalMode {
   kExactOptimize,    ///< full numeric optimization of the exact model
                      ///< (valid outside the first-order window). Through
                      ///< BiCritSolver this re-optimizes per bound; repeated
-                     ///< solves (ρ sweeps) should use the cached ExactSolver
-                     ///< backend (exact_solver.hpp) instead — the
+                     ///< solves (ρ sweeps) should use the cached ExactOptBackend
+                     ///< (exact_solver.hpp) instead — the
                      ///< registry's exact-opt backend (ExactOptBackend)
                      ///< routes solves and ρ panels there automatically.
 };
@@ -145,10 +145,10 @@ struct BiCritSolution {
 /// a prepared ClosedFormBackend serving a whole ρ panel builds on exactly
 /// this property. The exception
 /// is kExactOptimize, whose per-bound numeric optimization this cache
-/// cannot help; the ExactSolver backend (exact_solver.hpp) is its cached
+/// cannot help; core::ExactOptBackend (exact_solver.cpp) is its cached
 /// counterpart.
 ///
-/// Thread-safety contract (shared by ExactSolver and InterleavedSolver):
+/// Thread-safety contract (shared by every prepared SolverBackend):
 /// immutable after construction — every member function is const and
 /// reads only the construction-time cache, so one solver is safe to
 /// share across threads without synchronization.

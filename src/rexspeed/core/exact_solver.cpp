@@ -4,58 +4,23 @@
 #include <limits>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "rexspeed/core/exact_expectations.hpp"
 #include "rexspeed/core/first_order.hpp"
+#include "rexspeed/core/kernels/kernel_dispatch.hpp"
+#include "rexspeed/core/solver_backend.hpp"
 
 namespace rexspeed::core {
-
-ExactExpansion ExactExpansion::make(const ModelParams& params, double sigma1,
-                                    double sigma2, int index1, int index2,
-                                    const NumericOptions& options) {
-  ExactExpansion pair;
-  pair.sigma1 = sigma1;
-  pair.sigma2 = sigma2;
-  pair.index1 = index1;
-  pair.index2 = index2;
-
-  // Warm-start seeds: inside the §5.2 validity window the closed-form
-  // argmins √(z/y) land within O(λW) of the exact optima, so the numeric
-  // bracket starts there instead of growing from W = 1. A seed of 0 (no
-  // interior closed-form minimum) falls back to the cold-start bracket.
-  const OverheadExpansion time_exp = time_expansion(params, sigma1, sigma2);
-  const OverheadExpansion energy_exp =
-      energy_expansion(params, sigma1, sigma2);
-  pair.first_order_valid = time_exp.y > 0.0 && energy_exp.y > 0.0;
-  const double time_seed =
-      time_exp.has_interior_minimum() ? time_exp.argmin() : 0.0;
-  const double energy_seed =
-      energy_exp.has_interior_minimum() ? energy_exp.argmin() : 0.0;
-
-  const auto time_per_work = [&](double w) {
-    return time_overhead(params, w, sigma1, sigma2);
-  };
-  const auto energy_per_work = [&](double w) {
-    return energy_overhead(params, w, sigma1, sigma2);
-  };
-  pair.w_time = minimize_unimodal_overhead(time_per_work, time_seed, options);
-  pair.rho_min = time_per_work(pair.w_time);
-  pair.w_energy =
-      minimize_unimodal_overhead(energy_per_work, energy_seed, options);
-  pair.energy_min = energy_per_work(pair.w_energy);
-  pair.time_at_we = time_per_work(pair.w_energy);
-  return pair;
-}
 
 ExactExpansion ExactExpansion::make(const ModelParams& params,
                                     const ExpansionSoA& table, std::size_t i,
                                     std::size_t j,
                                     const NumericOptions& options) {
-  // The shared-pass construction: the first-order expansions were already
-  // built once into the SoA table, so only the exact-curve minimizations
-  // remain per pair. The seeds (and therefore the optima) are
-  // bit-identical to the recomputing overload, since the table stores the
-  // same coefficients the expansion functions return.
+  // Warm-start seeds: inside the §5.2 validity window the closed-form
+  // argmins √(z/y) land within O(λW) of the exact optima, so the numeric
+  // bracket starts there instead of growing from W = 1. A seed of 0 (no
+  // interior closed-form minimum) falls back to the cold-start bracket.
   const std::size_t slot = table.slot(i, j);
   ExactExpansion pair;
   pair.sigma1 = table.sigma1[slot];
@@ -85,37 +50,13 @@ ExactExpansion ExactExpansion::make(const ModelParams& params,
   return pair;
 }
 
-ExactSolver::ExactSolver(ModelParams params, const ParallelFor& parallel_build)
-    : params_(std::move(params)) {
-  params_.validate();
-  // One SoA kernel pass supplies every pair's first-order seeds — the
-  // expansions are no longer recomputed twice per pair (once here, once
-  // by any BiCritSolver for the same parameters' table).
-  const ExpansionSoA table = ExpansionSoA::build(params_);
-  const std::size_t k = table.k;
-  cache_.resize(k * k);
-  const auto build = [this, k, &table](std::size_t index) {
-    cache_[index] =
-        ExactExpansion::make(params_, table, index / k, index % k, options_);
-  };
-  if (parallel_build) {
-    // Every entry is computed independently and written to its own slot,
-    // so any schedule yields the same cache bit for bit.
-    parallel_build(cache_.size(), build);
-  } else {
-    for (std::size_t index = 0; index < cache_.size(); ++index) build(index);
-  }
-  rho_min_flat_.resize(cache_.size());
-  time_at_we_flat_.resize(cache_.size());
-  for (std::size_t index = 0; index < cache_.size(); ++index) {
-    rho_min_flat_[index] = cache_[index].rho_min;
-    time_at_we_flat_[index] = cache_[index].time_at_we;
-  }
-  min_rho_two_ = compute_min_rho(SpeedPolicy::kTwoSpeed);
-  min_rho_single_ = compute_min_rho(SpeedPolicy::kSingleSpeed);
-}
+// ---------------------------------------------------------------------
+// ExactOptBackend
+// ---------------------------------------------------------------------
 
-PairSolution ExactSolver::base_solution(const ExactExpansion& pair) const {
+namespace {
+
+PairSolution base_solution(const ExactExpansion& pair) {
   PairSolution sol;
   sol.sigma1 = pair.sigma1;
   sol.sigma2 = pair.sigma2;
@@ -127,10 +68,10 @@ PairSolution ExactSolver::base_solution(const ExactExpansion& pair) const {
   return sol;
 }
 
-PairSolution ExactSolver::lookup_solution(const ExactExpansion& pair) const {
+PairSolution lookup_solution(const ExactExpansion& pair) {
   // The unconstrained energy optimum already satisfies the bound: the
   // solve is a pure cache lookup (the common case of loose-ρ grid
-  // points, and the reason one solver serves a whole sweep).
+  // points, and the reason one backend serves a whole sweep).
   PairSolution sol = base_solution(pair);
   sol.feasible = true;
   sol.w_opt = pair.w_energy;
@@ -141,8 +82,8 @@ PairSolution ExactSolver::lookup_solution(const ExactExpansion& pair) const {
   return sol;
 }
 
-PairSolution ExactSolver::tight_solution(double rho,
-                                         const ExactExpansion& pair) const {
+PairSolution tight_solution(const ModelParams& params, double rho,
+                            const ExactExpansion& pair) {
   // The unconstrained energy optimum violates the bound, so the
   // constrained optimum sits on the feasibility boundary between w_time
   // (feasible) and w_energy (not): both curves are unimodal, so energy
@@ -151,35 +92,42 @@ PairSolution ExactSolver::tight_solution(double rho,
   // optimize_exact_pair uses) — the single warm-started bisection a
   // tight-bound point costs.
   const auto time_per_work = [&](double w) {
-    return time_overhead(params_, w, pair.sigma1, pair.sigma2);
+    return time_overhead(params, w, pair.sigma1, pair.sigma2);
   };
-  const double w_opt = bisect_boundary(time_per_work, rho, pair.w_time,
-                                       pair.w_energy, options_);
+  const double w_opt =
+      bisect_boundary(time_per_work, rho, pair.w_time, pair.w_energy);
   PairSolution sol = base_solution(pair);
   sol.feasible = true;
   sol.w_opt = w_opt;
   sol.w_min = std::min(pair.w_time, w_opt);
   sol.w_max = std::max(pair.w_time, w_opt);
   sol.energy_overhead =
-      energy_overhead(params_, w_opt, pair.sigma1, pair.sigma2);
+      energy_overhead(params, w_opt, pair.sigma1, pair.sigma2);
   sol.time_overhead = time_per_work(w_opt);
   return sol;
 }
 
-PairSolution ExactSolver::solve_cached(double rho,
-                                       const ExactExpansion& pair) const {
+PairSolution solve_cached(const ModelParams& params, double rho,
+                          const ExactExpansion& pair) {
   if (!(pair.rho_min <= rho)) {
     return base_solution(pair);  // bound below the exact floor
   }
   if (pair.time_at_we <= rho) return lookup_solution(pair);
-  return tight_solution(rho, pair);
+  return tight_solution(params, rho, pair);
 }
 
-PairSolution ExactSolver::compute_min_rho(SpeedPolicy policy) const {
+/// The best-effort pattern when no pair satisfies the bound: the pair with
+/// the smallest EXACT achievable bound rho_min, run at its time-optimal
+/// pattern size — the exact-model analog of
+/// BiCritSolver::min_rho_solution (which ranks pairs by the first-order
+/// tangency and is therefore blind outside the validity window).
+PairSolution compute_min_rho(const ModelParams& params,
+                             const std::vector<ExactExpansion>& cache,
+                             SpeedPolicy policy) {
   PairSolution best;
   best.feasible = false;
   double best_rho = std::numeric_limits<double>::infinity();
-  for (const ExactExpansion& pair : cache_) {
+  for (const ExactExpansion& pair : cache) {
     if (policy == SpeedPolicy::kSingleSpeed && pair.index1 != pair.index2) {
       continue;
     }
@@ -198,24 +146,132 @@ PairSolution ExactSolver::compute_min_rho(SpeedPolicy policy) const {
     best.w_max = pair.w_time;
     best.time_overhead = pair.rho_min;
     best.energy_overhead =
-        energy_overhead(params_, pair.w_time, pair.sigma1, pair.sigma2);
+        energy_overhead(params, pair.w_time, pair.sigma1, pair.sigma2);
   }
   return best;
 }
 
-BiCritSolution ExactSolver::solve(double rho, SpeedPolicy policy) const {
-  if (!(rho > 0.0)) {
-    throw std::invalid_argument("ExactSolver: rho must be positive");
+}  // namespace
+
+ExactOptBackend::ExactOptBackend(ModelParams params)
+    : params_(std::move(params)) {
+  // Everything prepare() or a solve could reject is rejected here — never
+  // inside a pool worker.
+  params_.validate();
+  capabilities_.kind = SolutionKind::kPair;
+  capabilities_.axes = pair_axes();
+  capabilities_.shared_axes = {SweepAxis::kPerformanceBound};
+  capabilities_.pair_table = true;
+  capabilities_.min_rho_fallback = true;
+  capabilities_.cost_weight = 3.0;
+  // ρ grids classify every cached pair in one kernel sweep of the flat
+  // rho_min/time_at_we arrays (solve_batch); model axes rebind to the
+  // seeded numeric path and chain warm starts along the grid.
+  capabilities_.warm_start_chain = true;
+  capabilities_.version = "exact-1";
+  capabilities_.validity =
+      "cached exact-model curve optima (warm-started from the first-order "
+      "argmins where 5.2 holds); valid for any error rates";
+}
+
+const char* ExactOptBackend::name() const noexcept { return "exact-opt"; }
+
+void ExactOptBackend::prepare(const ParallelFor& parallel_build) {
+  if (prepared_) return;
+  // One SoA kernel pass supplies every pair's first-order seeds.
+  const ExpansionSoA table = ExpansionSoA::build(params_);
+  const std::size_t k = table.k;
+  expansions_.resize(k * k);
+  const auto build = [this, k, &table](std::size_t index) {
+    expansions_[index] =
+        ExactExpansion::make(params_, table, index / k, index % k);
+  };
+  if (parallel_build) {
+    // Every entry is computed independently and written to its own slot,
+    // so any schedule yields the same cache bit for bit.
+    parallel_build(expansions_.size(), build);
+  } else {
+    for (std::size_t index = 0; index < expansions_.size(); ++index) {
+      build(index);
+    }
   }
+  rho_mins_.resize(expansions_.size());
+  times_at_we_.resize(expansions_.size());
+  for (std::size_t index = 0; index < expansions_.size(); ++index) {
+    rho_mins_[index] = expansions_[index].rho_min;
+    times_at_we_[index] = expansions_[index].time_at_we;
+  }
+  min_rho_two_ = compute_min_rho(params_, expansions_, SpeedPolicy::kTwoSpeed);
+  min_rho_single_ =
+      compute_min_rho(params_, expansions_, SpeedPolicy::kSingleSpeed);
+  prepared_ = true;
+}
+
+void ExactOptBackend::check_solvable(double rho) const {
+  if (!prepared_) {
+    throw std::logic_error(
+        "ExactOptBackend: prepare() must run before the first solve (the "
+        "per-pair exact curve optimization is deferred)");
+  }
+  if (!(rho > 0.0)) {
+    throw std::invalid_argument("ExactOptBackend: rho must be positive");
+  }
+}
+
+const PairSolution& ExactOptBackend::min_rho_pair(SpeedPolicy policy) const {
+  if (!prepared_) {
+    throw std::logic_error(
+        "ExactOptBackend: prepare() must run before the min-rho fallback "
+        "is known");
+  }
+  return policy == SpeedPolicy::kSingleSpeed ? min_rho_single_ : min_rho_two_;
+}
+
+Solution ExactOptBackend::solve(double rho, SpeedPolicy policy,
+                                bool min_rho_fallback) const {
+  return Solution::from_pair_or_fallback(solve_report(rho, policy).best,
+                                         min_rho_pair(policy),
+                                         min_rho_fallback);
+}
+
+Solution ExactOptBackend::solve_baseline(double rho,
+                                         bool min_rho_fallback) const {
+  return solve(rho, SpeedPolicy::kSingleSpeed, min_rho_fallback);
+}
+
+Solution ExactOptBackend::min_rho(SpeedPolicy policy) const {
+  return Solution::from_pair(min_rho_pair(policy));
+}
+
+PairSolution ExactOptBackend::solve_pair(double rho, std::size_t i,
+                                         std::size_t j) const {
+  check_solvable(rho);
+  const std::size_t k = params_.speeds.size();
+  if (i >= k || j >= k) {
+    throw std::out_of_range("ExactOptBackend: speed index out of range");
+  }
+  return solve_cached(params_, rho, expansions_[i * k + j]);
+}
+
+BiCritSolution ExactOptBackend::solve_report(double rho,
+                                             SpeedPolicy policy) const {
+  // The cached equivalent of BiCritSolver::solve(rho, policy,
+  // EvalMode::kExactOptimize), with three reporting differences: rho_min
+  // carries the pair's exact feasibility floor (the uncached path reports
+  // NaN there), w_min/w_max carry the bracket the constrained search
+  // actually proved feasible (not the full feasible window), and w_energy
+  // carries the true unconstrained energy minimizer (the uncached path
+  // echoes w_opt).
+  check_solvable(rho);
   BiCritSolution solution;
-  solution.pairs.reserve(cache_.size());
+  solution.pairs.reserve(expansions_.size());
   double best_energy = std::numeric_limits<double>::infinity();
-  for (const ExactExpansion& cached : cache_) {
+  for (const ExactExpansion& cached : expansions_) {
     if (policy == SpeedPolicy::kSingleSpeed &&
         cached.index1 != cached.index2) {
       continue;
     }
-    PairSolution pair = solve_cached(rho, cached);
+    PairSolution pair = solve_cached(params_, rho, cached);
     if (pair.feasible && pair.energy_overhead < best_energy) {
       best_energy = pair.energy_overhead;
       solution.best = pair;
@@ -226,21 +282,19 @@ BiCritSolution ExactSolver::solve(double rho, SpeedPolicy policy) const {
   return solution;
 }
 
-PairSolution ExactSolver::solve_classified(double rho, SpeedPolicy policy,
-                                           const unsigned char* cls) const {
-  if (!(rho > 0.0)) {
-    throw std::invalid_argument("ExactSolver: rho must be positive");
-  }
-  // Same scan as solve() — in cache order, strict-< selection — but the
-  // per-slot branch tests were already answered by the classify kernel
+PairSolution ExactOptBackend::solve_classified(double rho, SpeedPolicy policy,
+                                               const unsigned char* cls) const {
+  // Same scan as solve_report() — in cache order, strict-< selection — but
+  // the per-slot branch tests were already answered by the classify kernel
   // and no PairSolution report is materialized: class-0 slots cost
   // nothing, class-1 slots cost one comparison against the cached
   // minimum, and only winners (and class-2 bisections) build solutions.
+  check_solvable(rho);
   PairSolution best;
   best.feasible = false;
   double best_energy = std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < cache_.size(); ++s) {
-    const ExactExpansion& pair = cache_[s];
+  for (std::size_t s = 0; s < expansions_.size(); ++s) {
+    const ExactExpansion& pair = expansions_[s];
     if (policy == SpeedPolicy::kSingleSpeed && pair.index1 != pair.index2) {
       continue;
     }
@@ -252,7 +306,7 @@ PairSolution ExactSolver::solve_classified(double rho, SpeedPolicy policy,
       }
       continue;
     }
-    PairSolution candidate = tight_solution(rho, pair);
+    PairSolution candidate = tight_solution(params_, rho, pair);
     if (candidate.feasible && candidate.energy_overhead < best_energy) {
       best_energy = candidate.energy_overhead;
       best = std::move(candidate);
@@ -261,16 +315,44 @@ PairSolution ExactSolver::solve_classified(double rho, SpeedPolicy policy,
   return best;
 }
 
-PairSolution ExactSolver::solve_pair_by_index(double rho, std::size_t i,
-                                              std::size_t j) const {
-  if (!(rho > 0.0)) {
-    throw std::invalid_argument("ExactSolver: rho must be positive");
+std::unique_ptr<SolverBackend> ExactOptBackend::rebind(
+    ModelParams params, const PairSeedTable* seeds) const {
+  // Per-point panels on model axes keep the historical per-bound numeric
+  // path (one bound per point makes the cached curve structure useless);
+  // the seeds — harvested from the neighboring grid point — are what keep
+  // that path cheap along a chained panel.
+  return std::make_unique<ClosedFormBackend>(std::move(params),
+                                             EvalMode::kExactOptimize,
+                                             seeds);
+}
+
+void ExactOptBackend::solve_batch(SweepAxis axis, const double* rhos,
+                                  std::size_t count, double panel_rho,
+                                  bool min_rho_fallback,
+                                  PanelPoint* out) const {
+  if (axis != SweepAxis::kPerformanceBound) {
+    SolverBackend::solve_batch(axis, rhos, count, panel_rho,
+                               min_rho_fallback, out);
+    return;
   }
-  const std::size_t k = params_.speeds.size();
-  if (i >= k || j >= k) {
-    throw std::out_of_range("ExactSolver: speed index out of range");
+  std::vector<unsigned char> cls(rho_mins_.size());
+  for (std::size_t p = 0; p < count; ++p) {
+    const double rho = rhos[p];
+    // One classify sweep answers both policies' per-pair branch tests;
+    // the classified scans below are bit-identical to
+    // solve_report(rho, ·).best.
+    kernels::classify_pairs(rho_mins_.data(), times_at_we_.data(),
+                            rho_mins_.size(), rho, cls.data());
+    PanelPoint point;
+    point.x = rho;
+    point.primary = Solution::from_pair_or_fallback(
+        solve_classified(rho, SpeedPolicy::kTwoSpeed, cls.data()),
+        min_rho_pair(SpeedPolicy::kTwoSpeed), min_rho_fallback);
+    point.baseline = Solution::from_pair_or_fallback(
+        solve_classified(rho, SpeedPolicy::kSingleSpeed, cls.data()),
+        min_rho_pair(SpeedPolicy::kSingleSpeed), min_rho_fallback);
+    out[p] = point;
   }
-  return solve_cached(rho, cache_[i * k + j]);
 }
 
 }  // namespace rexspeed::core

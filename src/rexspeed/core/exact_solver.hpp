@@ -1,17 +1,16 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <vector>
 
-#include "rexspeed/core/bicrit_solver.hpp"
+#include "rexspeed/core/expansion_soa.hpp"
 #include "rexspeed/core/model_params.hpp"
 #include "rexspeed/core/numeric_optimizer.hpp"
 
 namespace rexspeed::core {
 
 /// Everything about one speed pair (σ1, σ2) of the EXACT model that
-/// depends only on the model parameters — not on the performance bound ρ.
+/// depends only on the model parameters — not on the performance bound ρ:
+/// one entry of the cache core::ExactOptBackend::prepare() builds.
 /// Both exact overhead curves T(W)/W and E(W)/W are unimodal in W (the
 /// 1/W checkpoint term falls, the e^{λW} re-execution terms rise), so
 /// their unconstrained minima pin down every constrained solve: a bound
@@ -41,133 +40,15 @@ struct ExactExpansion {
   double energy_min = 0.0;  ///< E(w_energy)/w_energy
   double time_at_we = 0.0;  ///< T(w_energy)/w_energy
 
-  /// Builds the pair-invariant exact curve structure for one speed pair:
-  /// two warm-started 1-D minimizations plus three curve evaluations.
-  [[nodiscard]] static ExactExpansion make(const ModelParams& params,
-                                           double sigma1, double sigma2,
-                                           int index1, int index2,
-                                           const NumericOptions& options = {});
-
-  /// Same, but with the first-order expansions (warm-start seeds and the
-  /// validity flag) read from slot (i, j) of a prebuilt SoA table instead
-  /// of being recomputed per pair — the shared-pass construction
-  /// ExactSolver uses. Bit-identical to the overload above.
+  /// Builds the pair-invariant exact curve structure for the speed pair
+  /// at slot (i, j) of a prebuilt SoA table: the table's first-order
+  /// expansions supply the warm-start seeds and the validity flag, so only
+  /// the two warm-started 1-D minimizations plus three curve evaluations
+  /// remain per pair.
   [[nodiscard]] static ExactExpansion make(const ModelParams& params,
                                            const ExpansionSoA& table,
                                            std::size_t i, std::size_t j,
                                            const NumericOptions& options = {});
-};
-
-/// The cached exact-optimization backend: enumerate every speed pair
-/// (σ1, σ2) ∈ S × S and pick the pattern with the smallest exact energy
-/// overhead subject to T/W ≤ ρ — the same problem
-/// BiCritSolver::solve(…, EvalMode::kExactOptimize) answers, but with the
-/// ρ-independent curve work hoisted out of the per-bound path.
-///
-/// Construction pays the numeric optimization of both exact overhead
-/// curves once per pair (warm-started from the first-order expansions
-/// where §5.2 holds). Every solve afterwards is cheap feasibility math on
-/// the cached expansions plus at most one warm-started bisection per pair
-/// whose bound is tight, so one solver serves an entire ρ sweep — exactly
-/// the property BiCritSolver has for the first-order mode, extended to
-/// the mode that is valid outside the first-order window
-/// (bench_exact measures the gain vs the per-point rebuild path).
-///
-/// Construction can be parallelized by passing a `parallel_build` hook
-/// (e.g. sweep::parallel_for over a ThreadPool): every cache entry is
-/// computed independently and written to its own slot, so the finished
-/// cache is bit-identical to a serial build regardless of scheduling.
-///
-/// The solver is immutable after construction and therefore safe to share
-/// across threads without synchronization.
-class ExactSolver {
- public:
-  /// Signature of the optional construction parallelizer: call fn(i) for
-  /// every i in [0, count), in any order, and return once all completed.
-  using ParallelFor = std::function<void(
-      std::size_t count, const std::function<void(std::size_t)>& fn)>;
-
-  /// Throws std::invalid_argument on invalid params. `parallel_build`,
-  /// when set, distributes the per-pair curve optimization; it is not
-  /// retained past construction.
-  explicit ExactSolver(ModelParams params,
-                       const ParallelFor& parallel_build = {});
-
-  /// Best pair at bound `rho` plus every candidate, for reporting — the
-  /// cached equivalent of BiCritSolver::solve(rho, policy,
-  /// EvalMode::kExactOptimize), with three reporting differences: rho_min
-  /// carries the pair's exact feasibility floor (the uncached path
-  /// reports NaN there), w_min/w_max carry the bracket the constrained
-  /// search actually proved feasible (not the full feasible window), and
-  /// w_energy carries the true unconstrained energy minimizer (the
-  /// uncached path echoes w_opt). Throws std::invalid_argument when rho
-  /// is not positive.
-  [[nodiscard]] BiCritSolution solve(
-      double rho, SpeedPolicy policy = SpeedPolicy::kTwoSpeed) const;
-
-  /// Solves the speed pair at positions (i, j) of the speed set off the
-  /// cached expansions. Throws std::out_of_range on a bad index.
-  [[nodiscard]] PairSolution solve_pair_by_index(double rho, std::size_t i,
-                                                 std::size_t j) const;
-
-  /// Batched selection core: the best pair at `rho` under `policy`,
-  /// driven by a precomputed per-slot class array `cls` (0 = infeasible,
-  /// 1 = cache lookup, 2 = tight; from kernels::classify_pairs over
-  /// rho_mins()/times_at_we()). Bit-identical to solve(rho, policy).best
-  /// — same in-order scan, same strict-< tie-breaking — but without
-  /// materializing the K² PairSolution report, which is what makes whole
-  /// ρ-grids cheap. `cls` must have expansions().size() entries.
-  [[nodiscard]] PairSolution solve_classified(double rho, SpeedPolicy policy,
-                                              const unsigned char* cls) const;
-
-  /// Best-effort policy when no pair satisfies the bound: the pair with
-  /// the smallest EXACT achievable bound rho_min, run at its time-optimal
-  /// pattern size — the exact-model analog of
-  /// BiCritSolver::min_rho_solution (which ranks pairs by the first-order
-  /// tangency and is therefore blind outside the validity window).
-  /// Precomputed at construction; the reference stays valid for the
-  /// solver's lifetime.
-  [[nodiscard]] const PairSolution& min_rho_solution(
-      SpeedPolicy policy = SpeedPolicy::kTwoSpeed) const noexcept {
-    return policy == SpeedPolicy::kSingleSpeed ? min_rho_single_
-                                               : min_rho_two_;
-  }
-
-  [[nodiscard]] const ModelParams& params() const noexcept { return params_; }
-
-  /// The cached pair-invariant data, row-major over the K×K speed grid
-  /// (entry (i, j) at i * K + j).
-  [[nodiscard]] const std::vector<ExactExpansion>& expansions()
-      const noexcept {
-    return cache_;
-  }
-
-  /// Contiguous per-slot feasibility floors / times-at-optimum, mirrors
-  /// of the cache for the vectorized classify kernel to stream over.
-  [[nodiscard]] const std::vector<double>& rho_mins() const noexcept {
-    return rho_min_flat_;
-  }
-  [[nodiscard]] const std::vector<double>& times_at_we() const noexcept {
-    return time_at_we_flat_;
-  }
-
- private:
-  [[nodiscard]] PairSolution base_solution(const ExactExpansion& pair) const;
-  [[nodiscard]] PairSolution lookup_solution(const ExactExpansion& pair) const;
-  [[nodiscard]] PairSolution tight_solution(double rho,
-                                            const ExactExpansion& pair) const;
-  [[nodiscard]] PairSolution solve_cached(double rho,
-                                          const ExactExpansion& pair) const;
-  [[nodiscard]] PairSolution compute_min_rho(SpeedPolicy policy) const;
-
-  ModelParams params_;
-  NumericOptions options_;
-  /// K² ExactExpansions, entry (i, j) at i * K + j.
-  std::vector<ExactExpansion> cache_;
-  std::vector<double> rho_min_flat_;
-  std::vector<double> time_at_we_flat_;
-  PairSolution min_rho_two_;
-  PairSolution min_rho_single_;
 };
 
 }  // namespace rexspeed::core

@@ -46,8 +46,8 @@ using AlignedDoubles = std::vector<double, AlignedAllocator<double>>;
 /// ModelParams: contiguous coefficient arrays (time x/y/z, energy x/y/z),
 /// ρ_min, the speed values, and validity flags, indexed row-major — the
 /// pair (i, j) lives at slot i·K + j. This is the layout the kernels
-/// (core/kernels/) stream over; the per-pair caches of BiCritSolver / ExactSolver /
-/// InterleavedSolver are materialized *from* one build of this table, so
+/// (core/kernels/) stream over; the per-pair caches of BiCritSolver and
+/// ExactOptBackend are materialized *from* one build of this table, so
 /// the expansion math runs once per ModelParams, not once per consumer.
 ///
 /// Arrays are padded to a lane multiple (kLane) with inert slots

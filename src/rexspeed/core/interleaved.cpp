@@ -4,8 +4,11 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
+#include "rexspeed/core/kernels/kernel_dispatch.hpp"
 #include "rexspeed/core/numeric_optimizer.hpp"
+#include "rexspeed/core/solver_backend.hpp"
 
 namespace rexspeed::core {
 
@@ -65,12 +68,12 @@ AttemptProfile profile(const ModelParams& p, double work, unsigned segments,
   return out;
 }
 
-}  // namespace
-
-double expected_time_interleaved(const ModelParams& params, double work,
-                                 unsigned segments, double sigma1,
-                                 double sigma2) {
-  check_args(params, work, segments, sigma1, sigma2);
+/// The curve bodies without the argument checks: the public
+/// expectations check once per call, the backend checks its params once at
+/// construction and then evaluates these across its cache build and its
+/// tight-bound bisections.
+double time_unchecked(const ModelParams& params, double work,
+                      unsigned segments, double sigma1, double sigma2) {
   const AttemptProfile first = profile(params, work, segments, sigma1);
   const AttemptProfile retry = profile(params, work, segments, sigma2);
   // Tail (all retries at σ2): T2 = lost + q·R + (1−q)(succ + C) + q·T2.
@@ -82,10 +85,8 @@ double expected_time_interleaved(const ModelParams& params, double work,
          (1.0 - first.q) * (first.success_time + params.checkpoint_s);
 }
 
-double expected_energy_interleaved(const ModelParams& params, double work,
-                                   unsigned segments, double sigma1,
-                                   double sigma2) {
-  check_args(params, work, segments, sigma1, sigma2);
+double energy_unchecked(const ModelParams& params, double work,
+                        unsigned segments, double sigma1, double sigma2) {
   const AttemptProfile first = profile(params, work, segments, sigma1);
   const AttemptProfile retry = profile(params, work, segments, sigma2);
   const double pc1 = params.compute_power(sigma1);
@@ -100,6 +101,22 @@ double expected_energy_interleaved(const ModelParams& params, double work,
          first.q * (params.recovery_s * pio + tail) +
          (1.0 - first.q) *
              (first.success_time * pc1 + params.checkpoint_s * pio);
+}
+
+}  // namespace
+
+double expected_time_interleaved(const ModelParams& params, double work,
+                                 unsigned segments, double sigma1,
+                                 double sigma2) {
+  check_args(params, work, segments, sigma1, sigma2);
+  return time_unchecked(params, work, segments, sigma1, sigma2);
+}
+
+double expected_energy_interleaved(const ModelParams& params, double work,
+                                   unsigned segments, double sigma1,
+                                   double sigma2) {
+  check_args(params, work, segments, sigma1, sigma2);
+  return energy_unchecked(params, work, segments, sigma1, sigma2);
 }
 
 InterleavedSolution optimize_interleaved(const ModelParams& params,
@@ -161,21 +178,58 @@ InterleavedSolution optimize_interleaved(const ModelParams& params,
   return best;
 }
 
-InterleavedSolver::InterleavedSolver(ModelParams params,
-                                     unsigned max_segments)
-    : params_(std::move(params)), max_segments_(max_segments) {
+// ---------------------------------------------------------------------
+// InterleavedBackend
+// ---------------------------------------------------------------------
+
+InterleavedBackend::InterleavedBackend(ModelParams params,
+                                       unsigned max_segments,
+                                       unsigned fixed_segments)
+    : params_(std::move(params)),
+      max_segments_(max_segments),
+      fixed_segments_(fixed_segments) {
+  // The one validation of these params: everything prepare() and the
+  // solves would reject is rejected here — never inside a pool worker —
+  // so the cache build and the bisections run the unchecked curves.
   params_.validate();
   if (params_.lambda_failstop > 0.0) {
     throw std::invalid_argument(
-        "InterleavedSolver: derived for silent errors only (lambda_failstop "
-        "must be 0)");
+        "InterleavedBackend: interleaved mode requires lambda_failstop = 0 "
+        "(the segmented closed forms are derived for silent errors)");
   }
   if (max_segments_ == 0) {
     throw std::invalid_argument(
-        "InterleavedSolver: need at least one segment");
+        "InterleavedBackend: need at least one segment");
   }
+  if (fixed_segments_ > max_segments_) {
+    throw std::invalid_argument(
+        "InterleavedBackend: fixed_segments must be in [0, max_segments]");
+  }
+  capabilities_.kind = SolutionKind::kInterleaved;
+  capabilities_.axes = {SweepAxis::kPerformanceBound, SweepAxis::kSegments};
+  // Both axes leave the model untouched: one prepared backend serves every
+  // grid point of either panel.
+  capabilities_.shared_axes = capabilities_.axes;
+  capabilities_.pair_table = false;
+  capabilities_.min_rho_fallback = false;
+  capabilities_.cost_weight = 8.0;
+  // ρ grids classify every cached (pair, m) slot in one kernel sweep
+  // (solve_batch).
+  capabilities_.max_segments = max_segments_;
+  capabilities_.version = "il-1";
+  capabilities_.validity =
+      "exact segmented expectations (silent errors only, lambda_f = 0); "
+      "m = 1 is the paper's own pattern";
+}
+
+const char* InterleavedBackend::name() const noexcept {
+  return "interleaved";
+}
+
+void InterleavedBackend::prepare(const ParallelFor& /*parallel_build*/) {
+  if (prepared_) return;
   const std::size_t speed_count = params_.speeds.size();
-  cache_.reserve(speed_count * speed_count * max_segments_);
+  expansions_.reserve(speed_count * speed_count * max_segments_);
   const NumericOptions options;
   for (std::size_t i = 0; i < speed_count; ++i) {
     for (std::size_t j = 0; j < speed_count; ++j) {
@@ -189,11 +243,10 @@ InterleavedSolver::InterleavedSolver(ModelParams params,
         expansion.index2 = static_cast<int>(j);
         expansion.segments = m;
         const auto time_per_work = [&](double w) {
-          return expected_time_interleaved(params_, w, m, sigma1, sigma2) / w;
+          return time_unchecked(params_, w, m, sigma1, sigma2) / w;
         };
         const auto energy_per_work = [&](double w) {
-          return expected_energy_interleaved(params_, w, m, sigma1, sigma2) /
-                 w;
+          return energy_unchecked(params_, w, m, sigma1, sigma2) / w;
         };
         expansion.w_time = minimize_unimodal_overhead(time_per_work, options);
         expansion.rho_min = time_per_work(expansion.w_time);
@@ -201,19 +254,31 @@ InterleavedSolver::InterleavedSolver(ModelParams params,
             minimize_unimodal_overhead(energy_per_work, options);
         expansion.energy_min = energy_per_work(expansion.w_energy);
         expansion.time_at_we = time_per_work(expansion.w_energy);
-        cache_.push_back(expansion);
+        expansions_.push_back(expansion);
       }
     }
   }
-  rho_min_flat_.resize(cache_.size());
-  time_at_we_flat_.resize(cache_.size());
-  for (std::size_t index = 0; index < cache_.size(); ++index) {
-    rho_min_flat_[index] = cache_[index].rho_min;
-    time_at_we_flat_[index] = cache_[index].time_at_we;
+  rho_mins_.resize(expansions_.size());
+  times_at_we_.resize(expansions_.size());
+  for (std::size_t index = 0; index < expansions_.size(); ++index) {
+    rho_mins_[index] = expansions_[index].rho_min;
+    times_at_we_[index] = expansions_[index].time_at_we;
+  }
+  prepared_ = true;
+}
+
+void InterleavedBackend::check_solvable(double rho) const {
+  if (!prepared_) {
+    throw std::logic_error(
+        "InterleavedBackend: prepare() must run before the first solve "
+        "(the per-(pair, m) curve optimization is deferred)");
+  }
+  if (!(rho > 0.0)) {
+    throw std::invalid_argument("InterleavedBackend: rho must be positive");
   }
 }
 
-InterleavedSolution InterleavedSolver::solve_cached(
+InterleavedSolution InterleavedBackend::solve_cached(
     double rho, const InterleavedExpansion& expansion) const {
   InterleavedSolution solution;
   solution.segments = expansion.segments;
@@ -224,7 +289,7 @@ InterleavedSolution InterleavedSolver::solve_cached(
   if (expansion.time_at_we <= rho) {
     // The unconstrained energy optimum already satisfies the bound: the
     // solve is a pure cache lookup (the common case of loose-ρ grid
-    // points, and the reason one solver serves a whole sweep).
+    // points, and the reason one backend serves a whole sweep).
     solution.feasible = true;
     solution.w_opt = expansion.w_energy;
     solution.energy_overhead = expansion.energy_min;
@@ -239,8 +304,8 @@ InterleavedSolution InterleavedSolver::solve_cached(
   // wins. Locate it by bisection, keeping the feasible end.
   const unsigned m = expansion.segments;
   const auto time_per_work = [&](double w) {
-    return expected_time_interleaved(params_, w, m, expansion.sigma1,
-                                     expansion.sigma2) /
+    return time_unchecked(params_, w, m, expansion.sigma1,
+                          expansion.sigma2) /
            w;
   };
   double inside = expansion.w_time;
@@ -254,74 +319,45 @@ InterleavedSolution InterleavedSolver::solve_cached(
   solution.feasible = true;
   solution.w_opt = w_opt;
   solution.energy_overhead =
-      expected_energy_interleaved(params_, w_opt, m, expansion.sigma1,
-                                  expansion.sigma2) /
+      energy_unchecked(params_, w_opt, m, expansion.sigma1,
+                       expansion.sigma2) /
       w_opt;
   solution.time_overhead = time_per_work(w_opt);
   return solution;
 }
 
-InterleavedSolution InterleavedSolver::solve(double rho) const {
-  if (!(rho > 0.0)) {
-    throw std::invalid_argument("InterleavedSolver: rho must be positive");
-  }
-  InterleavedSolution best;
-  best.energy_overhead = std::numeric_limits<double>::infinity();
-  for (const InterleavedExpansion& expansion : cache_) {
-    const InterleavedSolution candidate = solve_cached(rho, expansion);
-    if (candidate.feasible &&
-        candidate.energy_overhead < best.energy_overhead) {
-      best = candidate;
-    }
-  }
-  if (!best.feasible) best.energy_overhead = 0.0;
-  return best;
-}
-
-InterleavedSolution InterleavedSolver::solve_segments(
-    double rho, unsigned segments) const {
-  if (!(rho > 0.0)) {
-    throw std::invalid_argument("InterleavedSolver: rho must be positive");
-  }
-  if (segments == 0 || segments > max_segments_) {
-    throw std::invalid_argument(
-        "InterleavedSolver: segments must be in [1, max_segments]");
-  }
-  InterleavedSolution best;
-  best.segments = segments;
-  best.energy_overhead = std::numeric_limits<double>::infinity();
-  for (const InterleavedExpansion& expansion : cache_) {
-    if (expansion.segments != segments) continue;
-    const InterleavedSolution candidate = solve_cached(rho, expansion);
-    if (candidate.feasible &&
-        candidate.energy_overhead < best.energy_overhead) {
-      best = candidate;
-    }
-  }
-  if (!best.feasible) best.energy_overhead = 0.0;
-  return best;
-}
-
-InterleavedSolution InterleavedSolver::solve_classified(
-    double rho, unsigned segments, const unsigned char* cls) const {
-  if (!(rho > 0.0)) {
-    throw std::invalid_argument("InterleavedSolver: rho must be positive");
-  }
-  if (segments > max_segments_) {
-    throw std::invalid_argument(
-        "InterleavedSolver: segments must be in [0, max_segments]");
-  }
-  // Same scan as solve()/solve_segments() — in cache order, strict-<
-  // selection, same trailing overhead reset — but the feasibility and
-  // lookup branch tests were already answered in bulk by the classify
-  // kernel: class-0 slots are skipped off one byte, class-1 slots cost
-  // one comparison against the cached minimum, and only class-2 slots
-  // (tight bounds) pay the bisection.
+InterleavedSolution InterleavedBackend::search(double rho,
+                                               unsigned segments) const {
+  check_solvable(rho);
   InterleavedSolution best;
   if (segments != 0) best.segments = segments;
   best.energy_overhead = std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < cache_.size(); ++s) {
-    const InterleavedExpansion& expansion = cache_[s];
+  for (const InterleavedExpansion& expansion : expansions_) {
+    if (segments != 0 && expansion.segments != segments) continue;
+    const InterleavedSolution candidate = solve_cached(rho, expansion);
+    if (candidate.feasible &&
+        candidate.energy_overhead < best.energy_overhead) {
+      best = candidate;
+    }
+  }
+  if (!best.feasible) best.energy_overhead = 0.0;
+  return best;
+}
+
+InterleavedSolution InterleavedBackend::search_classified(
+    double rho, unsigned segments, const unsigned char* cls) const {
+  // Same scan as search() — in cache order, strict-< selection, same
+  // trailing overhead reset — but the feasibility and lookup branch tests
+  // were already answered in bulk by the classify kernel: class-0 slots
+  // are skipped off one byte, class-1 slots cost one comparison against
+  // the cached minimum, and only class-2 slots (tight bounds) pay the
+  // bisection.
+  check_solvable(rho);
+  InterleavedSolution best;
+  if (segments != 0) best.segments = segments;
+  best.energy_overhead = std::numeric_limits<double>::infinity();
+  for (std::size_t s = 0; s < expansions_.size(); ++s) {
+    const InterleavedExpansion& expansion = expansions_[s];
     if (segments != 0 && expansion.segments != segments) continue;
     if (cls[s] == 0) continue;
     if (cls[s] == 1) {
@@ -344,6 +380,70 @@ InterleavedSolution InterleavedSolver::solve_classified(
   }
   if (!best.feasible) best.energy_overhead = 0.0;
   return best;
+}
+
+Solution InterleavedBackend::solve(double rho, SpeedPolicy /*policy*/,
+                                   bool /*min_rho_fallback*/) const {
+  // Interleaved mode enumerates every pair (no single-speed variant) and
+  // has no min-ρ fallback; both arguments are accepted for interface
+  // uniformity and ignored, as the solve path always has.
+  return Solution::from_interleaved(search(rho, fixed_segments_));
+}
+
+Solution InterleavedBackend::solve_baseline(double rho,
+                                            bool /*min_rho_fallback*/) const {
+  return Solution::from_interleaved(search(rho, 1));
+}
+
+Solution InterleavedBackend::solve_segments(double rho,
+                                            unsigned segments) const {
+  if (segments == 0 || segments > max_segments_) {
+    throw std::invalid_argument(
+        "InterleavedBackend: segments must be in [1, max_segments]");
+  }
+  return Solution::from_interleaved(search(rho, segments));
+}
+
+Solution InterleavedBackend::min_rho(SpeedPolicy /*policy*/) const {
+  // No min-ρ fallback in interleaved mode: an infeasible Solution.
+  Solution out;
+  out.kind = SolutionKind::kInterleaved;
+  return out;
+}
+
+std::unique_ptr<SolverBackend> InterleavedBackend::rebind(
+    ModelParams params, const PairSeedTable* /*seeds*/) const {
+  // No warm-start chain: the interleaved minimizations stay cold so the
+  // cached curve data (and the golden fixtures over it) never move.
+  return std::make_unique<InterleavedBackend>(std::move(params),
+                                              max_segments_,
+                                              fixed_segments_);
+}
+
+void InterleavedBackend::solve_batch(SweepAxis axis, const double* rhos,
+                                     std::size_t count, double panel_rho,
+                                     bool min_rho_fallback,
+                                     PanelPoint* out) const {
+  if (axis != SweepAxis::kPerformanceBound) {
+    SolverBackend::solve_batch(axis, rhos, count, panel_rho,
+                               min_rho_fallback, out);
+    return;
+  }
+  std::vector<unsigned char> cls(rho_mins_.size());
+  for (std::size_t p = 0; p < count; ++p) {
+    const double rho = rhos[p];
+    // One classify sweep over every (σ1, σ2, m) slot serves the primary
+    // search and the m = 1 baseline of this grid point.
+    kernels::classify_pairs(rho_mins_.data(), times_at_we_.data(),
+                            rho_mins_.size(), rho, cls.data());
+    PanelPoint point;
+    point.x = rho;
+    point.primary = Solution::from_interleaved(
+        search_classified(rho, fixed_segments_, cls.data()));
+    point.baseline =
+        Solution::from_interleaved(search_classified(rho, 1, cls.data()));
+    out[p] = point;
+  }
 }
 
 }  // namespace rexspeed::core

@@ -1,7 +1,5 @@
 #pragma once
 
-#include <vector>
-
 #include "rexspeed/core/model_params.hpp"
 
 namespace rexspeed::core {
@@ -53,7 +51,8 @@ struct InterleavedSolution {
     unsigned max_segments = 16);
 
 /// Everything about one (σ1, σ2, m) combination that depends only on the
-/// model parameters — not on the performance bound ρ. Both overhead curves
+/// model parameters — not on the performance bound ρ: one entry of the
+/// cache core::InterleavedBackend::prepare() builds. Both overhead curves
 /// T(W)/W and E(W)/W are unimodal in W, so their unconstrained minima pin
 /// down every constrained solve: a bound below `rho_min` is infeasible,
 /// a bound admitting `w_energy` is solved by the cached optimum outright,
@@ -69,74 +68,6 @@ struct InterleavedExpansion {
   double w_energy = 0.0;    ///< unconstrained minimizer of E(W)/W
   double energy_min = 0.0;  ///< E(w_energy)/w_energy
   double time_at_we = 0.0;  ///< T(w_energy)/w_energy
-};
-
-/// The interleaved counterpart of BiCritSolver: enumerate every speed pair
-/// (σ1, σ2) ∈ S × S and every segment count m ∈ [1, max_segments], and
-/// pick the segmented pattern with the smallest energy overhead subject to
-/// T/W ≤ ρ.
-///
-/// Construction pays the numeric optimization of both overhead curves once
-/// per (pair, m) — the ρ-independent work. Every solve afterwards is cheap
-/// feasibility math on the cached expansions (plus one bisection per
-/// candidate whose bound is tight), so one solver serves an entire ρ sweep
-/// and every segment count of an overhead-vs-m grid. The solver is
-/// immutable after construction and safe to share across threads.
-class InterleavedSolver {
- public:
-  /// Throws std::invalid_argument on invalid params, λf ≠ 0 (the segmented
-  /// closed forms are derived for silent errors) or max_segments == 0.
-  InterleavedSolver(ModelParams params, unsigned max_segments);
-
-  /// Best pattern over all pairs and all m ∈ [1, max_segments].
-  [[nodiscard]] InterleavedSolution solve(double rho) const;
-
-  /// Best pattern over all pairs at exactly `segments` verifications
-  /// (1 ≤ segments ≤ max_segments; throws std::invalid_argument outside).
-  [[nodiscard]] InterleavedSolution solve_segments(double rho,
-                                                   unsigned segments) const;
-
-  /// Batched selection core: solve() (segments = 0) or
-  /// solve_segments(segments) driven by a precomputed per-slot class
-  /// array `cls` (0 = infeasible, 1 = cache lookup, 2 = tight; from
-  /// kernels::classify_pairs over rho_mins()/times_at_we()). Bit-identical
-  /// to the pointwise calls — same scan order, same strict-< selection —
-  /// but infeasible slots are skipped off one byte, so a whole ρ-grid
-  /// shares a single classification pass per point. `cls` must have
-  /// expansions().size() entries.
-  [[nodiscard]] InterleavedSolution solve_classified(
-      double rho, unsigned segments, const unsigned char* cls) const;
-
-  [[nodiscard]] const ModelParams& params() const noexcept { return params_; }
-  [[nodiscard]] unsigned max_segments() const noexcept {
-    return max_segments_;
-  }
-
-  /// The cached pair-invariant data: entry (i, j, m) at
-  /// (i * K + j) * max_segments + (m - 1) over the K×K speed grid.
-  [[nodiscard]] const std::vector<InterleavedExpansion>& expansions()
-      const noexcept {
-    return cache_;
-  }
-
-  /// Contiguous per-slot feasibility floors / times-at-optimum, mirrors
-  /// of the cache for the vectorized classify kernel to stream over.
-  [[nodiscard]] const std::vector<double>& rho_mins() const noexcept {
-    return rho_min_flat_;
-  }
-  [[nodiscard]] const std::vector<double>& times_at_we() const noexcept {
-    return time_at_we_flat_;
-  }
-
- private:
-  [[nodiscard]] InterleavedSolution solve_cached(
-      double rho, const InterleavedExpansion& expansion) const;
-
-  ModelParams params_;
-  unsigned max_segments_;
-  std::vector<InterleavedExpansion> cache_;
-  std::vector<double> rho_min_flat_;
-  std::vector<double> time_at_we_flat_;
 };
 
 }  // namespace rexspeed::core

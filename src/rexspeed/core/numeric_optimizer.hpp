@@ -32,7 +32,7 @@ struct NumericOptions {
 /// Warm-started variant: brackets the minimum outward from `seed` (e.g. a
 /// first-order closed-form argmin) instead of doubling up from W = 1 —
 /// far fewer curve evaluations when the seed lands near the true optimum,
-/// which is what core::ExactSolver exploits when a pair sits inside the
+/// which is what core::ExactOptBackend exploits when a pair sits inside the
 /// §5.2 validity window. A useless seed — non-positive, non-finite, or
 /// one where overhead(seed) itself is not finite (the e^{λW} overflow
 /// region) — falls back to the cold-start bracket above. Deterministic
@@ -45,7 +45,7 @@ struct NumericOptions {
 /// monotone between `inside` (overhead ≤ rho, kept) and `outside`
 /// (overhead > rho). Returns the feasible end of the shrunken bracket —
 /// the boundary locator shared by optimize_exact_pair and the cached
-/// ExactSolver solve path (one implementation, so the two cannot drift).
+/// ExactOptBackend solve path (one implementation, so the two cannot drift).
 [[nodiscard]] double bisect_boundary(
     const std::function<double(double)>& overhead, double rho,
     double inside, double outside, const NumericOptions& options = {});

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <stdexcept>
-#include <utility>
 
 namespace rexspeed::core {
 
@@ -105,111 +104,6 @@ double recall_corruption_probability(const ModelParams& params, double recall,
   // The committing attempt is the first non-retried one: corrupt on the
   // first attempt, or after any geometric number of retries at σ2.
   return a1.corrupt + a1.retry * a2.corrupt / (1.0 - a2.retry);
-}
-
-RecallSolver::RecallSolver(ModelParams params, double recall)
-    : params_(params),
-      recall_(recall),
-      solver_(recall_effective_params(std::move(params), recall)) {
-  params_.validate();
-}
-
-BiCritSolution RecallSolver::solve(double rho, SpeedPolicy policy) const {
-  return solver_.solve(rho, policy, EvalMode::kFirstOrder);
-}
-
-PairSolution RecallSolver::min_rho_solution(SpeedPolicy policy) const {
-  return solver_.min_rho_solution(policy);
-}
-
-double RecallSolver::expected_time(double work, double sigma1,
-                                   double sigma2) const {
-  return expected_time_recall(params_, recall_, work, sigma1, sigma2);
-}
-
-double RecallSolver::expected_energy(double work, double sigma1,
-                                     double sigma2) const {
-  return expected_energy_recall(params_, recall_, work, sigma1, sigma2);
-}
-
-double RecallSolver::corruption_probability(double work, double sigma1,
-                                            double sigma2) const {
-  return recall_corruption_probability(params_, recall_, work, sigma1,
-                                       sigma2);
-}
-
-RecallBackend::RecallBackend(ModelParams params, double recall)
-    : params_(params),
-      recall_(recall),
-      delegate_(recall_effective_params(std::move(params), recall),
-                EvalMode::kFirstOrder) {
-  params_.validate();
-  capabilities_ = delegate_.capabilities();
-  capabilities_.version = "recall-1";
-  capabilities_.validity =
-      "first-order window over the recall-scaled rate r*lambda_s; "
-      "overheads count detected-error re-executions only — "
-      "recall_corruption_probability quantifies the committed-corrupt "
-      "risk a partial verification adds";
-}
-
-const char* RecallBackend::name() const noexcept { return "recall"; }
-
-void RecallBackend::prepare(const ParallelFor& parallel_build) {
-  delegate_.prepare(parallel_build);
-}
-
-Solution RecallBackend::solve(double rho, SpeedPolicy policy,
-                              bool min_rho_fallback) const {
-  return delegate_.solve(rho, policy, min_rho_fallback);
-}
-
-Solution RecallBackend::solve_baseline(double rho,
-                                       bool min_rho_fallback) const {
-  return delegate_.solve_baseline(rho, min_rho_fallback);
-}
-
-Solution RecallBackend::min_rho(SpeedPolicy policy) const {
-  return delegate_.min_rho(policy);
-}
-
-PairSolution RecallBackend::solve_pair(double rho, std::size_t i,
-                                       std::size_t j) const {
-  return delegate_.solve_pair(rho, i, j);
-}
-
-BiCritSolution RecallBackend::solve_report(double rho,
-                                           SpeedPolicy policy) const {
-  return delegate_.solve_report(rho, policy);
-}
-
-std::unique_ptr<SolverBackend> RecallBackend::rebind(
-    ModelParams params, const PairSeedTable* /*seeds*/) const {
-  // Rebinds carry the ORIGINAL parameters (panel sweeps mutate the true
-  // model axis); the recall scaling is re-applied by the new delegate.
-  return std::make_unique<RecallBackend>(std::move(params), recall_);
-}
-
-void RecallBackend::solve_batch(SweepAxis axis, const double* xs,
-                                std::size_t count, double panel_rho,
-                                bool min_rho_fallback,
-                                PanelPoint* out) const {
-  if (axis == SweepAxis::kPerformanceBound) {
-    delegate_.solve_batch(axis, xs, count, panel_rho, min_rho_fallback, out);
-    return;
-  }
-  // A model axis applies to the ORIGINAL params and the scaling after it:
-  // the delegate's batch would sweep the already-scaled params (a λ grid
-  // would overwrite the scaled rate). The reference loop rebinds here.
-  SolverBackend::solve_batch(axis, xs, count, panel_rho, min_rho_fallback,
-                             out);
-}
-
-PanelPoint RecallBackend::solve_panel_point_seeded(
-    SweepAxis axis, double x, double panel_rho, bool min_rho_fallback,
-    PairSeedTable* harvest) const {
-  return delegate_.solve_panel_point_seeded(axis, x, panel_rho,
-                                            min_rho_fallback, harvest);
 }
 
 }  // namespace rexspeed::core

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "rexspeed/core/kernels/kernel_dispatch.hpp"
+#include "rexspeed/core/recall_solver.hpp"
 
 namespace rexspeed::core {
 
@@ -17,6 +18,15 @@ Solution Solution::from_pair(PairSolution solution, bool used_fallback) {
   out.pair = std::move(solution);
   out.used_fallback = used_fallback;
   return out;
+}
+
+Solution Solution::from_pair_or_fallback(PairSolution best,
+                                         const PairSolution& fallback,
+                                         bool min_rho_fallback) {
+  if (!best.feasible && min_rho_fallback && fallback.feasible) {
+    return from_pair(fallback, /*used_fallback=*/true);
+  }
+  return from_pair(std::move(best));
 }
 
 Solution Solution::from_interleaved(InterleavedSolution solution) {
@@ -111,29 +121,11 @@ PanelPoint SolverBackend::solve_panel_point_seeded(
   return solve_panel_point(axis, x, panel_rho, min_rho_fallback);
 }
 
-namespace {
-
-/// The six figure axes in composite order — what every pair backend
-/// sweeps.
 std::vector<SweepAxis> pair_axes() {
   return {SweepAxis::kCheckpointTime, SweepAxis::kVerificationTime,
           SweepAxis::kErrorRate,      SweepAxis::kPerformanceBound,
           SweepAxis::kIdlePower,      SweepAxis::kIoPower};
 }
-
-/// Shared fallback step of every pair backend's solve: degrade an
-/// infeasible best to the backend's min-ρ policy when asked to — one step
-/// for the panel and solve paths, so they cannot diverge.
-Solution pair_solution_with_fallback(PairSolution best,
-                                     const PairSolution& fallback,
-                                     bool min_rho_fallback) {
-  if (!best.feasible && min_rho_fallback && fallback.feasible) {
-    return Solution::from_pair(fallback, /*used_fallback=*/true);
-  }
-  return Solution::from_pair(std::move(best));
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------
 // ClosedFormBackend
@@ -181,6 +173,19 @@ ClosedFormBackend::ClosedFormBackend(ModelParams params, EvalMode mode,
   }
 }
 
+ClosedFormBackend::ClosedFormBackend(ModelParams params, double recall)
+    : ClosedFormBackend(recall_effective_params(params, recall),
+                        EvalMode::kFirstOrder) {
+  params.validate();
+  recall_ = Recall{recall, std::move(params)};
+  capabilities_.version = "recall-1";
+  capabilities_.validity =
+      "first-order window over the recall-scaled rate r*lambda_s; "
+      "overheads count detected-error re-executions only — "
+      "recall_corruption_probability quantifies the committed-corrupt "
+      "risk a partial verification adds";
+}
+
 const char* to_mode_name(EvalMode mode) noexcept {
   switch (mode) {
     case EvalMode::kFirstOrder:
@@ -194,7 +199,7 @@ const char* to_mode_name(EvalMode mode) noexcept {
 }
 
 const char* ClosedFormBackend::name() const noexcept {
-  return to_mode_name(mode_);
+  return recall_ ? "recall" : to_mode_name(mode_);
 }
 
 void ClosedFormBackend::prepare(const ParallelFor& /*parallel_build*/) {
@@ -242,8 +247,23 @@ BiCritSolution ClosedFormBackend::solve_report(double rho,
 
 std::unique_ptr<SolverBackend> ClosedFormBackend::rebind(
     ModelParams params, const PairSeedTable* seeds) const {
+  if (recall_) {
+    // The recall mode has no warm-start chain; the scaling is re-applied
+    // to the rebound (original) params.
+    return std::make_unique<ClosedFormBackend>(std::move(params),
+                                               recall_->recall);
+  }
   return std::make_unique<ClosedFormBackend>(std::move(params), mode_,
                                              seeds);
+}
+
+ModelParams ClosedFormBackend::solved_params(ModelParams params) const {
+  if (!recall_) return params;
+  // The checks of the recall rebind: the recall (here), the original
+  // params (here) and the scaled ones (inside ExpansionSoA::rebuild).
+  ModelParams scaled = recall_effective_params(params, recall_->recall);
+  params.validate();
+  return scaled;
 }
 
 namespace {
@@ -307,7 +327,7 @@ PanelPoint first_order_point(const ExpansionSoA& table, double x,
           scratch.fallbacks[policy == SpeedPolicy::kSingleSpeed ? 1 : 0];
       if (!fallback) {
         fallback = min_rho_fallback
-                       ? pair_solution_with_fallback(
+                       ? Solution::from_pair_or_fallback(
                              PairSolution{}, min_rho_solution(table, policy),
                              true)
                        : Solution::from_pair(PairSolution{});
@@ -370,11 +390,12 @@ void ClosedFormBackend::solve_batch(SweepAxis axis, const double* xs,
   // A model axis changes the params at every point: one scratch table is
   // rewritten in place per point (validating that point's params, like
   // the reference rebind), and the fallback comes from that point's own
-  // table. The swept axes never touch the speed set, so the scratch's
-  // size holds throughout.
+  // table. The axis applies to params() — the original model in the
+  // recall mode, scaled after it. The swept axes never touch the speed
+  // set, so the scratch's size holds throughout.
   ExpansionSoA table;
   for (std::size_t p = 0; p < count; ++p) {
-    table.rebuild(apply_parameter(params(), axis, xs[p]),
+    table.rebuild(solved_params(apply_parameter(params(), axis, xs[p])),
                   kernels::active_ops());
     scratch.fallbacks[0].reset();
     scratch.fallbacks[1].reset();
@@ -398,7 +419,7 @@ PanelPoint ClosedFormBackend::solve_panel_point_seeded(
   const BiCritSolution report = solve_report(rho, SpeedPolicy::kTwoSpeed);
   PanelPoint point;
   point.x = x;
-  point.primary = pair_solution_with_fallback(
+  point.primary = Solution::from_pair_or_fallback(
       report.best, solver_.min_rho_solution(SpeedPolicy::kTwoSpeed),
       min_rho_fallback);
   PairSolution single;
@@ -410,7 +431,7 @@ PanelPoint ClosedFormBackend::solve_panel_point_seeded(
       single = pair;
     }
   }
-  point.baseline = pair_solution_with_fallback(
+  point.baseline = Solution::from_pair_or_fallback(
       std::move(single), solver_.min_rho_solution(SpeedPolicy::kSingleSpeed),
       min_rho_fallback);
   if (harvest != nullptr) {
@@ -426,248 +447,6 @@ PanelPoint ClosedFormBackend::solve_panel_point_seeded(
     }
   }
   return point;
-}
-
-// ---------------------------------------------------------------------
-// ExactOptBackend
-// ---------------------------------------------------------------------
-
-ExactOptBackend::ExactOptBackend(ModelParams params)
-    : params_(std::move(params)) {
-  // Everything prepare() or a solve could reject is rejected here — never
-  // inside a pool worker.
-  params_.validate();
-  capabilities_.kind = SolutionKind::kPair;
-  capabilities_.axes = pair_axes();
-  capabilities_.shared_axes = {SweepAxis::kPerformanceBound};
-  capabilities_.pair_table = true;
-  capabilities_.min_rho_fallback = true;
-  capabilities_.cost_weight = 3.0;
-  // ρ grids classify every cached pair in one kernel sweep of the flat
-  // rho_min/time_at_we arrays (solve_batch); model axes rebind to the
-  // seeded numeric path and chain warm starts along the grid.
-  capabilities_.warm_start_chain = true;
-  capabilities_.version = "exact-1";
-  capabilities_.validity =
-      "cached exact-model curve optima (warm-started from the first-order "
-      "argmins where 5.2 holds); valid for any error rates";
-}
-
-const char* ExactOptBackend::name() const noexcept { return "exact-opt"; }
-
-void ExactOptBackend::prepare(const ParallelFor& parallel_build) {
-  if (!exact_) exact_.emplace(params_, parallel_build);
-}
-
-const ExactSolver& ExactOptBackend::exact() const {
-  if (!exact_) {
-    throw std::logic_error(
-        "ExactOptBackend: prepare() must run before the first solve (the "
-        "per-pair exact curve optimization is deferred)");
-  }
-  return *exact_;
-}
-
-Solution ExactOptBackend::solve(double rho, SpeedPolicy policy,
-                                bool min_rho_fallback) const {
-  const ExactSolver& solver = exact();
-  return pair_solution_with_fallback(solver.solve(rho, policy).best,
-                                     solver.min_rho_solution(policy),
-                                     min_rho_fallback);
-}
-
-Solution ExactOptBackend::solve_baseline(double rho,
-                                         bool min_rho_fallback) const {
-  return solve(rho, SpeedPolicy::kSingleSpeed, min_rho_fallback);
-}
-
-Solution ExactOptBackend::min_rho(SpeedPolicy policy) const {
-  return Solution::from_pair(exact().min_rho_solution(policy));
-}
-
-PairSolution ExactOptBackend::solve_pair(double rho, std::size_t i,
-                                         std::size_t j) const {
-  return exact().solve_pair_by_index(rho, i, j);
-}
-
-BiCritSolution ExactOptBackend::solve_report(double rho,
-                                             SpeedPolicy policy) const {
-  return exact().solve(rho, policy);
-}
-
-std::unique_ptr<SolverBackend> ExactOptBackend::rebind(
-    ModelParams params, const PairSeedTable* seeds) const {
-  // Per-point panels on model axes keep the historical per-bound numeric
-  // path (one bound per point makes the cached curve structure useless);
-  // the seeds — harvested from the neighboring grid point — are what keep
-  // that path cheap along a chained panel.
-  return std::make_unique<ClosedFormBackend>(std::move(params),
-                                             EvalMode::kExactOptimize,
-                                             seeds);
-}
-
-void ExactOptBackend::solve_batch(SweepAxis axis, const double* rhos,
-                                  std::size_t count, double panel_rho,
-                                  bool min_rho_fallback,
-                                  PanelPoint* out) const {
-  if (axis != SweepAxis::kPerformanceBound) {
-    SolverBackend::solve_batch(axis, rhos, count, panel_rho,
-                               min_rho_fallback, out);
-    return;
-  }
-  const ExactSolver& solver = exact();
-  const std::vector<double>& rho_mins = solver.rho_mins();
-  const std::vector<double>& times_at_we = solver.times_at_we();
-  std::vector<unsigned char> cls(rho_mins.size());
-  // The min-ρ fallbacks are ρ-independent: one copy per policy serves the
-  // whole batch with the bits every per-point call would return.
-  const PairSolution fallback_two =
-      solver.min_rho_solution(SpeedPolicy::kTwoSpeed);
-  const PairSolution fallback_single =
-      solver.min_rho_solution(SpeedPolicy::kSingleSpeed);
-  for (std::size_t p = 0; p < count; ++p) {
-    const double rho = rhos[p];
-    // One classify sweep answers both policies' per-pair branch tests;
-    // the classified scans below are bit-identical to solve(rho, ·).best.
-    kernels::classify_pairs(rho_mins.data(), times_at_we.data(),
-                            rho_mins.size(), rho, cls.data());
-    PanelPoint point;
-    point.x = rho;
-    point.primary = pair_solution_with_fallback(
-        solver.solve_classified(rho, SpeedPolicy::kTwoSpeed, cls.data()),
-        fallback_two, min_rho_fallback);
-    point.baseline = pair_solution_with_fallback(
-        solver.solve_classified(rho, SpeedPolicy::kSingleSpeed, cls.data()),
-        fallback_single, min_rho_fallback);
-    out[p] = point;
-  }
-}
-
-// ---------------------------------------------------------------------
-// InterleavedBackend
-// ---------------------------------------------------------------------
-
-InterleavedBackend::InterleavedBackend(ModelParams params,
-                                       unsigned max_segments,
-                                       unsigned fixed_segments)
-    : params_(std::move(params)),
-      max_segments_(max_segments),
-      fixed_segments_(fixed_segments) {
-  // Everything the deferred prepare() (and pool workers) would reject is
-  // rejected here instead — the InterleavedSolver preconditions included,
-  // so prepare() cannot throw later.
-  params_.validate();
-  if (params_.lambda_failstop > 0.0) {
-    throw std::invalid_argument(
-        "InterleavedBackend: interleaved mode requires lambda_failstop = 0 "
-        "(the segmented closed forms are derived for silent errors)");
-  }
-  if (max_segments_ == 0) {
-    throw std::invalid_argument(
-        "InterleavedBackend: need at least one segment");
-  }
-  if (fixed_segments_ > max_segments_) {
-    throw std::invalid_argument(
-        "InterleavedBackend: fixed_segments must be in [0, max_segments]");
-  }
-  capabilities_.kind = SolutionKind::kInterleaved;
-  capabilities_.axes = {SweepAxis::kPerformanceBound, SweepAxis::kSegments};
-  // Both axes leave the model untouched: one prepared solver serves every
-  // grid point of either panel.
-  capabilities_.shared_axes = capabilities_.axes;
-  capabilities_.pair_table = false;
-  capabilities_.min_rho_fallback = false;
-  capabilities_.cost_weight = 8.0;
-  // ρ grids classify every cached (pair, m) slot in one kernel sweep
-  // (solve_batch).
-  capabilities_.max_segments = max_segments_;
-  capabilities_.version = "il-1";
-  capabilities_.validity =
-      "exact segmented expectations (silent errors only, lambda_f = 0); "
-      "m = 1 is the paper's own pattern";
-}
-
-const char* InterleavedBackend::name() const noexcept {
-  return "interleaved";
-}
-
-void InterleavedBackend::prepare(const ParallelFor& /*parallel_build*/) {
-  if (!solver_) solver_.emplace(params_, max_segments_);
-}
-
-const InterleavedSolver& InterleavedBackend::solver() const {
-  if (!solver_) {
-    throw std::logic_error(
-        "InterleavedBackend: prepare() must run before the first solve "
-        "(the per-(pair, m) curve optimization is deferred)");
-  }
-  return *solver_;
-}
-
-Solution InterleavedBackend::solve(double rho, SpeedPolicy /*policy*/,
-                                   bool /*min_rho_fallback*/) const {
-  // Interleaved mode enumerates every pair (no single-speed variant) and
-  // has no min-ρ fallback; both arguments are accepted for interface
-  // uniformity and ignored, as the solve path always has.
-  const InterleavedSolver& cached = solver();
-  return Solution::from_interleaved(
-      fixed_segments_ > 0 ? cached.solve_segments(rho, fixed_segments_)
-                          : cached.solve(rho));
-}
-
-Solution InterleavedBackend::solve_baseline(double rho,
-                                            bool /*min_rho_fallback*/) const {
-  return Solution::from_interleaved(solver().solve_segments(rho, 1));
-}
-
-Solution InterleavedBackend::solve_segments(double rho,
-                                            unsigned segments) const {
-  return Solution::from_interleaved(solver().solve_segments(rho, segments));
-}
-
-Solution InterleavedBackend::min_rho(SpeedPolicy /*policy*/) const {
-  // No min-ρ fallback in interleaved mode: an infeasible Solution.
-  Solution out;
-  out.kind = SolutionKind::kInterleaved;
-  return out;
-}
-
-std::unique_ptr<SolverBackend> InterleavedBackend::rebind(
-    ModelParams params, const PairSeedTable* /*seeds*/) const {
-  // No warm-start chain: the interleaved minimizations stay cold so the
-  // cached curve data (and the golden fixtures over it) never move.
-  return std::make_unique<InterleavedBackend>(std::move(params),
-                                              max_segments_,
-                                              fixed_segments_);
-}
-
-void InterleavedBackend::solve_batch(SweepAxis axis, const double* rhos,
-                                     std::size_t count, double panel_rho,
-                                     bool min_rho_fallback,
-                                     PanelPoint* out) const {
-  if (axis != SweepAxis::kPerformanceBound) {
-    SolverBackend::solve_batch(axis, rhos, count, panel_rho,
-                               min_rho_fallback, out);
-    return;
-  }
-  const InterleavedSolver& cached = solver();
-  const std::vector<double>& rho_mins = cached.rho_mins();
-  const std::vector<double>& times_at_we = cached.times_at_we();
-  std::vector<unsigned char> cls(rho_mins.size());
-  for (std::size_t p = 0; p < count; ++p) {
-    const double rho = rhos[p];
-    // One classify sweep over every (σ1, σ2, m) slot serves the primary
-    // search and the m = 1 baseline of this grid point.
-    kernels::classify_pairs(rho_mins.data(), times_at_we.data(),
-                            rho_mins.size(), rho, cls.data());
-    PanelPoint point;
-    point.x = rho;
-    point.primary = Solution::from_interleaved(
-        cached.solve_classified(rho, fixed_segments_, cls.data()));
-    point.baseline = Solution::from_interleaved(
-        cached.solve_classified(rho, 1, cls.data()));
-    out[p] = point;
-  }
 }
 
 // ---------------------------------------------------------------------

@@ -64,6 +64,11 @@ struct Solution {
 
   [[nodiscard]] static Solution from_pair(PairSolution solution,
                                           bool used_fallback = false);
+  /// The fallback step every pair backend's solve shares: `best`, or the
+  /// min-ρ `fallback` (with used_fallback set) when `best` is infeasible,
+  /// `min_rho_fallback` asks for it and `fallback` is feasible.
+  [[nodiscard]] static Solution from_pair_or_fallback(
+      PairSolution best, const PairSolution& fallback, bool min_rho_fallback);
   [[nodiscard]] static Solution from_interleaved(
       InterleavedSolution solution);
 };
@@ -125,8 +130,8 @@ struct BackendCapabilities {
 
 /// Construction parallelizer hook shared by every backend's prepare():
 /// call fn(i) for every i in [0, count), in any order, and return once all
-/// completed. Empty means serial. Identical shape to
-/// ExactSolver::ParallelFor (sweep::make_parallel_build adapts a pool).
+/// completed. Empty means serial (sweep::make_parallel_build adapts a
+/// pool).
 using ParallelFor = std::function<void(
     std::size_t count, const std::function<void(std::size_t)>& fn)>;
 
@@ -147,8 +152,8 @@ using ParallelFor = std::function<void(
 ///
 /// Thread-safety: after prepare(), a backend is immutable — every solve is
 /// const and touches only the prepared caches, so one backend is safe to
-/// share across ThreadPool workers without synchronization (the uniform
-/// contract of BiCritSolver / ExactSolver / InterleavedSolver).
+/// share across ThreadPool workers without synchronization (the contract
+/// BiCritSolver shares).
 class SolverBackend {
  public:
   virtual ~SolverBackend() = default;
@@ -245,10 +250,20 @@ class SolverBackend {
       PairSeedTable* harvest) const;
 };
 
+/// The six figure axes in composite order — what every pair backend
+/// sweeps.
+[[nodiscard]] std::vector<SweepAxis> pair_axes();
+
 /// The closed-form backend family: BiCritSolver's cached first-order
 /// expansions, evaluated per the mode (kFirstOrder, kExactEvaluation, or
 /// the per-bound kExactOptimize path that panels use on non-ρ axes).
 /// Construction is the complete preparation (needs_prepare() is false).
+///
+/// The partial-recall mode (registry "recall") is this backend too: to the
+/// paper's §5.2 expansion order a verification of recall r is equivalent
+/// to the silent-error rate r·λs (see core/recall_solver.hpp), so it is
+/// the first-order mode over recall_effective_params(params, r) under its
+/// own name and version tag — bit-identical to "first-order" at r = 1.
 class ClosedFormBackend final : public SolverBackend {
  public:
   /// `seeds`, when non-null, is copied and warm-starts every
@@ -256,10 +271,16 @@ class ClosedFormBackend final : public SolverBackend {
   /// other modes ignore it).
   ClosedFormBackend(ModelParams params, EvalMode mode,
                     const PairSeedTable* seeds = nullptr);
+  /// The partial-recall mode over `params`. Throws std::invalid_argument
+  /// on invalid params or recall ∉ [0, 1].
+  ClosedFormBackend(ModelParams params, double recall);
 
   [[nodiscard]] const char* name() const noexcept override;
+  /// The model the backend was built for: in the recall mode the
+  /// ORIGINAL parameters (panel rebinds sweep the true model axis, and the
+  /// scaling is re-applied after it); solver() holds the scaled ones.
   [[nodiscard]] const ModelParams& params() const noexcept override {
-    return solver_.params();
+    return recall_ ? recall_->unscaled : solver_.params();
   }
   [[nodiscard]] const BackendCapabilities& capabilities()
       const noexcept override {
@@ -281,9 +302,9 @@ class ClosedFormBackend final : public SolverBackend {
   [[nodiscard]] std::unique_ptr<SolverBackend> rebind(
       ModelParams params,
       const PairSeedTable* seeds = nullptr) const override;
-  /// First-order mode batches every pair axis: ρ runs against this
-  /// backend's table, a model axis rewrites one scratch table per point
-  /// (ExpansionSoA::rebuild). Other modes use the reference loop.
+  /// First-order and recall modes batch every pair axis: ρ runs against
+  /// this backend's table, a model axis rewrites one scratch table per
+  /// point (ExpansionSoA::rebuild). Other modes use the reference loop.
   void solve_batch(SweepAxis axis, const double* xs, std::size_t count,
                    double panel_rho, bool min_rho_fallback,
                    PanelPoint* out) const override;
@@ -297,20 +318,38 @@ class ClosedFormBackend final : public SolverBackend {
   }
 
  private:
+  /// The point model `params` gives a model-axis panel point: `params`
+  /// itself, or its recall-scaled twin in the recall mode.
+  [[nodiscard]] ModelParams solved_params(ModelParams params) const;
+
+  struct Recall {
+    double recall;
+    ModelParams unscaled;
+  };
+
   BiCritSolver solver_;
   EvalMode mode_;
   PairSeedTable seeds_;
+  std::optional<Recall> recall_;  ///< set in the recall mode only
   BackendCapabilities capabilities_;
 };
 
-/// The cached exact-optimization backend: construction validates, prepare()
-/// pays the per-(σ1, σ2) exact curve optimization (ExactSolver), solves
-/// afterwards are feasibility math plus at most one warm-started bisection
-/// per tight pair. ρ panels share one prepared instance; other axes rebind
-/// to the per-bound ClosedFormBackend path, exactly as the historical
-/// panel sweep did.
+/// The cached exact-optimization backend: construction validates,
+/// prepare() pays the numeric optimization of both exact overhead curves
+/// once per (σ1, σ2) pair (warm-started from the first-order argmins
+/// where §5.2 holds), and every solve afterwards is feasibility math on
+/// that cache plus at most one warm-started bisection per tight pair — the
+/// property BiCritSolver has for the first-order mode, extended to the
+/// mode that is valid outside the first-order window. ρ panels share one
+/// prepared instance; other axes rebind to the per-bound
+/// ClosedFormBackend path, exactly as the historical panel sweep did.
+/// Its solve_report() is the cached equivalent of BiCritSolver::solve(rho,
+/// policy, EvalMode::kExactOptimize), except that rho_min carries the
+/// pair's exact floor (NaN there), w_min/w_max the bracket the search
+/// proved feasible, and w_energy the true energy minimizer (w_opt there).
 class ExactOptBackend final : public SolverBackend {
  public:
+  /// Throws std::invalid_argument on invalid params.
   explicit ExactOptBackend(ModelParams params);
 
   [[nodiscard]] const char* name() const noexcept override;
@@ -322,14 +361,19 @@ class ExactOptBackend final : public SolverBackend {
     return capabilities_;
   }
   [[nodiscard]] bool needs_prepare() const noexcept override {
-    return !exact_.has_value();
+    return !prepared_;
   }
+  /// Every cache entry is computed independently into its own slot, so a
+  /// `parallel_build` schedule cannot change a bit of the cache.
   void prepare(const ParallelFor& parallel_build = {}) override;
   [[nodiscard]] Solution solve(double rho, SpeedPolicy policy,
                                bool min_rho_fallback) const override;
   [[nodiscard]] Solution solve_baseline(double rho,
                                         bool min_rho_fallback) const override;
+  /// The pair with the smallest EXACT achievable bound, run at its
+  /// time-optimal pattern size.
   [[nodiscard]] Solution min_rho(SpeedPolicy policy) const override;
+  /// Throws std::out_of_range on a bad index.
   [[nodiscard]] PairSolution solve_pair(double rho, std::size_t i,
                                         std::size_t j) const override;
   [[nodiscard]] BiCritSolution solve_report(
@@ -343,19 +387,52 @@ class ExactOptBackend final : public SolverBackend {
                    double panel_rho, bool min_rho_fallback,
                    PanelPoint* out) const override;
 
-  /// The prepared cache. Throws std::logic_error before prepare().
-  [[nodiscard]] const ExactSolver& exact() const;
+  /// The cached pair-invariant data, row-major over the K×K speed grid
+  /// (entry (i, j) at i * K + j); empty before prepare().
+  [[nodiscard]] const std::vector<ExactExpansion>& expansions()
+      const noexcept {
+    return expansions_;
+  }
+  /// Contiguous per-slot feasibility floors / times-at-optimum, mirrors
+  /// of the cache for the vectorized classify kernel to stream over.
+  [[nodiscard]] const std::vector<double>& rho_mins() const noexcept {
+    return rho_mins_;
+  }
+  [[nodiscard]] const std::vector<double>& times_at_we() const noexcept {
+    return times_at_we_;
+  }
 
  private:
+  /// Throws std::logic_error before prepare(), std::invalid_argument on a
+  /// non-positive bound.
+  void check_solvable(double rho) const;
+  [[nodiscard]] const PairSolution& min_rho_pair(SpeedPolicy policy) const;
+  /// The best pair at `rho` under `policy`, driven by a per-slot class
+  /// array from kernels::classify_pairs over rho_mins()/times_at_we()
+  /// (0 = infeasible, 1 = cache lookup, 2 = tight): bit-identical to
+  /// solve_report(rho, policy).best without materializing the report.
+  [[nodiscard]] PairSolution solve_classified(double rho, SpeedPolicy policy,
+                                              const unsigned char* cls) const;
+
   ModelParams params_;
-  std::optional<ExactSolver> exact_;
   BackendCapabilities capabilities_;
+  bool prepared_ = false;
+  std::vector<ExactExpansion> expansions_;
+  std::vector<double> rho_mins_;
+  std::vector<double> times_at_we_;
+  PairSolution min_rho_two_;
+  PairSolution min_rho_single_;
 };
 
 /// The interleaved-verification backend: construction validates (λf = 0,
-/// segment limits), prepare() pays the per-(σ1, σ2, m) curve optimization
-/// (InterleavedSolver). A positive `fixed_segments` pins the count
-/// (a `segments=M` scenario); 0 searches every count in [1, max_segments].
+/// segment limits) — the only validation its params get — and prepare()
+/// pays the numeric optimization of both segmented overhead curves once
+/// per (σ1, σ2, m) for every pair and m ∈ [1, max_segments]. Every solve
+/// afterwards is feasibility math on that cache plus one bisection per
+/// candidate whose bound is tight, so one prepared instance serves a whole
+/// ρ sweep and every count of an overhead-vs-m grid. A positive
+/// `fixed_segments` pins the count (a `segments=M` scenario); 0 searches
+/// every count in [1, max_segments].
 class InterleavedBackend final : public SolverBackend {
  public:
   /// Throws std::invalid_argument on invalid params, λf ≠ 0,
@@ -372,13 +449,14 @@ class InterleavedBackend final : public SolverBackend {
     return capabilities_;
   }
   [[nodiscard]] bool needs_prepare() const noexcept override {
-    return !solver_.has_value();
+    return !prepared_;
   }
   void prepare(const ParallelFor& parallel_build = {}) override;
   [[nodiscard]] Solution solve(double rho, SpeedPolicy policy,
                                bool min_rho_fallback) const override;
   [[nodiscard]] Solution solve_baseline(double rho,
                                         bool min_rho_fallback) const override;
+  /// Throws std::invalid_argument unless 1 ≤ segments ≤ max_segments.
   [[nodiscard]] Solution solve_segments(double rho,
                                         unsigned segments) const override;
   [[nodiscard]] Solution min_rho(SpeedPolicy policy) const override;
@@ -397,15 +475,47 @@ class InterleavedBackend final : public SolverBackend {
   [[nodiscard]] unsigned fixed_segments() const noexcept {
     return fixed_segments_;
   }
-  /// The prepared cache. Throws std::logic_error before prepare().
-  [[nodiscard]] const InterleavedSolver& solver() const;
+  /// The cached per-(pair, m) data: entry (i, j, m) at
+  /// (i * K + j) * max_segments + (m - 1) over the K×K speed grid; empty
+  /// before prepare().
+  [[nodiscard]] const std::vector<InterleavedExpansion>& expansions()
+      const noexcept {
+    return expansions_;
+  }
+  /// Contiguous per-slot feasibility floors / times-at-optimum, mirrors
+  /// of the cache for the vectorized classify kernel to stream over.
+  [[nodiscard]] const std::vector<double>& rho_mins() const noexcept {
+    return rho_mins_;
+  }
+  [[nodiscard]] const std::vector<double>& times_at_we() const noexcept {
+    return times_at_we_;
+  }
 
  private:
+  /// Throws std::logic_error before prepare(), std::invalid_argument on a
+  /// non-positive bound.
+  void check_solvable(double rho) const;
+  [[nodiscard]] InterleavedSolution solve_cached(
+      double rho, const InterleavedExpansion& expansion) const;
+  /// Best pattern at `rho` over every pair at exactly `segments`
+  /// verifications (0 = every count in [1, max_segments]).
+  [[nodiscard]] InterleavedSolution search(double rho,
+                                           unsigned segments) const;
+  /// search() driven by a per-slot class array from
+  /// kernels::classify_pairs over rho_mins()/times_at_we() (0 =
+  /// infeasible, 1 = cache lookup, 2 = tight): bit-identical, but a whole
+  /// ρ grid shares one classification pass per point.
+  [[nodiscard]] InterleavedSolution search_classified(
+      double rho, unsigned segments, const unsigned char* cls) const;
+
   ModelParams params_;
   unsigned max_segments_;
   unsigned fixed_segments_;
-  std::optional<InterleavedSolver> solver_;
   BackendCapabilities capabilities_;
+  bool prepared_ = false;
+  std::vector<InterleavedExpansion> expansions_;
+  std::vector<double> rho_mins_;
+  std::vector<double> times_at_we_;
 };
 
 /// The registry mode name of a closed-form EvalMode ("first-order",

@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "rexspeed/core/recall_solver.hpp"
-
 namespace rexspeed::engine {
 
 namespace {
@@ -57,7 +55,7 @@ const std::vector<BackendEntry>& backend_registry() {
          "first-order optimization under partial verification recall r",
          sweep::all_sweep_parameters(),
          [](core::ModelParams params, const ScenarioSpec& spec) {
-           return std::make_unique<core::RecallBackend>(
+           return std::make_unique<core::ClosedFormBackend>(
                std::move(params), spec.verification_recall);
          }});
     return registry;

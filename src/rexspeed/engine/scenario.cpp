@@ -142,12 +142,19 @@ unsigned parse_segments(const std::string& key, const std::string& value) {
 
 void apply_token(ScenarioSpec& spec, const std::string& key,
                  const std::string& value) {
-  if (key == "name") {
-    spec.name = value;
+  if (key == "name" || key == "config") {
+    // Identifiers are single words: a spec file (which keeps spaces inside
+    // values) could otherwise load one that write_scenario cannot write
+    // back, and an empty name would come back as the file stem.
+    if (value.empty() ||
+        value.find_first_of(" \t\r\n") != std::string::npos) {
+      throw std::invalid_argument("scenario: " + key +
+                                  " must be one non-empty word, got '" +
+                                  value + "'");
+    }
+    (key == "name" ? spec.name : spec.configuration) = value;
   } else if (key == "description") {
     spec.description = value;
-  } else if (key == "config") {
-    spec.configuration = value;
   } else if (key == "rho") {
     const double rho = parse_double(key, value);
     // Validate eagerly: an unchecked bound would first throw inside a
@@ -159,8 +166,10 @@ void apply_token(ScenarioSpec& spec, const std::string& key,
     spec.rho = rho;
   } else if (key == "points") {
     const double points = parse_double(key, value);
-    if (!(points >= 1.0)) {
-      throw std::invalid_argument("scenario: points must be >= 1");
+    // 2^53 bounds the cast to size_t (a larger double would overflow it)
+    // and keeps every count exact in a double.
+    if (!(points >= 1.0) || points > 9007199254740992.0) {
+      throw std::invalid_argument("scenario: points must be in [1, 2^53]");
     }
     spec.points = static_cast<std::size_t>(points);
   } else if (key == "param") {

@@ -69,7 +69,7 @@ struct ScenarioSpec {
   bool max_segments_defaulted = false;
   /// True when the scenario runs the partial-recall analytical backend
   /// (`mode=recall`): first-order optimization over the recall-scaled
-  /// silent-error rate r·λs (core::RecallBackend). Mutually exclusive
+  /// silent-error rate r·λs (the "recall" mode of core::ClosedFormBackend). Mutually exclusive
   /// with the segment keys — the recall backend is a speed-pair backend.
   bool recall_mode = false;
   /// Probability that a verification detects a silent error

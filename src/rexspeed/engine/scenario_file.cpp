@@ -160,8 +160,7 @@ ScenarioSpec load_scenario_file(const std::string& path) {
     ++entries;
   }
   if (entries == 0) {
-    throw std::invalid_argument("load_scenario_file: '" + path +
-                                "' is empty (no key=value entries)");
+    throw std::invalid_argument(path + ": empty (no key=value entries)");
   }
   try {
     spec.validate();  // cross-field checks have no single line to cite

@@ -54,7 +54,7 @@ void parallel_for(ThreadPool* pool, std::size_t count,
                   const std::function<void(std::size_t)>& fn);
 
 /// Wraps a pool into the construction-parallelizer hook shape the cache
-/// builders take (core::ExactSolver::ParallelFor): a null or
+/// builders take (core::ParallelFor): a null or
 /// single-threaded pool yields an empty hook — the builder's serial
 /// path — so every call site applies the same guard.
 [[nodiscard]] std::function<void(std::size_t,

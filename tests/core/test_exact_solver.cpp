@@ -1,6 +1,6 @@
 // The cached exact-optimization backend: agreement with the uncached
 // optimize_exact_pair path (per pair and through the full solve), the
-// warm-started construction, the exact-model min-ρ fallback, bit-identity
+// warm-started cache build, the exact-model min-ρ fallback, bit-identity
 // of parallel vs serial cache builds, and the paper-regime agreement of
 // exact-opt with the first-order closed forms at small λ.
 
@@ -13,8 +13,8 @@
 
 #include "rexspeed/core/bicrit_solver.hpp"
 #include "rexspeed/core/exact_expectations.hpp"
-#include "rexspeed/core/exact_solver.hpp"
 #include "rexspeed/core/numeric_optimizer.hpp"
+#include "rexspeed/core/solver_backend.hpp"
 #include "test_util.hpp"
 
 namespace rexspeed::core {
@@ -23,20 +23,21 @@ namespace {
 using test::params_for;
 using test::toy_params;
 
-TEST(ExactSolver, MatchesUncachedPerPairAcrossBounds) {
+TEST(ExactOptBackend, MatchesUncachedPerPairAcrossBounds) {
   // The cache must change the cost, not the answer: the boundary-snap
   // solve on cached curve optima agrees with the from-scratch
   // optimize_exact_pair at every bound, tight and loose.
   ModelParams p = params_for("Hera/XScale");
   p.lambda_silent *= 50.0;  // push the exact model away from first order
-  const ExactSolver solver(p);
+  ExactOptBackend solver(p);
+  solver.prepare();
   const std::size_t k = p.speeds.size();
   for (const double rho : {1.2, 1.5, 2.0, 3.0, 8.0}) {
     for (std::size_t i = 0; i < k; ++i) {
       for (std::size_t j = 0; j < k; ++j) {
         SCOPED_TRACE(testing::Message()
                      << "rho=" << rho << " pair=(" << i << "," << j << ")");
-        const PairSolution cached = solver.solve_pair_by_index(rho, i, j);
+        const PairSolution cached = solver.solve_pair(rho, i, j);
         const ExactPairResult exact =
             optimize_exact_pair(p, rho, p.speeds[i], p.speeds[j]);
         ASSERT_EQ(cached.feasible, exact.feasible);
@@ -56,11 +57,12 @@ TEST(ExactSolver, MatchesUncachedPerPairAcrossBounds) {
   }
 }
 
-TEST(ExactSolver, SolveMatchesBiCritExactOptimize) {
+TEST(ExactOptBackend, SolveMatchesBiCritExactOptimize) {
   // Full solve vs BiCritSolver's per-bound numeric optimization: same
   // winning pair, same overheads, both speed policies.
   const ModelParams p = params_for("Atlas/Crusoe");
-  const ExactSolver cached(p);
+  ExactOptBackend cached(p);
+  cached.prepare();
   const BiCritSolver uncached(p);
   for (const double rho : {1.3, 2.0, 3.0}) {
     for (const SpeedPolicy policy :
@@ -68,7 +70,7 @@ TEST(ExactSolver, SolveMatchesBiCritExactOptimize) {
       SCOPED_TRACE(testing::Message()
                    << "rho=" << rho << " single="
                    << (policy == SpeedPolicy::kSingleSpeed));
-      const BiCritSolution a = cached.solve(rho, policy);
+      const BiCritSolution a = cached.solve_report(rho, policy);
       const BiCritSolution b =
           uncached.solve(rho, policy, EvalMode::kExactOptimize);
       ASSERT_EQ(a.feasible, b.feasible);
@@ -82,14 +84,15 @@ TEST(ExactSolver, SolveMatchesBiCritExactOptimize) {
   }
 }
 
-TEST(ExactSolver, SupportsFailstopOutsideFirstOrderWindow) {
+TEST(ExactOptBackend, SupportsFailstopOutsideFirstOrderWindow) {
   // λf > 0 with a large speed ratio puts pairs outside the §5.2 window
   // where the closed forms are meaningless — the regime kExactOptimize
   // exists for. The cached backend must handle it identically.
   ModelParams p = toy_params();
   p.lambda_failstop = 5e-4;
   p.lambda_silent = 1e-4;
-  const ExactSolver solver(p);
+  ExactOptBackend solver(p);
+  solver.prepare();
   bool saw_invalid_pair = false;
   for (const ExactExpansion& e : solver.expansions()) {
     saw_invalid_pair |= !e.first_order_valid;
@@ -99,7 +102,8 @@ TEST(ExactSolver, SupportsFailstopOutsideFirstOrderWindow) {
   }
   EXPECT_TRUE(saw_invalid_pair)
       << "expected at least one pair outside the first-order window";
-  const BiCritSolution a = solver.solve(3.0);
+  const BiCritSolution a =
+      solver.solve_report(3.0, SpeedPolicy::kTwoSpeed);
   const BiCritSolution b =
       BiCritSolver(p).solve(3.0, SpeedPolicy::kTwoSpeed,
                             EvalMode::kExactOptimize);
@@ -111,17 +115,19 @@ TEST(ExactSolver, SupportsFailstopOutsideFirstOrderWindow) {
               1e-6 * b.best.energy_overhead);
 }
 
-TEST(ExactSolver, AgreesWithFirstOrderAtSmallLambda) {
+TEST(ExactOptBackend, AgreesWithFirstOrderAtSmallLambda) {
   // §5.2: inside the validity window at small λ the first-order optimum
   // and the exact optimum coincide to O(λW) — the paper-regime agreement
   // check for the cached backend.
   ModelParams p = params_for("Hera/XScale");
   p.lambda_silent = 1e-7;
-  const ExactSolver exact(p);
+  ExactOptBackend exact(p);
+  exact.prepare();
   const BiCritSolver first_order(p);
   for (const double rho : {1.5, 2.0, 3.0}) {
     SCOPED_TRACE(rho);
-    const PairSolution a = exact.solve(rho).best;
+    const PairSolution a =
+        exact.solve_report(rho, SpeedPolicy::kTwoSpeed).best;
     const PairSolution b =
         first_order.solve(rho, SpeedPolicy::kTwoSpeed,
                           EvalMode::kFirstOrder).best;
@@ -134,15 +140,17 @@ TEST(ExactSolver, AgreesWithFirstOrderAtSmallLambda) {
   }
 }
 
-TEST(ExactSolver, ParallelBuildIsBitIdentical) {
+TEST(ExactOptBackend, ParallelBuildIsBitIdentical) {
   // The construction hook may run entries in any order/interleaving; the
   // cache must not depend on it. Drive it with a deliberately reversed
   // schedule and compare every field bitwise.
   ModelParams p = params_for("Coastal/XScale");
   p.lambda_silent *= 10.0;
-  const ExactSolver serial(p);
-  const ExactSolver reversed(
-      p, [](std::size_t count, const std::function<void(std::size_t)>& fn) {
+  ExactOptBackend serial(p);
+  serial.prepare();
+  ExactOptBackend reversed(p);
+  reversed.prepare(
+      [](std::size_t count, const std::function<void(std::size_t)>& fn) {
         for (std::size_t i = count; i-- > 0;) fn(i);
       });
   ASSERT_EQ(serial.expansions().size(), reversed.expansions().size());
@@ -156,19 +164,21 @@ TEST(ExactSolver, ParallelBuildIsBitIdentical) {
     EXPECT_EQ(a.time_at_we, b.time_at_we);
     EXPECT_EQ(a.first_order_valid, b.first_order_valid);
   }
-  test::expect_identical_pair(serial.solve(2.0).best,
-                              reversed.solve(2.0).best);
-  test::expect_identical_pair(serial.min_rho_solution(),
-                              reversed.min_rho_solution());
+  test::expect_identical_pair(
+      serial.solve_report(2.0, SpeedPolicy::kTwoSpeed).best,
+      reversed.solve_report(2.0, SpeedPolicy::kTwoSpeed).best);
+  test::expect_identical_pair(serial.min_rho(SpeedPolicy::kTwoSpeed).pair,
+                              reversed.min_rho(SpeedPolicy::kTwoSpeed).pair);
 }
 
-TEST(ExactSolver, MinRhoSolutionIsTheExactFloor) {
+TEST(ExactOptBackend, MinRhoSolutionIsTheExactFloor) {
   ModelParams p = params_for("Hera/XScale");
   p.lambda_silent *= 100.0;
-  const ExactSolver solver(p);
+  ExactOptBackend solver(p);
+  solver.prepare();
   for (const SpeedPolicy policy :
        {SpeedPolicy::kTwoSpeed, SpeedPolicy::kSingleSpeed}) {
-    const PairSolution& fallback = solver.min_rho_solution(policy);
+    const PairSolution fallback = solver.min_rho(policy).pair;
     ASSERT_TRUE(fallback.feasible);
     EXPECT_EQ(fallback.time_overhead, fallback.rho_min);
     if (policy == SpeedPolicy::kSingleSpeed) {
@@ -182,24 +192,27 @@ TEST(ExactSolver, MinRhoSolutionIsTheExactFloor) {
       }
       EXPECT_GE(e.rho_min, fallback.rho_min);
     }
-    EXPECT_TRUE(solver.solve(fallback.rho_min * 1.01, policy).feasible);
-    EXPECT_FALSE(solver.solve(fallback.rho_min * 0.99, policy).feasible);
+    EXPECT_TRUE(
+        solver.solve_report(fallback.rho_min * 1.01, policy).feasible);
+    EXPECT_FALSE(
+        solver.solve_report(fallback.rho_min * 0.99, policy).feasible);
   }
 }
 
-TEST(ExactSolver, TightBoundSitsOnTheFeasibilityBoundary) {
+TEST(ExactOptBackend, TightBoundSitsOnTheFeasibilityBoundary) {
   // A bound between rho_min and the unconstrained-optimum overhead forces
   // the bisection branch; the returned pattern must sit on the boundary
   // (time overhead ≈ rho) with the energy still decreasing toward the
   // unconstrained optimum.
   ModelParams p = params_for("Hera/XScale");
   p.lambda_silent *= 100.0;
-  const ExactSolver solver(p);
+  ExactOptBackend solver(p);
+  solver.prepare();
   bool exercised = false;
   for (const ExactExpansion& e : solver.expansions()) {
     if (!(e.time_at_we > e.rho_min * 1.01)) continue;
     const double rho = 0.5 * (e.rho_min + e.time_at_we);
-    const PairSolution sol = solver.solve_pair_by_index(
+    const PairSolution sol = solver.solve_pair(
         rho, static_cast<std::size_t>(e.index1),
         static_cast<std::size_t>(e.index2));
     ASSERT_TRUE(sol.feasible);
@@ -210,13 +223,18 @@ TEST(ExactSolver, TightBoundSitsOnTheFeasibilityBoundary) {
   EXPECT_TRUE(exercised) << "no pair had a tight-bound window to exercise";
 }
 
-TEST(ExactSolver, RejectsBadArguments) {
-  const ExactSolver solver(toy_params());
-  EXPECT_THROW(solver.solve(0.0), std::invalid_argument);
-  EXPECT_THROW(solver.solve(-1.0), std::invalid_argument);
-  EXPECT_THROW(solver.solve_pair_by_index(2.0, 99, 0), std::out_of_range);
+TEST(ExactOptBackend, RejectsBadArguments) {
+  ExactOptBackend solver(toy_params());
+  EXPECT_THROW(solver.solve_report(2.0, SpeedPolicy::kTwoSpeed),
+               std::logic_error);  // before prepare()
+  solver.prepare();
+  EXPECT_THROW(solver.solve_report(0.0, SpeedPolicy::kTwoSpeed),
+               std::invalid_argument);
+  EXPECT_THROW(solver.solve_report(-1.0, SpeedPolicy::kTwoSpeed),
+               std::invalid_argument);
+  EXPECT_THROW(solver.solve_pair(2.0, 99, 0), std::out_of_range);
   ModelParams bad;  // empty speed set
-  EXPECT_THROW(ExactSolver{bad}, std::invalid_argument);
+  EXPECT_THROW(ExactOptBackend{bad}, std::invalid_argument);
 }
 
 TEST(SeededMinimizer, MatchesColdStartWithinTolerance) {

@@ -1,4 +1,4 @@
-// The cached interleaved solver: agreement with the per-pair
+// The cached interleaved backend: agreement with the per-pair
 // optimize_interleaved baseline, the property tests of the optimizer
 // (monotonicity in the search cap, infeasibility reporting, λf
 // rejection), and the m = 1 reduction to the paper's exact BiCrit solve.
@@ -9,6 +9,7 @@
 
 #include "rexspeed/core/bicrit_solver.hpp"
 #include "rexspeed/core/interleaved.hpp"
+#include "rexspeed/core/solver_backend.hpp"
 #include "test_util.hpp"
 
 namespace rexspeed::core {
@@ -16,6 +17,24 @@ namespace {
 
 using test::params_for;
 using test::toy_params;
+
+/// A backend over `params` with its cache built.
+InterleavedBackend prepared(const ModelParams& params, unsigned max_segments) {
+  InterleavedBackend backend(params, max_segments);
+  backend.prepare();
+  return backend;
+}
+
+/// The best pattern over every pair and count at `rho`.
+InterleavedSolution searched(const InterleavedBackend& backend, double rho) {
+  return backend.solve(rho, SpeedPolicy::kTwoSpeed, false).interleaved;
+}
+
+/// The best pattern over every pair at exactly `segments`.
+InterleavedSolution pinned(const InterleavedBackend& backend, double rho,
+                           unsigned segments) {
+  return backend.solve_segments(rho, segments).interleaved;
+}
 
 /// The uncached reference: best pattern over every pair at the given cap.
 InterleavedSolution best_by_rebuild(const ModelParams& params, double rho,
@@ -36,17 +55,17 @@ InterleavedSolution best_by_rebuild(const ModelParams& params, double rho,
   return best;
 }
 
-TEST(InterleavedSolver, MatchesPerPairRebuildAcrossBounds) {
+TEST(InterleavedBackend, MatchesPerPairRebuildAcrossBounds) {
   // The cache must change the cost, not the answer: the boundary-snap
   // solve on cached expansions agrees with the golden-section rebuild at
   // every bound, tight and loose.
   ModelParams p = params_for("Hera/XScale");
   p.lambda_silent *= 100.0;
   p.verification_s = 2.0;
-  const InterleavedSolver solver(p, 6);
+  const InterleavedBackend solver = prepared(p, 6);
   for (const double rho : {2.7, 3.0, 4.0, 6.0}) {
     SCOPED_TRACE(rho);
-    const InterleavedSolution cached = solver.solve(rho);
+    const InterleavedSolution cached = searched(solver, rho);
     const InterleavedSolution rebuilt = best_by_rebuild(p, rho, 6);
     ASSERT_EQ(cached.feasible, rebuilt.feasible);
     if (!cached.feasible) continue;
@@ -62,14 +81,14 @@ TEST(InterleavedSolver, MatchesPerPairRebuildAcrossBounds) {
   }
 }
 
-TEST(InterleavedSolver, FixedSegmentCountMatchesRebuild) {
+TEST(InterleavedBackend, FixedSegmentCountMatchesRebuild) {
   ModelParams p = toy_params();
   p.lambda_silent = 1e-3;
   p.verification_s = 0.5;
-  const InterleavedSolver solver(p, 5);
+  const InterleavedBackend solver = prepared(p, 5);
   for (unsigned m = 1; m <= 5; ++m) {
     SCOPED_TRACE(m);
-    const InterleavedSolution cached = solver.solve_segments(4.0, m);
+    const InterleavedSolution cached = pinned(solver, 4.0, m);
     InterleavedSolution rebuilt;
     bool first = true;
     for (const double s1 : p.speeds) {
@@ -97,12 +116,12 @@ TEST(InterleavedSolver, FixedSegmentCountMatchesRebuild) {
   }
 }
 
-TEST(InterleavedSolver, SegmentsOneMatchesExactBiCritSolve) {
+TEST(InterleavedBackend, SegmentsOneMatchesExactBiCritSolve) {
   // m = 1 through the interleaved machinery IS the paper's exact-opt
   // two-speed solve: same objective, same constraint, silent errors only.
   const ModelParams p = params_for("Hera/XScale");
-  const InterleavedSolver solver(p, 1);
-  const InterleavedSolution interleaved = solver.solve(3.0);
+  const InterleavedBackend solver = prepared(p, 1);
+  const InterleavedSolution interleaved = searched(solver, 3.0);
   const BiCritSolver bicrit(p);
   const BiCritSolution exact =
       bicrit.solve(3.0, SpeedPolicy::kTwoSpeed, EvalMode::kExactOptimize);
@@ -135,14 +154,14 @@ TEST(OptimizeInterleaved, EnergyMonotoneNonIncreasingInMaxSegments) {
   }
 }
 
-TEST(InterleavedSolver, EnergyMonotoneNonIncreasingInMaxSegments) {
+TEST(InterleavedBackend, EnergyMonotoneNonIncreasingInMaxSegments) {
   // The same nesting property through the cached full-pair search.
   ModelParams p = params_for("Hera/XScale");
   p.lambda_silent = 1e-3;
   p.verification_s = 1.0;
   double previous = 0.0;
   for (unsigned cap = 1; cap <= 8; ++cap) {
-    const InterleavedSolution sol = InterleavedSolver(p, cap).solve(5.0);
+    const InterleavedSolution sol = searched(prepared(p, cap), 5.0);
     ASSERT_TRUE(sol.feasible) << cap;
     if (cap > 1) {
       EXPECT_LE(sol.energy_overhead, previous * (1.0 + 1e-9)) << cap;
@@ -160,35 +179,37 @@ TEST(OptimizeInterleaved, InfeasibleRhoReportedInfeasibleNeverThrows) {
   EXPECT_FALSE(per_pair.feasible);
   EXPECT_EQ(per_pair.energy_overhead, 0.0);
 
-  const InterleavedSolver solver(p, 4);
-  const InterleavedSolution all_pairs = solver.solve(0.9);
+  const InterleavedBackend solver = prepared(p, 4);
+  const InterleavedSolution all_pairs = searched(solver, 0.9);
   EXPECT_FALSE(all_pairs.feasible);
   EXPECT_EQ(all_pairs.energy_overhead, 0.0);
-  EXPECT_FALSE(solver.solve_segments(0.9, 2).feasible);
+  EXPECT_FALSE(pinned(solver, 0.9, 2).feasible);
 }
 
-TEST(InterleavedSolver, FailstopRatesAreRejectedAsDocumented) {
+TEST(InterleavedBackend, FailstopRatesAreRejectedAsDocumented) {
   // λf ≠ 0 throws, per the core/interleaved.hpp contract — at
-  // construction for the solver, at call time for the free functions.
+  // construction for the backend, at call time for the free functions.
   ModelParams p = toy_params();
   p.lambda_failstop = 1e-5;
-  EXPECT_THROW(InterleavedSolver(p, 4), std::invalid_argument);
+  EXPECT_THROW(InterleavedBackend(p, 4), std::invalid_argument);
   EXPECT_THROW((void)optimize_interleaved(p, 3.0, 0.5, 0.5, 4),
                std::invalid_argument);
 }
 
-TEST(InterleavedSolver, RejectsBadArguments) {
+TEST(InterleavedBackend, RejectsBadArguments) {
   const ModelParams p = toy_params();
-  EXPECT_THROW(InterleavedSolver(p, 0), std::invalid_argument);
-  const InterleavedSolver solver(p, 4);
-  EXPECT_THROW((void)solver.solve(0.0), std::invalid_argument);
-  EXPECT_THROW((void)solver.solve_segments(3.0, 0), std::invalid_argument);
-  EXPECT_THROW((void)solver.solve_segments(3.0, 5), std::invalid_argument);
+  EXPECT_THROW(InterleavedBackend(p, 0), std::invalid_argument);
+  InterleavedBackend solver(p, 4);
+  EXPECT_THROW((void)searched(solver, 3.0), std::logic_error);  // unprepared
+  solver.prepare();
+  EXPECT_THROW((void)searched(solver, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)pinned(solver, 3.0, 0), std::invalid_argument);
+  EXPECT_THROW((void)pinned(solver, 3.0, 5), std::invalid_argument);
 }
 
-TEST(InterleavedSolver, CacheShapeCoversEveryPairAndCount) {
+TEST(InterleavedBackend, CacheShapeCoversEveryPairAndCount) {
   const ModelParams p = toy_params();  // 3 speeds
-  const InterleavedSolver solver(p, 4);
+  const InterleavedBackend solver = prepared(p, 4);
   EXPECT_EQ(solver.max_segments(), 4u);
   ASSERT_EQ(solver.expansions().size(), 3u * 3u * 4u);
   // Entry (i, j, m) sits at (i * K + j) * max_segments + (m - 1).

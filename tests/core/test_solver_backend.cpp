@@ -284,22 +284,37 @@ TEST(ExactOptBackend, PrepareLifecycleAndRouting) {
   const ModelParams params = test::params_for("Hera/XScale");
   ExactOptBackend backend(params);
   EXPECT_TRUE(backend.needs_prepare());
-  EXPECT_THROW((void)backend.exact(), std::logic_error);
+  EXPECT_TRUE(backend.expansions().empty());
+  EXPECT_THROW((void)backend.solve_report(2.0, SpeedPolicy::kTwoSpeed),
+               std::logic_error);
   EXPECT_THROW((void)backend.min_rho(SpeedPolicy::kTwoSpeed),
                std::logic_error);
   backend.prepare();
   EXPECT_FALSE(backend.needs_prepare());
+  const std::size_t k = params.speeds.size();
+  ASSERT_EQ(backend.expansions().size(), k * k);
+  ASSERT_EQ(backend.rho_mins().size(), k * k);
+  ASSERT_EQ(backend.times_at_we().size(), k * k);
+  for (std::size_t s = 0; s < k * k; ++s) {
+    EXPECT_EQ(backend.rho_mins()[s], backend.expansions()[s].rho_min);
+    EXPECT_EQ(backend.times_at_we()[s], backend.expansions()[s].time_at_we);
+  }
+  const ExactExpansion first = backend.expansions().front();
   backend.prepare();  // idempotent
+  EXPECT_EQ(backend.expansions().size(), k * k);
+  EXPECT_EQ(backend.expansions().front().w_energy, first.w_energy);
 
-  const ExactSolver reference(params);
+  // Routing: solve is the report's best, solve_pair its (i, j) entry, and
+  // the single-speed fallback sits on the diagonal.
+  const BiCritSolution report =
+      backend.solve_report(2.0, SpeedPolicy::kTwoSpeed);
   expect_identical_pair(
-      backend.solve(2.0, SpeedPolicy::kTwoSpeed, false).pair,
-      reference.solve(2.0, SpeedPolicy::kTwoSpeed).best);
-  expect_identical_pair(backend.solve_pair(2.0, 1, 0),
-                        reference.solve_pair_by_index(2.0, 1, 0));
-  expect_identical_pair(
-      backend.min_rho(SpeedPolicy::kSingleSpeed).pair,
-      reference.min_rho_solution(SpeedPolicy::kSingleSpeed));
+      backend.solve(2.0, SpeedPolicy::kTwoSpeed, false).pair, report.best);
+  expect_identical_pair(backend.solve_pair(2.0, 1, 0), report.pairs[1 * k]);
+  const PairSolution fallback =
+      backend.min_rho(SpeedPolicy::kSingleSpeed).pair;
+  EXPECT_TRUE(fallback.feasible);
+  EXPECT_EQ(fallback.sigma1_index, fallback.sigma2_index);
 }
 
 TEST(ExactOptBackend, RebindYieldsThePerBoundClosedFormPath) {
@@ -318,19 +333,33 @@ TEST(ExactOptBackend, RebindYieldsThePerBoundClosedFormPath) {
           .best);
 }
 
-TEST(InterleavedBackend, ValidatesEagerlyAndMatchesTheSolver) {
+TEST(InterleavedBackend, ValidatesEagerlyAndRoutesEverySolve) {
   const ModelParams params = hot_params();
   InterleavedBackend backend(params, 6);
   EXPECT_TRUE(backend.needs_prepare());
+  EXPECT_THROW((void)backend.solve_segments(5.0, 3), std::logic_error);
   backend.prepare();
-  const InterleavedSolver reference(params, 6);
+  const std::size_t k = params.speeds.size();
+  ASSERT_EQ(backend.expansions().size(), k * k * 6);
+  ASSERT_EQ(backend.rho_mins().size(), k * k * 6);
+  ASSERT_EQ(backend.times_at_we().size(), k * k * 6);
+  backend.prepare();  // idempotent
+  EXPECT_EQ(backend.expansions().size(), k * k * 6);
+  // The search is the best of the pinned solves; the baseline is m = 1.
+  const InterleavedSolution searched =
+      backend.solve(5.0, SpeedPolicy::kTwoSpeed, false).interleaved;
+  ASSERT_TRUE(searched.feasible);
   expect_identical_interleaved(
-      backend.solve(5.0, SpeedPolicy::kTwoSpeed, false).interleaved,
-      reference.solve(5.0));
+      searched, backend.solve_segments(5.0, searched.segments).interleaved);
+  for (unsigned m = 1; m <= 6; ++m) {
+    const InterleavedSolution at_m = backend.solve_segments(5.0, m).interleaved;
+    EXPECT_EQ(at_m.segments, m);
+    if (at_m.feasible) {
+      EXPECT_GE(at_m.energy_overhead, searched.energy_overhead);
+    }
+  }
   expect_identical_interleaved(backend.solve_baseline(5.0, false).interleaved,
-                               reference.solve_segments(5.0, 1));
-  expect_identical_interleaved(backend.solve_segments(5.0, 3).interleaved,
-                               reference.solve_segments(5.0, 3));
+                               backend.solve_segments(5.0, 1).interleaved);
   // No min-ρ fallback in this family: an infeasible Solution, and the
   // fallback flag on solve is accepted-but-ignored.
   EXPECT_FALSE(backend.min_rho(SpeedPolicy::kTwoSpeed).feasible());
@@ -342,7 +371,7 @@ TEST(InterleavedBackend, ValidatesEagerlyAndMatchesTheSolver) {
   pinned.prepare();
   expect_identical_interleaved(
       pinned.solve(5.0, SpeedPolicy::kTwoSpeed, false).interleaved,
-      reference.solve_segments(5.0, 3));
+      backend.solve_segments(5.0, 3).interleaved);
 
   // Construction-time rejection (never inside a worker).
   ModelParams failstop = params;
@@ -358,19 +387,19 @@ TEST(SolverBackend, PanelPointKernelCoversEveryAxisShape) {
   const ModelParams params = hot_params();
   InterleavedBackend interleaved(params, 6);
   interleaved.prepare();
-  const InterleavedSolver reference(params, 6);
 
   const PanelPoint rho_point = interleaved.solve_panel_point(
       SweepAxis::kPerformanceBound, 5.0, 99.0, false);
-  expect_identical_interleaved(rho_point.primary.interleaved,
-                               reference.solve(5.0));
+  expect_identical_interleaved(
+      rho_point.primary.interleaved,
+      interleaved.solve(5.0, SpeedPolicy::kTwoSpeed, false).interleaved);
   expect_identical_interleaved(rho_point.baseline.interleaved,
-                               reference.solve_segments(5.0, 1));
+                               interleaved.solve_segments(5.0, 1).interleaved);
 
   const PanelPoint m_point =
       interleaved.solve_panel_point(SweepAxis::kSegments, 3.0, 5.0, false);
   expect_identical_interleaved(m_point.primary.interleaved,
-                               reference.solve_segments(5.0, 3));
+                               interleaved.solve_segments(5.0, 3).interleaved);
   EXPECT_GE(m_point.energy_saving(), 0.0);
 
   const ClosedFormBackend pair(test::params_for("Hera/XScale"),

@@ -96,9 +96,10 @@ TEST(BackendRegistry, EveryRegisteredScenarioResolvesToABackend) {
 
 TEST(BackendRegistry, RegistryBackendsMatchThePreRedesignPathsBitForBit) {
   // The regression pin: for every registered scenario, the registry-built
-  // backend reproduces the direct solver drive — BiCritSolver for the
-  // closed-form modes, ExactSolver for exact-opt, InterleavedSolver for
-  // the segmented mode — bit for bit at the scenario's own bound.
+  // backend reproduces the direct drive — BiCritSolver for the closed-form
+  // and recall modes, a directly built and prepared ExactOptBackend /
+  // InterleavedBackend for the cached modes — bit for bit at the
+  // scenario's own bound.
   for (const ScenarioSpec& spec : scenario_registry()) {
     SCOPED_TRACE(spec.name);
     const core::ModelParams params = spec.resolve_params();
@@ -108,11 +109,13 @@ TEST(BackendRegistry, RegistryBackendsMatchThePreRedesignPathsBitForBit) {
         backend->solve(spec.rho, spec.policy, spec.min_rho_fallback);
 
     if (spec.interleaved()) {
-      const core::InterleavedSolver direct(params, spec.segment_limit());
+      core::InterleavedBackend direct(params, spec.segment_limit());
+      direct.prepare();
       expect_identical_interleaved(
           via_registry.interleaved,
-          spec.segments > 0 ? direct.solve_segments(spec.rho, spec.segments)
-                            : direct.solve(spec.rho));
+          spec.segments > 0
+              ? direct.solve_segments(spec.rho, spec.segments).interleaved
+              : direct.solve(spec.rho, spec.policy, false).interleaved);
       continue;
     }
     if (spec.recall_mode) {
@@ -130,11 +133,13 @@ TEST(BackendRegistry, RegistryBackendsMatchThePreRedesignPathsBitForBit) {
       continue;
     }
     if (spec.mode == core::EvalMode::kExactOptimize) {
-      const core::ExactSolver direct(params);
-      core::PairSolution expected = direct.solve(spec.rho, spec.policy).best;
+      core::ExactOptBackend direct(params);
+      direct.prepare();
+      core::PairSolution expected =
+          direct.solve_report(spec.rho, spec.policy).best;
       if (!expected.feasible && spec.min_rho_fallback &&
-          direct.min_rho_solution(spec.policy).feasible) {
-        expected = direct.min_rho_solution(spec.policy);
+          direct.min_rho(spec.policy).feasible()) {
+        expected = direct.min_rho(spec.policy).pair;
       }
       expect_identical_pair(via_registry.pair, expected);
       continue;

@@ -1,6 +1,6 @@
 // The cached exact backend through the engine layer: registry routing,
 // exact-mode ρ sweeps parallel ≡ serial, campaign ≡ standalone, the
-// regression of ExactSolver against the uncached optimize_exact_pair
+// regression of the cached solve against the uncached optimize_exact_pair
 // path across every registered scenario, and the paper-regime agreement
 // of exact-opt with first-order at small λ.
 
@@ -9,7 +9,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "rexspeed/core/exact_solver.hpp"
 #include "rexspeed/engine/backend_registry.hpp"
 #include "rexspeed/engine/campaign_runner.hpp"
 #include "rexspeed/engine/scenario.hpp"
@@ -37,13 +36,14 @@ TEST(ExactBackend, RegistryRoutesTheCachedBackend) {
   const std::unique_ptr<core::SolverBackend> exact = prepared(spec);
   EXPECT_STREQ(exact->name(), "exact-opt");
   EXPECT_FALSE(exact->needs_prepare());
-  // Routing: the backend's solve IS the cached solver's solve
-  // (deterministic construction → bit-identical).
-  const core::ExactSolver standalone(spec.resolve_params());
+  // Routing: the registry backend IS a directly built ExactOptBackend
+  // (deterministic preparation → bit-identical).
+  core::ExactOptBackend standalone(spec.resolve_params());
+  standalone.prepare();
   expect_identical_pair(exact->solve(2.0, core::SpeedPolicy::kTwoSpeed).pair,
-                        standalone.solve(2.0).best);
+                        standalone.solve_report(2.0, core::SpeedPolicy::kTwoSpeed).best);
   expect_identical_pair(exact->solve_pair(2.0, 0, 1),
-                        standalone.solve_pair_by_index(2.0, 0, 1));
+                        standalone.solve_pair(2.0, 0, 1));
   // The first-order registry entry keeps the closed-form path.
   ScenarioSpec first = spec;
   first.mode = core::EvalMode::kFirstOrder;
@@ -79,18 +79,19 @@ TEST(ExactBackend, PooledPreparationIsBitIdentical) {
   serial.prepare();
   core::ExactOptBackend pooled(params);
   pooled.prepare(sweep::make_parallel_build(&pool));
-  ASSERT_EQ(serial.exact().expansions().size(),
-            pooled.exact().expansions().size());
-  for (std::size_t i = 0; i < serial.exact().expansions().size(); ++i) {
-    EXPECT_EQ(serial.exact().expansions()[i].w_time,
-              pooled.exact().expansions()[i].w_time);
-    EXPECT_EQ(serial.exact().expansions()[i].w_energy,
-              pooled.exact().expansions()[i].w_energy);
-    EXPECT_EQ(serial.exact().expansions()[i].rho_min,
-              pooled.exact().expansions()[i].rho_min);
+  ASSERT_EQ(serial.expansions().size(),
+            pooled.expansions().size());
+  for (std::size_t i = 0; i < serial.expansions().size(); ++i) {
+    EXPECT_EQ(serial.expansions()[i].w_time,
+              pooled.expansions()[i].w_time);
+    EXPECT_EQ(serial.expansions()[i].w_energy,
+              pooled.expansions()[i].w_energy);
+    EXPECT_EQ(serial.expansions()[i].rho_min,
+              pooled.expansions()[i].rho_min);
   }
-  expect_identical_pair(serial.exact().solve(1.8).best,
-                        pooled.exact().solve(1.8).best);
+  expect_identical_pair(
+      serial.solve_report(1.8, core::SpeedPolicy::kTwoSpeed).best,
+      pooled.solve_report(1.8, core::SpeedPolicy::kTwoSpeed).best);
 }
 
 TEST(ExactBackend, RhoSweepParallelEqualsSerial) {
@@ -132,16 +133,17 @@ TEST(ExactBackend, ExactSolveScenarioMatchesCampaign) {
 }
 
 TEST(ExactBackend, RegressionAcrossRegisteredScenarios) {
-  // ExactSolver ≡ the uncached optimize_exact_pair path (through
+  // The cached exact-opt solve ≡ the uncached optimize_exact_pair path (through
   // BiCritSolver::solve in kExactOptimize) for every registered
   // scenario's resolved parameters at its registered bound.
   for (const ScenarioSpec& spec : scenario_registry()) {
     if (spec.interleaved()) continue;  // different solution type
     SCOPED_TRACE(spec.name);
     const core::ModelParams params = spec.resolve_params();
-    const core::ExactSolver cached(params);
+    core::ExactOptBackend cached(params);
+    cached.prepare();
     const core::BiCritSolver uncached(params);
-    const core::BiCritSolution a = cached.solve(spec.rho, spec.policy);
+    const core::BiCritSolution a = cached.solve_report(spec.rho, spec.policy);
     const core::BiCritSolution b =
         uncached.solve(spec.rho, spec.policy,
                        core::EvalMode::kExactOptimize);

@@ -128,23 +128,25 @@ TEST(InterleavedScenario, PanelAxesFollowTheSpec) {
 }
 
 TEST(InterleavedBackendEngine, RegistryBackendMatchesDirectSolver) {
-  // The registry-built backend IS the cached InterleavedSolver path:
-  // bit-identical to driving the solver directly, for the searched and
-  // the pinned form alike.
+  // The registry-built backend IS a directly built InterleavedBackend:
+  // bit-identical to driving one by hand, for the searched and the pinned
+  // form alike.
   const ScenarioSpec spec = hot_spec();
   const std::unique_ptr<core::SolverBackend> backend = prepared(spec);
   EXPECT_EQ(backend->capabilities().kind, core::SolutionKind::kInterleaved);
   EXPECT_EQ(backend->capabilities().max_segments, 6u);
 
-  const core::InterleavedSolver direct(spec.resolve_params(), 6);
+  core::InterleavedBackend direct(spec.resolve_params(), 6);
+  direct.prepare();
   expect_identical_interleaved(backend->solve(5.0).interleaved,
-                               direct.solve(5.0));
+                               direct.solve(5.0, core::SpeedPolicy::kTwoSpeed, false)
+                                   .interleaved);
 
   ScenarioSpec pinned = spec;
   pinned.max_segments = 0;
   pinned.segments = 3;
   expect_identical_interleaved(prepared(pinned)->solve(5.0).interleaved,
-                               direct.solve_segments(5.0, 3));
+                               direct.solve_segments(5.0, 3).interleaved);
 
   // The pair backends are untouched by the segment configuration.
   const std::unique_ptr<core::SolverBackend> pair =

@@ -19,6 +19,10 @@
 //      each worker's failed write adds an incident line of its own —
 //      while `cache` on an unusable directory stays a cache error
 //      (exit 4), and so does a sweep whose one cache write fails.
+//   5. Three campaigns started at once over one `--cache-dir` (each with
+//      its own `--out-dir`) all succeed, all export the pinned bytes, leave
+//      a cache that verifies clean, and persist every lookup: hits +
+//      misses are exactly three times what one run records.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -85,12 +89,9 @@ class CliExport : public ::testing::Test {
   fs::path work_;
 };
 
-TEST_F(CliExport, RegistryCampaignMatchesThePinnedManifest) {
-  const fs::path out = work_ / "out";
-  ASSERT_EQ(run_cli("campaign --points=7 --out-dir=" + quoted(out) + " > " +
-                    quoted(work_ / "stdout.txt")),
-            0);
-
+/// Checks that `out` holds exactly the exports pinned in
+/// golden/registry_p7.sha256, byte for byte.
+void expect_pinned_registry_exports(const fs::path& out) {
   std::map<std::string, std::string> pinned;
   std::istringstream manifest(read_file(golden_dir() / "registry_p7.sha256"));
   std::string line;
@@ -118,6 +119,76 @@ TEST_F(CliExport, RegistryCampaignMatchesThePinnedManifest) {
   for (const auto& [path, digest] : written) {
     EXPECT_EQ(pinned.count(path), 1u) << "unpinned export " << path;
   }
+}
+
+TEST_F(CliExport, RegistryCampaignMatchesThePinnedManifest) {
+  const fs::path out = work_ / "out";
+  ASSERT_EQ(run_cli("campaign --points=7 --out-dir=" + quoted(out) + " > " +
+                    quoted(work_ / "stdout.txt")),
+            0);
+  expect_pinned_registry_exports(out);
+}
+
+/// The value of the `name:` line of `cache stats` output.
+unsigned long stats_field(const std::string& stats, const std::string& name) {
+  const std::size_t at = stats.find(name + ":");
+  if (at == std::string::npos) {
+    ADD_FAILURE() << "no " << name << " line in:\n" << stats;
+    return 0;
+  }
+  return std::stoul(stats.substr(at + name.size() + 1));
+}
+
+TEST_F(CliExport, ConcurrentCampaignsShareOneCacheDirectory) {
+  const std::string campaign = "campaign --points=7 --threads=2 --cache-dir=";
+  // What one run alone records.
+  const fs::path solo = work_ / "solo_cache";
+  ASSERT_EQ(run_cli(campaign + quoted(solo) + " > /dev/null"), 0);
+  const fs::path solo_stats = work_ / "solo_stats.txt";
+  ASSERT_EQ(run_cli("cache stats --cache-dir=" + quoted(solo) + " > " +
+                    quoted(solo_stats)),
+            0);
+  const std::string solo_text = read_file(solo_stats);
+  const unsigned long one_run =
+      stats_field(solo_text, "hits") + stats_field(solo_text, "misses");
+  ASSERT_GT(one_run, 0u) << solo_text;
+
+  // Three runs at once over one shared cache, each exporting to its own
+  // directory; every run's exit status lands in its own file.
+  const fs::path cache = work_ / "cache";
+  constexpr int kRuns = 3;
+  std::string script;
+  for (int run = 0; run < kRuns; ++run) {
+    const fs::path dir = work_ / ("run" + std::to_string(run));
+    script += "(" + quoted(REXSPEED_CLI_PATH) + " " + campaign +
+              quoted(cache) + " --out-dir=" + quoted(dir / "out") + " > " +
+              quoted(work_ / ("stdout" + std::to_string(run))) +
+              "; echo $? > " + quoted(work_ / ("status" + std::to_string(run))) +
+              ") & ";
+  }
+  script += "wait";
+  ASSERT_EQ(std::system(script.c_str()), 0);
+  for (int run = 0; run < kRuns; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    EXPECT_EQ(read_file(work_ / ("status" + std::to_string(run))), "0\n");
+    expect_pinned_registry_exports(work_ / ("run" + std::to_string(run)) /
+                                   "out");
+  }
+
+  const fs::path verify = work_ / "verify.txt";
+  EXPECT_EQ(run_cli("cache verify --cache-dir=" + quoted(cache) + " > " +
+                    quoted(verify)),
+            0);
+  EXPECT_EQ(read_file(verify), "ok: every entry verifies\n");
+  const fs::path stats_path = work_ / "stats.txt";
+  ASSERT_EQ(run_cli("cache stats --cache-dir=" + quoted(cache) + " > " +
+                    quoted(stats_path)),
+            0);
+  const std::string stats = read_file(stats_path);
+  EXPECT_EQ(stats_field(stats, "hits") + stats_field(stats, "misses"),
+            kRuns * one_run)
+      << stats;
+  EXPECT_EQ(stats_field(stats, "corrupt"), 0u) << stats;
 }
 
 TEST_F(CliExport, OutDirOnARegularFileExitsOneNamingTheDirectory) {

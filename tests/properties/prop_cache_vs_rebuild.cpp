@@ -3,7 +3,7 @@
 // test: the SoA expansion table (vs the per-pair closed forms it is
 // materialized from, and rewritten in place vs built fresh), the prepared
 // exact-optimization backend (vs a fresh instance prepared per bound), and
-// the prepared interleaved backend (vs a fresh InterleavedSolver). Caching
+// the prepared interleaved backend (vs a fresh instance). Caching
 // is a pure speed trade: never a bit of the answer.
 
 #include <gtest/gtest.h>
@@ -207,25 +207,31 @@ struct SilentParamsAndRhoGen {
   }
 };
 
-TEST(PropCacheVsRebuild, PreparedInterleavedBackendMatchesFreshSolver) {
+TEST(PropCacheVsRebuild, PreparedInterleavedBackendMatchesFreshInstance) {
   proptest::PropOptions options;
   options.iterations = 25;
   proptest::check(
-      "prepared InterleavedBackend == fresh InterleavedSolver",
+      "one prepared InterleavedBackend == fresh prepare at each bound",
       SilentParamsAndRhoGen{},
       [](const ParamsAndRho& c) {
         constexpr unsigned kCap = 4;
-        InterleavedBackend backend(c.params, kCap);
-        backend.prepare();
-        const InterleavedSolver fresh(c.params, kCap);
-        test::expect_identical_interleaved(
-            backend.solve(c.rho, SpeedPolicy::kTwoSpeed, false).interleaved,
-            fresh.solve(c.rho));
-        for (unsigned m = 1; m <= kCap; ++m) {
-          SCOPED_TRACE("segments " + std::to_string(m));
-          test::expect_identical_interleaved(
-              backend.solve_segments(c.rho, m).interleaved,
-              fresh.solve_segments(c.rho, m));
+        InterleavedBackend shared(c.params, kCap);
+        shared.prepare();
+        // The shared cache serves the search, every pinned count and
+        // several bounds; a fresh backend pays its own prepare per bound.
+        for (const double scale : {1.0, 2.3}) {
+          SCOPED_TRACE("rho scale " + std::to_string(scale));
+          const double rho = c.rho * scale;
+          InterleavedBackend fresh(c.params, kCap);
+          fresh.prepare();
+          test::expect_identical_solution(
+              shared.solve(rho, SpeedPolicy::kTwoSpeed, false),
+              fresh.solve(rho, SpeedPolicy::kTwoSpeed, false));
+          for (unsigned m = 1; m <= kCap; ++m) {
+            SCOPED_TRACE("segments " + std::to_string(m));
+            test::expect_identical_solution(shared.solve_segments(rho, m),
+                                            fresh.solve_segments(rho, m));
+          }
         }
       },
       options);

@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 
-#include "rexspeed/core/recall_solver.hpp"
 #include "rexspeed/core/solver_backend.hpp"
 #include "support/proptest.hpp"
 
@@ -111,7 +110,7 @@ TEST(PropFeasibilityWindow, TheoremOneBackendsAgreeOnFeasibility) {
         const ClosedFormBackend first_order(c.params, EvalMode::kFirstOrder);
         const ClosedFormBackend exact_eval(c.params,
                                            EvalMode::kExactEvaluation);
-        const RecallBackend recall(c.params, 1.0);
+        const ClosedFormBackend recall(c.params, /*recall=*/1.0);
         for (const double scale : {1.0, 2.5}) {
           SCOPED_TRACE("rho scale " + std::to_string(scale));
           const double rho = c.rho * scale;

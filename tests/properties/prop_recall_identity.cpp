@@ -1,9 +1,9 @@
-// Property: at r = 1 the recall backend IS the first-order backend, bit
-// for bit — for ANY model and bound. Scaling the silent rate by 1.0 is an
+// Property: at r = 1 the recall mode IS the first-order mode, bit for
+// bit — for ANY model and bound. Scaling the silent rate by 1.0 is an
 // exact floating-point identity, so mode=recall at full recall must
 // reproduce mode=first-order on every entry point: solve, baseline,
 // min-ρ, the §4.2 pair table, panel points and the batched ρ path. This is
-// the acceptance anchor that makes the recall backend a strict extension
+// the acceptance anchor that makes the recall mode a strict extension
 // rather than a fork.
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "rexspeed/core/recall_solver.hpp"
 #include "rexspeed/core/solver_backend.hpp"
 #include "support/proptest.hpp"
 #include "test_util.hpp"
@@ -52,13 +51,14 @@ TEST(PropRecallIdentity, FullRecallBackendEqualsFirstOrderBitForBit) {
   proptest::PropOptions options;
   options.iterations = 100;
   proptest::check(
-      "RecallBackend(r=1) == ClosedFormBackend(first-order), bit for bit",
+      "recall mode (r=1) == first-order mode, bit for bit",
       IdentityCaseGen{},
       [](const IdentityCase& c) {
-        const RecallBackend recall(c.params, 1.0);
+        const ClosedFormBackend recall(c.params, /*recall=*/1.0);
         const ClosedFormBackend reference(c.params, EvalMode::kFirstOrder);
+        EXPECT_STREQ(recall.name(), "recall");
         // Scaled-by-1.0 params are the SAME params, exactly.
-        EXPECT_EQ(recall.effective_params().lambda_silent,
+        EXPECT_EQ(recall.solver().params().lambda_silent,
                   c.params.lambda_silent);
 
         test::expect_identical_solution(
@@ -106,18 +106,21 @@ TEST(PropRecallIdentity, RebindPreservesTheRecallSetting) {
       proptest::ModelParamsGen{},
       [](const ModelParams& params) {
         const double r = 0.8;
-        const RecallBackend backend(params, r);
+        const ClosedFormBackend backend(params, r);
         // The panel rebind flow feeds params() back through rebind — the
         // backend must report the ORIGINAL rates so the recall scaling is
         // applied once, not squared.
         EXPECT_EQ(backend.params().lambda_silent, params.lambda_silent);
-        EXPECT_EQ(backend.effective_params().lambda_silent,
+        EXPECT_EQ(backend.solver().params().lambda_silent,
                   r * params.lambda_silent);
         const auto rebound = backend.rebind(backend.params());
-        const auto* typed = dynamic_cast<const RecallBackend*>(rebound.get());
+        const auto* typed =
+            dynamic_cast<const ClosedFormBackend*>(rebound.get());
         ASSERT_NE(typed, nullptr);
-        EXPECT_EQ(typed->recall(), r);
-        EXPECT_EQ(typed->effective_params().lambda_silent,
+        EXPECT_STREQ(typed->name(), "recall");
+        EXPECT_EQ(typed->capabilities().version, "recall-1");
+        EXPECT_EQ(typed->params().lambda_silent, params.lambda_silent);
+        EXPECT_EQ(typed->solver().params().lambda_silent,
                   r * params.lambda_silent);
         test::expect_identical_solution(
             rebound->solve(3.0, SpeedPolicy::kTwoSpeed, true),

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "rexspeed/core/recall_solver.hpp"
+#include "rexspeed/core/solver_backend.hpp"
 #include "support/crossval.hpp"
 #include "support/proptest.hpp"
 
@@ -74,8 +75,9 @@ TEST(PropRecallVsSimulator, ClosedFormsMatchTheSimulatorAtAnyRecall) {
       "recall expectations and corruption probability match the simulator",
       RecallCaseGen{},
       [mc](const RecallCase& c) {
-        const RecallSolver solver(c.params, c.recall);
-        const BiCritSolution sol = solver.solve(c.rho);
+        const ClosedFormBackend backend(c.params, c.recall);
+        const BiCritSolution sol =
+            backend.solve_report(c.rho, SpeedPolicy::kTwoSpeed);
         if (!sol.best.feasible) return;
         test::expect_simulator_matches_recall_model(
             c.params, c.recall, sol.best.w_opt, sol.best.sigma1,

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "rexspeed/core/interleaved.hpp"
+#include "rexspeed/core/solver_backend.hpp"
 #include "support/proptest.hpp"
 #include "test_util.hpp"
 
@@ -59,11 +59,12 @@ TEST(PropSegmentsMonotonic, WideningTheCapNeverHurts) {
       "pinned counts",
       SegmentsCaseGen{},
       [](const SegmentsCase& c) {
-        const InterleavedSolver solver(c.params, c.cap);
+        InterleavedBackend backend(c.params, c.cap);
+        backend.prepare();
         // Pinned per-count solves, the ground truth the search must match.
         std::vector<InterleavedSolution> pinned;
         for (unsigned m = 1; m <= c.cap; ++m) {
-          pinned.push_back(solver.solve_segments(c.rho, m));
+          pinned.push_back(backend.solve_segments(c.rho, m).interleaved);
         }
 
         double best_so_far = 0.0;
@@ -80,8 +81,10 @@ TEST(PropSegmentsMonotonic, WideningTheCapNeverHurts) {
             best_so_far = at_cap.energy_overhead;
             best_index = cap - 1;
           }
+          InterleavedBackend capped(c.params, cap);
+          capped.prepare();
           const InterleavedSolution searched =
-              InterleavedSolver(c.params, cap).solve(c.rho);
+              capped.solve(c.rho, SpeedPolicy::kTwoSpeed, false).interleaved;
           EXPECT_EQ(searched.feasible, any_feasible);
           if (any_feasible) {
             // The search returns the running minimum — monotone by
