@@ -27,10 +27,10 @@ enum class EvalMode {
   kExactOptimize,    ///< full numeric optimization of the exact model
                      ///< (valid outside the first-order window). Through
                      ///< BiCritSolver this re-optimizes per bound; repeated
-                     ///< solves (ρ sweeps) should use the cached ExactOptBackend
-                     ///< (exact_solver.hpp) instead — the
-                     ///< registry's exact-opt backend (ExactOptBackend)
-                     ///< routes solves and ρ panels there automatically.
+                     ///< solves (ρ sweeps) should use the cached
+                     ///< ExactOptBackend (exact_solver.cpp) instead — the
+                     ///< registry's exact-opt mode routes solves and ρ
+                     ///< panels there automatically.
 };
 
 /// Everything about a speed pair (σ1, σ2) that depends only on the model

@@ -255,13 +255,6 @@ PairSolution ExactOptBackend::solve_pair(double rho, std::size_t i,
 
 BiCritSolution ExactOptBackend::solve_report(double rho,
                                              SpeedPolicy policy) const {
-  // The cached equivalent of BiCritSolver::solve(rho, policy,
-  // EvalMode::kExactOptimize), with three reporting differences: rho_min
-  // carries the pair's exact feasibility floor (the uncached path reports
-  // NaN there), w_min/w_max carry the bracket the constrained search
-  // actually proved feasible (not the full feasible window), and w_energy
-  // carries the true unconstrained energy minimizer (the uncached path
-  // echoes w_opt).
   check_solvable(rho);
   BiCritSolution solution;
   solution.pairs.reserve(expansions_.size());

@@ -86,8 +86,8 @@ void eval_pairs(const ExpansionSoA& table, double rho, double w_cap,
 /// Classifies `count` cached exact/interleaved expansions against one
 /// bound: 0 = infeasible (!(rho_min ≤ ρ)), 1 = pure cache lookup
 /// (time_at_we ≤ ρ), 2 = tight (needs one boundary bisection) — the
-/// branch structure of the exact backends' per-slot solve, hoisted into one pass
-/// per grid point.
+/// branch structure of the exact and interleaved backends' per-slot solve,
+/// hoisted into one pass per grid point.
 void classify_pairs(const double* rho_min, const double* time_at_we,
                     std::size_t count, double rho, unsigned char* cls);
 

@@ -91,8 +91,9 @@ void eval_pairs(const ExpansionSoA& table, double rho, double w_cap,
 void classify_pairs(const double* rho_min, const double* time_at_we,
                     std::size_t count, double rho, unsigned char* cls) {
   for (std::size_t s = 0; s < count; ++s) {
-    // The branch structure of the exact backends' per-slot solve: NaN-propagating
-    // comparisons mean "not ≤" routes to infeasible, exactly as there.
+    // The branch structure of the cached backends' per-slot solve:
+    // NaN-propagating comparisons mean "not ≤" routes to infeasible,
+    // exactly as there.
     cls[s] = !(rho_min[s] <= rho) ? 0u : (time_at_we[s] <= rho ? 1u : 2u);
   }
 }

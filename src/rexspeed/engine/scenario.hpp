@@ -69,8 +69,9 @@ struct ScenarioSpec {
   bool max_segments_defaulted = false;
   /// True when the scenario runs the partial-recall analytical backend
   /// (`mode=recall`): first-order optimization over the recall-scaled
-  /// silent-error rate r·λs (the "recall" mode of core::ClosedFormBackend). Mutually exclusive
-  /// with the segment keys — the recall backend is a speed-pair backend.
+  /// silent-error rate r·λs (core::ClosedFormBackend's recall mode).
+  /// Mutually exclusive with the segment keys — the recall backend is a
+  /// speed-pair backend.
   bool recall_mode = false;
   /// Probability that a verification detects a silent error
   /// (SimulatorOptions::verification_recall). 1 is the paper's guaranteed

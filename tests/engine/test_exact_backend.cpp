@@ -40,8 +40,9 @@ TEST(ExactBackend, RegistryRoutesTheCachedBackend) {
   // (deterministic preparation → bit-identical).
   core::ExactOptBackend standalone(spec.resolve_params());
   standalone.prepare();
-  expect_identical_pair(exact->solve(2.0, core::SpeedPolicy::kTwoSpeed).pair,
-                        standalone.solve_report(2.0, core::SpeedPolicy::kTwoSpeed).best);
+  expect_identical_pair(
+      exact->solve(2.0, core::SpeedPolicy::kTwoSpeed).pair,
+      standalone.solve_report(2.0, core::SpeedPolicy::kTwoSpeed).best);
   expect_identical_pair(exact->solve_pair(2.0, 0, 1),
                         standalone.solve_pair(2.0, 0, 1));
   // The first-order registry entry keeps the closed-form path.
@@ -133,8 +134,8 @@ TEST(ExactBackend, ExactSolveScenarioMatchesCampaign) {
 }
 
 TEST(ExactBackend, RegressionAcrossRegisteredScenarios) {
-  // The cached exact-opt solve ≡ the uncached optimize_exact_pair path (through
-  // BiCritSolver::solve in kExactOptimize) for every registered
+  // The cached exact-opt solve ≡ the uncached optimize_exact_pair path
+  // (through BiCritSolver::solve in kExactOptimize) for every registered
   // scenario's resolved parameters at its registered bound.
   for (const ScenarioSpec& spec : scenario_registry()) {
     if (spec.interleaved()) continue;  // different solution type

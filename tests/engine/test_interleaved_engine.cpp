@@ -138,9 +138,9 @@ TEST(InterleavedBackendEngine, RegistryBackendMatchesDirectSolver) {
 
   core::InterleavedBackend direct(spec.resolve_params(), 6);
   direct.prepare();
-  expect_identical_interleaved(backend->solve(5.0).interleaved,
-                               direct.solve(5.0, core::SpeedPolicy::kTwoSpeed, false)
-                                   .interleaved);
+  expect_identical_interleaved(
+      backend->solve(5.0).interleaved,
+      direct.solve(5.0, core::SpeedPolicy::kTwoSpeed, false).interleaved);
 
   ScenarioSpec pinned = spec;
   pinned.max_segments = 0;

@@ -159,12 +159,12 @@ TEST_F(CliExport, ConcurrentCampaignsShareOneCacheDirectory) {
   constexpr int kRuns = 3;
   std::string script;
   for (int run = 0; run < kRuns; ++run) {
-    const fs::path dir = work_ / ("run" + std::to_string(run));
+    const std::string n = std::to_string(run);
     script += "(" + quoted(REXSPEED_CLI_PATH) + " " + campaign +
-              quoted(cache) + " --out-dir=" + quoted(dir / "out") + " > " +
-              quoted(work_ / ("stdout" + std::to_string(run))) +
-              "; echo $? > " + quoted(work_ / ("status" + std::to_string(run))) +
-              ") & ";
+              quoted(cache) +
+              " --out-dir=" + quoted(work_ / ("run" + n) / "out") + " > " +
+              quoted(work_ / ("stdout" + n)) + "; echo $? > " +
+              quoted(work_ / ("status" + n)) + ") & ";
   }
   script += "wait";
   ASSERT_EQ(std::system(script.c_str()), 0);
