@@ -252,6 +252,35 @@ TEST_F(ScenarioFileTest, MalformedFilesCiteFileAndLine) {
                std::invalid_argument);
 }
 
+TEST_F(ScenarioFileTest, UnwritableValuesAreRejectedWithFileAndLine) {
+  // Whatever loads must write back: a name or config with inner
+  // whitespace (write_scenario refuses it), an empty name (it would come
+  // back as the file stem) and a point count past the size_t cast are
+  // rejected at load, citing the line.
+  for (const std::string& entry :
+       {std::string("name=two words"), std::string("config=Hera /XScale"),
+        std::string("name="), std::string("points=1e300")}) {
+    SCOPED_TRACE(entry);
+    const std::string path =
+        write_file("bad.scenario", "config=Hera/XScale\n" + entry + "\n");
+    try {
+      (void)load_scenario_file(path);
+      ADD_FAILURE() << "loaded";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_EQ(std::string(error.what()).rfind(path + ":2", 0), 0u)
+          << error.what();
+    }
+  }
+  const std::string empty = write_file("empty.scenario", "\n# nothing\n");
+  try {
+    (void)load_scenario_file(empty);
+    ADD_FAILURE() << "loaded an empty file";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()).rfind(empty + ":", 0), 0u)
+        << error.what();
+  }
+}
+
 TEST_F(ScenarioFileTest, NonFiniteNumbersAreRejectedWithFileAndLine) {
   const auto message_of = [](const std::string& path) {
     try {
