@@ -134,7 +134,7 @@ PairSolution BiCritSolver::solve_cached_pair(double rho,
   if (!sol.first_order_valid) {
     // Outside the validity window of §5.2 the closed form is meaningless;
     // this pair only has an answer in kExactOptimize — served cheaply by
-    // the cached ExactOptBackend (exact_solver.hpp), which engine
+    // the cached ExactOptBackend (solver_backend.hpp), which engine
     // contexts build for exact-mode scenarios.
     sol.feasible = false;
     return sol;

@@ -28,7 +28,7 @@ enum class EvalMode {
                      ///< (valid outside the first-order window). Through
                      ///< BiCritSolver this re-optimizes per bound; repeated
                      ///< solves (ρ sweeps) should use the cached
-                     ///< ExactOptBackend (exact_solver.cpp) instead — the
+                     ///< ExactOptBackend (solver_backend.hpp) instead — the
                      ///< registry's exact-opt mode routes solves and ρ
                      ///< panels there automatically.
 };
@@ -145,7 +145,7 @@ struct BiCritSolution {
 /// a prepared ClosedFormBackend serving a whole ρ panel builds on exactly
 /// this property. The exception
 /// is kExactOptimize, whose per-bound numeric optimization this cache
-/// cannot help; core::ExactOptBackend (exact_solver.cpp) is its cached
+/// cannot help; core::ExactOptBackend (solver_backend.hpp) is its cached
 /// counterpart.
 ///
 /// Thread-safety contract (shared by every prepared SolverBackend):

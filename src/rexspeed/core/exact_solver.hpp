@@ -1,11 +1,5 @@
 #pragma once
 
-#include <cstddef>
-
-#include "rexspeed/core/expansion_soa.hpp"
-#include "rexspeed/core/model_params.hpp"
-#include "rexspeed/core/numeric_optimizer.hpp"
-
 namespace rexspeed::core {
 
 /// Everything about one speed pair (σ1, σ2) of the EXACT model that
@@ -39,16 +33,6 @@ struct ExactExpansion {
   double w_energy = 0.0;    ///< unconstrained minimizer of E(W)/W
   double energy_min = 0.0;  ///< E(w_energy)/w_energy
   double time_at_we = 0.0;  ///< T(w_energy)/w_energy
-
-  /// Builds the pair-invariant exact curve structure for the speed pair
-  /// at slot (i, j) of a prebuilt SoA table: the table's first-order
-  /// expansions supply the warm-start seeds and the validity flag, so only
-  /// the two warm-started 1-D minimizations plus three curve evaluations
-  /// remain per pair.
-  [[nodiscard]] static ExactExpansion make(const ModelParams& params,
-                                           const ExpansionSoA& table,
-                                           std::size_t i, std::size_t j,
-                                           const NumericOptions& options = {});
 };
 
 }  // namespace rexspeed::core

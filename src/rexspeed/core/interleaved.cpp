@@ -4,11 +4,8 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
-#include <utility>
 
-#include "rexspeed/core/kernels/kernel_dispatch.hpp"
 #include "rexspeed/core/numeric_optimizer.hpp"
-#include "rexspeed/core/solver_backend.hpp"
 
 namespace rexspeed::core {
 
@@ -68,12 +65,13 @@ AttemptProfile profile(const ModelParams& p, double work, unsigned segments,
   return out;
 }
 
-/// The curve bodies without the argument checks: the public
-/// expectations check once per call, the backend checks its params once at
-/// construction and then evaluates these across its cache build and its
-/// tight-bound bisections.
-double time_unchecked(const ModelParams& params, double work,
-                      unsigned segments, double sigma1, double sigma2) {
+}  // namespace
+
+namespace detail {
+
+double expected_time_interleaved_unchecked(const ModelParams& params,
+                                           double work, unsigned segments,
+                                           double sigma1, double sigma2) {
   const AttemptProfile first = profile(params, work, segments, sigma1);
   const AttemptProfile retry = profile(params, work, segments, sigma2);
   // Tail (all retries at σ2): T2 = lost + q·R + (1−q)(succ + C) + q·T2.
@@ -85,8 +83,9 @@ double time_unchecked(const ModelParams& params, double work,
          (1.0 - first.q) * (first.success_time + params.checkpoint_s);
 }
 
-double energy_unchecked(const ModelParams& params, double work,
-                        unsigned segments, double sigma1, double sigma2) {
+double expected_energy_interleaved_unchecked(const ModelParams& params,
+                                             double work, unsigned segments,
+                                             double sigma1, double sigma2) {
   const AttemptProfile first = profile(params, work, segments, sigma1);
   const AttemptProfile retry = profile(params, work, segments, sigma2);
   const double pc1 = params.compute_power(sigma1);
@@ -103,20 +102,22 @@ double energy_unchecked(const ModelParams& params, double work,
              (first.success_time * pc1 + params.checkpoint_s * pio);
 }
 
-}  // namespace
+}  // namespace detail
 
 double expected_time_interleaved(const ModelParams& params, double work,
                                  unsigned segments, double sigma1,
                                  double sigma2) {
   check_args(params, work, segments, sigma1, sigma2);
-  return time_unchecked(params, work, segments, sigma1, sigma2);
+  return detail::expected_time_interleaved_unchecked(params, work, segments,
+                                                     sigma1, sigma2);
 }
 
 double expected_energy_interleaved(const ModelParams& params, double work,
                                    unsigned segments, double sigma1,
                                    double sigma2) {
   check_args(params, work, segments, sigma1, sigma2);
-  return energy_unchecked(params, work, segments, sigma1, sigma2);
+  return detail::expected_energy_interleaved_unchecked(params, work, segments,
+                                                       sigma1, sigma2);
 }
 
 InterleavedSolution optimize_interleaved(const ModelParams& params,
@@ -176,274 +177,6 @@ InterleavedSolution optimize_interleaved(const ModelParams& params,
   }
   if (!best.feasible) best.energy_overhead = 0.0;
   return best;
-}
-
-// ---------------------------------------------------------------------
-// InterleavedBackend
-// ---------------------------------------------------------------------
-
-InterleavedBackend::InterleavedBackend(ModelParams params,
-                                       unsigned max_segments,
-                                       unsigned fixed_segments)
-    : params_(std::move(params)),
-      max_segments_(max_segments),
-      fixed_segments_(fixed_segments) {
-  // The one validation of these params: everything prepare() and the
-  // solves would reject is rejected here — never inside a pool worker —
-  // so the cache build and the bisections run the unchecked curves.
-  params_.validate();
-  if (params_.lambda_failstop > 0.0) {
-    throw std::invalid_argument(
-        "InterleavedBackend: interleaved mode requires lambda_failstop = 0 "
-        "(the segmented closed forms are derived for silent errors)");
-  }
-  if (max_segments_ == 0) {
-    throw std::invalid_argument(
-        "InterleavedBackend: need at least one segment");
-  }
-  if (fixed_segments_ > max_segments_) {
-    throw std::invalid_argument(
-        "InterleavedBackend: fixed_segments must be in [0, max_segments]");
-  }
-  capabilities_.kind = SolutionKind::kInterleaved;
-  capabilities_.axes = {SweepAxis::kPerformanceBound, SweepAxis::kSegments};
-  // Both axes leave the model untouched: one prepared backend serves every
-  // grid point of either panel.
-  capabilities_.shared_axes = capabilities_.axes;
-  capabilities_.pair_table = false;
-  capabilities_.min_rho_fallback = false;
-  capabilities_.cost_weight = 8.0;
-  // ρ grids classify every cached (pair, m) slot in one kernel sweep
-  // (solve_batch).
-  capabilities_.max_segments = max_segments_;
-  capabilities_.version = "il-1";
-  capabilities_.validity =
-      "exact segmented expectations (silent errors only, lambda_f = 0); "
-      "m = 1 is the paper's own pattern";
-}
-
-const char* InterleavedBackend::name() const noexcept {
-  return "interleaved";
-}
-
-void InterleavedBackend::prepare(const ParallelFor& /*parallel_build*/) {
-  if (prepared_) return;
-  const std::size_t speed_count = params_.speeds.size();
-  expansions_.reserve(speed_count * speed_count * max_segments_);
-  const NumericOptions options;
-  for (std::size_t i = 0; i < speed_count; ++i) {
-    for (std::size_t j = 0; j < speed_count; ++j) {
-      const double sigma1 = params_.speeds[i];
-      const double sigma2 = params_.speeds[j];
-      for (unsigned m = 1; m <= max_segments_; ++m) {
-        InterleavedExpansion expansion;
-        expansion.sigma1 = sigma1;
-        expansion.sigma2 = sigma2;
-        expansion.index1 = static_cast<int>(i);
-        expansion.index2 = static_cast<int>(j);
-        expansion.segments = m;
-        const auto time_per_work = [&](double w) {
-          return time_unchecked(params_, w, m, sigma1, sigma2) / w;
-        };
-        const auto energy_per_work = [&](double w) {
-          return energy_unchecked(params_, w, m, sigma1, sigma2) / w;
-        };
-        expansion.w_time = minimize_unimodal_overhead(time_per_work, options);
-        expansion.rho_min = time_per_work(expansion.w_time);
-        expansion.w_energy =
-            minimize_unimodal_overhead(energy_per_work, options);
-        expansion.energy_min = energy_per_work(expansion.w_energy);
-        expansion.time_at_we = time_per_work(expansion.w_energy);
-        expansions_.push_back(expansion);
-      }
-    }
-  }
-  rho_mins_.resize(expansions_.size());
-  times_at_we_.resize(expansions_.size());
-  for (std::size_t index = 0; index < expansions_.size(); ++index) {
-    rho_mins_[index] = expansions_[index].rho_min;
-    times_at_we_[index] = expansions_[index].time_at_we;
-  }
-  prepared_ = true;
-}
-
-void InterleavedBackend::check_solvable(double rho) const {
-  if (!prepared_) {
-    throw std::logic_error(
-        "InterleavedBackend: prepare() must run before the first solve "
-        "(the per-(pair, m) curve optimization is deferred)");
-  }
-  if (!(rho > 0.0)) {
-    throw std::invalid_argument("InterleavedBackend: rho must be positive");
-  }
-}
-
-InterleavedSolution InterleavedBackend::solve_cached(
-    double rho, const InterleavedExpansion& expansion) const {
-  InterleavedSolution solution;
-  solution.segments = expansion.segments;
-  solution.sigma1 = expansion.sigma1;
-  solution.sigma2 = expansion.sigma2;
-  if (!(expansion.rho_min <= rho)) return solution;  // bound unattainable
-
-  if (expansion.time_at_we <= rho) {
-    // The unconstrained energy optimum already satisfies the bound: the
-    // solve is a pure cache lookup (the common case of loose-ρ grid
-    // points, and the reason one backend serves a whole sweep).
-    solution.feasible = true;
-    solution.w_opt = expansion.w_energy;
-    solution.energy_overhead = expansion.energy_min;
-    solution.time_overhead = expansion.time_at_we;
-    return solution;
-  }
-
-  // The unconstrained energy optimum violates the bound, so the
-  // constrained optimum sits on the feasibility boundary between w_time
-  // (feasible) and w_energy (not): both overhead curves are unimodal, so
-  // energy only decreases toward w_energy and the boundary nearest it
-  // wins. Locate it by bisection, keeping the feasible end.
-  const unsigned m = expansion.segments;
-  const auto time_per_work = [&](double w) {
-    return time_unchecked(params_, w, m, expansion.sigma1,
-                          expansion.sigma2) /
-           w;
-  };
-  double inside = expansion.w_time;
-  double outside = expansion.w_energy;
-  for (int it = 0; it < 200 && std::abs(outside - inside) >
-                                   1e-9 * (inside + 1.0); ++it) {
-    const double mid = 0.5 * (inside + outside);
-    (time_per_work(mid) <= rho ? inside : outside) = mid;
-  }
-  const double w_opt = inside;
-  solution.feasible = true;
-  solution.w_opt = w_opt;
-  solution.energy_overhead =
-      energy_unchecked(params_, w_opt, m, expansion.sigma1,
-                       expansion.sigma2) /
-      w_opt;
-  solution.time_overhead = time_per_work(w_opt);
-  return solution;
-}
-
-InterleavedSolution InterleavedBackend::search(double rho,
-                                               unsigned segments) const {
-  check_solvable(rho);
-  InterleavedSolution best;
-  if (segments != 0) best.segments = segments;
-  best.energy_overhead = std::numeric_limits<double>::infinity();
-  for (const InterleavedExpansion& expansion : expansions_) {
-    if (segments != 0 && expansion.segments != segments) continue;
-    const InterleavedSolution candidate = solve_cached(rho, expansion);
-    if (candidate.feasible &&
-        candidate.energy_overhead < best.energy_overhead) {
-      best = candidate;
-    }
-  }
-  if (!best.feasible) best.energy_overhead = 0.0;
-  return best;
-}
-
-InterleavedSolution InterleavedBackend::search_classified(
-    double rho, unsigned segments, const unsigned char* cls) const {
-  // Same scan as search() — in cache order, strict-< selection, same
-  // trailing overhead reset — but the feasibility and lookup branch tests
-  // were already answered in bulk by the classify kernel: class-0 slots
-  // are skipped off one byte, class-1 slots cost one comparison against
-  // the cached minimum, and only class-2 slots (tight bounds) pay the
-  // bisection.
-  check_solvable(rho);
-  InterleavedSolution best;
-  if (segments != 0) best.segments = segments;
-  best.energy_overhead = std::numeric_limits<double>::infinity();
-  for (std::size_t s = 0; s < expansions_.size(); ++s) {
-    const InterleavedExpansion& expansion = expansions_[s];
-    if (segments != 0 && expansion.segments != segments) continue;
-    if (cls[s] == 0) continue;
-    if (cls[s] == 1) {
-      if (expansion.energy_min < best.energy_overhead) {
-        best.feasible = true;
-        best.segments = expansion.segments;
-        best.sigma1 = expansion.sigma1;
-        best.sigma2 = expansion.sigma2;
-        best.w_opt = expansion.w_energy;
-        best.energy_overhead = expansion.energy_min;
-        best.time_overhead = expansion.time_at_we;
-      }
-      continue;
-    }
-    const InterleavedSolution candidate = solve_cached(rho, expansion);
-    if (candidate.feasible &&
-        candidate.energy_overhead < best.energy_overhead) {
-      best = candidate;
-    }
-  }
-  if (!best.feasible) best.energy_overhead = 0.0;
-  return best;
-}
-
-Solution InterleavedBackend::solve(double rho, SpeedPolicy /*policy*/,
-                                   bool /*min_rho_fallback*/) const {
-  // Interleaved mode enumerates every pair (no single-speed variant) and
-  // has no min-ρ fallback; both arguments are accepted for interface
-  // uniformity and ignored, as the solve path always has.
-  return Solution::from_interleaved(search(rho, fixed_segments_));
-}
-
-Solution InterleavedBackend::solve_baseline(double rho,
-                                            bool /*min_rho_fallback*/) const {
-  return Solution::from_interleaved(search(rho, 1));
-}
-
-Solution InterleavedBackend::solve_segments(double rho,
-                                            unsigned segments) const {
-  if (segments == 0 || segments > max_segments_) {
-    throw std::invalid_argument(
-        "InterleavedBackend: segments must be in [1, max_segments]");
-  }
-  return Solution::from_interleaved(search(rho, segments));
-}
-
-Solution InterleavedBackend::min_rho(SpeedPolicy /*policy*/) const {
-  // No min-ρ fallback in interleaved mode: an infeasible Solution.
-  Solution out;
-  out.kind = SolutionKind::kInterleaved;
-  return out;
-}
-
-std::unique_ptr<SolverBackend> InterleavedBackend::rebind(
-    ModelParams params, const PairSeedTable* /*seeds*/) const {
-  // No warm-start chain: the interleaved minimizations stay cold so the
-  // cached curve data (and the golden fixtures over it) never move.
-  return std::make_unique<InterleavedBackend>(std::move(params),
-                                              max_segments_,
-                                              fixed_segments_);
-}
-
-void InterleavedBackend::solve_batch(SweepAxis axis, const double* rhos,
-                                     std::size_t count, double panel_rho,
-                                     bool min_rho_fallback,
-                                     PanelPoint* out) const {
-  if (axis != SweepAxis::kPerformanceBound) {
-    SolverBackend::solve_batch(axis, rhos, count, panel_rho,
-                               min_rho_fallback, out);
-    return;
-  }
-  std::vector<unsigned char> cls(rho_mins_.size());
-  for (std::size_t p = 0; p < count; ++p) {
-    const double rho = rhos[p];
-    // One classify sweep over every (σ1, σ2, m) slot serves the primary
-    // search and the m = 1 baseline of this grid point.
-    kernels::classify_pairs(rho_mins_.data(), times_at_we_.data(),
-                            rho_mins_.size(), rho, cls.data());
-    PanelPoint point;
-    point.x = rho;
-    point.primary = Solution::from_interleaved(
-        search_classified(rho, fixed_segments_, cls.data()));
-    point.baseline =
-        Solution::from_interleaved(search_classified(rho, 1, cls.data()));
-    out[p] = point;
-  }
 }
 
 }  // namespace rexspeed::core

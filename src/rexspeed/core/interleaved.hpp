@@ -33,6 +33,24 @@ namespace rexspeed::core {
                                                  double sigma1,
                                                  double sigma2);
 
+namespace detail {
+
+/// The expression bodies of expected_time_interleaved /
+/// expected_energy_interleaved without their argument checks: `params`
+/// must already be validated with λf = 0, `work` positive, `segments` ≥ 1
+/// and both speeds positive. The public functions and InterleavedBackend
+/// (which validates once, at construction, then evaluates these across its
+/// cache build and tight-bound bisections) both call these, so the two
+/// agree bit for bit by construction.
+[[nodiscard]] double expected_time_interleaved_unchecked(
+    const ModelParams& params, double work, unsigned segments, double sigma1,
+    double sigma2);
+[[nodiscard]] double expected_energy_interleaved_unchecked(
+    const ModelParams& params, double work, unsigned segments, double sigma1,
+    double sigma2);
+
+}  // namespace detail
+
 /// Best segmented pattern under the BiCrit rule: for each segment count in
 /// [1, max_segments], numerically optimize W for minimum energy overhead
 /// subject to T/W ≤ rho, then keep the best count.

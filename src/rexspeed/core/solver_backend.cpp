@@ -7,7 +7,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "rexspeed/core/exact_expectations.hpp"
+#include "rexspeed/core/first_order.hpp"
 #include "rexspeed/core/kernels/kernel_dispatch.hpp"
+#include "rexspeed/core/numeric_optimizer.hpp"
 #include "rexspeed/core/recall_solver.hpp"
 
 namespace rexspeed::core {
@@ -18,15 +21,6 @@ Solution Solution::from_pair(PairSolution solution, bool used_fallback) {
   out.pair = std::move(solution);
   out.used_fallback = used_fallback;
   return out;
-}
-
-Solution Solution::from_pair_or_fallback(PairSolution best,
-                                         const PairSolution& fallback,
-                                         bool min_rho_fallback) {
-  if (!best.feasible && min_rho_fallback && fallback.feasible) {
-    return from_pair(fallback, /*used_fallback=*/true);
-  }
-  return from_pair(std::move(best));
 }
 
 Solution Solution::from_interleaved(InterleavedSolution solution) {
@@ -121,11 +115,28 @@ PanelPoint SolverBackend::solve_panel_point_seeded(
   return solve_panel_point(axis, x, panel_rho, min_rho_fallback);
 }
 
+namespace {
+
+/// The six figure axes in composite order — what every pair backend
+/// sweeps.
 std::vector<SweepAxis> pair_axes() {
   return {SweepAxis::kCheckpointTime, SweepAxis::kVerificationTime,
           SweepAxis::kErrorRate,      SweepAxis::kPerformanceBound,
           SweepAxis::kIdlePower,      SweepAxis::kIoPower};
 }
+
+/// The fallback step every pair backend's solve shares: `best`, or the
+/// min-ρ `fallback` (with used_fallback set) when `best` is infeasible,
+/// `min_rho_fallback` asks for it and `fallback` is feasible.
+Solution pair_or_fallback(PairSolution best, const PairSolution& fallback,
+                          bool min_rho_fallback) {
+  if (!best.feasible && min_rho_fallback && fallback.feasible) {
+    return Solution::from_pair(fallback, /*used_fallback=*/true);
+  }
+  return Solution::from_pair(std::move(best));
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------
 // ClosedFormBackend
@@ -327,7 +338,7 @@ PanelPoint first_order_point(const ExpansionSoA& table, double x,
           scratch.fallbacks[policy == SpeedPolicy::kSingleSpeed ? 1 : 0];
       if (!fallback) {
         fallback = min_rho_fallback
-                       ? Solution::from_pair_or_fallback(
+                       ? pair_or_fallback(
                              PairSolution{}, min_rho_solution(table, policy),
                              true)
                        : Solution::from_pair(PairSolution{});
@@ -419,7 +430,7 @@ PanelPoint ClosedFormBackend::solve_panel_point_seeded(
   const BiCritSolution report = solve_report(rho, SpeedPolicy::kTwoSpeed);
   PanelPoint point;
   point.x = x;
-  point.primary = Solution::from_pair_or_fallback(
+  point.primary = pair_or_fallback(
       report.best, solver_.min_rho_solution(SpeedPolicy::kTwoSpeed),
       min_rho_fallback);
   PairSolution single;
@@ -431,7 +442,7 @@ PanelPoint ClosedFormBackend::solve_panel_point_seeded(
       single = pair;
     }
   }
-  point.baseline = Solution::from_pair_or_fallback(
+  point.baseline = pair_or_fallback(
       std::move(single), solver_.min_rho_solution(SpeedPolicy::kSingleSpeed),
       min_rho_fallback);
   if (harvest != nullptr) {
@@ -447,6 +458,619 @@ PanelPoint ClosedFormBackend::solve_panel_point_seeded(
     }
   }
   return point;
+}
+
+// ---------------------------------------------------------------------
+// ExactOptBackend
+// ---------------------------------------------------------------------
+
+namespace {
+
+/// The pair-invariant exact curve structure of the speed pair at slot
+/// (i, j) of a prebuilt SoA table: the table's first-order expansions
+/// supply the warm-start seeds and the validity flag, so only the two
+/// warm-started 1-D minimizations plus three curve evaluations remain per
+/// pair.
+ExactExpansion make_expansion(const ModelParams& params,
+                              const ExpansionSoA& table, std::size_t i,
+                              std::size_t j) {
+  // Warm-start seeds: inside the §5.2 validity window the closed-form
+  // argmins √(z/y) land within O(λW) of the exact optima, so the numeric
+  // bracket starts there instead of growing from W = 1. A seed of 0 (no
+  // interior closed-form minimum) falls back to the cold-start bracket.
+  const std::size_t slot = table.slot(i, j);
+  ExactExpansion pair;
+  pair.sigma1 = table.sigma1[slot];
+  pair.sigma2 = table.sigma2[slot];
+  pair.index1 = static_cast<int>(i);
+  pair.index2 = static_cast<int>(j);
+  const OverheadExpansion time_exp = table.time_expansion(slot);
+  const OverheadExpansion energy_exp = table.energy_expansion(slot);
+  pair.first_order_valid = table.valid[slot] != 0;
+  const double time_seed =
+      time_exp.has_interior_minimum() ? time_exp.argmin() : 0.0;
+  const double energy_seed =
+      energy_exp.has_interior_minimum() ? energy_exp.argmin() : 0.0;
+
+  const auto time_per_work = [&](double w) {
+    return time_overhead(params, w, pair.sigma1, pair.sigma2);
+  };
+  const auto energy_per_work = [&](double w) {
+    return energy_overhead(params, w, pair.sigma1, pair.sigma2);
+  };
+  pair.w_time = minimize_unimodal_overhead(time_per_work, time_seed, {});
+  pair.rho_min = time_per_work(pair.w_time);
+  pair.w_energy =
+      minimize_unimodal_overhead(energy_per_work, energy_seed, {});
+  pair.energy_min = energy_per_work(pair.w_energy);
+  pair.time_at_we = time_per_work(pair.w_energy);
+  return pair;
+}
+
+PairSolution base_solution(const ExactExpansion& pair) {
+  PairSolution sol;
+  sol.sigma1 = pair.sigma1;
+  sol.sigma2 = pair.sigma2;
+  sol.sigma1_index = pair.index1;
+  sol.sigma2_index = pair.index2;
+  sol.first_order_valid = pair.first_order_valid;
+  sol.rho_min = pair.rho_min;
+  sol.w_energy = pair.w_energy;
+  return sol;
+}
+
+PairSolution lookup_solution(const ExactExpansion& pair) {
+  // The unconstrained energy optimum already satisfies the bound: the
+  // solve is a pure cache lookup (the common case of loose-ρ grid
+  // points, and the reason one backend serves a whole sweep).
+  PairSolution sol = base_solution(pair);
+  sol.feasible = true;
+  sol.w_opt = pair.w_energy;
+  sol.w_min = std::min(pair.w_time, pair.w_energy);
+  sol.w_max = std::max(pair.w_time, pair.w_energy);
+  sol.energy_overhead = pair.energy_min;
+  sol.time_overhead = pair.time_at_we;
+  return sol;
+}
+
+PairSolution tight_solution(const ModelParams& params, double rho,
+                            const ExactExpansion& pair) {
+  // The unconstrained energy optimum violates the bound, so the
+  // constrained optimum sits on the feasibility boundary between w_time
+  // (feasible) and w_energy (not): both curves are unimodal, so energy
+  // only decreases toward w_energy and the boundary nearest it wins.
+  // Locate it with the shared boundary bisection (the same routine
+  // optimize_exact_pair uses) — the single warm-started bisection a
+  // tight-bound point costs.
+  const auto time_per_work = [&](double w) {
+    return time_overhead(params, w, pair.sigma1, pair.sigma2);
+  };
+  const double w_opt =
+      bisect_boundary(time_per_work, rho, pair.w_time, pair.w_energy);
+  PairSolution sol = base_solution(pair);
+  sol.feasible = true;
+  sol.w_opt = w_opt;
+  sol.w_min = std::min(pair.w_time, w_opt);
+  sol.w_max = std::max(pair.w_time, w_opt);
+  sol.energy_overhead =
+      energy_overhead(params, w_opt, pair.sigma1, pair.sigma2);
+  sol.time_overhead = time_per_work(w_opt);
+  return sol;
+}
+
+PairSolution solve_cached(const ModelParams& params, double rho,
+                          const ExactExpansion& pair) {
+  if (!(pair.rho_min <= rho)) {
+    return base_solution(pair);  // bound below the exact floor
+  }
+  if (pair.time_at_we <= rho) return lookup_solution(pair);
+  return tight_solution(params, rho, pair);
+}
+
+/// The best-effort pattern when no pair satisfies the bound: the pair with
+/// the smallest EXACT achievable bound rho_min, run at its time-optimal
+/// pattern size — the exact-model analog of
+/// BiCritSolver::min_rho_solution (which ranks pairs by the first-order
+/// tangency and is therefore blind outside the validity window).
+PairSolution compute_min_rho(const ModelParams& params,
+                             const std::vector<ExactExpansion>& cache,
+                             SpeedPolicy policy) {
+  PairSolution best;
+  best.feasible = false;
+  double best_rho = std::numeric_limits<double>::infinity();
+  for (const ExactExpansion& pair : cache) {
+    if (policy == SpeedPolicy::kSingleSpeed && pair.index1 != pair.index2) {
+      continue;
+    }
+    if (!(pair.rho_min < best_rho)) continue;
+    best_rho = pair.rho_min;
+    best.feasible = true;
+    best.first_order_valid = pair.first_order_valid;
+    best.sigma1 = pair.sigma1;
+    best.sigma2 = pair.sigma2;
+    best.sigma1_index = pair.index1;
+    best.sigma2_index = pair.index2;
+    best.rho_min = pair.rho_min;
+    best.w_opt = pair.w_time;  // tangency pattern size, exact model
+    best.w_energy = pair.w_energy;
+    best.w_min = pair.w_time;
+    best.w_max = pair.w_time;
+    best.time_overhead = pair.rho_min;
+    best.energy_overhead =
+        energy_overhead(params, pair.w_time, pair.sigma1, pair.sigma2);
+  }
+  return best;
+}
+
+}  // namespace
+
+ExactOptBackend::ExactOptBackend(ModelParams params)
+    : params_(std::move(params)) {
+  // Everything prepare() or a solve could reject is rejected here — never
+  // inside a pool worker.
+  params_.validate();
+  capabilities_.kind = SolutionKind::kPair;
+  capabilities_.axes = pair_axes();
+  capabilities_.shared_axes = {SweepAxis::kPerformanceBound};
+  capabilities_.pair_table = true;
+  capabilities_.min_rho_fallback = true;
+  capabilities_.cost_weight = 3.0;
+  // ρ grids classify every cached pair in one kernel sweep of the flat
+  // rho_min/time_at_we arrays (solve_batch); model axes rebind to the
+  // seeded numeric path and chain warm starts along the grid.
+  capabilities_.warm_start_chain = true;
+  capabilities_.version = "exact-1";
+  capabilities_.validity =
+      "cached exact-model curve optima (warm-started from the first-order "
+      "argmins where 5.2 holds); valid for any error rates";
+}
+
+const char* ExactOptBackend::name() const noexcept { return "exact-opt"; }
+
+void ExactOptBackend::prepare(const ParallelFor& parallel_build) {
+  if (prepared_) return;
+  // One SoA kernel pass supplies every pair's first-order seeds.
+  const ExpansionSoA table = ExpansionSoA::build(params_);
+  const std::size_t k = table.k;
+  expansions_.resize(k * k);
+  const auto build = [this, k, &table](std::size_t index) {
+    expansions_[index] =
+        make_expansion(params_, table, index / k, index % k);
+  };
+  if (parallel_build) {
+    // Every entry is computed independently and written to its own slot,
+    // so any schedule yields the same cache bit for bit.
+    parallel_build(expansions_.size(), build);
+  } else {
+    for (std::size_t index = 0; index < expansions_.size(); ++index) {
+      build(index);
+    }
+  }
+  rho_mins_.resize(expansions_.size());
+  times_at_we_.resize(expansions_.size());
+  for (std::size_t index = 0; index < expansions_.size(); ++index) {
+    rho_mins_[index] = expansions_[index].rho_min;
+    times_at_we_[index] = expansions_[index].time_at_we;
+  }
+  min_rho_two_ = compute_min_rho(params_, expansions_, SpeedPolicy::kTwoSpeed);
+  min_rho_single_ =
+      compute_min_rho(params_, expansions_, SpeedPolicy::kSingleSpeed);
+  prepared_ = true;
+}
+
+void ExactOptBackend::check_solvable(double rho) const {
+  if (!prepared_) {
+    throw std::logic_error(
+        "ExactOptBackend: prepare() must run before the first solve (the "
+        "per-pair exact curve optimization is deferred)");
+  }
+  if (!(rho > 0.0)) {
+    throw std::invalid_argument("ExactOptBackend: rho must be positive");
+  }
+}
+
+const PairSolution& ExactOptBackend::min_rho_pair(SpeedPolicy policy) const {
+  if (!prepared_) {
+    throw std::logic_error(
+        "ExactOptBackend: prepare() must run before the min-rho fallback "
+        "is known");
+  }
+  return policy == SpeedPolicy::kSingleSpeed ? min_rho_single_ : min_rho_two_;
+}
+
+Solution ExactOptBackend::solve(double rho, SpeedPolicy policy,
+                                bool min_rho_fallback) const {
+  return pair_or_fallback(solve_report(rho, policy).best,
+                                         min_rho_pair(policy),
+                                         min_rho_fallback);
+}
+
+Solution ExactOptBackend::solve_baseline(double rho,
+                                         bool min_rho_fallback) const {
+  return solve(rho, SpeedPolicy::kSingleSpeed, min_rho_fallback);
+}
+
+Solution ExactOptBackend::min_rho(SpeedPolicy policy) const {
+  return Solution::from_pair(min_rho_pair(policy));
+}
+
+PairSolution ExactOptBackend::solve_pair(double rho, std::size_t i,
+                                         std::size_t j) const {
+  check_solvable(rho);
+  const std::size_t k = params_.speeds.size();
+  if (i >= k || j >= k) {
+    throw std::out_of_range("ExactOptBackend: speed index out of range");
+  }
+  return solve_cached(params_, rho, expansions_[i * k + j]);
+}
+
+BiCritSolution ExactOptBackend::solve_report(double rho,
+                                             SpeedPolicy policy) const {
+  check_solvable(rho);
+  BiCritSolution solution;
+  solution.pairs.reserve(expansions_.size());
+  double best_energy = std::numeric_limits<double>::infinity();
+  for (const ExactExpansion& cached : expansions_) {
+    if (policy == SpeedPolicy::kSingleSpeed &&
+        cached.index1 != cached.index2) {
+      continue;
+    }
+    PairSolution pair = solve_cached(params_, rho, cached);
+    if (pair.feasible && pair.energy_overhead < best_energy) {
+      best_energy = pair.energy_overhead;
+      solution.best = pair;
+      solution.feasible = true;
+    }
+    solution.pairs.push_back(std::move(pair));
+  }
+  return solution;
+}
+
+PairSolution ExactOptBackend::solve_classified(double rho, SpeedPolicy policy,
+                                               const unsigned char* cls) const {
+  // Same scan as solve_report() — in cache order, strict-< selection — but
+  // the per-slot branch tests were already answered by the classify kernel
+  // and no PairSolution report is materialized: class-0 slots cost
+  // nothing, class-1 slots cost one comparison against the cached
+  // minimum, and only winners (and class-2 bisections) build solutions.
+  check_solvable(rho);
+  PairSolution best;
+  best.feasible = false;
+  double best_energy = std::numeric_limits<double>::infinity();
+  for (std::size_t s = 0; s < expansions_.size(); ++s) {
+    const ExactExpansion& pair = expansions_[s];
+    if (policy == SpeedPolicy::kSingleSpeed && pair.index1 != pair.index2) {
+      continue;
+    }
+    if (cls[s] == 0) continue;
+    if (cls[s] == 1) {
+      if (pair.energy_min < best_energy) {
+        best_energy = pair.energy_min;
+        best = lookup_solution(pair);
+      }
+      continue;
+    }
+    PairSolution candidate = tight_solution(params_, rho, pair);
+    if (candidate.feasible && candidate.energy_overhead < best_energy) {
+      best_energy = candidate.energy_overhead;
+      best = std::move(candidate);
+    }
+  }
+  return best;
+}
+
+std::unique_ptr<SolverBackend> ExactOptBackend::rebind(
+    ModelParams params, const PairSeedTable* seeds) const {
+  // Per-point panels on model axes keep the historical per-bound numeric
+  // path (one bound per point makes the cached curve structure useless);
+  // the seeds — harvested from the neighboring grid point — are what keep
+  // that path cheap along a chained panel.
+  return std::make_unique<ClosedFormBackend>(std::move(params),
+                                             EvalMode::kExactOptimize,
+                                             seeds);
+}
+
+void ExactOptBackend::solve_batch(SweepAxis axis, const double* rhos,
+                                  std::size_t count, double panel_rho,
+                                  bool min_rho_fallback,
+                                  PanelPoint* out) const {
+  if (axis != SweepAxis::kPerformanceBound) {
+    SolverBackend::solve_batch(axis, rhos, count, panel_rho,
+                               min_rho_fallback, out);
+    return;
+  }
+  std::vector<unsigned char> cls(rho_mins_.size());
+  for (std::size_t p = 0; p < count; ++p) {
+    const double rho = rhos[p];
+    // One classify sweep answers both policies' per-pair branch tests;
+    // the classified scans below are bit-identical to
+    // solve_report(rho, ·).best.
+    kernels::classify_pairs(rho_mins_.data(), times_at_we_.data(),
+                            rho_mins_.size(), rho, cls.data());
+    PanelPoint point;
+    point.x = rho;
+    point.primary = pair_or_fallback(
+        solve_classified(rho, SpeedPolicy::kTwoSpeed, cls.data()),
+        min_rho_pair(SpeedPolicy::kTwoSpeed), min_rho_fallback);
+    point.baseline = pair_or_fallback(
+        solve_classified(rho, SpeedPolicy::kSingleSpeed, cls.data()),
+        min_rho_pair(SpeedPolicy::kSingleSpeed), min_rho_fallback);
+    out[p] = point;
+  }
+}
+
+// ---------------------------------------------------------------------
+// InterleavedBackend
+// ---------------------------------------------------------------------
+
+namespace {
+
+InterleavedSolution solve_cached(const ModelParams& params, double rho,
+                                 const InterleavedExpansion& expansion) {
+  InterleavedSolution solution;
+  solution.segments = expansion.segments;
+  solution.sigma1 = expansion.sigma1;
+  solution.sigma2 = expansion.sigma2;
+  if (!(expansion.rho_min <= rho)) return solution;  // bound unattainable
+
+  if (expansion.time_at_we <= rho) {
+    // The unconstrained energy optimum already satisfies the bound: the
+    // solve is a pure cache lookup (the common case of loose-ρ grid
+    // points, and the reason one backend serves a whole sweep).
+    solution.feasible = true;
+    solution.w_opt = expansion.w_energy;
+    solution.energy_overhead = expansion.energy_min;
+    solution.time_overhead = expansion.time_at_we;
+    return solution;
+  }
+
+  // The unconstrained energy optimum violates the bound, so the
+  // constrained optimum sits on the feasibility boundary between w_time
+  // (feasible) and w_energy (not): both overhead curves are unimodal, so
+  // energy only decreases toward w_energy and the boundary nearest it
+  // wins. Locate it by bisection, keeping the feasible end.
+  const unsigned m = expansion.segments;
+  const auto time_per_work = [&](double w) {
+    return detail::expected_time_interleaved_unchecked(
+               params, w, m, expansion.sigma1, expansion.sigma2) /
+           w;
+  };
+  double inside = expansion.w_time;
+  double outside = expansion.w_energy;
+  for (int it = 0; it < 200 && std::abs(outside - inside) >
+                                   1e-9 * (inside + 1.0); ++it) {
+    const double mid = 0.5 * (inside + outside);
+    (time_per_work(mid) <= rho ? inside : outside) = mid;
+  }
+  const double w_opt = inside;
+  solution.feasible = true;
+  solution.w_opt = w_opt;
+  solution.energy_overhead = detail::expected_energy_interleaved_unchecked(
+                                 params, w_opt, m, expansion.sigma1,
+                                 expansion.sigma2) /
+                             w_opt;
+  solution.time_overhead = time_per_work(w_opt);
+  return solution;
+}
+
+}  // namespace
+
+InterleavedBackend::InterleavedBackend(ModelParams params,
+                                       unsigned max_segments,
+                                       unsigned fixed_segments)
+    : params_(std::move(params)),
+      max_segments_(max_segments),
+      fixed_segments_(fixed_segments) {
+  // The one validation of these params: everything prepare() and the
+  // solves would reject is rejected here — never inside a pool worker —
+  // so the cache build and the bisections run the unchecked curves.
+  params_.validate();
+  if (params_.lambda_failstop > 0.0) {
+    throw std::invalid_argument(
+        "InterleavedBackend: interleaved mode requires lambda_failstop = 0 "
+        "(the segmented closed forms are derived for silent errors)");
+  }
+  if (max_segments_ == 0) {
+    throw std::invalid_argument(
+        "InterleavedBackend: need at least one segment");
+  }
+  if (fixed_segments_ > max_segments_) {
+    throw std::invalid_argument(
+        "InterleavedBackend: fixed_segments must be in [0, max_segments]");
+  }
+  capabilities_.kind = SolutionKind::kInterleaved;
+  capabilities_.axes = {SweepAxis::kPerformanceBound, SweepAxis::kSegments};
+  // Both axes leave the model untouched: one prepared backend serves every
+  // grid point of either panel.
+  capabilities_.shared_axes = capabilities_.axes;
+  capabilities_.pair_table = false;
+  capabilities_.min_rho_fallback = false;
+  capabilities_.cost_weight = 8.0;
+  // ρ grids classify every cached (pair, m) slot in one kernel sweep
+  // (solve_batch).
+  capabilities_.max_segments = max_segments_;
+  capabilities_.version = "il-1";
+  capabilities_.validity =
+      "exact segmented expectations (silent errors only, lambda_f = 0); "
+      "m = 1 is the paper's own pattern";
+}
+
+const char* InterleavedBackend::name() const noexcept {
+  return "interleaved";
+}
+
+void InterleavedBackend::prepare(const ParallelFor& /*parallel_build*/) {
+  if (prepared_) return;
+  const std::size_t speed_count = params_.speeds.size();
+  expansions_.reserve(speed_count * speed_count * max_segments_);
+  const NumericOptions options;
+  for (std::size_t i = 0; i < speed_count; ++i) {
+    for (std::size_t j = 0; j < speed_count; ++j) {
+      const double sigma1 = params_.speeds[i];
+      const double sigma2 = params_.speeds[j];
+      for (unsigned m = 1; m <= max_segments_; ++m) {
+        InterleavedExpansion expansion;
+        expansion.sigma1 = sigma1;
+        expansion.sigma2 = sigma2;
+        expansion.index1 = static_cast<int>(i);
+        expansion.index2 = static_cast<int>(j);
+        expansion.segments = m;
+        const auto time_per_work = [&](double w) {
+          return detail::expected_time_interleaved_unchecked(
+              params_, w, m, sigma1, sigma2) / w;
+        };
+        const auto energy_per_work = [&](double w) {
+          return detail::expected_energy_interleaved_unchecked(
+              params_, w, m, sigma1, sigma2) / w;
+        };
+        expansion.w_time = minimize_unimodal_overhead(time_per_work, options);
+        expansion.rho_min = time_per_work(expansion.w_time);
+        expansion.w_energy =
+            minimize_unimodal_overhead(energy_per_work, options);
+        expansion.energy_min = energy_per_work(expansion.w_energy);
+        expansion.time_at_we = time_per_work(expansion.w_energy);
+        expansions_.push_back(expansion);
+      }
+    }
+  }
+  rho_mins_.resize(expansions_.size());
+  times_at_we_.resize(expansions_.size());
+  for (std::size_t index = 0; index < expansions_.size(); ++index) {
+    rho_mins_[index] = expansions_[index].rho_min;
+    times_at_we_[index] = expansions_[index].time_at_we;
+  }
+  prepared_ = true;
+}
+
+void InterleavedBackend::check_solvable(double rho) const {
+  if (!prepared_) {
+    throw std::logic_error(
+        "InterleavedBackend: prepare() must run before the first solve "
+        "(the per-(pair, m) curve optimization is deferred)");
+  }
+  if (!(rho > 0.0)) {
+    throw std::invalid_argument("InterleavedBackend: rho must be positive");
+  }
+}
+
+InterleavedSolution InterleavedBackend::search(double rho,
+                                               unsigned segments) const {
+  check_solvable(rho);
+  InterleavedSolution best;
+  if (segments != 0) best.segments = segments;
+  best.energy_overhead = std::numeric_limits<double>::infinity();
+  for (const InterleavedExpansion& expansion : expansions_) {
+    if (segments != 0 && expansion.segments != segments) continue;
+    const InterleavedSolution candidate = solve_cached(params_, rho, expansion);
+    if (candidate.feasible &&
+        candidate.energy_overhead < best.energy_overhead) {
+      best = candidate;
+    }
+  }
+  if (!best.feasible) best.energy_overhead = 0.0;
+  return best;
+}
+
+InterleavedSolution InterleavedBackend::search_classified(
+    double rho, unsigned segments, const unsigned char* cls) const {
+  // Same scan as search() — in cache order, strict-< selection, same
+  // trailing overhead reset — but the feasibility and lookup branch tests
+  // were already answered in bulk by the classify kernel: class-0 slots
+  // are skipped off one byte, class-1 slots cost one comparison against
+  // the cached minimum, and only class-2 slots (tight bounds) pay the
+  // bisection.
+  check_solvable(rho);
+  InterleavedSolution best;
+  if (segments != 0) best.segments = segments;
+  best.energy_overhead = std::numeric_limits<double>::infinity();
+  for (std::size_t s = 0; s < expansions_.size(); ++s) {
+    const InterleavedExpansion& expansion = expansions_[s];
+    if (segments != 0 && expansion.segments != segments) continue;
+    if (cls[s] == 0) continue;
+    if (cls[s] == 1) {
+      if (expansion.energy_min < best.energy_overhead) {
+        best.feasible = true;
+        best.segments = expansion.segments;
+        best.sigma1 = expansion.sigma1;
+        best.sigma2 = expansion.sigma2;
+        best.w_opt = expansion.w_energy;
+        best.energy_overhead = expansion.energy_min;
+        best.time_overhead = expansion.time_at_we;
+      }
+      continue;
+    }
+    const InterleavedSolution candidate = solve_cached(params_, rho, expansion);
+    if (candidate.feasible &&
+        candidate.energy_overhead < best.energy_overhead) {
+      best = candidate;
+    }
+  }
+  if (!best.feasible) best.energy_overhead = 0.0;
+  return best;
+}
+
+Solution InterleavedBackend::solve(double rho, SpeedPolicy /*policy*/,
+                                   bool /*min_rho_fallback*/) const {
+  // Interleaved mode enumerates every pair (no single-speed variant) and
+  // has no min-ρ fallback; both arguments are accepted for interface
+  // uniformity and ignored, as the solve path always has.
+  return Solution::from_interleaved(search(rho, fixed_segments_));
+}
+
+Solution InterleavedBackend::solve_baseline(double rho,
+                                            bool /*min_rho_fallback*/) const {
+  return Solution::from_interleaved(search(rho, 1));
+}
+
+Solution InterleavedBackend::solve_segments(double rho,
+                                            unsigned segments) const {
+  if (segments == 0 || segments > max_segments_) {
+    throw std::invalid_argument(
+        "InterleavedBackend: segments must be in [1, max_segments]");
+  }
+  return Solution::from_interleaved(search(rho, segments));
+}
+
+Solution InterleavedBackend::min_rho(SpeedPolicy /*policy*/) const {
+  // No min-ρ fallback in interleaved mode: an infeasible Solution.
+  Solution out;
+  out.kind = SolutionKind::kInterleaved;
+  return out;
+}
+
+std::unique_ptr<SolverBackend> InterleavedBackend::rebind(
+    ModelParams params, const PairSeedTable* /*seeds*/) const {
+  // No warm-start chain: the interleaved minimizations stay cold so the
+  // cached curve data (and the golden fixtures over it) never move.
+  return std::make_unique<InterleavedBackend>(std::move(params),
+                                              max_segments_,
+                                              fixed_segments_);
+}
+
+void InterleavedBackend::solve_batch(SweepAxis axis, const double* rhos,
+                                     std::size_t count, double panel_rho,
+                                     bool min_rho_fallback,
+                                     PanelPoint* out) const {
+  if (axis != SweepAxis::kPerformanceBound) {
+    SolverBackend::solve_batch(axis, rhos, count, panel_rho,
+                               min_rho_fallback, out);
+    return;
+  }
+  std::vector<unsigned char> cls(rho_mins_.size());
+  for (std::size_t p = 0; p < count; ++p) {
+    const double rho = rhos[p];
+    // One classify sweep over every (σ1, σ2, m) slot serves the primary
+    // search and the m = 1 baseline of this grid point.
+    kernels::classify_pairs(rho_mins_.data(), times_at_we_.data(),
+                            rho_mins_.size(), rho, cls.data());
+    PanelPoint point;
+    point.x = rho;
+    point.primary = Solution::from_interleaved(
+        search_classified(rho, fixed_segments_, cls.data()));
+    point.baseline =
+        Solution::from_interleaved(search_classified(rho, 1, cls.data()));
+    out[p] = point;
+  }
 }
 
 // ---------------------------------------------------------------------

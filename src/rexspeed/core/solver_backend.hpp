@@ -64,11 +64,6 @@ struct Solution {
 
   [[nodiscard]] static Solution from_pair(PairSolution solution,
                                           bool used_fallback = false);
-  /// The fallback step every pair backend's solve shares: `best`, or the
-  /// min-ρ `fallback` (with used_fallback set) when `best` is infeasible,
-  /// `min_rho_fallback` asks for it and `fallback` is feasible.
-  [[nodiscard]] static Solution from_pair_or_fallback(
-      PairSolution best, const PairSolution& fallback, bool min_rho_fallback);
   [[nodiscard]] static Solution from_interleaved(
       InterleavedSolution solution);
 };
@@ -249,10 +244,6 @@ class SolverBackend {
       SweepAxis axis, double x, double panel_rho, bool min_rho_fallback,
       PairSeedTable* harvest) const;
 };
-
-/// The six figure axes in composite order — what every pair backend
-/// sweeps.
-[[nodiscard]] std::vector<SweepAxis> pair_axes();
 
 /// The closed-form backend family: BiCritSolver's cached first-order
 /// expansions, evaluated per the mode (kFirstOrder, kExactEvaluation, or
@@ -495,8 +486,6 @@ class InterleavedBackend final : public SolverBackend {
   /// Throws std::logic_error before prepare(), std::invalid_argument on a
   /// non-positive bound.
   void check_solvable(double rho) const;
-  [[nodiscard]] InterleavedSolution solve_cached(
-      double rho, const InterleavedExpansion& expansion) const;
   /// Best pattern at `rho` over every pair at exactly `segments`
   /// verifications (0 = every count in [1, max_segments]).
   [[nodiscard]] InterleavedSolution search(double rho,
