@@ -21,7 +21,7 @@ int main(int argc, char** argv) try {
   const std::string config_name = args.get_or("config", "Hera/XScale");
   const auto seed = static_cast<std::uint64_t>(args.get_long_or("seed", 1));
 
-  // The workload is data: a scenario spec the CLI, benches and tests
+  // The workload is data: a scenario spec the CLI, examples and tests
   // share. Any model parameter could be overridden the same way.
   engine::ScenarioSpec scenario;
   scenario.name = "quickstart";

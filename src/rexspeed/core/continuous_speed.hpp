@@ -10,8 +10,8 @@ namespace rexspeed::core {
 /// rectangle [σ_min, σ_max]². The paper's model never needs this (real
 /// processors expose a handful of operating points), but the relaxation
 /// bounds from below what *any* ladder could achieve — the gap to the
-/// discrete optimum is the price of DVFS granularity, quantified by
-/// `bench_ablation_continuous`.
+/// discrete optimum is the price of DVFS granularity
+/// (`ContinuousSpeed.NeverWorseThanDiscreteOptimum` holds the bound).
 ///
 /// Implementation: Nelder–Mead over (σ1, σ2) with the exact per-pair
 /// solution (optimize_exact_pair) as the inner objective; infeasible pairs

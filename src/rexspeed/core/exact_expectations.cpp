@@ -72,7 +72,51 @@ PatternCosts costs_of(const ModelParams& params) {
           .v = params.verification_s};
 }
 
+double expected_time_unchecked(const ModelParams& params, double work,
+                               double sigma1, double sigma2) {
+  const PatternCosts p = costs_of(params);
+  const double span1 = (work + p.v) / sigma1;
+  const double exposure1 = work / sigma1;
+  // Probability that the first attempt fails (either error source):
+  // 1 − e^{−(λf·span1 + λs·exposure1)}.
+  const double fail1 = -std::expm1(-(p.lam_f * span1 + p.lam_s * exposure1));
+  // Expected productive-or-lost time of the first attempt:
+  // (1 − e^{−λf·span1})/λf, which is span1 when λf = 0.
+  const double first_attempt = one_minus_exp_over(span1, p.lam_f);
+  const double tail = tail_time(p, work, sigma2);
+  return first_attempt + fail1 * (p.r + tail) + (1.0 - fail1) * p.c;
+}
+
+double expected_energy_unchecked(const ModelParams& params, double work,
+                                 double sigma1, double sigma2) {
+  const PatternCosts p = costs_of(params);
+  const double pc1 = params.compute_power(sigma1);
+  const double pc2 = params.compute_power(sigma2);
+  const double pio = params.io_total_power();
+  const double span1 = (work + p.v) / sigma1;
+  const double exposure1 = work / sigma1;
+  const double fail1 = -std::expm1(-(p.lam_f * span1 + p.lam_s * exposure1));
+  const double first_attempt = one_minus_exp_over(span1, p.lam_f);
+  const double tail = tail_energy(p, work, sigma2, pc2, pio);
+  return first_attempt * pc1 + fail1 * (p.r * pio + tail) +
+         (1.0 - fail1) * p.c * pio;
+}
+
 }  // namespace
+
+namespace detail {
+
+double time_overhead_unchecked(const ModelParams& params, double work,
+                               double sigma1, double sigma2) {
+  return expected_time_unchecked(params, work, sigma1, sigma2) / work;
+}
+
+double energy_overhead_unchecked(const ModelParams& params, double work,
+                                 double sigma1, double sigma2) {
+  return expected_energy_unchecked(params, work, sigma1, sigma2) / work;
+}
+
+}  // namespace detail
 
 double expected_time_single_speed_silent(const ModelParams& params,
                                          double work, double sigma) {
@@ -87,43 +131,25 @@ double expected_time_single_speed_silent(const ModelParams& params,
 double expected_time(const ModelParams& params, double work, double sigma1,
                      double sigma2) {
   check_args(params, work, sigma1, sigma2);
-  const PatternCosts p = costs_of(params);
-  const double span1 = (work + p.v) / sigma1;
-  const double exposure1 = work / sigma1;
-  // Probability that the first attempt fails (either error source):
-  // 1 − e^{−(λf·span1 + λs·exposure1)}.
-  const double fail1 = -std::expm1(-(p.lam_f * span1 + p.lam_s * exposure1));
-  // Expected productive-or-lost time of the first attempt:
-  // (1 − e^{−λf·span1})/λf, which is span1 when λf = 0.
-  const double first_attempt = one_minus_exp_over(span1, p.lam_f);
-  const double tail = tail_time(p, work, sigma2);
-  return first_attempt + fail1 * (p.r + tail) + (1.0 - fail1) * p.c;
+  return expected_time_unchecked(params, work, sigma1, sigma2);
 }
 
 double expected_energy(const ModelParams& params, double work, double sigma1,
                        double sigma2) {
   check_args(params, work, sigma1, sigma2);
-  const PatternCosts p = costs_of(params);
-  const double pc1 = params.compute_power(sigma1);
-  const double pc2 = params.compute_power(sigma2);
-  const double pio = params.io_total_power();
-  const double span1 = (work + p.v) / sigma1;
-  const double exposure1 = work / sigma1;
-  const double fail1 = -std::expm1(-(p.lam_f * span1 + p.lam_s * exposure1));
-  const double first_attempt = one_minus_exp_over(span1, p.lam_f);
-  const double tail = tail_energy(p, work, sigma2, pc2, pio);
-  return first_attempt * pc1 + fail1 * (p.r * pio + tail) +
-         (1.0 - fail1) * p.c * pio;
+  return expected_energy_unchecked(params, work, sigma1, sigma2);
 }
 
 double time_overhead(const ModelParams& params, double work, double sigma1,
                      double sigma2) {
-  return expected_time(params, work, sigma1, sigma2) / work;
+  check_args(params, work, sigma1, sigma2);
+  return detail::time_overhead_unchecked(params, work, sigma1, sigma2);
 }
 
 double energy_overhead(const ModelParams& params, double work, double sigma1,
                        double sigma2) {
-  return expected_energy(params, work, sigma1, sigma2) / work;
+  check_args(params, work, sigma1, sigma2);
+  return detail::energy_overhead_unchecked(params, work, sigma1, sigma2);
 }
 
 double expected_time_lost(double lambda_failstop, double duration) {

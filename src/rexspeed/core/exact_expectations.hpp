@@ -42,6 +42,23 @@ namespace rexspeed::core {
 [[nodiscard]] double energy_overhead(const ModelParams& params, double work,
                                      double sigma1, double sigma2);
 
+namespace detail {
+
+/// The bodies of time_overhead / energy_overhead without their argument
+/// checks: `params` must already be validated and `work` and both speeds
+/// positive. The public functions and ExactOptBackend (which validates
+/// once, at construction, then evaluates these across its cache build,
+/// tight-bound bisections and min-ρ fallbacks) both call these, so the two
+/// agree bit for bit by construction.
+[[nodiscard]] double time_overhead_unchecked(const ModelParams& params,
+                                             double work, double sigma1,
+                                             double sigma2);
+[[nodiscard]] double energy_overhead_unchecked(const ModelParams& params,
+                                               double work, double sigma1,
+                                               double sigma2);
+
+}  // namespace detail
+
 /// Expected wall-clock time lost when a fail-stop error strikes during a
 /// segment lasting `duration = w/σ` seconds:
 /// Tlost = 1/λf − duration / (e^{λf · duration} − 1).

@@ -38,8 +38,9 @@ struct SecondOrderExpansion {
 ///   y2 = λ²(1/(σ1σ2²) − 1/(2σ1²σ2)).
 /// Unlike the fail-stop case, y1 > 0 for every speed pair, so the optimal
 /// pattern stays Θ(λ^{-1/2}) — but the quadratic term shifts it downward,
-/// explaining the ~1–4% gap between Theorem 1 and the exact optimizer
-/// measured by bench_ablation_first_order. Requires λs > 0; ignores λf.
+/// explaining the ~1–4% pattern-size gap between Theorem 1 and the exact
+/// optimizer that `FirstOrderAccuracy.PatternSizesAgreeWithinTwoPercent`
+/// bounds. Requires λs > 0; ignores λf.
 [[nodiscard]] SecondOrderExpansion time_second_order_silent(
     const ModelParams& params, double sigma1, double sigma2);
 

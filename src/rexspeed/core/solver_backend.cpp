@@ -470,7 +470,8 @@ namespace {
 /// (i, j) of a prebuilt SoA table: the table's first-order expansions
 /// supply the warm-start seeds and the validity flag, so only the two
 /// warm-started 1-D minimizations plus three curve evaluations remain per
-/// pair.
+/// pair. The exact-opt helpers here evaluate the curves unchecked:
+/// ExactOptBackend validates `params` once, in its constructor.
 ExactExpansion make_expansion(const ModelParams& params,
                               const ExpansionSoA& table, std::size_t i,
                               std::size_t j) {
@@ -493,10 +494,12 @@ ExactExpansion make_expansion(const ModelParams& params,
       energy_exp.has_interior_minimum() ? energy_exp.argmin() : 0.0;
 
   const auto time_per_work = [&](double w) {
-    return time_overhead(params, w, pair.sigma1, pair.sigma2);
+    return detail::time_overhead_unchecked(params, w, pair.sigma1,
+                                           pair.sigma2);
   };
   const auto energy_per_work = [&](double w) {
-    return energy_overhead(params, w, pair.sigma1, pair.sigma2);
+    return detail::energy_overhead_unchecked(params, w, pair.sigma1,
+                                             pair.sigma2);
   };
   pair.w_time = minimize_unimodal_overhead(time_per_work, time_seed, {});
   pair.rho_min = time_per_work(pair.w_time);
@@ -543,7 +546,8 @@ PairSolution tight_solution(const ModelParams& params, double rho,
   // optimize_exact_pair uses) — the single warm-started bisection a
   // tight-bound point costs.
   const auto time_per_work = [&](double w) {
-    return time_overhead(params, w, pair.sigma1, pair.sigma2);
+    return detail::time_overhead_unchecked(params, w, pair.sigma1,
+                                           pair.sigma2);
   };
   const double w_opt =
       bisect_boundary(time_per_work, rho, pair.w_time, pair.w_energy);
@@ -552,8 +556,8 @@ PairSolution tight_solution(const ModelParams& params, double rho,
   sol.w_opt = w_opt;
   sol.w_min = std::min(pair.w_time, w_opt);
   sol.w_max = std::max(pair.w_time, w_opt);
-  sol.energy_overhead =
-      energy_overhead(params, w_opt, pair.sigma1, pair.sigma2);
+  sol.energy_overhead = detail::energy_overhead_unchecked(
+      params, w_opt, pair.sigma1, pair.sigma2);
   sol.time_overhead = time_per_work(w_opt);
   return sol;
 }
@@ -596,8 +600,8 @@ PairSolution compute_min_rho(const ModelParams& params,
     best.w_min = pair.w_time;
     best.w_max = pair.w_time;
     best.time_overhead = pair.rho_min;
-    best.energy_overhead =
-        energy_overhead(params, pair.w_time, pair.sigma1, pair.sigma2);
+    best.energy_overhead = detail::energy_overhead_unchecked(
+        params, pair.w_time, pair.sigma1, pair.sigma2);
   }
   return best;
 }

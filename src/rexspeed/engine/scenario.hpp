@@ -28,7 +28,7 @@ enum class ScenarioKind {
 /// A named, parseable description of one workload: which platform
 /// configuration to load, which model parameters to override, how to solve
 /// (speed policy, solver backend, bound) and what to sweep. Scenarios are
-/// data, not code — the CLI, benches and examples all resolve them through
+/// data, not code — the CLI, tests and examples all resolve them through
 /// the same registry, and new workloads are added by registering a spec,
 /// not by writing another driver. The solver itself is resolved through
 /// engine::backend_registry() (see backend_registry.hpp), so a scenario
@@ -85,7 +85,7 @@ struct ScenarioSpec {
   /// (`cache=0`): its panels and solves are neither looked up nor stored,
   /// whatever `--cache-dir` the run was given. The escape hatch for
   /// workloads whose entries would only churn the store (one-off
-  /// parameter probes, deliberately cache-busting benches).
+  /// parameter probes, deliberately cache-busting timings).
   bool cache = true;
   /// Model-parameter overrides applied on top of the configuration.
   std::vector<ParamOverride> overrides;

@@ -27,7 +27,7 @@ struct SweepEngineOptions {
 /// The one-scenario sweep driver: owns the thread pool, resolves scenarios
 /// through the backend registry, and runs every panel through ONE generic
 /// backend sweep path (sweep::PanelSweep) — no mode-specific twins.
-/// `rexspeed sweep` and the single-scenario benches and examples obtain
+/// `rexspeed sweep` and the single-scenario examples obtain
 /// their panels here (the campaign drivers plan the same PanelJobs
 /// themselves), so they inherit parallel-by-default execution with
 /// results bit-identical to a serial run (each grid point writes only its

@@ -18,8 +18,8 @@ void write_gnuplot_dat(std::ostream& os, const sweep::Series& series);
 
 /// Companion helper: a minimal gnuplot script plotting every column of
 /// `dat_filename` against its first column (logscale x when requested).
-/// The benches emit these next to the .dat files so the paper's figures
-/// can be regenerated with a stock gnuplot.
+/// The figure exports write these next to the .dat files so the paper's
+/// figures can be regenerated with a stock gnuplot.
 void write_gnuplot_script(std::ostream& os, const sweep::Series& series,
                           const std::string& dat_filename,
                           bool logscale_x = false);

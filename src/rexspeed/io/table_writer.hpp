@@ -9,8 +9,8 @@ namespace rexspeed::io {
 /// Cell of an ASCII table; stored pre-formatted.
 using Row = std::vector<std::string>;
 
-/// Aligned plain-text table writer used by the benches to print the
-/// paper-style tables (§4.2) and figure data. Columns are sized to their
+/// Aligned plain-text table writer used by the CLI and the examples to
+/// print the paper-style tables (§4.2) and figure data. Columns are sized to their
 /// widest cell; headers are underlined.
 class TableWriter {
  public:

@@ -6,8 +6,9 @@ namespace rexspeed::sim {
 
 /// Inter-arrival distribution of errors. The paper assumes exponential
 /// arrivals (§2.1); Weibull with shape < 1 models the infant-mortality
-/// clustering observed on real machines and is used by the robustness
-/// ablation (`bench_ablation_weibull`).
+/// clustering observed on real machines; `tests/integration/
+/// test_model_vs_simulation.cpp` runs the exponential-optimal policy under
+/// it to show how much clustered errors raise the overheads.
 enum class ArrivalKind {
   kExponential,
   kWeibull,

@@ -10,8 +10,8 @@ namespace rexspeed::sim {
 /// per-attempt speed schedule. Attempt 0 is the first execution; attempts
 /// beyond the schedule reuse its last speed, so {σ1, σ2} realizes the
 /// paper's "first at σ1, every re-execution at σ2" model, and longer
-/// vectors express the multi-speed retry ladders explored by
-/// `bench_ablation_ladder` (the paper's future-work direction).
+/// vectors express multi-speed retry ladders (the paper's future-work
+/// direction).
 class ExecutionPolicy {
  public:
   /// `verification_segments` cuts each attempt into that many equal

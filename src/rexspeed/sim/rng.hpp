@@ -8,7 +8,7 @@ namespace rexspeed::sim {
 /// xoshiro256++ pseudo-random generator (Blackman & Vigna), seeded through
 /// SplitMix64 so that any 64-bit seed — including 0 — yields a well-mixed
 /// state. Deterministic across platforms, which the reproduction relies on:
-/// every Monte-Carlo experiment in the benches is re-runnable bit-for-bit.
+/// every Monte-Carlo experiment in the tests is re-runnable bit-for-bit.
 ///
 /// Satisfies std::uniform_random_bit_generator.
 class Xoshiro256 {

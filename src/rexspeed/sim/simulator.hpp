@@ -16,16 +16,18 @@ struct SimulatorOptions {
   /// Probability that the verification detects a silent error. The paper
   /// assumes guaranteed verifications (recall 1); lowering this models the
   /// *partial* verifications of the paper's related work [Cavelan et al.,
-  /// ICPP'15] and lets `bench_ablation_recall` quantify the silent-data-
-  /// corruption risk they introduce: a missed error is committed by the
-  /// following checkpoint and silently corrupts the final result.
+  /// ICPP'15] and the silent-data-corruption risk they introduce: a
+  /// missed error is committed by the following checkpoint and silently
+  /// corrupts the final result (`tests/sim/test_verification_recall.cpp`
+  /// holds that risk to the closed-form corruption probability).
   double verification_recall = 1.0;
   /// The paper assumes fail-stop errors never strike during checkpoint or
   /// recovery (§5.1). Setting this true drops that assumption: a
   /// fail-stop during a checkpoint voids it (recovery + full re-execution
   /// of the attempt) and a fail-stop during recovery restarts the
-  /// recovery. `bench_ablation_io_vulnerability` measures how much the
-  /// assumption flatters the model's predictions.
+  /// recovery. `IoVulnerability.DriftRisesWithIoExposure`
+  /// (`tests/sim/test_io_vulnerability.cpp`) shows how much the assumption
+  /// flatters the model's predictions as λf·(C+R) grows.
   bool io_vulnerable = false;
 };
 

@@ -83,5 +83,30 @@ TEST(FirstOrderAccuracy, DegradesGracefullyAtHighErrorRates) {
   EXPECT_LE(fo_exact_energy, exact.best.energy_overhead * 1.05);
 }
 
+TEST(FirstOrderAccuracy, PolicyViolatesTheExactBoundAtHundredfoldRates) {
+  // At 100× the paper's rates (MTBFs of hours) the first-order feasible
+  // interval over-estimates the exact one: every configuration's
+  // Theorem-1 policy misses ρ = 3 under the exact model, while the exact
+  // optimum meets it. That is where EvalMode::kExactOptimize is needed.
+  int compared = 0;
+  for (const auto& config : platform::all_configurations()) {
+    core::ModelParams p = test::params_for(config.name());
+    p.lambda_silent *= 100.0;
+    const core::BiCritSolver solver(p);
+    const auto fo = solver.solve(3.0, core::SpeedPolicy::kTwoSpeed,
+                                 core::EvalMode::kFirstOrder);
+    const auto exact = solver.solve(3.0, core::SpeedPolicy::kTwoSpeed,
+                                    core::EvalMode::kExactOptimize);
+    if (!fo.feasible || !exact.feasible) continue;
+    ++compared;
+    EXPECT_GT(core::time_overhead(p, fo.best.w_opt, fo.best.sigma1,
+                                  fo.best.sigma2),
+              3.0 * (1.0 + 1e-9))
+        << config.name();
+    EXPECT_LE(exact.best.time_overhead, 3.0 * (1.0 + 1e-9)) << config.name();
+  }
+  EXPECT_GE(compared, 6);
+}
+
 }  // namespace
 }  // namespace rexspeed

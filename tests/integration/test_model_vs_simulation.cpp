@@ -4,11 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "rexspeed/core/attempt_stats.hpp"
 #include "rexspeed/core/exact_expectations.hpp"
 #include "rexspeed/sim/monte_carlo.hpp"
+#include "support/crossval.hpp"
 #include "test_util.hpp"
 
 namespace rexspeed {
@@ -160,6 +163,83 @@ TEST(ModelVsSimulation, SingleSpeedPatternMatchesProp1) {
   const double expected =
       core::expected_time_single_speed_silent(p, w, sigma) / w;
   EXPECT_NEAR(mc.time_overhead.mean(), expected, slack(mc.time_ci));
+}
+
+/// The paper assumes exponential error arrivals (§2.1). These two tests
+/// run the exponential-optimal ρ = 3 policy of Hera/XScale at 100× its
+/// silent-error rate under Weibull arrivals of the same MTBF.
+struct WeibullCase {
+  core::ModelParams params;
+  core::PairSolution pair;
+};
+
+WeibullCase weibull_case() {
+  core::ModelParams p = test::params_for("Hera/XScale");
+  p.lambda_silent *= 100.0;
+  const core::BiCritSolution sol = core::BiCritSolver(p).solve(3.0);
+  EXPECT_TRUE(sol.feasible);
+  return {p, sol.best};
+}
+
+sim::Simulator weibull_simulator(const core::ModelParams& p, double shape) {
+  return sim::Simulator(
+      p, sim::FaultInjector(
+             sim::ArrivalSampler::weibull(shape, p.lambda_silent),
+             sim::ArrivalSampler::exponential(0.0)));
+}
+
+test::CrossValOptions weibull_options(double shape) {
+  test::CrossValOptions options;
+  options.base_seed = 0x5EED + static_cast<std::uint64_t>(shape * 100.0);
+  return options;
+}
+
+TEST(ModelVsSimulation, WeibullShapeOneMatchesExponentialClosedForms) {
+  // Shape 1 is the exponential distribution: the closed forms must hold
+  // within the shared stderr tolerance.
+  const WeibullCase c = weibull_case();
+  const core::PairSolution& pair = c.pair;
+  test::expect_simulator_matches_model(
+      weibull_simulator(c.params, 1.0),
+      sim::ExecutionPolicy::from_solution(pair),
+      time_overhead(c.params, pair.w_opt, pair.sigma1, pair.sigma2),
+      energy_overhead(c.params, pair.w_opt, pair.sigma1, pair.sigma2),
+      weibull_options(1.0));
+}
+
+TEST(ModelVsSimulation, ClusteredWeibullErrorsRaiseOverheadsMonotonically) {
+  // Shape < 1 clusters errors at the same mean rate. Each smaller shape
+  // must raise both overheads by more than the stderr tolerance.
+  const WeibullCase c = weibull_case();
+  double prev_time = 0.0;
+  double prev_time_se = 0.0;
+  double prev_energy = 0.0;
+  double prev_energy_se = 0.0;
+  for (const double shape : {1.0, 0.9, 0.7, 0.5}) {
+    SCOPED_TRACE("shape=" + std::to_string(shape));
+    const test::CrossValOptions options = weibull_options(shape);
+    sim::MonteCarloOptions mc_options;
+    mc_options.replications = options.replications;
+    mc_options.total_work = options.patterns_per_replication * c.pair.w_opt;
+    mc_options.base_seed = options.base_seed;
+    const sim::MonteCarloResult mc = sim::run_monte_carlo(
+        weibull_simulator(c.params, shape),
+        sim::ExecutionPolicy::from_solution(c.pair), mc_options);
+    const double time = mc.time_overhead.mean();
+    const double time_se = mc.time_overhead.standard_error();
+    const double energy = mc.energy_overhead.mean();
+    const double energy_se = mc.energy_overhead.standard_error();
+    if (shape < 1.0) {
+      EXPECT_GT(time - prev_time,
+                options.sigmas * std::hypot(time_se, prev_time_se));
+      EXPECT_GT(energy - prev_energy,
+                options.sigmas * std::hypot(energy_se, prev_energy_se));
+    }
+    prev_time = time;
+    prev_time_se = time_se;
+    prev_energy = energy;
+    prev_energy_se = energy_se;
+  }
 }
 
 }  // namespace
