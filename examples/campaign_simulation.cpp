@@ -90,8 +90,8 @@ int main(int argc, char** argv) try {
               config_name.c_str(), days, reps, boost, params.lambda_silent);
 
   const Comparison rows[] = {
-      evaluate("two-speed", params, hot_two.pair, total_work, reps, seed),
-      evaluate("one-speed", params, hot_one.pair, total_work, reps,
+      evaluate("two-speed", params, hot_two.pair(), total_work, reps, seed),
+      evaluate("one-speed", params, hot_one.pair(), total_work, reps,
                seed + 1)};
 
   io::TableWriter table({"policy", "(s1,s2)", "Wopt", "T/W model",

@@ -75,16 +75,16 @@ int main(int argc, char** argv) try {
     }
     const double saving =
         one.feasible()
-            ? 100.0 * (1.0 - two.pair.energy_overhead /
-                                 one.pair.energy_overhead)
+            ? 100.0 * (1.0 - two.pair().energy_overhead /
+                                 one.pair().energy_overhead)
             : 0.0;
     table.add_row({io::TableWriter::cell(rho, 3),
-                   io::TableWriter::cell(two.pair.sigma1, 2),
-                   io::TableWriter::cell(two.pair.sigma2, 2),
-                   io::TableWriter::cell(two.pair.w_opt, 0),
-                   io::TableWriter::cell(two.pair.energy_overhead, 1),
+                   io::TableWriter::cell(two.pair().sigma1, 2),
+                   io::TableWriter::cell(two.pair().sigma2, 2),
+                   io::TableWriter::cell(two.pair().w_opt, 0),
+                   io::TableWriter::cell(two.pair().energy_overhead, 1),
                    one.feasible()
-                       ? io::TableWriter::cell(one.pair.energy_overhead, 1)
+                       ? io::TableWriter::cell(one.pair().energy_overhead, 1)
                        : "-",
                    io::TableWriter::cell(saving, 1)});
   }

@@ -44,12 +44,12 @@ int main(int argc, char** argv) try {
 
   // 1. Solve: best segmented pattern vs the paper's single verification.
   const core::InterleavedSolution best =
-      engine::solve_scenario(spec).interleaved;
+      engine::solve_scenario(spec).interleaved();
   engine::ScenarioSpec pinned = spec;
   pinned.max_segments = 0;
   pinned.segments = 1;
   const core::InterleavedSolution single =
-      engine::solve_scenario(pinned).interleaved;
+      engine::solve_scenario(pinned).interleaved();
   if (!best.feasible || !single.feasible) {
     std::printf("infeasible at rho = %g\n", spec.rho);
     return 1;
@@ -73,7 +73,7 @@ int main(int argc, char** argv) try {
   io::TableWriter table({"m", "sigma1", "sigma2", "Wopt", "E/W",
                          "saved vs m=1 %"});
   for (const auto& point : panel.points) {
-    const core::InterleavedSolution& pattern = point.primary.interleaved;
+    const core::InterleavedSolution& pattern = point.primary.interleaved();
     if (!pattern.feasible) continue;
     table.add_row({io::TableWriter::cell(point.x, 0),
                    io::TableWriter::cell(pattern.sigma1, 2),

@@ -55,12 +55,13 @@ AttemptProfile profile(const ModelParams& p, double work, unsigned segments,
   // P(first error in segment i) = e^{−(i−1)a}(1 − e^{−a}); detection at
   // the end of segment i costs i·step.
   const double p_seg = -std::expm1(-a);
-  double survive = 1.0;  // e^{−(i−1)a}
+  const double keep = std::exp(-a);  // loop-invariant: one libm call
+  double survive = 1.0;              // e^{−(i−1)a}
   for (unsigned i = 1; i <= segments; ++i) {
     const double pi = survive * p_seg;
     out.q += pi;
     out.lost_time += pi * static_cast<double>(i) * step;
-    survive *= std::exp(-a);
+    survive *= keep;
   }
   return out;
 }

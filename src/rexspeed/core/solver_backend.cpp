@@ -17,17 +17,21 @@ namespace rexspeed::core {
 
 Solution Solution::from_pair(PairSolution solution, bool used_fallback) {
   Solution out;
-  out.kind = SolutionKind::kPair;
-  out.pair = std::move(solution);
+  out.payload_ = solution;
   out.used_fallback = used_fallback;
   return out;
 }
 
 Solution Solution::from_interleaved(InterleavedSolution solution) {
   Solution out;
-  out.kind = SolutionKind::kInterleaved;
-  out.interleaved = solution;
+  out.payload_ = solution;
   return out;
+}
+
+void Solution::throw_wrong_kind() const {
+  throw std::logic_error(kind() == SolutionKind::kPair
+                             ? "Solution: interleaved() on a pair solution"
+                             : "Solution: pair() on an interleaved solution");
 }
 
 double PanelPoint::energy_saving() const noexcept {
@@ -571,6 +575,30 @@ PairSolution solve_cached(const ModelParams& params, double rho,
   return tight_solution(params, rho, pair);
 }
 
+/// The exact-opt scan at `rho` under `policy`: every admitted pair solved
+/// in cache order, the first strictly lowest-energy feasible one winning.
+/// `sink` sees every candidate (solve_report keeps them; solve does not).
+template <class Sink>
+PairSolution best_cached_pair(const ModelParams& params,
+                              const std::vector<ExactExpansion>& cache,
+                              double rho, SpeedPolicy policy, Sink&& sink) {
+  PairSolution best;
+  double best_energy = std::numeric_limits<double>::infinity();
+  for (const ExactExpansion& cached : cache) {
+    if (policy == SpeedPolicy::kSingleSpeed &&
+        cached.index1 != cached.index2) {
+      continue;
+    }
+    PairSolution pair = solve_cached(params, rho, cached);
+    if (pair.feasible && pair.energy_overhead < best_energy) {
+      best_energy = pair.energy_overhead;
+      best = pair;
+    }
+    sink(std::move(pair));
+  }
+  return best;
+}
+
 /// The best-effort pattern when no pair satisfies the bound: the pair with
 /// the smallest EXACT achievable bound rho_min, run at its time-optimal
 /// pattern size — the exact-model analog of
@@ -684,9 +712,11 @@ const PairSolution& ExactOptBackend::min_rho_pair(SpeedPolicy policy) const {
 
 Solution ExactOptBackend::solve(double rho, SpeedPolicy policy,
                                 bool min_rho_fallback) const {
-  return pair_or_fallback(solve_report(rho, policy).best,
-                                         min_rho_pair(policy),
-                                         min_rho_fallback);
+  check_solvable(rho);
+  return pair_or_fallback(
+      best_cached_pair(params_, expansions_, rho, policy,
+                       [](PairSolution&&) {}),
+      min_rho_pair(policy), min_rho_fallback);
 }
 
 Solution ExactOptBackend::solve_baseline(double rho,
@@ -713,20 +743,12 @@ BiCritSolution ExactOptBackend::solve_report(double rho,
   check_solvable(rho);
   BiCritSolution solution;
   solution.pairs.reserve(expansions_.size());
-  double best_energy = std::numeric_limits<double>::infinity();
-  for (const ExactExpansion& cached : expansions_) {
-    if (policy == SpeedPolicy::kSingleSpeed &&
-        cached.index1 != cached.index2) {
-      continue;
-    }
-    PairSolution pair = solve_cached(params_, rho, cached);
-    if (pair.feasible && pair.energy_overhead < best_energy) {
-      best_energy = pair.energy_overhead;
-      solution.best = pair;
-      solution.feasible = true;
-    }
-    solution.pairs.push_back(std::move(pair));
-  }
+  solution.best = best_cached_pair(
+      params_, expansions_, rho, policy,
+      [&solution](PairSolution&& pair) {
+        solution.pairs.push_back(std::move(pair));
+      });
+  solution.feasible = solution.best.feasible;
   return solution;
 }
 
@@ -1037,9 +1059,7 @@ Solution InterleavedBackend::solve_segments(double rho,
 
 Solution InterleavedBackend::min_rho(SpeedPolicy /*policy*/) const {
   // No min-ρ fallback in interleaved mode: an infeasible Solution.
-  Solution out;
-  out.kind = SolutionKind::kInterleaved;
-  return out;
+  return Solution::from_interleaved(InterleavedSolution{});
 }
 
 std::unique_ptr<SolverBackend> InterleavedBackend::rebind(

@@ -4,6 +4,8 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "rexspeed/core/bicrit_solver.hpp"
@@ -19,16 +21,53 @@ enum class SolutionKind {
   kInterleaved,  ///< a segmented pattern (InterleavedSolution)
 };
 
-/// The unified solve outcome every SolverBackend returns: a tagged struct
-/// subsuming PairSolution (the closed-form and exact backends) and
-/// InterleavedSolution (the segmented backend) behind one common
+/// The unified solve outcome every SolverBackend returns: exactly one of
+/// PairSolution (the closed-form and exact backends) and
+/// InterleavedSolution (the segmented backend), behind one common
 /// feasibility / speeds / overhead view, so engine drivers, panels and the
-/// CLI report any backend's result without mode branches. The payload the
-/// tag does not select is default-constructed.
-struct Solution {
-  SolutionKind kind = SolutionKind::kPair;
-  PairSolution pair;                ///< kPair payload
-  InterleavedSolution interleaved;  ///< kInterleaved payload
+/// CLI report any backend's result without mode branches. The payload is a
+/// variant whose index is the kind, so a Solution stores one payload, not
+/// both (a PanelPoint holds two Solutions per grid point). pair() and
+/// interleaved() are checked: asking for the payload a Solution does not
+/// hold throws std::logic_error instead of reading defaults.
+class Solution {
+ public:
+  /// An infeasible pair solution (the default payload).
+  Solution() = default;
+
+  [[nodiscard]] static Solution from_pair(PairSolution solution,
+                                          bool used_fallback = false);
+  [[nodiscard]] static Solution from_interleaved(
+      InterleavedSolution solution);
+
+  [[nodiscard]] SolutionKind kind() const noexcept {
+    return payload_.index() == 0 ? SolutionKind::kPair
+                                 : SolutionKind::kInterleaved;
+  }
+
+  /// The kPair payload; throws std::logic_error on an interleaved one.
+  [[nodiscard]] const PairSolution& pair() const {
+    return checked<PairSolution>();
+  }
+  [[nodiscard]] PairSolution& pair() { return checked<PairSolution>(); }
+  /// The kInterleaved payload; throws std::logic_error on a pair one.
+  [[nodiscard]] const InterleavedSolution& interleaved() const {
+    return checked<InterleavedSolution>();
+  }
+  [[nodiscard]] InterleavedSolution& interleaved() {
+    return checked<InterleavedSolution>();
+  }
+  /// The payload of type `Payload` (PairSolution or
+  /// InterleavedSolution), or null when the Solution holds the other one.
+  template <class Payload>
+  [[nodiscard]] const Payload* payload_if() const noexcept {
+    return std::get_if<Payload>(&payload_);
+  }
+  template <class Payload>
+  [[nodiscard]] Payload* payload_if() noexcept {
+    return std::get_if<Payload>(&payload_);
+  }
+
   /// True when the bound was unachievable and the backend degraded to its
   /// min-ρ best-effort policy (pair backends only; see
   /// SolverBackend::solve).
@@ -36,36 +75,55 @@ struct Solution {
 
   // ---- the common view -------------------------------------------------
   [[nodiscard]] bool feasible() const noexcept {
-    return kind == SolutionKind::kPair ? pair.feasible
-                                       : interleaved.feasible;
+    return view([](const auto& p) { return p.feasible; });
   }
   [[nodiscard]] double sigma1() const noexcept {
-    return kind == SolutionKind::kPair ? pair.sigma1 : interleaved.sigma1;
+    return view([](const auto& p) { return p.sigma1; });
   }
   [[nodiscard]] double sigma2() const noexcept {
-    return kind == SolutionKind::kPair ? pair.sigma2 : interleaved.sigma2;
+    return view([](const auto& p) { return p.sigma2; });
   }
   [[nodiscard]] double w_opt() const noexcept {
-    return kind == SolutionKind::kPair ? pair.w_opt : interleaved.w_opt;
+    return view([](const auto& p) { return p.w_opt; });
   }
   [[nodiscard]] double energy_overhead() const noexcept {
-    return kind == SolutionKind::kPair ? pair.energy_overhead
-                                       : interleaved.energy_overhead;
+    return view([](const auto& p) { return p.energy_overhead; });
   }
   [[nodiscard]] double time_overhead() const noexcept {
-    return kind == SolutionKind::kPair ? pair.time_overhead
-                                       : interleaved.time_overhead;
+    return view([](const auto& p) { return p.time_overhead; });
   }
   /// Verifications per pattern (1 for every pair solution — the paper's
   /// own pattern).
   [[nodiscard]] unsigned segments() const noexcept {
-    return kind == SolutionKind::kPair ? 1u : interleaved.segments;
+    const InterleavedSolution* pattern = payload_if<InterleavedSolution>();
+    return pattern != nullptr ? pattern->segments : 1u;
   }
 
-  [[nodiscard]] static Solution from_pair(PairSolution solution,
-                                          bool used_fallback = false);
-  [[nodiscard]] static Solution from_interleaved(
-      InterleavedSolution solution);
+ private:
+  template <class Payload>
+  [[nodiscard]] const Payload& checked() const {
+    const Payload* payload = payload_if<Payload>();
+    if (payload == nullptr) throw_wrong_kind();
+    return *payload;
+  }
+  template <class Payload>
+  [[nodiscard]] Payload& checked() {
+    Payload* payload = payload_if<Payload>();
+    if (payload == nullptr) throw_wrong_kind();
+    return *payload;
+  }
+  [[noreturn]] void throw_wrong_kind() const;
+
+  template <class Field>
+  [[nodiscard]] std::invoke_result_t<Field, const PairSolution&> view(
+      Field field) const noexcept {
+    if (const PairSolution* pair = payload_if<PairSolution>()) {
+      return field(*pair);
+    }
+    return field(*payload_if<InterleavedSolution>());
+  }
+
+  std::variant<PairSolution, InterleavedSolution> payload_;
 };
 
 /// One x position of a figure panel, backend-agnostic: the backend's best

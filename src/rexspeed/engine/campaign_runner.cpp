@@ -79,23 +79,23 @@ std::vector<ScenarioResult> CampaignRunner::run(
     }
   }
 
-  // Phase 1.5: build the heavyweight deferred caches across the pool —
-  // the interleaved solvers (per-(σ1,σ2,m) curve optimization) and the
-  // exact backends (per-(σ1,σ2) exact curve optimization), each the
-  // dominant cost of its panel or solve. Which plans need one is the
-  // backend's business (needs_prepare), not a mode branch. Solve
-  // backends prepare here too: left to their stream task, a heavy
-  // interleaved/exact solve would rebuild its whole cache serially on
-  // one worker at whatever point the scheduler placed it — exactly the
-  // tail the longest-first ordering below exists to avoid. Every plan
-  // was fully validated above so prepare() cannot throw. One extra
-  // barrier, paid only by campaigns that actually carry such backends.
+  // Phase 1.5: prepare every missed panel across the pool. That sizes its
+  // series — the first touch of the campaign's result storage, ≈112 MB at
+  // 10001 points, which a serial planning phase would fault in on one
+  // thread — and builds the heavyweight deferred caches: the interleaved
+  // solvers (per-(σ1,σ2,m) curve optimization) and the exact backends
+  // (per-(σ1,σ2) exact curve optimization), each the dominant cost of its
+  // panel or solve. Which plans need a cache is the backend's business
+  // (needs_prepare), not a mode branch. Solve backends prepare here too:
+  // left to their stream task, a heavy interleaved/exact solve would
+  // rebuild its whole cache serially on one worker at whatever point the
+  // scheduler placed it — exactly the tail the longest-first ordering
+  // below exists to avoid. Every plan was fully validated above so
+  // prepare() cannot throw.
   std::vector<std::function<void()>> prepare_tasks;
   for (PanelOutput& output : panels) {
     sweep::PanelSweep& plan = *output.job.sweep;
-    if (plan.needs_prepare()) {
-      prepare_tasks.push_back([&plan] { plan.prepare(); });
-    }
+    prepare_tasks.push_back([&plan] { plan.prepare(); });
   }
   for (SolveOutput& output : solves) {
     core::SolverBackend& backend = *output.job.backend;

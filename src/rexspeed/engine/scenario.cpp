@@ -474,12 +474,12 @@ sim::ExecutionPolicy make_policy(const ScenarioSpec& spec) {
              ? " (interleaved mode has no min-rho fallback)"
              : " and its min-rho fallback is disabled"));
   }
-  if (solution.kind == core::SolutionKind::kInterleaved) {
+  if (solution.kind() == core::SolutionKind::kInterleaved) {
     return sim::ExecutionPolicy::segmented(
-        solution.interleaved.w_opt, solution.interleaved.segments,
-        solution.interleaved.sigma1, solution.interleaved.sigma2);
+        solution.interleaved().w_opt, solution.interleaved().segments,
+        solution.interleaved().sigma1, solution.interleaved().sigma2);
   }
-  return sim::ExecutionPolicy::from_solution(solution.pair);
+  return sim::ExecutionPolicy::from_solution(solution.pair());
 }
 
 }  // namespace rexspeed::engine

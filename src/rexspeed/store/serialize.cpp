@@ -212,18 +212,49 @@ core::SolutionKind read_solution_kind(ByteReader& in) {
                   : core::SolutionKind::kInterleaved;
 }
 
+/// A default-constructed payload: what both codecs store for the payload
+/// a Solution does not hold.
+template <class Payload>
+const Payload kInactive{};
+
+template <class Payload>
+const Payload& payload_or_default(const core::Solution& solution) {
+  const Payload* payload = solution.payload_if<Payload>();
+  return payload != nullptr ? *payload : kInactive<Payload>;
+}
+
+/// Reads the payload a Solution does not hold: only the bytes of a default
+/// one are accepted, so decode → encode stays the identity.
+template <class Payload, class Write>
+void skip_inactive(ByteReader& in, Write write) {
+  static const std::string expected = [write] {
+    ByteWriter out;
+    write(out, kInactive<Payload>);
+    return out.take();
+  }();
+  if (in.bytes(expected.size()) != expected) {
+    throw SerializeError("deserialize: inactive payload holds non-default "
+                         "values");
+  }
+}
+
 void write_solution(ByteWriter& out, const core::Solution& solution) {
-  out.u8(solution.kind == core::SolutionKind::kPair ? 0 : 1);
-  write_pair_solution(out, solution.pair);
-  write_interleaved_solution(out, solution.interleaved);
+  out.u8(solution.kind() == core::SolutionKind::kPair ? 0 : 1);
+  write_pair_solution(out, payload_or_default<core::PairSolution>(solution));
+  write_interleaved_solution(
+      out, payload_or_default<core::InterleavedSolution>(solution));
   out.boolean(solution.used_fallback);
 }
 
 core::Solution read_solution(ByteReader& in) {
   core::Solution solution;
-  solution.kind = read_solution_kind(in);
-  solution.pair = read_pair_solution(in);
-  solution.interleaved = read_interleaved_solution(in);
+  if (read_solution_kind(in) == core::SolutionKind::kPair) {
+    solution = core::Solution::from_pair(read_pair_solution(in));
+    skip_inactive<core::InterleavedSolution>(in, write_interleaved_solution);
+  } else {
+    skip_inactive<core::PairSolution>(in, write_pair_solution);
+    solution = core::Solution::from_interleaved(read_interleaved_solution(in));
+  }
   solution.used_fallback = in.boolean();
   return solution;
 }
@@ -414,45 +445,107 @@ bool narrow(std::uint64_t word, core::SolutionKind& kind) {
   return word <= 1;
 }
 
-/// Calls visit(field) for every stored field of a Solution, in column
-/// order; field(solution) returns a reference to that field.
+/// One stored column of a Row: get(row) is the word the encoder writes,
+/// put(row, word) stores a decoded word back and returns false when no
+/// value of the field widens to it.
+template <class Get, class Put>
+struct Column {
+  Get get;
+  Put put;
+};
+template <class Get, class Put>
+Column(Get, Put) -> Column<Get, Put>;  // for compilers without aggregate CTAD
+
+/// The column of a plain field; field(row) returns a reference to it.
+template <class Field>
+auto plain_column(Field field) {
+  return Column{[field](const auto& row) { return widen(field(row)); },
+                [field](auto& row, std::uint64_t word) {
+                  return narrow(word, field(row));
+                }};
+}
+
+/// The column of a `Payload` field; field(payload) returns a reference to
+/// it. A Solution holding the other payload stores the default's word,
+/// and decodes only that word.
+template <class Payload, class Field>
+auto payload_column(Field field) {
+  return Column{
+      [field](const core::Solution& s) {
+        return widen(field(payload_or_default<Payload>(s)));
+      },
+      [field](core::Solution& s, std::uint64_t word) {
+        if (Payload* payload = s.payload_if<Payload>()) {
+          return narrow(word, field(*payload));
+        }
+        return word == widen(field(kInactive<Payload>));
+      }};
+}
+
+/// Calls visit(column) for every stored field of a Solution, in column
+/// order. The kind comes first: it picks each row's payload before the
+/// payload columns are decoded into it.
 template <class Visit>
 void for_each_solution_field(Visit&& visit) {
-  visit([](auto& s) -> auto& { return s.kind; });
-  visit([](auto& s) -> auto& { return s.pair.sigma1; });
-  visit([](auto& s) -> auto& { return s.pair.sigma2; });
-  visit([](auto& s) -> auto& { return s.pair.sigma1_index; });
-  visit([](auto& s) -> auto& { return s.pair.sigma2_index; });
-  visit([](auto& s) -> auto& { return s.pair.feasible; });
-  visit([](auto& s) -> auto& { return s.pair.first_order_valid; });
-  visit([](auto& s) -> auto& { return s.pair.rho_min; });
-  visit([](auto& s) -> auto& { return s.pair.w_opt; });
-  visit([](auto& s) -> auto& { return s.pair.w_energy; });
-  visit([](auto& s) -> auto& { return s.pair.w_min; });
-  visit([](auto& s) -> auto& { return s.pair.w_max; });
-  visit([](auto& s) -> auto& { return s.pair.energy_overhead; });
-  visit([](auto& s) -> auto& { return s.pair.time_overhead; });
-  visit([](auto& s) -> auto& { return s.interleaved.feasible; });
-  visit([](auto& s) -> auto& { return s.interleaved.segments; });
-  visit([](auto& s) -> auto& { return s.interleaved.sigma1; });
-  visit([](auto& s) -> auto& { return s.interleaved.sigma2; });
-  visit([](auto& s) -> auto& { return s.interleaved.w_opt; });
-  visit([](auto& s) -> auto& { return s.interleaved.energy_overhead; });
-  visit([](auto& s) -> auto& { return s.interleaved.time_overhead; });
-  visit([](auto& s) -> auto& { return s.used_fallback; });
+  using core::InterleavedSolution;
+  using core::PairSolution;
+  visit(Column{[](const core::Solution& s) { return widen(s.kind()); },
+               [](core::Solution& s, std::uint64_t word) {
+                 core::SolutionKind kind;
+                 const bool valid = narrow(word, kind);
+                 if (kind != s.kind()) {
+                   s = kind == core::SolutionKind::kPair
+                           ? core::Solution::from_pair({})
+                           : core::Solution::from_interleaved({});
+                 }
+                 return valid;
+               }});
+  const auto pair = [&visit](auto field) {
+    visit(payload_column<PairSolution>(field));
+  };
+  const auto pattern = [&visit](auto field) {
+    visit(payload_column<InterleavedSolution>(field));
+  };
+  pair([](auto& p) -> auto& { return p.sigma1; });
+  pair([](auto& p) -> auto& { return p.sigma2; });
+  pair([](auto& p) -> auto& { return p.sigma1_index; });
+  pair([](auto& p) -> auto& { return p.sigma2_index; });
+  pair([](auto& p) -> auto& { return p.feasible; });
+  pair([](auto& p) -> auto& { return p.first_order_valid; });
+  pair([](auto& p) -> auto& { return p.rho_min; });
+  pair([](auto& p) -> auto& { return p.w_opt; });
+  pair([](auto& p) -> auto& { return p.w_energy; });
+  pair([](auto& p) -> auto& { return p.w_min; });
+  pair([](auto& p) -> auto& { return p.w_max; });
+  pair([](auto& p) -> auto& { return p.energy_overhead; });
+  pair([](auto& p) -> auto& { return p.time_overhead; });
+  pattern([](auto& p) -> auto& { return p.feasible; });
+  pattern([](auto& p) -> auto& { return p.segments; });
+  pattern([](auto& p) -> auto& { return p.sigma1; });
+  pattern([](auto& p) -> auto& { return p.sigma2; });
+  pattern([](auto& p) -> auto& { return p.w_opt; });
+  pattern([](auto& p) -> auto& { return p.energy_overhead; });
+  pattern([](auto& p) -> auto& { return p.time_overhead; });
+  visit(plain_column([](auto& s) -> auto& { return s.used_fallback; }));
 }
 
 /// The same for a PanelPoint: x, then the primary's fields, then the
 /// baseline's.
 template <class Visit>
 void for_each_point_field(Visit&& visit) {
-  visit([](auto& p) -> auto& { return p.x; });
-  for_each_solution_field([&](auto field) {
-    visit([field](auto& p) -> auto& { return field(p.primary); });
-  });
-  for_each_solution_field([&](auto field) {
-    visit([field](auto& p) -> auto& { return field(p.baseline); });
-  });
+  visit(plain_column([](auto& p) -> auto& { return p.x; }));
+  const auto of = [&visit](auto member) {
+    return [&visit, member](auto column) {
+      visit(Column{[column, member](const core::PanelPoint& p) {
+                     return column.get(p.*member);
+                   },
+                   [column, member](core::PanelPoint& p, std::uint64_t word) {
+                     return column.put(p.*member, word);
+                   }});
+    };
+  };
+  for_each_solution_field(of(&core::PanelPoint::primary));
+  for_each_solution_field(of(&core::PanelPoint::baseline));
 }
 
 /// A column's layout tag (serialize.hpp documents each).
@@ -698,7 +791,7 @@ void read_column(ByteReader& in, std::span<std::uint64_t> words,
   }
 }
 
-/// Calls visit(field) for every stored field of a Row (a PanelPoint or a
+/// Calls visit(column) for every stored field of a Row (a PanelPoint or a
 /// Solution), in column order.
 template <class Row, class Visit>
 void for_each_field(Visit&& visit) {
@@ -718,9 +811,9 @@ template <class Row>
 void encode_rows(ByteWriter& out, std::span<const Row> rows) {
   std::vector<std::uint64_t> words(rows.size());
   WordTable table;
-  for_each_field<Row>([&](auto field) {
+  for_each_field<Row>([&](auto column) {
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      words[i] = widen(field(rows[i]));
+      words[i] = column.get(rows[i]);
     }
     write_column(out, words, table);
   });
@@ -731,14 +824,16 @@ void decode_rows(ByteReader& in, std::span<Row> rows) {
   std::vector<std::uint64_t> words(rows.size());
   WordTable table;
   bool valid = true;
-  for_each_field<Row>([&](auto field) {
+  for_each_field<Row>([&](auto column) {
     read_column(in, words, table);
     for (std::size_t i = 0; i < rows.size(); ++i) {
-      valid &= narrow(words[i], field(rows[i]));
+      valid &= column.put(rows[i], words[i]);
     }
   });
   if (!valid) {
-    throw SerializeError("deserialize: column value out of its field's range");
+    throw SerializeError(
+        "deserialize: column value out of its field's range, or set on the "
+        "payload its row does not hold");
   }
 }
 

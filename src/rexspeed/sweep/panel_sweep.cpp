@@ -26,8 +26,8 @@ Series to_series(const PanelSeries& panel) {
                   {"sigma1", "sigma2", "Wopt2", "energy2", "sigma", "Wopt1",
                    "energy1", "saving"});
     for (const core::PanelPoint& point : panel.points) {
-      const core::PairSolution& two = point.primary.pair;
-      const core::PairSolution& one = point.baseline.pair;
+      const core::PairSolution& two = point.primary.pair();
+      const core::PairSolution& one = point.baseline.pair();
       series.add_row(point.x, {two.feasible ? two.sigma1 : kNaN,
                                two.feasible ? two.sigma2 : kNaN,
                                two.feasible ? two.w_opt : kNaN,
@@ -46,8 +46,8 @@ Series to_series(const PanelSeries& panel) {
                 {"best_m", "sigma1", "sigma2", "Wopt", "energy", "time",
                  "energy1", "saving"});
   for (const core::PanelPoint& point : panel.points) {
-    const core::InterleavedSolution& best = point.primary.interleaved;
-    const core::InterleavedSolution& one = point.baseline.interleaved;
+    const core::InterleavedSolution& best = point.primary.interleaved();
+    const core::InterleavedSolution& one = point.baseline.interleaved();
     series.add_row(
         point.x,
         {best.feasible ? static_cast<double>(best.segments) : kNaN,
@@ -128,10 +128,15 @@ PanelSweep::PanelSweep(std::unique_ptr<core::SolverBackend> backend,
   series_.rho = options_.rho;
   series_.kind = caps.kind;
   series_.max_segments = caps.max_segments;
-  series_.points.resize(grid_.size());
+}
+
+void PanelSweep::allocate() {
+  std::call_once(*allocated_,
+                 [this] { series_.points.resize(grid_.size()); });
 }
 
 void PanelSweep::prepare() {
+  allocate();
   if (!needs_prepare()) return;
   backend_->prepare(make_parallel_build(options_.pool));
 }
@@ -143,6 +148,7 @@ std::size_t PanelSweep::chunk_size(unsigned threads) const noexcept {
 }
 
 void PanelSweep::solve_chunk(std::size_t begin, std::size_t end) {
+  allocate();
   if (!chained_) {
     backend_->solve_batch(series_.parameter, grid_.data() + begin,
                           end - begin, options_.rho,

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -14,7 +15,7 @@ namespace rexspeed::sweep {
 /// grid value, tagged with the backend's solution kind. This is the one
 /// panel type: every sweep, campaign, cache entry and export carries it,
 /// whatever the mode (pair panels hold the two-speed optimum as
-/// `primary.pair` and the single-speed baseline as `baseline.pair`;
+/// `primary.pair()` and the single-speed baseline as `baseline.pair()`;
 /// interleaved panels the best segmented pattern and its m = 1 baseline).
 struct PanelSeries {
   SweepParameter parameter = SweepParameter::kCheckpointTime;
@@ -54,10 +55,11 @@ struct PanelSeries {
 /// path of its mode bit for bit.
 ///
 /// Construction is two-phase: the constructor validates everything (cheap,
-/// throws), prepare() pays the backend's deferred cache — the dominant
-/// cost of exact and interleaved ρ panels. The split lets the campaign
-/// runner build many panels' caches across its pool (prepare() cannot
-/// throw on a constructed plan).
+/// throws, allocates no points), prepare() sizes the series and pays the
+/// backend's deferred cache — the dominant cost of exact and interleaved ρ
+/// panels. The split lets the campaign runner fault in every panel's
+/// series and build every cache across its pool (prepare() cannot throw on
+/// a constructed plan).
 ///
 /// The one unit of work is a contiguous chunk of the grid
 /// (solve_chunk): one backend solve_batch call. Both run_panel_sweep and
@@ -84,18 +86,19 @@ class PanelSweep {
     return grid_.size();
   }
 
-  /// True until prepare() has built the cache the panel needs (always
-  /// false for panels that need none) — lets batched drivers skip the
-  /// prepare pass for plans that would no-op.
+  /// True until prepare() has built the backend cache the panel needs
+  /// (always false for panels that need none).
   [[nodiscard]] bool needs_prepare() const noexcept {
     return shared_ && backend_->needs_prepare();
   }
 
-  /// Builds the shared backend's deferred cache (idempotent; no-op for
-  /// panels whose backend needs none or whose points each have their own
-  /// params). Uses options.pool, when set, to parallelize independent
-  /// cache entries — the cache is bit-identical either way. Must complete
-  /// before the first solve_chunk; never throws on a constructed plan.
+  /// Sizes the series to the grid, then builds the shared backend's
+  /// deferred cache (idempotent; the cache step is a no-op for panels
+  /// whose backend needs none or whose points each have their own params).
+  /// Uses options.pool, when set, to parallelize independent cache
+  /// entries — the cache is bit-identical either way. Must complete before
+  /// the first solve_chunk on a panel that needs_prepare(); never throws
+  /// on a constructed plan.
   void prepare();
 
   /// Points per chunk when `threads` workers share the panel:
@@ -105,9 +108,10 @@ class PanelSweep {
   [[nodiscard]] std::size_t chunk_size(unsigned threads) const noexcept;
 
   /// Solves grid points [begin, end) into their series slots (prepare()
-  /// first) in one backend solve_batch call. A warm-start chain walks the
-  /// range in order, seeding each point's rebind from its neighbor's
-  /// harvested optima, starting cold at `begin` — which is why
+  /// first; a panel that needs no cache sizes its series here when
+  /// nothing prepared it) in one backend solve_batch call. A warm-start
+  /// chain walks the range in order, seeding each point's rebind from its
+  /// neighbor's harvested optima, starting cold at `begin` — which is why
   /// chunk_size never splits one.
   void solve_chunk(std::size_t begin, std::size_t end);
 
@@ -133,12 +137,19 @@ class PanelSweep {
   [[nodiscard]] PanelSeries run();
 
  private:
+  /// Sizes series_.points to the grid, exactly once, on whichever thread
+  /// gets here first: the value-initialization faults the whole panel in.
+  void allocate();
+
   std::unique_ptr<core::SolverBackend> backend_;
   bool shared_ = false;
   bool chained_ = false;
   SweepOptions options_;
   std::vector<double> grid_;
   PanelSeries series_;
+  /// allocate()'s guard, by pointer so a PanelSweep stays movable.
+  std::unique_ptr<std::once_flag> allocated_ =
+      std::make_unique<std::once_flag>();
 };
 
 /// Runs one panel over an explicit grid off the given backend

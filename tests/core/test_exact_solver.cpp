@@ -167,8 +167,8 @@ TEST(ExactOptBackend, ParallelBuildIsBitIdentical) {
   test::expect_identical_pair(
       serial.solve_report(2.0, SpeedPolicy::kTwoSpeed).best,
       reversed.solve_report(2.0, SpeedPolicy::kTwoSpeed).best);
-  test::expect_identical_pair(serial.min_rho(SpeedPolicy::kTwoSpeed).pair,
-                              reversed.min_rho(SpeedPolicy::kTwoSpeed).pair);
+  test::expect_identical_pair(serial.min_rho(SpeedPolicy::kTwoSpeed).pair(),
+                              reversed.min_rho(SpeedPolicy::kTwoSpeed).pair());
 }
 
 TEST(ExactOptBackend, MinRhoSolutionIsTheExactFloor) {
@@ -178,7 +178,7 @@ TEST(ExactOptBackend, MinRhoSolutionIsTheExactFloor) {
   solver.prepare();
   for (const SpeedPolicy policy :
        {SpeedPolicy::kTwoSpeed, SpeedPolicy::kSingleSpeed}) {
-    const PairSolution fallback = solver.min_rho(policy).pair;
+    const PairSolution fallback = solver.min_rho(policy).pair();
     ASSERT_TRUE(fallback.feasible);
     EXPECT_EQ(fallback.time_overhead, fallback.rho_min);
     if (policy == SpeedPolicy::kSingleSpeed) {

@@ -27,13 +27,13 @@ InterleavedBackend prepared(const ModelParams& params, unsigned max_segments) {
 
 /// The best pattern over every pair and count at `rho`.
 InterleavedSolution searched(const InterleavedBackend& backend, double rho) {
-  return backend.solve(rho, SpeedPolicy::kTwoSpeed, false).interleaved;
+  return backend.solve(rho, SpeedPolicy::kTwoSpeed, false).interleaved();
 }
 
 /// The best pattern over every pair at exactly `segments`.
 InterleavedSolution pinned(const InterleavedBackend& backend, double rho,
                            unsigned segments) {
-  return backend.solve_segments(rho, segments).interleaved;
+  return backend.solve_segments(rho, segments).interleaved();
 }
 
 /// The uncached reference: best pattern over every pair at the given cap.

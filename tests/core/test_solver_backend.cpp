@@ -44,7 +44,7 @@ TEST(Solution, CommonViewDispatchesOnTheKind) {
   pair.energy_overhead = 400.0;
   pair.time_overhead = 2.5;
   const Solution from_pair = Solution::from_pair(pair, true);
-  EXPECT_EQ(from_pair.kind, SolutionKind::kPair);
+  EXPECT_EQ(from_pair.kind(), SolutionKind::kPair);
   EXPECT_TRUE(from_pair.feasible());
   EXPECT_TRUE(from_pair.used_fallback);
   EXPECT_DOUBLE_EQ(from_pair.sigma1(), 0.4);
@@ -63,7 +63,7 @@ TEST(Solution, CommonViewDispatchesOnTheKind) {
   seg.energy_overhead = 350.0;
   seg.time_overhead = 3.0;
   const Solution from_seg = Solution::from_interleaved(seg);
-  EXPECT_EQ(from_seg.kind, SolutionKind::kInterleaved);
+  EXPECT_EQ(from_seg.kind(), SolutionKind::kInterleaved);
   EXPECT_TRUE(from_seg.feasible());
   EXPECT_FALSE(from_seg.used_fallback);
   EXPECT_EQ(from_seg.segments(), 4u);
@@ -71,7 +71,27 @@ TEST(Solution, CommonViewDispatchesOnTheKind) {
 
   // Default: an infeasible pair solution.
   const Solution empty;
+  EXPECT_EQ(empty.kind(), SolutionKind::kPair);
   EXPECT_FALSE(empty.feasible());
+}
+
+// A panel keeps one PanelPoint per grid point (10001 points × 52 panels
+// on a registry campaign), so the row must not regrow: one payload per
+// Solution, not both.
+static_assert(sizeof(PanelPoint) <= 216,
+              "PanelPoint regrew: a Solution holds one payload, not both");
+
+TEST(Solution, ReadingTheOtherPayloadThrows) {
+  const Solution pair = Solution::from_pair(PairSolution{});
+  const Solution pattern = Solution::from_interleaved(InterleavedSolution{});
+  EXPECT_NO_THROW((void)pair.pair());
+  EXPECT_NO_THROW((void)pattern.interleaved());
+  EXPECT_THROW((void)pair.interleaved(), std::logic_error);
+  EXPECT_THROW((void)pattern.pair(), std::logic_error);
+  Solution mutable_pattern = pattern;
+  EXPECT_THROW(mutable_pattern.pair().w_opt = 1.0, std::logic_error);
+  EXPECT_EQ(pair.payload_if<InterleavedSolution>(), nullptr);
+  EXPECT_EQ(pattern.payload_if<PairSolution>(), nullptr);
 }
 
 TEST(ClosedFormBackend, MatchesBiCritSolverBitForBit) {
@@ -84,7 +104,7 @@ TEST(ClosedFormBackend, MatchesBiCritSolverBitForBit) {
     for (const double rho : {1.4, 2.0, 3.0}) {
       for (const SpeedPolicy policy :
            {SpeedPolicy::kTwoSpeed, SpeedPolicy::kSingleSpeed}) {
-        expect_identical_pair(backend.solve(rho, policy, false).pair,
+        expect_identical_pair(backend.solve(rho, policy, false).pair(),
                               reference.solve(rho, policy, mode).best);
       }
     }
@@ -92,7 +112,7 @@ TEST(ClosedFormBackend, MatchesBiCritSolverBitForBit) {
                           reference.solve_pair_by_index(2.0, 0, 1, mode));
     for (const SpeedPolicy policy :
          {SpeedPolicy::kTwoSpeed, SpeedPolicy::kSingleSpeed}) {
-      expect_identical_pair(backend.min_rho(policy).pair,
+      expect_identical_pair(backend.min_rho(policy).pair(),
                             reference.min_rho_solution(policy));
     }
   }
@@ -194,7 +214,7 @@ TEST(ClosedFormBackend, MatchesPerCallSolveOnAllConfigurations) {
           const PairSolution reference =
               per_call_best(params, rho, policy, mode);
           EXPECT_EQ(cached.feasible(), reference.feasible);
-          expect_same_solution(cached.pair, reference);
+          expect_same_solution(cached.pair(), reference);
         }
       }
     }
@@ -227,8 +247,8 @@ TEST(ClosedFormBackend, SharedAcrossRhoGridMatchesPerPointBackends) {
   const ModelParams params = test::params_for("Coastal/XScale");
   const auto shared = prepared_first_order(params);
   for (double rho = 1.1; rho < 4.0; rho += 0.3) {
-    expect_same_solution(shared->solve(rho).pair,
-                         prepared_first_order(params)->solve(rho).pair);
+    expect_same_solution(shared->solve(rho).pair(),
+                         prepared_first_order(params)->solve(rho).pair());
   }
 }
 
@@ -241,8 +261,8 @@ TEST(ClosedFormBackend, FallbackSemanticsMatchTheHistoricalKernel) {
   const Solution with = backend.solve(1.0, SpeedPolicy::kTwoSpeed, true);
   EXPECT_TRUE(with.feasible());
   EXPECT_TRUE(with.used_fallback);
-  expect_identical_pair(with.pair,
-                        backend.min_rho(SpeedPolicy::kTwoSpeed).pair);
+  expect_identical_pair(with.pair(),
+                        backend.min_rho(SpeedPolicy::kTwoSpeed).pair());
   const Solution without =
       backend.solve(1.0, SpeedPolicy::kTwoSpeed, false);
   EXPECT_FALSE(without.feasible());
@@ -309,10 +329,10 @@ TEST(ExactOptBackend, PrepareLifecycleAndRouting) {
   const BiCritSolution report =
       backend.solve_report(2.0, SpeedPolicy::kTwoSpeed);
   expect_identical_pair(
-      backend.solve(2.0, SpeedPolicy::kTwoSpeed, false).pair, report.best);
+      backend.solve(2.0, SpeedPolicy::kTwoSpeed, false).pair(), report.best);
   expect_identical_pair(backend.solve_pair(2.0, 1, 0), report.pairs[1 * k]);
   const PairSolution fallback =
-      backend.min_rho(SpeedPolicy::kSingleSpeed).pair;
+      backend.min_rho(SpeedPolicy::kSingleSpeed).pair();
   EXPECT_TRUE(fallback.feasible);
   EXPECT_EQ(fallback.sigma1_index, fallback.sigma2_index);
 }
@@ -327,7 +347,7 @@ TEST(ExactOptBackend, RebindYieldsThePerBoundClosedFormPath) {
   EXPECT_FALSE(rebound->needs_prepare());
   const BiCritSolver reference(params);
   expect_identical_pair(
-      rebound->solve(2.0, SpeedPolicy::kTwoSpeed, false).pair,
+      rebound->solve(2.0, SpeedPolicy::kTwoSpeed, false).pair(),
       reference.solve(2.0, SpeedPolicy::kTwoSpeed,
                       EvalMode::kExactOptimize)
           .best);
@@ -347,19 +367,19 @@ TEST(InterleavedBackend, ValidatesEagerlyAndRoutesEverySolve) {
   EXPECT_EQ(backend.expansions().size(), k * k * 6);
   // The search is the best of the pinned solves; the baseline is m = 1.
   const InterleavedSolution searched =
-      backend.solve(5.0, SpeedPolicy::kTwoSpeed, false).interleaved;
+      backend.solve(5.0, SpeedPolicy::kTwoSpeed, false).interleaved();
   ASSERT_TRUE(searched.feasible);
   expect_identical_interleaved(
-      searched, backend.solve_segments(5.0, searched.segments).interleaved);
+      searched, backend.solve_segments(5.0, searched.segments).interleaved());
   for (unsigned m = 1; m <= 6; ++m) {
-    const InterleavedSolution at_m = backend.solve_segments(5.0, m).interleaved;
+    const InterleavedSolution at_m = backend.solve_segments(5.0, m).interleaved();
     EXPECT_EQ(at_m.segments, m);
     if (at_m.feasible) {
       EXPECT_GE(at_m.energy_overhead, searched.energy_overhead);
     }
   }
-  expect_identical_interleaved(backend.solve_baseline(5.0, false).interleaved,
-                               backend.solve_segments(5.0, 1).interleaved);
+  expect_identical_interleaved(backend.solve_baseline(5.0, false).interleaved(),
+                               backend.solve_segments(5.0, 1).interleaved());
   // No min-ρ fallback in this family: an infeasible Solution, and the
   // fallback flag on solve is accepted-but-ignored.
   EXPECT_FALSE(backend.min_rho(SpeedPolicy::kTwoSpeed).feasible());
@@ -370,8 +390,8 @@ TEST(InterleavedBackend, ValidatesEagerlyAndRoutesEverySolve) {
   InterleavedBackend pinned(params, 6, 3);
   pinned.prepare();
   expect_identical_interleaved(
-      pinned.solve(5.0, SpeedPolicy::kTwoSpeed, false).interleaved,
-      backend.solve_segments(5.0, 3).interleaved);
+      pinned.solve(5.0, SpeedPolicy::kTwoSpeed, false).interleaved(),
+      backend.solve_segments(5.0, 3).interleaved());
 
   // Construction-time rejection (never inside a worker).
   ModelParams failstop = params;
@@ -391,15 +411,15 @@ TEST(SolverBackend, PanelPointKernelCoversEveryAxisShape) {
   const PanelPoint rho_point = interleaved.solve_panel_point(
       SweepAxis::kPerformanceBound, 5.0, 99.0, false);
   expect_identical_interleaved(
-      rho_point.primary.interleaved,
-      interleaved.solve(5.0, SpeedPolicy::kTwoSpeed, false).interleaved);
-  expect_identical_interleaved(rho_point.baseline.interleaved,
-                               interleaved.solve_segments(5.0, 1).interleaved);
+      rho_point.primary.interleaved(),
+      interleaved.solve(5.0, SpeedPolicy::kTwoSpeed, false).interleaved());
+  expect_identical_interleaved(rho_point.baseline.interleaved(),
+                               interleaved.solve_segments(5.0, 1).interleaved());
 
   const PanelPoint m_point =
       interleaved.solve_panel_point(SweepAxis::kSegments, 3.0, 5.0, false);
-  expect_identical_interleaved(m_point.primary.interleaved,
-                               interleaved.solve_segments(5.0, 3).interleaved);
+  expect_identical_interleaved(m_point.primary.interleaved(),
+                               interleaved.solve_segments(5.0, 3).interleaved());
   EXPECT_GE(m_point.energy_saving(), 0.0);
 
   const ClosedFormBackend pair(test::params_for("Hera/XScale"),
@@ -410,10 +430,10 @@ TEST(SolverBackend, PanelPointKernelCoversEveryAxisShape) {
   EXPECT_DOUBLE_EQ(c_point.x, 1000.0);
   // Model axes assume a rebound backend; the bound is the panel's ρ.
   expect_identical_pair(
-      c_point.primary.pair,
+      c_point.primary.pair(),
       pair_reference.solve(3.0, SpeedPolicy::kTwoSpeed).best);
   expect_identical_pair(
-      c_point.baseline.pair,
+      c_point.baseline.pair(),
       pair_reference.solve(3.0, SpeedPolicy::kSingleSpeed).best);
 }
 

@@ -112,10 +112,10 @@ TEST(BackendRegistry, RegistryBackendsMatchThePreRedesignPathsBitForBit) {
       core::InterleavedBackend direct(params, spec.segment_limit());
       direct.prepare();
       expect_identical_interleaved(
-          via_registry.interleaved,
+          via_registry.interleaved(),
           spec.segments > 0
-              ? direct.solve_segments(spec.rho, spec.segments).interleaved
-              : direct.solve(spec.rho, spec.policy, false).interleaved);
+              ? direct.solve_segments(spec.rho, spec.segments).interleaved()
+              : direct.solve(spec.rho, spec.policy, false).interleaved());
       continue;
     }
     if (spec.recall_mode) {
@@ -129,7 +129,7 @@ TEST(BackendRegistry, RegistryBackendsMatchThePreRedesignPathsBitForBit) {
           direct.min_rho_solution(spec.policy).feasible) {
         expected = direct.min_rho_solution(spec.policy);
       }
-      expect_identical_pair(via_registry.pair, expected);
+      expect_identical_pair(via_registry.pair(), expected);
       continue;
     }
     if (spec.mode == core::EvalMode::kExactOptimize) {
@@ -139,9 +139,9 @@ TEST(BackendRegistry, RegistryBackendsMatchThePreRedesignPathsBitForBit) {
           direct.solve_report(spec.rho, spec.policy).best;
       if (!expected.feasible && spec.min_rho_fallback &&
           direct.min_rho(spec.policy).feasible()) {
-        expected = direct.min_rho(spec.policy).pair;
+        expected = direct.min_rho(spec.policy).pair();
       }
-      expect_identical_pair(via_registry.pair, expected);
+      expect_identical_pair(via_registry.pair(), expected);
       continue;
     }
     const core::BiCritSolver direct(params);
@@ -151,7 +151,7 @@ TEST(BackendRegistry, RegistryBackendsMatchThePreRedesignPathsBitForBit) {
         direct.min_rho_solution(spec.policy).feasible) {
       expected = direct.min_rho_solution(spec.policy);
     }
-    expect_identical_pair(via_registry.pair, expected);
+    expect_identical_pair(via_registry.pair(), expected);
   }
 }
 

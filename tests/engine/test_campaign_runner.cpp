@@ -4,7 +4,9 @@
 
 #include <stdexcept>
 
+#include "rexspeed/engine/backend_registry.hpp"
 #include "rexspeed/engine/sweep_engine.hpp"
+#include "rexspeed/store/serialize.hpp"
 #include "test_util.hpp"
 
 namespace rexspeed::engine {
@@ -114,6 +116,38 @@ TEST(CampaignRunner, CostWeightOrderingDoesNotChangeResults) {
       ASSERT_EQ(results[s].panels.size(), reference.size());
       for (std::size_t p = 0; p < reference.size(); ++p) {
         expect_identical_panel(results[s].panels[p], reference[p]);
+      }
+    }
+  }
+}
+
+TEST(CampaignRunner, PanelsWithoutABackendCacheMatchSweepEngineRuns) {
+  // First-order panels have no deferred backend cache: the prepare
+  // barrier only sizes their series. Their results must still be the
+  // bytes each scenario yields through the sweep engine, whose panels
+  // size themselves in PanelSweep::run.
+  std::vector<ScenarioSpec> specs = {
+      scenario_by_name("fig02"), scenario_by_name("fig03"),
+      scenario_by_name("fig06"), scenario_by_name("fig08")};
+  for (auto& spec : specs) {
+    spec.points = 101;
+    ASSERT_FALSE(make_backend(spec, spec.resolve_params())->needs_prepare())
+        << spec.name;
+  }
+  for (const unsigned threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    const auto results =
+        CampaignRunner(CampaignRunnerOptions{.threads = threads}).run(specs);
+    const SweepEngine engine(SweepEngineOptions{.threads = threads});
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+      SCOPED_TRACE(specs[s].name);
+      const auto reference = engine.run_scenario(specs[s]);
+      ASSERT_EQ(results[s].panels.size(), reference.size());
+      for (std::size_t p = 0; p < reference.size(); ++p) {
+        ASSERT_EQ(results[s].panels[p].points.size(), 101u);
+        EXPECT_EQ(store::serialize_panel_series(results[s].panels[p]),
+                  store::serialize_panel_series(reference[p]));
       }
     }
   }

@@ -6,13 +6,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "rexspeed/engine/backend_registry.hpp"
 #include "rexspeed/engine/campaign_runner.hpp"
 #include "rexspeed/engine/scenario.hpp"
 #include "rexspeed/engine/sweep_engine.hpp"
+#include "rexspeed/store/serialize.hpp"
 #include "rexspeed/sweep/section42_tables.hpp"
 #include "test_util.hpp"
 
@@ -41,7 +46,7 @@ TEST(ExactBackend, RegistryRoutesTheCachedBackend) {
   core::ExactOptBackend standalone(spec.resolve_params());
   standalone.prepare();
   expect_identical_pair(
-      exact->solve(2.0, core::SpeedPolicy::kTwoSpeed).pair,
+      exact->solve(2.0, core::SpeedPolicy::kTwoSpeed).pair(),
       standalone.solve_report(2.0, core::SpeedPolicy::kTwoSpeed).best);
   expect_identical_pair(exact->solve_pair(2.0, 0, 1),
                         standalone.solve_pair(2.0, 0, 1));
@@ -51,7 +56,7 @@ TEST(ExactBackend, RegistryRoutesTheCachedBackend) {
   const std::unique_ptr<core::SolverBackend> closed = prepared(first);
   EXPECT_STREQ(closed->name(), "first-order");
   expect_identical_pair(
-      closed->solve(2.0, core::SpeedPolicy::kTwoSpeed).pair,
+      closed->solve(2.0, core::SpeedPolicy::kTwoSpeed).pair(),
       core::BiCritSolver(spec.resolve_params())
           .solve(2.0, core::SpeedPolicy::kTwoSpeed,
                  core::EvalMode::kFirstOrder)
@@ -173,8 +178,8 @@ TEST(ExactBackend, ExactOptMatchesFirstOrderInPaperRegime) {
   const core::Solution b = solve_scenario(first);
   ASSERT_TRUE(a.feasible());
   ASSERT_TRUE(b.feasible());
-  EXPECT_EQ(a.pair.sigma1_index, b.pair.sigma1_index);
-  EXPECT_EQ(a.pair.sigma2_index, b.pair.sigma2_index);
+  EXPECT_EQ(a.pair().sigma1_index, b.pair().sigma1_index);
+  EXPECT_EQ(a.pair().sigma2_index, b.pair().sigma2_index);
   EXPECT_NEAR(a.energy_overhead(), b.energy_overhead(),
               1e-2 * b.energy_overhead());
 }
@@ -198,6 +203,60 @@ TEST(ExactBackend, SpeedPairTablesRouteThroughTheCache) {
     EXPECT_NEAR(table[i].energy_overhead, reference[i].energy_overhead,
                 1e-6 * reference[i].energy_overhead);
   }
+}
+
+TEST(ExactBackend, PointwiseSolveIsTheReportsBestWithoutTheReport) {
+  // solve() scans the cache without materializing the K² report; its
+  // result must still be the report's best (through the same min-ρ
+  // fallback step), byte for byte, at every kind of bound.
+  core::ExactOptBackend backend(exact_rho_spec().resolve_params());
+  backend.prepare();
+  const std::vector<double>& floors = backend.rho_mins();
+  const std::vector<double>& loose = backend.times_at_we();
+  // Per pair: just under its floor (infeasible for it), between its floor
+  // and its loose threshold (a tight bisection), and past the threshold (a
+  // cache lookup); plus a bound below every floor and one above every
+  // threshold.
+  std::vector<double> rhos;
+  std::size_t tight = 0;
+  double lowest = std::numeric_limits<double>::infinity();
+  double highest = 0.0;
+  for (std::size_t s = 0; s < floors.size(); ++s) {
+    if (!(floors[s] > 0.0) || !std::isfinite(loose[s])) continue;
+    lowest = std::min(lowest, floors[s]);
+    highest = std::max(highest, loose[s]);
+    rhos.push_back(floors[s] * (1.0 - 1e-9));
+    if (floors[s] < loose[s]) {
+      rhos.push_back(0.5 * (floors[s] + loose[s]));
+      ++tight;
+    }
+    rhos.push_back(loose[s] * 1.01);
+  }
+  ASSERT_GT(tight, 0u);
+  rhos.push_back(0.5 * lowest);
+  rhos.push_back(2.0 * highest);
+
+  std::size_t infeasible = 0;
+  for (const core::SpeedPolicy policy :
+       {core::SpeedPolicy::kTwoSpeed, core::SpeedPolicy::kSingleSpeed}) {
+    const core::PairSolution fallback = backend.min_rho(policy).pair();
+    for (const double rho : rhos) {
+      const core::PairSolution best = backend.solve_report(rho, policy).best;
+      infeasible += best.feasible ? 0 : 1;
+      for (const bool min_rho_fallback : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "rho " << rho << " fallback "
+                                        << min_rho_fallback);
+        const core::Solution expected =
+            !best.feasible && min_rho_fallback && fallback.feasible
+                ? core::Solution::from_pair(fallback, true)
+                : core::Solution::from_pair(best);
+        EXPECT_EQ(store::serialize_solution(
+                      backend.solve(rho, policy, min_rho_fallback)),
+                  store::serialize_solution(expected));
+      }
+    }
+  }
+  EXPECT_GT(infeasible, 0u);
 }
 
 }  // namespace

@@ -139,14 +139,14 @@ TEST(InterleavedBackendEngine, RegistryBackendMatchesDirectSolver) {
   core::InterleavedBackend direct(spec.resolve_params(), 6);
   direct.prepare();
   expect_identical_interleaved(
-      backend->solve(5.0).interleaved,
-      direct.solve(5.0, core::SpeedPolicy::kTwoSpeed, false).interleaved);
+      backend->solve(5.0).interleaved(),
+      direct.solve(5.0, core::SpeedPolicy::kTwoSpeed, false).interleaved());
 
   ScenarioSpec pinned = spec;
   pinned.max_segments = 0;
   pinned.segments = 3;
-  expect_identical_interleaved(prepared(pinned)->solve(5.0).interleaved,
-                               direct.solve_segments(5.0, 3).interleaved);
+  expect_identical_interleaved(prepared(pinned)->solve(5.0).interleaved(),
+                               direct.solve_segments(5.0, 3).interleaved());
 
   // The pair backends are untouched by the segment configuration.
   const std::unique_ptr<core::SolverBackend> pair =
@@ -159,7 +159,7 @@ TEST(InterleavedScenario, SolveUsesFixedOrSearchedCount) {
   ScenarioSpec spec = hot_spec();
   spec.sweep_parameter.reset();
   const core::Solution searched = solve_scenario(spec);
-  ASSERT_EQ(searched.kind, core::SolutionKind::kInterleaved);
+  ASSERT_EQ(searched.kind(), core::SolutionKind::kInterleaved);
   ASSERT_TRUE(searched.feasible());
   EXPECT_GT(searched.segments(), 1u);
 
@@ -174,7 +174,7 @@ TEST(InterleavedScenario, SolveUsesFixedOrSearchedCount) {
   // entry point — the mode dispatch lives in the registry now.
   const core::Solution pair =
       solve_scenario(parse_scenario("config=Hera/XScale"));
-  EXPECT_EQ(pair.kind, core::SolutionKind::kPair);
+  EXPECT_EQ(pair.kind(), core::SolutionKind::kPair);
   EXPECT_EQ(pair.segments(), 1u);
 }
 
@@ -219,7 +219,7 @@ TEST(SweepEngineInterleaved, FixedSegmentCountStaysPinnedAcrossRhoPanel) {
       engine.run_axis(pinned, sweep::SweepParameter::kPerformanceBound);
   bool any_feasible = false;
   for (const auto& point : panel.points) {
-    const core::InterleavedSolution& best = point.primary.interleaved;
+    const core::InterleavedSolution& best = point.primary.interleaved();
     if (!best.feasible) continue;
     any_feasible = true;
     EXPECT_EQ(best.segments, 3u) << "x=" << point.x;
@@ -227,7 +227,7 @@ TEST(SweepEngineInterleaved, FixedSegmentCountStaysPinnedAcrossRhoPanel) {
     ScenarioSpec at_x = pinned;
     at_x.sweep_parameter.reset();
     at_x.rho = point.x;
-    expect_identical_interleaved(best, solve_scenario(at_x).interleaved);
+    expect_identical_interleaved(best, solve_scenario(at_x).interleaved());
   }
   EXPECT_TRUE(any_feasible);
 }

@@ -146,7 +146,7 @@ TEST(ScenarioSolve, MatchesDirectBackendSolve) {
   const ScenarioSpec spec = parse_scenario("config=Hera/XScale rho=3");
   const core::Solution via_scenario = solve_scenario(spec);
   const core::PairSolution direct =
-      test::prepared(make_backend(spec))->solve(3.0).pair;
+      test::prepared(make_backend(spec))->solve(3.0).pair();
   ASSERT_TRUE(via_scenario.feasible());
   EXPECT_EQ(via_scenario.sigma1(), direct.sigma1);
   EXPECT_EQ(via_scenario.sigma2(), direct.sigma2);

@@ -86,8 +86,8 @@ TEST(SweepEngine, ScenarioOverridesReachTheSweptModel) {
   spec.overrides.push_back({"lambda", 5e-4});
   const auto overridden = run_declared(engine, spec);
   ASSERT_EQ(base.points.size(), overridden.points.size());
-  EXPECT_NE(base.points[2].primary.pair.w_opt,
-            overridden.points[2].primary.pair.w_opt);
+  EXPECT_NE(base.points[2].primary.pair().w_opt,
+            overridden.points[2].primary.pair().w_opt);
   expect_identical_panel(overridden, run_direct(spec));
 }
 
@@ -120,7 +120,7 @@ TEST(SweepEngine, RhoSweepSharedBackendMatchesPerPointSolves) {
     const core::Solution expected =
         backend->solve(point.x, core::SpeedPolicy::kTwoSpeed,
                        /*min_rho_fallback=*/true);
-    expect_identical_pair(point.primary.pair, expected.pair);
+    expect_identical_pair(point.primary.pair(), expected.pair());
     EXPECT_EQ(point.primary.used_fallback, expected.used_fallback);
   }
 }

@@ -29,10 +29,10 @@ TEST(Figure2, CheckpointSweepSpeedPairEvolution) {
   // §4.3.1: "the optimal speed pair starts at (0.45, 0.45) when C is small
   // and reaches (0.45, 0.8) when C is increased to 5000 seconds."
   const PanelSeries series = dense(SweepParameter::kCheckpointTime);
-  const auto& first = series.points.front().primary.pair;
+  const auto& first = series.points.front().primary.pair();
   EXPECT_DOUBLE_EQ(first.sigma1, 0.45);
   EXPECT_DOUBLE_EQ(first.sigma2, 0.45);
-  const auto& last = series.points.back().primary.pair;
+  const auto& last = series.points.back().primary.pair();
   EXPECT_DOUBLE_EQ(last.sigma1, 0.45);
   EXPECT_DOUBLE_EQ(last.sigma2, 0.8);
 }
@@ -48,8 +48,8 @@ TEST(Figure2, UpToThirtyFivePercentSavings) {
 TEST(Figure2, PatternSizeGrowsWithCheckpointCostAtFixedSpeeds) {
   const PanelSeries series = dense(SweepParameter::kCheckpointTime);
   for (std::size_t i = 1; i < series.points.size(); ++i) {
-    const auto& prev = series.points[i - 1].primary.pair;
-    const auto& cur = series.points[i].primary.pair;
+    const auto& prev = series.points[i - 1].primary.pair();
+    const auto& cur = series.points[i].primary.pair();
     if (prev.sigma1 == cur.sigma1 && prev.sigma2 == cur.sigma2) {
       EXPECT_GE(cur.w_opt, prev.w_opt - 1e-9)
           << "x=" << series.points[i].x;
@@ -61,7 +61,7 @@ TEST(Figure3, VerificationSweepStabilizesAtMixedPair) {
   // §4.3.1: "the optimal speed pair stabilizes at (0.6, 0.45) when V is
   // increased to 5000 seconds" — with ~35% peak savings on the way.
   const PanelSeries series = dense(SweepParameter::kVerificationTime);
-  const auto& last = series.points.back().primary.pair;
+  const auto& last = series.points.back().primary.pair();
   EXPECT_DOUBLE_EQ(last.sigma1, 0.6);
   EXPECT_DOUBLE_EQ(last.sigma2, 0.45);
   EXPECT_GE(series.max_energy_saving(), 0.33);
@@ -72,7 +72,7 @@ TEST(Figure4, ErrorRateSweepShrinksPatternsAndRaisesSpeeds) {
   // §4.3.2: Wopt decreases with λ while the execution speeds increase
   // (σ2 first, then σ1, until both reach the maximum).
   const PanelSeries series = dense(SweepParameter::kErrorRate);
-  const auto& low = series.points.front().primary.pair;
+  const auto& low = series.points.front().primary.pair();
   EXPECT_DOUBLE_EQ(low.sigma1, 0.45);
   EXPECT_DOUBLE_EQ(low.sigma2, 0.45);
 
@@ -82,7 +82,7 @@ TEST(Figure4, ErrorRateSweepShrinksPatternsAndRaisesSpeeds) {
   bool prev_fallback = false;
   bool prev_inactive = true;
   for (const auto& point : series.points) {
-    const auto& sol = point.primary.pair;
+    const auto& sol = point.primary.pair();
     ASSERT_TRUE(sol.feasible);
     // Wopt decreases while the speed pair is unchanged *and* the bound is
     // inactive (Wopt = We). Pair switches reset it upward, and when the
@@ -105,7 +105,7 @@ TEST(Figure4, ErrorRateSweepShrinksPatternsAndRaisesSpeeds) {
   // Beyond the feasibility horizon the fallback pins the fastest speed.
   const auto& high = series.points.back();
   EXPECT_TRUE(high.primary.used_fallback);
-  EXPECT_DOUBLE_EQ(high.primary.pair.sigma1, 1.0);
+  EXPECT_DOUBLE_EQ(high.primary.pair().sigma1, 1.0);
 }
 
 TEST(Figure5, TighterBoundForcesFasterSpeedsAndMoreEnergy) {
@@ -116,7 +116,7 @@ TEST(Figure5, TighterBoundForcesFasterSpeedsAndMoreEnergy) {
   double prev_s1 = 2.0;
   for (const auto& point : series.points) {
     if (point.primary.used_fallback) continue;  // ρ below every ρ_{i,j}
-    const auto& sol = point.primary.pair;
+    const auto& sol = point.primary.pair();
     EXPECT_LE(sol.energy_overhead, prev_energy * (1.0 + 1e-9))
         << "rho=" << point.x;
     EXPECT_LE(sol.sigma1, prev_s1 + 1e-12) << "rho=" << point.x;
@@ -124,22 +124,22 @@ TEST(Figure5, TighterBoundForcesFasterSpeedsAndMoreEnergy) {
     prev_s1 = sol.sigma1;
   }
   // Generous bounds settle on the cheapest speed.
-  EXPECT_DOUBLE_EQ(series.points.back().primary.pair.sigma1, 0.45);
-  EXPECT_DOUBLE_EQ(series.points.back().primary.pair.sigma2, 0.45);
+  EXPECT_DOUBLE_EQ(series.points.back().primary.pair().sigma1, 0.45);
+  EXPECT_DOUBLE_EQ(series.points.back().primary.pair().sigma2, 0.45);
 }
 
 TEST(Figure6, IdlePowerRaisesSpeedsSigma1First) {
   // §4.3.3: speeds increase with Pidle (σ1 first, then σ2), and σ2 almost
   // always equals σ1 so one speed suffices.
   const PanelSeries series = dense(SweepParameter::kIdlePower);
-  const auto& first = series.points.front().primary.pair;
-  const auto& last = series.points.back().primary.pair;
+  const auto& first = series.points.front().primary.pair();
+  const auto& last = series.points.back().primary.pair();
   EXPECT_DOUBLE_EQ(first.sigma1, 0.45);
   EXPECT_GT(last.sigma1, first.sigma1);
   EXPECT_DOUBLE_EQ(last.sigma1, last.sigma2);
   // Energy overhead strictly grows with static power.
   EXPECT_GT(last.energy_overhead,
-            series.points.front().primary.pair.energy_overhead);
+            series.points.front().primary.pair().energy_overhead);
   // Two-speed gains are marginal in this sweep (σ2 ≈ σ1 throughout).
   EXPECT_LT(series.max_energy_saving(), 0.05);
 }
@@ -151,7 +151,7 @@ TEST(Figure7, IoPowerLeavesSpeedsUnchanged) {
   double prev_w = 0.0;
   double prev_energy = 0.0;
   for (const auto& point : series.points) {
-    const auto& sol = point.primary.pair;
+    const auto& sol = point.primary.pair();
     ASSERT_TRUE(sol.feasible);
     EXPECT_DOUBLE_EQ(sol.sigma1, 0.45);
     EXPECT_DOUBLE_EQ(sol.sigma2, 0.45);
@@ -170,13 +170,13 @@ TEST(Figures8to14, EveryConfigurationSweepsCleanly) {
     for (const SweepParameter axis : sweep::all_sweep_parameters()) {
       const PanelSeries panel = test::figure_panel(config.name(), axis, 11);
       for (const auto& point : panel.points) {
-        if (!point.primary.pair.feasible) continue;
-        EXPECT_GT(point.primary.pair.w_opt, 0.0) << config.name();
-        EXPECT_GT(point.primary.pair.energy_overhead, 0.0) << config.name();
-        if (point.baseline.pair.feasible && !point.baseline.used_fallback &&
+        if (!point.primary.pair().feasible) continue;
+        EXPECT_GT(point.primary.pair().w_opt, 0.0) << config.name();
+        EXPECT_GT(point.primary.pair().energy_overhead, 0.0) << config.name();
+        if (point.baseline.pair().feasible && !point.baseline.used_fallback &&
             !point.primary.used_fallback) {
-          EXPECT_LE(point.primary.pair.energy_overhead,
-                    point.baseline.pair.energy_overhead * (1.0 + 1e-12))
+          EXPECT_LE(point.primary.pair().energy_overhead,
+                    point.baseline.pair().energy_overhead * (1.0 + 1e-12))
               << config.name();
         }
       }
@@ -231,10 +231,10 @@ TEST(Figures8to14, LargestSavingPerSweepAcrossAllConfigurations) {
       ASSERT_LT(best_index + 1, points.size());
       const core::PanelPoint& at = points[best_index];
       EXPECT_NEAR(at.x, 1.775, 1e-9);
-      EXPECT_DOUBLE_EQ(at.primary.pair.sigma1, 0.6);
-      EXPECT_DOUBLE_EQ(at.primary.pair.sigma2, 0.8);
-      EXPECT_DOUBLE_EQ(at.baseline.pair.sigma1, 0.8);
-      EXPECT_DOUBLE_EQ(points[best_index + 1].baseline.pair.sigma1, 0.6);
+      EXPECT_DOUBLE_EQ(at.primary.pair().sigma1, 0.6);
+      EXPECT_DOUBLE_EQ(at.primary.pair().sigma2, 0.8);
+      EXPECT_DOUBLE_EQ(at.baseline.pair().sigma1, 0.8);
+      EXPECT_DOUBLE_EQ(points[best_index + 1].baseline.pair().sigma1, 0.6);
     }
   }
 }
@@ -249,8 +249,8 @@ TEST(Figures8to14, CrusoeOnOtherPlatformsKeepsSlowPairLonger) {
     const PanelSeries series =
         test::figure_panel(name, SweepParameter::kCheckpointTime, 26);
     for (const auto& point : series.points) {
-      EXPECT_DOUBLE_EQ(point.primary.pair.sigma1, 0.45) << name;
-      EXPECT_DOUBLE_EQ(point.primary.pair.sigma2, 0.45) << name;
+      EXPECT_DOUBLE_EQ(point.primary.pair().sigma1, 0.45) << name;
+      EXPECT_DOUBLE_EQ(point.primary.pair().sigma2, 0.45) << name;
     }
   }
 }

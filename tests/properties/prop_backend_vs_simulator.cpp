@@ -49,7 +49,7 @@ TEST(PropBackendVsSimulator, ChosenPolicyMatchesTheExactModel) {
             backend->solve(spec.rho, spec.policy, spec.min_rho_fallback);
         if (!sol.feasible()) return;  // nothing to execute
 
-        if (sol.kind == core::SolutionKind::kInterleaved) {
+        if (sol.kind() == core::SolutionKind::kInterleaved) {
           test::expect_simulator_matches_interleaved_model(
               params, sol.w_opt(), sol.segments(), sol.sigma1(),
               sol.sigma2(), mc);

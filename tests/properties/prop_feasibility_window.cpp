@@ -62,9 +62,9 @@ TEST(PropFeasibilityWindow, LooseningTheBoundNeverLosesFeasibility) {
           if (was_feasible) EXPECT_TRUE(sol.feasible());
           was_feasible = was_feasible || sol.feasible();
           if (sol.feasible()) {
-            EXPECT_LE(sol.pair.w_min, sol.pair.w_opt);
-            EXPECT_LE(sol.pair.w_opt, sol.pair.w_max);
-            EXPECT_GT(sol.pair.w_opt, 0.0);
+            EXPECT_LE(sol.pair().w_min, sol.pair().w_opt);
+            EXPECT_LE(sol.pair().w_opt, sol.pair().w_max);
+            EXPECT_GT(sol.pair().w_opt, 0.0);
           }
         }
       },
@@ -87,13 +87,13 @@ TEST(PropFeasibilityWindow, FallbackEngagesExactlyWhenTheBoundFails) {
         if (strict.feasible()) {
           // A feasible bound never takes the fallback.
           EXPECT_FALSE(relaxed.used_fallback);
-          EXPECT_EQ(relaxed.pair.w_opt, strict.pair.w_opt);
+          EXPECT_EQ(relaxed.pair().w_opt, strict.pair().w_opt);
         } else {
           EXPECT_EQ(relaxed.used_fallback, min_rho.feasible());
           if (min_rho.feasible()) {
-            EXPECT_EQ(relaxed.pair.w_opt, min_rho.pair.w_opt);
-            EXPECT_EQ(relaxed.pair.sigma1, min_rho.pair.sigma1);
-            EXPECT_EQ(relaxed.pair.sigma2, min_rho.pair.sigma2);
+            EXPECT_EQ(relaxed.pair().w_opt, min_rho.pair().w_opt);
+            EXPECT_EQ(relaxed.pair().sigma1, min_rho.pair().sigma1);
+            EXPECT_EQ(relaxed.pair().sigma2, min_rho.pair().sigma2);
           }
         }
       },

@@ -64,7 +64,7 @@ TEST(PropSegmentsMonotonic, WideningTheCapNeverHurts) {
         // Pinned per-count solves, the ground truth the search must match.
         std::vector<InterleavedSolution> pinned;
         for (unsigned m = 1; m <= c.cap; ++m) {
-          pinned.push_back(backend.solve_segments(c.rho, m).interleaved);
+          pinned.push_back(backend.solve_segments(c.rho, m).interleaved());
         }
 
         double best_so_far = 0.0;
@@ -84,7 +84,7 @@ TEST(PropSegmentsMonotonic, WideningTheCapNeverHurts) {
           InterleavedBackend capped(c.params, cap);
           capped.prepare();
           const InterleavedSolution searched =
-              capped.solve(c.rho, SpeedPolicy::kTwoSpeed, false).interleaved;
+              capped.solve(c.rho, SpeedPolicy::kTwoSpeed, false).interleaved();
           EXPECT_EQ(searched.feasible, any_feasible);
           if (any_feasible) {
             // The search returns the running minimum — monotone by

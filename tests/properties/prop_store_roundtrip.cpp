@@ -83,18 +83,18 @@ core::PairSolution arbitrary_pair(proptest::Rng& rng) {
 core::Solution arbitrary_solution(proptest::Rng& rng) {
   core::Solution solution;
   if (rng.chance(0.5)) {
-    solution.kind = core::SolutionKind::kPair;
+    solution = core::Solution::from_pair(arbitrary_pair(rng));
   } else {
-    solution.kind = core::SolutionKind::kInterleaved;
+    core::InterleavedSolution pattern;
+    pattern.feasible = rng.chance(0.5);
+    pattern.segments = static_cast<unsigned>(rng.index(16)) + 1;
+    pattern.sigma1 = arbitrary_double(rng);
+    pattern.sigma2 = arbitrary_double(rng);
+    pattern.w_opt = arbitrary_double(rng);
+    pattern.energy_overhead = arbitrary_double(rng);
+    pattern.time_overhead = arbitrary_double(rng);
+    solution = core::Solution::from_interleaved(pattern);
   }
-  solution.pair = arbitrary_pair(rng);
-  solution.interleaved.feasible = rng.chance(0.5);
-  solution.interleaved.segments = static_cast<unsigned>(rng.index(16)) + 1;
-  solution.interleaved.sigma1 = arbitrary_double(rng);
-  solution.interleaved.sigma2 = arbitrary_double(rng);
-  solution.interleaved.w_opt = arbitrary_double(rng);
-  solution.interleaved.energy_overhead = arbitrary_double(rng);
-  solution.interleaved.time_overhead = arbitrary_double(rng);
   solution.used_fallback = rng.chance(0.5);
   return solution;
 }
@@ -132,7 +132,10 @@ sweep::PanelSeries arbitrary_series(proptest::Rng& rng) {
     }
     // Mix rows field by field, so columns differ in layout.
     if (i > 0 && rng.chance(0.5)) {
-      series.points[i].primary.pair = series.points[i - 1].primary.pair;
+      auto* pair = series.points[i].primary.payload_if<core::PairSolution>();
+      const auto* above =
+          series.points[i - 1].primary.payload_if<core::PairSolution>();
+      if (pair != nullptr && above != nullptr) *pair = *above;
     }
   }
   return series;

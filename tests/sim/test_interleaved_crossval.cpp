@@ -90,7 +90,7 @@ TEST(InterleavedCrossVal, SolverModePolicyCrossValidates) {
   spec.overrides.push_back({"V", 1.0});
 
   const core::InterleavedSolution sol =
-      engine::solve_scenario(spec).interleaved;
+      engine::solve_scenario(spec).interleaved();
   ASSERT_TRUE(sol.feasible);
   EXPECT_GT(sol.segments, 1u);  // the hot regime picks real segmentation
 

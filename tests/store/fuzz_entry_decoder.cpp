@@ -54,10 +54,17 @@ sweep::PanelSeries layout_panel(int layout) {
               : layout == 1 ? 2.5
               : layout == 2 ? static_cast<double>(i / 4)
                             : static_cast<double>(i % 3);
-    point.primary.pair.w_opt = row * 1.5;
-    point.primary.pair.sigma1_index = static_cast<int>(i / 10) - 1;
-    point.baseline.pair.feasible = i % 2 == 0;
-    point.baseline.interleaved.segments = static_cast<unsigned>(i % 3);
+    point.primary.pair().w_opt = row * 1.5;
+    point.primary.pair().sigma1_index = static_cast<int>(i / 10) - 1;
+    // Baselines alternate kinds, so the kind column and both payloads'
+    // columns vary between layouts too.
+    if (i % 3 == 0) {
+      point.baseline.pair().feasible = i % 2 == 0;
+    } else {
+      core::InterleavedSolution pattern;
+      pattern.segments = static_cast<unsigned>(i % 3);
+      point.baseline = core::Solution::from_interleaved(pattern);
+    }
   }
   return series;
 }

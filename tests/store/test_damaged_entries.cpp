@@ -192,8 +192,8 @@ double x_of(Case::Panel panel, std::size_t i) {
 
 std::string blob_of(const Case& c, std::size_t index) {
   core::Solution solution;
-  solution.pair.feasible = true;
-  solution.pair.w_opt = 1000.0 + static_cast<double>(index);
+  solution.pair().feasible = true;
+  solution.pair().w_opt = 1000.0 + static_cast<double>(index);
   if (c.panel == Case::Panel::kNone) return encode_solution_entry(solution);
   sweep::PanelSeries series;
   series.configuration = kConfiguration;
@@ -202,8 +202,8 @@ std::string blob_of(const Case& c, std::size_t index) {
     series.points[i].x = x_of(c.panel, i);
     series.points[i].primary = solution;
     // Two raw columns besides x: the large panel is ≈ 290 KB on disk.
-    series.points[i].primary.pair.w_energy = static_cast<double>(i) / 7.0;
-    series.points[i].baseline.pair.w_energy = static_cast<double>(i) / 9.0;
+    series.points[i].primary.pair().w_energy = static_cast<double>(i) / 7.0;
+    series.points[i].baseline.pair().w_energy = static_cast<double>(i) / 9.0;
   }
   return encode_panel_entry(series);
 }
@@ -434,6 +434,108 @@ TEST_F(DamagedEntriesTest, VerifyFlagsExactlyTheCorruptCases) {
               cases_[i].expected == Outcome::kHit)
         << cases_[i].name;
   }
+}
+
+// ---- the payload a Solution does not hold --------------------------------
+//
+// A Solution holds one payload; both codecs store the other as its
+// defaults. Bytes that put a non-default value there (a row relabelled as
+// the other kind, resealed) decode to no Solution that would encode back
+// to them, so both decoders reject them.
+
+/// `blob` with the u64 little-endian word at `at` set to `word` (or only
+/// its low byte, with `byte`), resealed with the codec's checksum.
+std::string relabelled(std::string blob, std::size_t at, std::uint64_t word,
+                       bool entry, bool byte = false) {
+  blob.resize(blob.size() - 8);
+  for (std::size_t i = 0; i < (byte ? 1 : 8); ++i) {
+    blob[at + i] = static_cast<char>((word >> (8 * i)) & 0xff);
+  }
+  std::uint64_t checksum = entry ? lane_hash64(blob) : fnv1a64(blob);
+  for (int i = 0; i < 8; ++i, checksum >>= 8) {
+    blob.push_back(static_cast<char>(checksum & 0xff));
+  }
+  return blob;
+}
+
+core::Solution pattern_of(unsigned segments) {
+  core::InterleavedSolution pattern;
+  pattern.segments = segments;
+  return core::Solution::from_interleaved(pattern);
+}
+
+core::Solution pair_with_w_opt(double w_opt) {
+  core::PairSolution pair;
+  pair.w_opt = w_opt;
+  return core::Solution::from_pair(pair);
+}
+
+// A one-row entry is the header, then one raw column per field: its tag
+// and one word. The kind column comes first.
+constexpr std::size_t kEntryKindWord = 9 + 1;
+
+TEST(InactivePayload, SolutionEntryWithANonDefaultInactiveColumnIsRejected) {
+  // An interleaved row relabelled as a pair: its segments column (3) sits
+  // in the payload a pair Solution does not hold.
+  const std::string pattern = encode_solution_entry(pattern_of(3));
+  EXPECT_THROW((void)decode_solution_entry(
+                   relabelled(pattern, kEntryKindWord, 0, true)),
+               SerializeError);
+  // A pair row relabelled as interleaved: its w_opt column (5) likewise.
+  const std::string pair = encode_solution_entry(pair_with_w_opt(5.0));
+  EXPECT_THROW((void)decode_solution_entry(
+                   relabelled(pair, kEntryKindWord, 1, true)),
+               SerializeError);
+  // The same relabelling of an all-default row is a valid entry: the
+  // rejection is the inactive column's value, not the edit.
+  const std::string plain = relabelled(
+      encode_solution_entry(pattern_of(1)), kEntryKindWord, 0, true);
+  EXPECT_EQ(decode_solution_entry(plain).kind(), core::SolutionKind::kPair);
+  EXPECT_EQ(encode_solution_entry(decode_solution_entry(plain)), plain);
+}
+
+TEST(InactivePayload, PanelEntryWithANonDefaultInactiveColumnIsRejected) {
+  // Constant columns are single runs: the x column's tag, run count, word
+  // and length, then the primary's kind column, whose word follows its
+  // tag and run count.
+  const auto entry_of = [](unsigned segments) {
+    sweep::PanelSeries series;
+    series.configuration = kConfiguration;
+    series.points.resize(300);
+    for (core::PanelPoint& point : series.points) {
+      point.x = 5.0;
+      point.primary = pattern_of(segments);
+    }
+    return encode_panel_entry(series);
+  };
+  constexpr std::size_t kKindColumn = kXColumn + 1 + 4 + 8 + 4;
+  constexpr std::size_t kKindWord = kKindColumn + 1 + 4;
+  const std::string entry = entry_of(2);
+  ASSERT_EQ(entry[kKindColumn], 1);  // runs
+  EXPECT_EQ(encode_panel_entry(decode_panel_entry(entry, 300)), entry);
+  EXPECT_THROW(
+      (void)decode_panel_entry(relabelled(entry, kKindWord, 0, true), 300),
+      SerializeError);
+  const std::string plain = relabelled(entry_of(1), kKindWord, 0, true);
+  EXPECT_EQ(encode_panel_entry(decode_panel_entry(plain, 300)), plain);
+}
+
+// A canonical Solution blob is the envelope (magic, version, payload
+// kind), then the Solution's kind byte and both payloads.
+constexpr std::size_t kCanonicalKindByte = 4 + 4 + 1;
+
+TEST(InactivePayload, CanonicalBlobWithANonDefaultInactivePayloadIsRejected) {
+  const std::string pattern = serialize_solution(pattern_of(3));
+  EXPECT_THROW((void)deserialize_solution(
+                   relabelled(pattern, kCanonicalKindByte, 0, false, true)),
+               SerializeError);
+  const std::string pair = serialize_solution(pair_with_w_opt(5.0));
+  EXPECT_THROW((void)deserialize_solution(
+                   relabelled(pair, kCanonicalKindByte, 1, false, true)),
+               SerializeError);
+  const std::string plain = relabelled(serialize_solution(pattern_of(1)),
+                                       kCanonicalKindByte, 0, false, true);
+  EXPECT_EQ(serialize_solution(deserialize_solution(plain)), plain);
 }
 
 }  // namespace

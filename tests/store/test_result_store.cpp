@@ -232,20 +232,19 @@ TEST(StoreKey, CostKeyIsCoarse) {
 
 TEST(StoreSerialize, SolutionRoundTripsBitForBit) {
   core::Solution solution;
-  solution.kind = core::SolutionKind::kPair;
-  solution.pair.sigma1 = 0.4;
-  solution.pair.sigma2 = 0.81;
-  solution.pair.sigma1_index = 1;
-  solution.pair.sigma2_index = 3;
-  solution.pair.feasible = true;
-  solution.pair.first_order_valid = false;
-  solution.pair.rho_min = 1.25;
-  solution.pair.w_opt = 2764.25;
-  solution.pair.w_energy = std::numeric_limits<double>::infinity();
-  solution.pair.w_min = 12.5;
-  solution.pair.w_max = std::numeric_limits<double>::quiet_NaN();
-  solution.pair.energy_overhead = 416.8125;
-  solution.pair.time_overhead = 2.6837;
+  solution.pair().sigma1 = 0.4;
+  solution.pair().sigma2 = 0.81;
+  solution.pair().sigma1_index = 1;
+  solution.pair().sigma2_index = 3;
+  solution.pair().feasible = true;
+  solution.pair().first_order_valid = false;
+  solution.pair().rho_min = 1.25;
+  solution.pair().w_opt = 2764.25;
+  solution.pair().w_energy = std::numeric_limits<double>::infinity();
+  solution.pair().w_min = 12.5;
+  solution.pair().w_max = std::numeric_limits<double>::quiet_NaN();
+  solution.pair().energy_overhead = 416.8125;
+  solution.pair().time_overhead = 2.6837;
   solution.used_fallback = true;
 
   const std::string blob = serialize_solution(solution);
@@ -361,7 +360,7 @@ TEST_F(ResultStoreTest, StatsSumTheSidecarSizes) {
     series.points.resize(points);
     for (std::size_t i = 0; i < points; ++i) {
       series.points[i].x = 1.0 + static_cast<double>(i) / 64.0;
-      series.points[i].primary.pair.w_opt = 1000.0 + static_cast<double>(i);
+      series.points[i].primary.pair().w_opt = 1000.0 + static_cast<double>(i);
     }
     const std::string blob = encode_panel_entry(series);
     EntryInfo info;
@@ -390,7 +389,7 @@ TEST_F(ResultStoreTest, PutManyStoresAcrossAPoolAndReportsEachFailure) {
   std::vector<core::Solution> solutions(40);
   std::vector<PutEntry> entries;
   for (std::size_t i = 0; i < solutions.size(); ++i) {
-    solutions[i].pair.w_opt = static_cast<double>(i);
+    solutions[i].pair().w_opt = static_cast<double>(i);
     PutEntry entry;
     entry.key = to_hex(Sha256::of("put-many-" + std::to_string(i)));
     entry.info.kind = "solution";
@@ -430,7 +429,7 @@ TEST_F(ResultStoreTest, PutManyStoresAcrossAPoolAndReportsEachFailure) {
     const std::optional<std::string> blob = store.fetch(entries[i].key);
     EXPECT_EQ(blob.has_value(), stored) << i;
     if (blob) {
-      EXPECT_EQ(decode_solution_entry(*blob).pair.w_opt, solutions[i].pair.w_opt);
+      EXPECT_EQ(decode_solution_entry(*blob).pair().w_opt, solutions[i].pair().w_opt);
     }
     EXPECT_EQ(store.lookup_cost(entries[i].cost_key).has_value(),
               stored && i != 19)

@@ -44,8 +44,8 @@ std::string key_of(int k) {
 
 std::string blob_of(int k) {
   core::Solution solution;
-  solution.pair.feasible = true;
-  solution.pair.w_opt = 1000.0 + k;
+  solution.pair().feasible = true;
+  solution.pair().w_opt = 1000.0 + k;
   return encode_solution_entry(solution);
 }
 

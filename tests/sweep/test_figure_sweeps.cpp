@@ -61,8 +61,8 @@ TEST(FigureSweep, ProducesOnePointPerGridValue) {
   EXPECT_EQ(series.parameter, SweepParameter::kCheckpointTime);
   EXPECT_EQ(series.kind, core::SolutionKind::kPair);
   for (const auto& point : series.points) {
-    const core::PairSolution& two = point.primary.pair;
-    const core::PairSolution& one = point.baseline.pair;
+    const core::PairSolution& two = point.primary.pair();
+    const core::PairSolution& one = point.baseline.pair();
     ASSERT_TRUE(two.feasible);
     ASSERT_TRUE(one.feasible);
     EXPECT_DOUBLE_EQ(one.sigma1, one.sigma2);

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -183,6 +184,32 @@ TEST(ChunkedPanel, ChunkSizeSplitsEvenlyAndMeasureCostIsTransient) {
       run_panel_sweep(std::make_unique<core::ClosedFormBackend>(
                           params, core::EvalMode::kFirstOrder),
                       "test", SweepParameter::kCheckpointTime, grid, {}));
+}
+
+TEST(ChunkedPanel, UnpreparedChunksOnAPoolSizeTheSeriesOnce) {
+  // A panel nobody prepared sizes its series on its first chunk; chunks
+  // racing on a pool must all see that one allocation.
+  const core::ModelParams params = test::params_for("Hera/XScale");
+  const std::vector<double> grid =
+      default_grid(SweepParameter::kPerformanceBound, 257);
+  const auto backend = [&params] {
+    return std::make_unique<core::ClosedFormBackend>(
+        params, core::EvalMode::kFirstOrder);
+  };
+  PanelSweep plan(backend(), "test", SweepParameter::kPerformanceBound, grid,
+                  {});
+  ASSERT_FALSE(plan.needs_prepare());
+  ThreadPool pool(4);
+  constexpr std::size_t kChunk = 16;
+  parallel_for(&pool, (grid.size() + kChunk - 1) / kChunk,
+               [&plan, &grid](std::size_t c) {
+                 plan.solve_chunk(c * kChunk,
+                                  std::min(grid.size(), (c + 1) * kChunk));
+               });
+  expect_identical_panel(
+      plan.take(), run_panel_sweep(backend(), "test",
+                                   SweepParameter::kPerformanceBound, grid,
+                                   {}));
 }
 
 /// Tolerance agreement for warm-vs-cold chains: identical discrete

@@ -90,12 +90,12 @@ inline void expect_identical_interleaved(const core::InterleavedSolution& a,
 /// payload is covered exactly once.
 inline void expect_identical_solution(const core::Solution& a,
                                       const core::Solution& b) {
-  ASSERT_EQ(a.kind, b.kind);
+  ASSERT_EQ(a.kind(), b.kind());
   EXPECT_EQ(a.used_fallback, b.used_fallback);
-  if (a.kind == core::SolutionKind::kInterleaved) {
-    expect_identical_interleaved(a.interleaved, b.interleaved);
+  if (a.kind() == core::SolutionKind::kInterleaved) {
+    expect_identical_interleaved(a.interleaved(), b.interleaved());
   } else {
-    expect_identical_pair(a.pair, b.pair);
+    expect_identical_pair(a.pair(), b.pair());
   }
 }
 

@@ -306,7 +306,7 @@ int report_solution(const engine::ScenarioSpec& spec,
                     const core::Solution& sol,
                     const core::SolverBackend* backend) {
   if (!sol.feasible()) {
-    if (sol.kind == core::SolutionKind::kInterleaved) {
+    if (sol.kind() == core::SolutionKind::kInterleaved) {
       std::printf("infeasible: no segmented pattern satisfies rho = %g "
                   "(up to %u segments)\n",
                   spec.rho, spec.segment_limit());
@@ -320,13 +320,13 @@ int report_solution(const engine::ScenarioSpec& spec,
       if (fallback.feasible()) {
         std::printf("best-effort minimum bound: rho_min = %.4f at "
                     "(%.2f, %.2f)\n",
-                    fallback.pair.rho_min, fallback.sigma1(),
+                    fallback.pair().rho_min, fallback.sigma1(),
                     fallback.sigma2());
       }
     }
     return 1;
   }
-  if (sol.kind == core::SolutionKind::kInterleaved) {
+  if (sol.kind() == core::SolutionKind::kInterleaved) {
     std::printf("sigma1 = %.2f  sigma2 = %.2f  Wopt = %.1f  "
                 "segments = %u\n",
                 sol.sigma1(), sol.sigma2(), sol.w_opt(), sol.segments());
@@ -520,8 +520,8 @@ int cmd_simulate(const io::ArgParser& args) {
   double e_model = 0.0;
   sim::ExecutionPolicy policy =
       sim::ExecutionPolicy::single_speed(1.0, 1.0);
-  if (sol.kind == core::SolutionKind::kInterleaved) {
-    const auto& seg = sol.interleaved;
+  if (sol.kind() == core::SolutionKind::kInterleaved) {
+    const auto& seg = sol.interleaved();
     policy = sim::ExecutionPolicy::segmented(seg.w_opt, seg.segments,
                                              seg.sigma1, seg.sigma2);
     t_model = core::expected_time_interleaved(params, seg.w_opt,
@@ -536,7 +536,7 @@ int cmd_simulate(const io::ArgParser& args) {
                 "boosted x%g\n",
                 seg.sigma1, seg.sigma2, seg.w_opt, seg.segments, boost);
   } else {
-    policy = sim::ExecutionPolicy::from_solution(sol.pair);
+    policy = sim::ExecutionPolicy::from_solution(sol.pair());
     if (spec.recall_mode) {
       // Recall-exact expectations at the boosted rate: these account for
       // missed detections, so the simulated columns should match them.
@@ -690,7 +690,7 @@ int cmd_campaign(const io::ArgParser& args) {
       if (!sol.feasible()) {
         std::snprintf(buffer, sizeof buffer, "infeasible at rho=%g",
                       spec.rho);
-      } else if (sol.kind == core::SolutionKind::kInterleaved) {
+      } else if (sol.kind() == core::SolutionKind::kInterleaved) {
         std::snprintf(buffer, sizeof buffer,
                       "(%.2f, %.2f) m=%u Wopt=%.0f E/W=%.1f", sol.sigma1(),
                       sol.sigma2(), sol.segments(), sol.w_opt(),
